@@ -11,7 +11,7 @@ from .errors import (GraphFormatError, GraphZetaError, NumericalError,
                      UnsupportedError, ValidationError)
 from .graph import (Bond, MatchingConditions, MetricGraph, VertexSpec,
                     build_vertex_conditions, load_graph, parse_graph,
-                    replace_bond_length, require_valid, same_conditions,
+                    replace_bond_length, require_valid,
                     serialize_graph, validate_matching)
 from .interval import solve_imag_axis, transfer_matrix_real
 from .oracle import (SpectrumWindow, discretized_eigenvalues,
@@ -39,7 +39,7 @@ __all__ = [
     "energy_finite_difference", "load_graph", "logF_and_slope_imag",
     "minus_half_data", "mu_sensitivity", "parse_graph",
     "potential_from_dict", "reference_zeta_R", "replace_bond_length",
-    "require_valid", "same_conditions", "scan_spectrum",
+    "require_valid", "scan_spectrum",
     "secular_matrix_real", "serialize_graph", "smallest_singular_values",
     "solve_imag_axis", "transfer_matrix_real", "u_log_expansion",
     "vacuum_energy", "validate_matching", "wkb_coefficients",

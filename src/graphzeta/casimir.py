@@ -12,16 +12,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.integrate import quad
-
 from .errors import NumericalError, UnsupportedError
 from .graph import replace_bond_length
 from .interval import solve_imag_axis
 from .secular import asymptotic_F_coefficients, dF_dL_imag
 from .wkb import d_constant
-from .zeta import _probe_secular_zero, _require_local, minus_half_data
+from .zeta import (_probe_secular_zero, _quadc, _require_local,
+                   _tail_integral, minus_half_data)
 
-CUTOFF = 1e-14
+TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -56,47 +55,22 @@ def vacuum_energy(graph, mc, mu: float = 1.0) -> EnergyResult:
         ambiguous=bool(abs(res_half) > 1e-10))
 
 
-def _integrate_to_cutoff(f, floor=CUTOFF, rem_scale=1.0):
-    """[0,1] adaptively, then width-doubling panels until f dies off.
-
-    Both force integrands decay like exp(-2 t L), so the cutoff test on
-    the panel edge terminates the loop.  floor should sit above the noise
-    of f (finite differences of ODE output do not reach CUTOFF); the
-    unresolved remainder abs(f)*rem_scale goes into the error estimate.
-    """
-    total, err = quad(f, 0.0, 1.0, epsabs=1e-12, epsrel=1e-10, limit=200)
-    a = 1.0
-    width = 1.0
-    for _ in range(60):
-        w, e = quad(f, a, a + width, epsabs=max(1e-13, floor),
-                    epsrel=1e-10, limit=200)
-        total += w
-        err += e
-        a += width
-        tail = abs(f(a))
-        if tail < floor:
-            return total, err + tail * rem_scale
-        width *= 2.0
-    raise NumericalError("force integrand did not decay")
+def _integrate(f):
+    """integral_0^inf f: adaptive on [0, 1], zeta's tail panels beyond."""
+    head, e_head = _quadc(f, 0.0, 1.0, False)
+    tail, e_tail = _tail_integral(f, TOL, False)
+    return (head + tail).real, e_head + e_tail
 
 
-def _sample_integral(samples):
-    samples.sort()
-    out = 0.0
-    for (t0, e0), (t1, e1) in zip(samples, samples[1:]):
-        out += 0.5 * (e0 + e1) * (t1 - t0)
-    return out
-
-
-def casimir_force(graph, mc, bond_id: str, h: float = 1e-4) -> ForceResult:
+def casimir_force(graph, mc, bond_id: str) -> ForceResult:
     """Force -dE/dL on the far end of one bond.
 
     Negative values pull the end inward.  Split into the detached-bond
-    Dirichlet part, whose length derivative is exactly the logarithmic
-    derivative u'(L)/u(L) (obtained from the reversed-orientation solve),
-    and the interaction part carried by the secular function, where the
-    length derivative is a Richardson finite difference with relative
-    step h; all t-integrals run along the imaginary axis.
+    Dirichlet part, whose length derivative is the logarithmic derivative
+    u'(L)/u(L) (obtained from the reversed-orientation solve), and the
+    interaction part, the exact length derivative of log F from
+    dF_dL_imag; both are t-integrals along the imaginary axis, and the
+    error estimate is their quadrature error.
     """
     _require_local(mc, "casimir_force")
     floor = graph.spectral_floor()
@@ -105,23 +79,13 @@ def casimir_force(graph, mc, bond_id: str, h: float = 1e-4) -> ForceResult:
             "Casimir integrals need the gamma=0 ray, unreachable below the "
             f"spectral floor {floor:.6g} of a negative potential")
     bond = graph.bond_by_id(bond_id)
-    L = bond.length
-    step = h * L
-    pot = bond.potential
-    if not pot.compact(L):
+    if not bond.potential.compact(bond.length):
         raise UnsupportedError(
             f"force on bond '{bond_id}' needs a compactly supported "
             "potential; a potential reaching the moving end does work of "
             "its own and the vacuum force alone is not defined")
-    if not pot.compact(L - step):
-        raise UnsupportedError(
-            f"potential support on bond '{bond_id}' meets the moving end "
-            f"at length {L - step:g}; reduce the step h")
     asym = asymptotic_F_coefficients(graph, mc, check=False)
     _probe_secular_zero(graph, mc, asym, 0.0)
-
-    has_ode_bond = any(b.potential.kind == "bump" for b in graph.bonds)
-    rem_scale = max(1.0, 0.5 / min(b.length for b in graph.bonds))
 
     def dirichlet_integrand(t):
         # d/dL [log u(L) - t L] = u'(L)/u(L) - t; the reversed decaying
@@ -129,31 +93,17 @@ def casimir_force(graph, mc, bond_id: str, h: float = 1e-4) -> ForceResult:
         f_rev = solve_imag_axis(bond, t, reverse=True).f_prime_at_0
         return -(f_rev + t)
 
-    floor_dir = 1e-10 if pot.kind == "bump" else CUTOFF
-    i_dir, e_dir = _integrate_to_cutoff(dirichlet_integrand,
-                                        floor=floor_dir,
-                                        rem_scale=rem_scale)
-
-    fd_int = []
-
     def interaction_integrand(t):
-        v, e = dF_dL_imag(graph, mc, bond_id, t, h)
-        fd_int.append((t, e))
-        return v.real
+        return dF_dL_imag(graph, mc, bond_id, t).real
 
-    floor_int = (4e-9 if has_ode_bond else 4e-11) / (h / 1e-4) / L
-    i_int, e_int = _integrate_to_cutoff(interaction_integrand,
-                                        floor=floor_int,
-                                        rem_scale=rem_scale)
-
+    i_dir, e_dir = _integrate(dirichlet_integrand)
+    i_int, e_int = _integrate(interaction_integrand)
     dirichlet_part = -i_dir / (2.0 * math.pi)
     interaction_part = -i_int / (2.0 * math.pi)
-    error = (e_dir + e_int
-             + _sample_integral(fd_int)) / (2.0 * math.pi)
     return ForceResult(bond=bond_id, force=dirichlet_part + interaction_part,
                        dirichlet_part=dirichlet_part,
                        interaction_part=interaction_part,
-                       error_estimate=error)
+                       error_estimate=(e_dir + e_int) / (2.0 * math.pi))
 
 
 def mu_sensitivity(graph, mc, bond_id: str, h: float = 1e-4) -> float:

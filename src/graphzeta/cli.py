@@ -29,7 +29,6 @@ class RunConfig:
     gamma: float = 0.0
     mu: float = 1.0
     bond: str = None
-    h: float = 1e-4
     fmt: str = "csv"
     tol: float = None
     threads: int = 1
@@ -97,7 +96,7 @@ def run(config: RunConfig, out=None, err=None) -> int:
                            "ambiguous"), [row], out)
         return 0
 
-    res = casimir_force(graph, mc, config.bond, h=config.h)
+    res = casimir_force(graph, mc, config.bond)
     row = (res.bond, res.force, res.dirichlet_part, res.interaction_part,
            res.error_estimate)
     _emit(config.fmt, ("bond", "force", "dirichlet_part", "interaction_part",
@@ -130,8 +129,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", type=float, default=0.0)
     p.add_argument("--mu", type=float, default=1.0)
     p.add_argument("--bond", metavar="ID")
-    p.add_argument("--step", type=float, default=1e-4, dest="h",
-                   help="relative finite-difference step for force")
     p.add_argument("--format", choices=("csv", "json"), default="csv",
                    dest="fmt")
     p.add_argument("--threads", type=int, default=1)
@@ -150,7 +147,7 @@ def main(argv=None) -> int:
         parser.error("force needs --bond")
     config = RunConfig(command=args.command, graph_path=args.graph,
                        k_max=args.k_max, s=args.s, gamma=args.gamma,
-                       mu=args.mu, bond=args.bond, h=args.h, fmt=args.fmt,
+                       mu=args.mu, bond=args.bond, fmt=args.fmt,
                        tol=args.tol, threads=args.threads)
     try:
         return run(config)

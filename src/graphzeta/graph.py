@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import null_space, subspace_angles
 
 from .errors import GraphFormatError, ValidationError
 from .potentials import ZeroPotential, potential_from_dict
@@ -30,10 +29,6 @@ class Bond:
     length: float
     vector_potential: float
     potential: object
-
-    def reversed_potential_args(self):
-        # endpoint data seen from the terminus; used by the WKB tables
-        return self.length
 
 
 @dataclass(frozen=True)
@@ -212,24 +207,6 @@ def require_valid(graph: MetricGraph, mc: MatchingConditions) -> None:
     if not report.passed:
         raise ValidationError("matching conditions rejected:\n"
                               + "\n".join(report.lines()))
-
-
-def same_conditions(mc1: MatchingConditions, mc2: MatchingConditions,
-                    tol: float = 1e-9) -> bool:
-    """Whether two condition pairs cut out the same solution set.
-
-    The pairs act on stacked vectors (psi, psihat), so the solution sets are
-    the null spaces of the 2B x 4B stacked matrices; compare them through
-    principal angles.
-    """
-    n1 = null_space(np.hstack([mc1.A, mc1.B]))
-    n2 = null_space(np.hstack([mc2.A, mc2.B]))
-    if n1.shape[1] != n2.shape[1]:
-        return False
-    if n1.shape[1] == 0:
-        return True
-    angles = subspace_angles(n1, n2)
-    return float(np.max(angles)) <= tol
 
 
 def _as_float(x, what: str) -> float:

@@ -280,35 +280,6 @@ def _analytic_block(k2: float, c: float, ell: float) -> np.ndarray:
     return np.array([[cosv, sov], [-z2 * sov, cosv]])
 
 
-def _rk4_block_scalar(pot, k: float, a: float, b: float, n: int) -> np.ndarray:
-    kk = k * k
-    h = (b - a) / n
-    p0, q0 = 1.0, 0.0
-    p1, q1 = 0.0, 1.0
-    val = pot.value_scalar
-    for i in range(n):
-        x = a + i * h
-        w1 = val(x) - kk
-        w2 = val(x + 0.5 * h) - kk
-        w3 = val(x + h) - kk
-        for col in (0, 1):
-            p, q = (p0, q0) if col == 0 else (p1, q1)
-            k1p, k1q = q, w1 * p
-            k2p = q + 0.5 * h * k1q
-            k2q = w2 * (p + 0.5 * h * k1p)
-            k3p = q + 0.5 * h * k2q
-            k3q = w2 * (p + 0.5 * h * k2p)
-            k4p = q + h * k3q
-            k4q = w3 * (p + h * k3p)
-            p += h / 6.0 * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-            q += h / 6.0 * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
-            if col == 0:
-                p0, q0 = p, q
-            else:
-                p1, q1 = p, q
-    return np.array([[p0, p1], [q0, q1]])
-
-
 def transfer_matrix_real(bond, k: float) -> np.ndarray:
     """(psi(L), psi'(L)) = T (psi(0), psi'(0)) for -psi'' + V psi = k^2 psi.
 
@@ -322,8 +293,9 @@ def transfer_matrix_real(bond, k: float) -> np.ndarray:
         return _analytic_block(k * k, getattr(pot, "c", 0.0), L)
     a, b = pot.support(L)
     n = max(400, int(20.0 * (abs(k) + 1.0) * (b - a)))
-    t_n = _rk4_block_scalar(pot, k, a, b, n)
-    t_2n = _rk4_block_scalar(pot, k, a, b, 2 * n)
+    ks = np.array([k])
+    t_n = _rk4_blocks_batch(pot, ks, a, b, n)[0]
+    t_2n = _rk4_blocks_batch(pot, ks, a, b, 2 * n)[0]
     mid = (16.0 * t_2n - t_n) / 15.0
     out = _analytic_block(k * k, 0.0, L - b) @ mid @ _analytic_block(k * k, 0.0, a)
     det = out[0, 0] * out[1, 1] - out[0, 1] * out[1, 0]

@@ -9,6 +9,7 @@ provides a third, fully matrix-based reference for test graphs.
 
 from __future__ import annotations
 
+import cmath
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -209,9 +210,14 @@ def _tail_int(K, s, gamma, extra: int = 0):
     s = complex(s)
     ratio = gamma / (K * K)
     alpha = 2.0 * s.real - 2.0 + extra
+    beta = 2.0 * s.imag
 
     def smooth(x):
-        return (1.0 + ratio * x * x) ** (-s) * x ** complex(0.0, 2.0 * s.imag)
+        val = (1.0 + ratio * x * x) ** (-s)
+        if beta:
+            # x^(i beta) has modulus one but no limit at x = 0
+            val *= cmath.exp(complex(0.0, beta * math.log(x))) if x > 0.0 else 0.0
+        return val
 
     re, er = quad(lambda x: smooth(x).real, 0.0, 1.0, weight="alg",
                   wvar=(alpha, 0.0), epsabs=1e-13, epsrel=1e-11, limit=200)

@@ -214,13 +214,3 @@ def potential_from_dict(data: dict):
     except KeyError as exc:
         raise GraphFormatError(f"potential '{kind}' missing field {exc}") from exc
     raise GraphFormatError(f"unknown potential kind '{kind}'")
-
-
-def potential_value(potential, x, order: int = 0):
-    """Evaluate V or one of its first four derivatives at x."""
-    return potential.value(x, order)
-
-
-def potential_integral(potential, length: float) -> float:
-    """The constant d_b = (1/2) * integral of V over the bond."""
-    return 0.5 * potential.integral(length)

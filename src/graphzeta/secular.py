@@ -20,7 +20,6 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
 from .errors import NumericalError
-from .graph import replace_bond_length
 from .interval import solve_imag_axis, transfer_matrices_real, transfer_matrix_real
 from .wkb import wkb_coefficients
 
@@ -32,12 +31,6 @@ class SecularValue:
     t: float
     log_abs: float
     phase: float
-
-    def value(self) -> complex:
-        if self.log_abs > 700.0:
-            raise NumericalError("secular determinant overflows; "
-                                 "use the (log, phase) form")
-        return cmath.exp(complex(self.log_abs, self.phase))
 
 
 def secular_data_imag(graph, t: float):
@@ -85,17 +78,23 @@ def F_imag(graph, mc, t: float) -> SecularValue:
     return SecularValue(t=t, log_abs=log_abs, phase=phase)
 
 
+def _secular_lu(graph, mc, t: float):
+    """M, dM/dt, log|F|, phase of F and the LU of A + B M, for F != 0."""
+    M, dM = secular_data_imag(graph, t)
+    log_abs, phase, lu = _det_log(mc.A + mc.B @ M)
+    if not math.isfinite(log_abs):
+        raise NumericalError(f"secular determinant vanished at t={t}; "
+                             "an eigenvalue sits on the integration ray")
+    return M, dM, log_abs, phase, lu
+
+
 def logF_and_slope_imag(graph, mc, t: float):
     """(SecularValue, d/dt log F) sharing one LU factorisation.
 
     The derivative is tr[(A + B M)^-1 B M'], with M' assembled from the
     solver's t-derivative outputs; no numerical differentiation in t.
     """
-    M, dM = secular_data_imag(graph, t)
-    log_abs, phase, lu = _det_log(mc.A + mc.B @ M)
-    if not math.isfinite(log_abs):
-        raise NumericalError(f"secular determinant vanished at t={t}; "
-                             "an eigenvalue sits on the integration ray")
+    M, dM, log_abs, phase, lu = _secular_lu(graph, mc, t)
     X = lu_solve(lu, mc.B @ dM, check_finite=False)
     return SecularValue(t=t, log_abs=log_abs, phase=phase), complex(np.trace(X))
 
@@ -259,26 +258,29 @@ def _check_asymptotics(graph, mc, data: AsymptoticData) -> None:
             f"(deviation {slope_dev:.2e})")
 
 
-def dF_dL_imag(graph, mc, bond_id: str, t: float, h: float = 1e-4):
-    """d/dL log F(it) in one bond length, by Richardson extrapolation.
+def dF_dL_imag(graph, mc, bond_id: str, t: float) -> complex:
+    """d/dL log F(it) in the length of one bond, moving its terminus.
 
-    Central differences at steps hL and hL/2; the phase difference is
-    wrapped, which is safe because nearby lengths move eigenvalues only
-    slightly.  Returns (value, error_estimate).
+    tr[(A + B M)^-1 B dM/dL], sharing one LU factorisation of A + B M.
+    With u the Dirichlet solution (u(0) = 0, u'(0) = 1) and m = -u'(L)/u(L)
+    the reversed-orientation entry of M, the bond's block of dM/dL is
+    1/u(L)^2 on the forward diagonal, -(t^2 + V(L) - m^2) on the reverse
+    diagonal, and m + i A and m - i A times the off-diagonal entries
+    exp(+i A L)/u(L) and exp(-i A L)/u(L).  The solves it reads are the
+    ones M was built from, so no bond is solved twice.
     """
-    L = graph.bond_by_id(bond_id).length
-    step = h * L
-
-    def central(d):
-        p = F_imag(replace_bond_length(graph, bond_id, L + d), mc, t)
-        m = F_imag(replace_bond_length(graph, bond_id, L - d), mc, t)
-        if not (math.isfinite(p.log_abs) and math.isfinite(m.log_abs)):
-            raise NumericalError(
-                f"secular determinant vanished near t={t:g} while "
-                "differentiating in the bond length")
-        dphase = math.remainder(p.phase - m.phase, 2.0 * math.pi)
-        return complex(p.log_abs - m.log_abs, dphase) / (2.0 * d)
-
-    d1 = central(step)
-    d2 = central(step / 2.0)
-    return (4.0 * d2 - d1) / 3.0, abs(d2 - d1) / 3.0
+    bond = graph.bond_by_id(bond_id)
+    b = graph.bonds.index(bond)
+    B = graph.bond_count
+    M, _, _, _, lu = _secular_lu(graph, mc, t)
+    fwd = solve_imag_axis(bond, t)
+    m_rev = M[B + b, B + b]
+    phase = 1j * bond.vector_potential
+    dM = np.zeros_like(M)
+    dM[b, b] = math.exp(-2.0 * fwd.log_u)
+    dM[B + b, B + b] = -(t * t + bond.potential.value_scalar(bond.length)
+                         - m_rev * m_rev)
+    dM[B + b, b] = (m_rev + phase) * M[B + b, b]
+    dM[b, B + b] = (m_rev - phase) * M[b, B + b]
+    X = lu_solve(lu, mc.B @ dM, check_finite=False)
+    return complex(np.trace(X))

@@ -74,7 +74,3 @@ def d_constant(bond) -> float:
     """d_b = (1/2) integral of V along the bond; the heat-trace constant
     behind the Dirichlet residue."""
     return 0.5 * bond.potential.integral(bond.length)
-
-
-def d_constants(graph) -> dict:
-    return {b.id: d_constant(b) for b in graph.bonds}

@@ -457,8 +457,7 @@ def minus_half_data(graph, mc, *, asym=None, tol: float = 1e-10) -> MinusHalfDat
                     out -= e * t ** (-j)
             return out
 
-        i_head, _ = quad(log_u, 0.0, 1.0, epsabs=1e-12, epsrel=1e-10,
-                         limit=200)
+        i_head, _ = _quad_guarded(log_u, 0.0, 1.0, 1e-12, 1e-10, 200)
         i_tail, _ = _tail_integral(g_sub, tol, False)
         rational = -L / 2.0 + 1.0
         for j, e in ej.items():
@@ -482,7 +481,7 @@ def minus_half_data(graph, mc, *, asym=None, tol: float = 1e-10) -> MinusHalfDat
                 out -= (aj * t ** (-j)).real
         return out
 
-    i_head, _ = quad(logF_re, 0.0, 1.0, epsabs=1e-12, epsrel=1e-10, limit=200)
+    i_head, _ = _quad_guarded(logF_re, 0.0, 1.0, 1e-12, 1e-10, 200)
     i_tail, _ = _tail_integral(g_im, tol, False)
     boundary = log_c + sum(aj.real for aj in coeffs)
     rational = -float(power)

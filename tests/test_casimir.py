@@ -32,9 +32,11 @@ def test_vacuum_energy_scale_dependence():
 def test_force_free_interval_closed_form():
     res = casimir_force(*make_interval(1.0), 1)
     assert res.force == pytest.approx(-math.pi / 24.0, abs=1e-10)
+    assert abs(res.force + math.pi / 24.0) <= res.error_estimate
     assert res.interaction_part == pytest.approx(0.0, abs=1e-10)
     res2 = casimir_force(*make_interval(2.0), 1)
     assert res2.force == pytest.approx(-math.pi / 96.0, abs=1e-10)
+    assert abs(res2.force + math.pi / 96.0) <= res2.error_estimate
 
 
 def test_force_kirchhoff_star_closed_form():
@@ -43,6 +45,7 @@ def test_force_kirchhoff_star_closed_form():
     graph, mc = make_star(0.0)
     res = casimir_force(graph, mc, 1)
     assert res.force == pytest.approx(-math.pi / 48.0, abs=1e-9)
+    assert abs(res.force + math.pi / 48.0) <= res.error_estimate
 
 
 def test_force_equal_across_star_bonds():
@@ -63,9 +66,6 @@ def test_force_guards():
                                               "value": 2.0})
     with pytest.raises(UnsupportedError, match="compact"):
         casimir_force(graph, mc, 1)
-    near_end = make_bump_interval(center=0.8, half_width=0.199)
-    with pytest.raises(UnsupportedError, match="moving end"):
-        casimir_force(*near_end, 1, h=1e-2)
 
 
 def test_mu_sensitivity_vanishes_for_compact_support():

@@ -47,7 +47,7 @@ def invoke(argv):
     args = parser.parse_args(argv)
     config = RunConfig(command=args.command, graph_path=args.graph,
                        k_max=args.k_max, s=args.s, gamma=args.gamma,
-                       mu=args.mu, bond=args.bond, h=args.h, fmt=args.fmt,
+                       mu=args.mu, bond=args.bond, fmt=args.fmt,
                        tol=args.tol, threads=args.threads)
     from graphzeta.errors import GraphZetaError
     try:

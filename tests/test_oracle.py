@@ -6,7 +6,8 @@ from scipy.optimize import brentq
 
 from conftest import BUMP, make_chain, make_circle, make_interval, make_star
 from graphzeta import (UnsupportedError, discretized_eigenvalues,
-                       reference_zeta_R, scan_spectrum, zeta_direct)
+                       reference_zeta_R, scan_spectrum, zeta_direct,
+                       zeta_total)
 
 
 def test_scan_interval():
@@ -99,6 +100,14 @@ def test_zeta_direct_interval():
         exact = math.pi ** (-2 * s) * reference_zeta_R(2 * s)
         assert abs(value - exact) <= max(bound, 1e-8)
         assert bound < 1e-6
+
+
+def test_zeta_direct_complex_s():
+    graph, mc = make_star(1.0)
+    window = scan_spectrum(graph, mc, 215.0)
+    for s in (0.75 + 0.5j, 0.9 - 0.3j):
+        value, bound = zeta_direct(window, s, 0.5)
+        assert abs(value - zeta_total(graph, mc, s, 0.5).value) <= bound
 
 
 def test_zeta_direct_needs_window():

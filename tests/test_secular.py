@@ -106,26 +106,28 @@ def test_asymptotics_rejects_degenerate_conditions():
 
 def test_length_derivative_of_log_F():
     # normalization makes log F length-independent on a single bond, so
-    # the derivative must vanish identically there; on the star it must
-    # reproduce a central difference of log|F| itself
+    # the derivative must vanish identically there; elsewhere the closed
+    # form must reproduce a central difference of log F itself: the
+    # unequal star moves a bond unlike its neighbours, the off-centre bump
+    # needs the reversed solve and the flux circle the phase terms
     graph, mc = make_interval(1.0)
     for t in (0.8, 2.5, 12.0):
-        got, err = dF_dL_imag(graph, mc, 1, t)
-        assert abs(got) <= max(err, 1e-12)
+        assert abs(dF_dL_imag(graph, mc, 1, t)) <= 1e-12
 
-    graph, mc = make_star(1.0)
     h = 1e-6
-    for t in (0.8, 1.7, 5.0):
-        got, err = dF_dL_imag(graph, mc, 2, t)
-        plus = F_imag(replace_bond_length(graph, 2, 1.0 + h), mc, t).log_abs
-        minus = F_imag(replace_bond_length(graph, 2, 1.0 - h), mc, t).log_abs
-        fd = (plus - minus) / (2.0 * h)
-        assert abs(got.imag) < 1e-10
-        assert got.real == pytest.approx(fd, abs=1e-6)
-
-
-def test_length_derivative_error_estimate():
-    graph, mc = make_star(1.0)
-    got, err = dF_dL_imag(graph, mc, 2, 1.7)
-    assert err < 1e-6
-    assert math.isfinite(got.real) and abs(got.imag) < 1e-12
+    off_centre = {**BUMP, "center": 0.35, "half_width": 0.2}
+    cases = ((make_star(1.0), 2),
+             (make_star(1.0, lengths=(1.0, 1.7, 0.6)), 2),
+             (make_chain(bump=off_centre), 2),
+             (make_circle(1.0, 0.5), 1))
+    for (graph, mc), bond in cases:
+        L = graph.bond_by_id(bond).length
+        for t in (0.8, 1.7, 5.0):
+            got = dF_dL_imag(graph, mc, bond, t)
+            plus = F_imag(replace_bond_length(graph, bond, L + h), mc, t)
+            minus = F_imag(replace_bond_length(graph, bond, L - h), mc, t)
+            fd_re = (plus.log_abs - minus.log_abs) / (2.0 * h)
+            fd_im = math.remainder(plus.phase - minus.phase,
+                                   2.0 * math.pi) / (2.0 * h)
+            assert got.real == pytest.approx(fd_re, abs=1e-6)
+            assert got.imag == pytest.approx(fd_im, abs=1e-10)
