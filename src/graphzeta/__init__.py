@@ -13,14 +13,14 @@ from .graph import (Bond, MatchingConditions, MetricGraph, VertexSpec,
                     build_vertex_conditions, load_graph, parse_graph,
                     replace_bond_length, require_valid,
                     serialize_graph, validate_matching)
-from .interval import solve_imag_axis, transfer_matrix_real
+from .interval import solve_imag_axis
 from .oracle import (SpectrumWindow, discretized_eigenvalues,
                      energy_finite_difference, reference_zeta_R,
                      scan_spectrum, zeta_direct)
 from .potentials import (BumpPotential, ConstantPotential, ZeroPotential,
                          potential_from_dict)
 from .secular import (AsymptoticData, F_imag, asymptotic_F_coefficients,
-                      dF_dL_imag, logF_and_slope_imag, secular_matrix_real,
+                      dF_dL_imag, logF_and_slope_imag,
                       smallest_singular_values)
 from .wkb import d_constant, u_log_expansion, wkb_coefficients
 from .zeta import (MinusHalfData, ZetaEvaluation, minus_half_data,
@@ -40,8 +40,8 @@ __all__ = [
     "minus_half_data", "mu_sensitivity", "parse_graph",
     "potential_from_dict", "reference_zeta_R", "replace_bond_length",
     "require_valid", "scan_spectrum",
-    "secular_matrix_real", "serialize_graph", "smallest_singular_values",
-    "solve_imag_axis", "transfer_matrix_real", "u_log_expansion",
+    "serialize_graph", "smallest_singular_values",
+    "solve_imag_axis", "u_log_expansion",
     "vacuum_energy", "validate_matching", "wkb_coefficients",
     "zeta_dir_bond", "zeta_direct", "zeta_im", "zeta_total",
 ]

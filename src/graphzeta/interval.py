@@ -2,11 +2,15 @@
 
 Imaginary axis (k = i t): returns the boundary data entering the secular
 matrix, the derivative f'(0) of the solution decaying towards x = L, the
-logarithm of the Dirichlet solution u(L), and their t-derivatives.  All
-growth is kept in log form so large t L never overflows.
+logarithm of the Dirichlet solution u(L), and their t-derivatives.  Zero
+and constant potentials have closed forms; every other potential goes
+through one constant-perturbation sweep (Ixaru 1984; Ledoux, Van Daele and
+Vanden Berghe, ACM TOMS 31, 2005), whose segments are exact for a constant
+potential at every t, so one segment count serves all t.  All growth is
+kept in log form so large t L never overflows.
 
-Real axis: 2x2 transfer matrices for the magnetic-gauge-removed equation,
-used by the spectral scan.
+Real axis: batched 2x2 transfer matrices for the magnetic-gauge-removed
+equation, used by the spectral scan.
 """
 
 from __future__ import annotations
@@ -17,14 +21,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import NumericalError, UnsupportedError
 from .wkb import u_log_expansion
 
-CROSSOVER_TL = 20.0
-STIFF_TL = 3000.0
-RESCALE_LIMIT = 1e10
+CSTEP = 1e-30            # complex step for the t-derivatives
 
 
 @dataclass(frozen=True)
@@ -87,109 +88,85 @@ def _analytic(bond, t: float) -> ImagAxisSolution:
         method="analytic")
 
 
-def _linear(bond, t: float, reverse: bool) -> ImagAxisSolution:
-    """Forward integration of u, v and their t-derivatives, with segment
-    rescaling so exponential growth stays inside double range."""
-    L = bond.length
-    pot = bond.potential
+def _sweep(t: complex, w, V):
+    """Sweep from x = L, where f = 0 and f' = -1, across segments of widths
+    w and constant potentials V; returns (m, s) at the far end.
 
-    def vfun(x):
-        return pot.value_scalar(L - x if reverse else x)
+    m = f/f' and s = log|f'| minus the free growth Re(t) * (swept length);
+    keeping s of order one instead of t L keeps the absolute error of log u
+    at rounding level, which the subtracted large-t integrands rely on.
 
-    tt = t * t
-
-    def rhs(x, y):
-        q = tt + vfun(x)
-        return (y[1], q * y[0], y[3], q * y[2],
-                y[5], q * y[4] + 2.0 * t * y[0],
-                y[7], q * y[6] + 2.0 * t * y[2])
-
-    kappa_max = math.sqrt(tt + max(0.0, pot.maximum(L)))
-    nseg = int(kappa_max * L / 20.0) + 1
-    edges = np.linspace(0.0, L, nseg + 1)
-    y = np.array([0.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
-    sigma = 0.0
-    for i in range(nseg):
-        sol = solve_ivp(rhs, (edges[i], edges[i + 1]), y, method="DOP853",
-                        rtol=1e-12, atol=1e-14)
-        if not sol.success:
-            raise NumericalError(
-                f"bond '{bond.id}': forward integration failed at t={t}")
-        y = sol.y[:, -1]
-        m = float(np.max(np.abs(y)))
-        if m > RESCALE_LIMIT:
-            y = y / m
-            sigma += math.log(m)
-    uL, vL, huL, hvL = y[0], y[2], y[4], y[6]
-    if uL <= 0.0:
-        raise NumericalError(
-            f"bond '{bond.id}': u(L) not positive at t={t}; "
-            "operator may have spectrum below -t^2")
-    return ImagAxisSolution(
-        t=t,
-        f_prime_at_0=-vL / uL,
-        df_prime_at_0_dt=-(hvL * uL - vL * huL) / (uL * uL),
-        log_u=math.log(uL) + sigma,
-        dlog_u_dt=huL / uL,
-        method="linear")
+    With q = t^2 + V, kappa = sqrt(q) and T = tanh(kappa w)/kappa, one
+    segment is the exact map m <- (m - T)/(1 - m q T), with
+    log cosh(kappa w) + log(1 - m q T) added to log|f'|.  Below |kappa w| =
+    1e-2 the series in z = q w^2 keep the complex-step t-derivative exact.
+    """
+    q = t * t + V
+    z = q * w * w
+    small = np.abs(z) < 1e-4
+    kappa = np.sqrt(np.where(small, 1.0, q))
+    y = kappa * w
+    tanhc = np.where(small, 1.0 + z * (-1.0 / 3.0 + z * (2.0 / 15.0
+                     - z * 17.0 / 315.0)), np.tanh(y) / y)
+    # log cosh(y) - Re(t) w; w (kappa - t) = w V / (kappa + t) spares the
+    # real part the cancellation, and y carries the imaginary part whole
+    log_cosh = np.where(
+        small, z * (0.5 + z * (-1.0 / 12.0 + z / 45.0)) - t.real * w,
+        (V * w / (kappa + t)).real + 1j * y.imag
+        + np.log1p(np.exp(-2.0 * y)) - math.log(2.0))
+    T = w * tanhc
+    m = 0j
+    dens = []
+    for Ti, Pi in zip(T.tolist(), (q * T).tolist()):
+        d = 1.0 - m * Pi
+        m = (m - Ti) / d
+        dens.append(d)
+    return m, complex(log_cosh.sum() + np.log(dens).sum())
 
 
-def _riccati(bond, t: float, reverse: bool) -> ImagAxisSolution:
-    """Backward Riccati integration from x = L for large t L.
+def _cpm(bond, t: float, reverse: bool) -> ImagAxisSolution:
+    """Constant-perturbation sweep of the solution decaying towards x = L.
 
-    State is (m, S, mu, sigma) with m = f/f' for the decaying solution,
-    S the log-magnitude with the free t(L-x) growth removed and mu, sigma
-    their t-derivatives; all start from zero at x = L.  Keeping S of order
-    one (instead of order tL) keeps the absolute error of log u at the
-    tolerance level, which the subtracted large-t integrands rely on.
+    The free stretches outside the support are one exact segment each;
+    the support is cut into n midpoint segments, n fixed by the bond, and
+    Richardson-extrapolated from n to 2n.  t-derivatives come from a
+    complex step through the same sweep.  By the Wronskian the Dirichlet
+    solution has u(L) = f(0) = m0 f'(0).
     """
     L = bond.length
     pot = bond.potential
-
-    def vfun(x):
-        return pot.value_scalar(L - x if reverse else x)
-
-    tt = t * t
-
-    def rhs(x, y):
-        m, _, mu, _ = y
-        q = tt + vfun(x)
-        return (1.0 - q * m * m,
-                -q * m - t,
-                -2.0 * t * m * m - 2.0 * q * m * mu,
-                -(2.0 * t * m + q * mu) - 1.0)
-
-    def jac(x, y):
-        m, _, mu, _ = y
-        q = tt + vfun(x)
-        return ((-2.0 * q * m, 0.0, 0.0, 0.0),
-                (-q, 0.0, 0.0, 0.0),
-                (-4.0 * t * m - 2.0 * q * mu, 0.0, -2.0 * q * m, 0.0),
-                (-2.0 * t, 0.0, -q, 0.0))
-
-    stiff = t * L > STIFF_TL
-    kwargs = dict(method="Radau", jac=jac) if stiff else dict(method="DOP853")
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        sol = solve_ivp(rhs, (L, 0.0), (0.0, 0.0, 0.0, 0.0),
-                        rtol=1e-12, atol=1e-18, **kwargs)
-    if not sol.success:
+    a, b = pot.support(L)
+    vmax = max(-pot.minimum(L), pot.maximum(L))
+    n = max(200, math.ceil(200.0 * (b - a) * math.sqrt(vmax)))
+    first, last = (a, L - b) if reverse else (L - b, a)
+    tc = complex(t, CSTEP)
+    ends = []
+    for k in (n, 2 * n):
+        h = (b - a) / k
+        mid = (np.arange(k) + 0.5) * h
+        x = a + mid if reverse else b - mid
+        w = np.concatenate(([first], np.full(k, h), [last]))
+        V = np.concatenate(([0.0], pot.value(x), [0.0]))
+        ends.append(_sweep(tc, w, V))
+    (m1, s1), (m2, s2) = ends
+    m0 = (4.0 * m2 - m1) / 3.0
+    s0 = (4.0 * s2 - s1) / 3.0
+    if not m0.real < 0.0:
         raise NumericalError(
-            f"bond '{bond.id}': Riccati integration failed at t={t}")
-    m0, s0, mu0, sig0 = sol.y[:, -1]
-    if m0 >= 0.0:
-        raise NumericalError(
-            f"bond '{bond.id}': Riccati solution lost decay at t={t}")
+            f"bond '{bond.id}': solution lost decay at t={t}")
+    fp = 1.0 / m0
+    lu = s0 + cmath.log(-m0)
     return ImagAxisSolution(
         t=t,
-        f_prime_at_0=1.0 / m0,
-        df_prime_at_0_dt=-mu0 / (m0 * m0),
-        log_u=t * L - s0 + math.log(-m0),
-        dlog_u_dt=L - sig0 + mu0 / m0,
-        method="riccati")
+        f_prime_at_0=fp.real,
+        df_prime_at_0_dt=fp.imag / CSTEP,
+        log_u=t * L + lu.real,
+        dlog_u_dt=lu.imag / CSTEP,
+        method="cpm")
 
 
 @lru_cache(maxsize=65536)
-def _solve_cached(bond, t: float, reverse: bool, method: str) -> ImagAxisSolution:
+def _solve_cached(bond, t: float, reverse: bool) -> ImagAxisSolution:
     pot = bond.potential
     L = bond.length
     if t < 0.0:
@@ -199,29 +176,15 @@ def _solve_cached(bond, t: float, reverse: bool, method: str) -> ImagAxisSolutio
         raise NumericalError(
             f"bond '{bond.id}': t={t} below the spectral floor "
             f"{math.sqrt(-vmin) + 1e-6:.6g}")
-    analytic_ok = pot.kind in ("zero", "constant")
-    if method == "auto":
-        if analytic_ok:
-            method = "analytic"
-        else:
-            method = "linear" if t * L < CROSSOVER_TL else "riccati"
-    if method == "analytic":
-        if not analytic_ok:
-            raise UnsupportedError(
-                "closed form only available for zero or constant potentials")
+    if pot.kind in ("zero", "constant"):
         return _analytic(bond, t)
-    if method == "linear":
-        return _linear(bond, t, reverse)
-    if method == "riccati":
-        return _riccati(bond, t, reverse)
-    raise UnsupportedError(f"unknown solver method '{method}'")
+    return _cpm(bond, t, reverse)
 
 
-def solve_imag_axis(bond, t, *, reverse: bool = False,
-                    method: str = "auto") -> ImagAxisSolution:
+def solve_imag_axis(bond, t, *, reverse: bool = False) -> ImagAxisSolution:
     if reverse and bond.potential.symmetric(bond.length):
         reverse = False
-    return _solve_cached(bond, float(t), bool(reverse), method)
+    return _solve_cached(bond, float(t), bool(reverse))
 
 
 def dirichlet_subtracted_derivative(bond, t: float, depth: int = 4) -> float:
@@ -264,45 +227,6 @@ def dirichlet_log_u_subtracted(bond, t: float) -> float:
 
 # ---------------------------------------------------------------------------
 # real axis
-
-
-def _analytic_block(k2: float, c: float, ell: float) -> np.ndarray:
-    z2 = k2 - c
-    z = cmath.sqrt(complex(z2, 0.0))
-    arg = z * ell
-    if abs(arg) < 1e-6:
-        x = z2 * ell * ell
-        sov = ell * (1.0 - x / 6.0 + x * x / 120.0)
-        cosv = 1.0 - x / 2.0 + x * x / 24.0
-    else:
-        sov = (cmath.sin(arg) / z).real
-        cosv = cmath.cos(arg).real
-    return np.array([[cosv, sov], [-z2 * sov, cosv]])
-
-
-def transfer_matrix_real(bond, k: float) -> np.ndarray:
-    """(psi(L), psi'(L)) = T (psi(0), psi'(0)) for -psi'' + V psi = k^2 psi.
-
-    Magnetic phases are not included here; the secular assembly applies
-    them.  Richardson extrapolation of the fixed-step interior pass keeps
-    the roots of the secular function accurate to ~1e-9 in k.
-    """
-    pot = bond.potential
-    L = bond.length
-    if pot.kind in ("zero", "constant"):
-        return _analytic_block(k * k, getattr(pot, "c", 0.0), L)
-    a, b = pot.support(L)
-    n = max(400, int(20.0 * (abs(k) + 1.0) * (b - a)))
-    ks = np.array([k])
-    t_n = _rk4_blocks_batch(pot, ks, a, b, n)[0]
-    t_2n = _rk4_blocks_batch(pot, ks, a, b, 2 * n)[0]
-    mid = (16.0 * t_2n - t_n) / 15.0
-    out = _analytic_block(k * k, 0.0, L - b) @ mid @ _analytic_block(k * k, 0.0, a)
-    det = out[0, 0] * out[1, 1] - out[0, 1] * out[1, 0]
-    if abs(det - 1.0) > 1e-9:
-        raise NumericalError(
-            f"bond '{bond.id}': transfer matrix lost unimodularity at k={k}")
-    return out
 
 
 def _analytic_blocks_batch(k2: np.ndarray, c: float, ell: float) -> np.ndarray:

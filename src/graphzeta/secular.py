@@ -20,7 +20,7 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
 from .errors import NumericalError
-from .interval import solve_imag_axis, transfer_matrices_real, transfer_matrix_real
+from .interval import solve_imag_axis, transfer_matrices_real
 from .wkb import wkb_coefficients
 
 UNDERFLOW_LOG = 690.0
@@ -103,12 +103,11 @@ def logF_and_slope_imag(graph, mc, t: float):
 # real-axis secular matrix
 
 
-def _assemble_real(graph, mc, transfer_blocks, nk=None):
+def _assemble_real(graph, mc, transfer_blocks, nk):
     B = graph.bond_count
     n = 2 * B
-    shape = (nk, n, n) if nk is not None else (n, n)
-    phi = np.zeros(shape, dtype=complex)
-    dhat = np.zeros(shape, dtype=complex)
+    phi = np.zeros((nk, n, n), dtype=complex)
+    dhat = np.zeros((nk, n, n), dtype=complex)
     for b, bond in enumerate(graph.bonds):
         T = transfer_blocks[b]
         ph = cmath.exp(1j * bond.vector_potential * bond.length)
@@ -121,16 +120,11 @@ def _assemble_real(graph, mc, transfer_blocks, nk=None):
     return mc.A @ phi + mc.B @ dhat
 
 
-def secular_matrix_real(graph, mc, k: float) -> np.ndarray:
-    blocks = [transfer_matrix_real(bond, k) for bond in graph.bonds]
-    return _assemble_real(graph, mc, blocks)
-
-
 def secular_matrices_real(graph, mc, ks, *, steps: int = 1200) -> np.ndarray:
     ks = np.asarray(ks, dtype=float)
     blocks = [transfer_matrices_real(bond, ks, steps=steps)
               for bond in graph.bonds]
-    return _assemble_real(graph, mc, blocks, nk=len(ks))
+    return _assemble_real(graph, mc, blocks, len(ks))
 
 
 def smallest_singular_values(graph, mc, ks, *, steps: int = 1200) -> np.ndarray:

@@ -59,8 +59,8 @@ class MinusHalfData:
 def _quad_guarded(f, a, b, epsabs, epsrel, limit):
     """quad with its roundoff complaint folded into the error estimate.
 
-    Near the noise floor of the ODE-backed integrands quadpack reports
-    roundoff; the returned estimate is kept at least at epsabs then.
+    Near the noise floor of the integrands built on bond solves quadpack
+    reports roundoff; the returned estimate is kept at least at epsabs then.
     """
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", IntegrationWarning)
@@ -110,8 +110,8 @@ def _tail_integral(f, tol_abs, complex_path):
     After each panel a local power law is fitted; when the implied
     remainder is small it is added as a correction and counted towards
     the error estimate.  Exponential decay terminates even faster.  Once
-    the samples fall to the noise floor of the ODE-backed integrands the
-    power fit goes blind, so a small absolute floor also terminates, with
+    the samples fall to the rounding floor of the bond solves the power
+    fit goes blind, so a small absolute floor also terminates, with
     the unresolvable remainder charged to the error estimate.
     """
     total = 0j

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from conftest import make_bump_interval, make_interval
-from graphzeta import NumericalError, solve_imag_axis, transfer_matrix_real
+from graphzeta import NumericalError, solve_imag_axis
 from graphzeta.interval import (dirichlet_log_u_subtracted,
-                                dirichlet_subtracted_derivative)
+                                dirichlet_subtracted_derivative,
+                                transfer_matrices_real)
 from graphzeta.wkb import u_log_expansion
 
 
@@ -20,15 +22,43 @@ def free_reference(t, L=1.0):
     return fp, dfp, log_u, dlog_u
 
 
-@pytest.mark.parametrize("method", ["linear", "riccati"])
-def test_free_bond_closed_forms(method):
-    bond = make_interval(1.0)[0].bonds[0]
+def dop853_reference(bond, t, reverse=False):
+    """(f'(0), d/dt f'(0), log u(L), d/dt log u(L)) by forward DOP853
+    integration of u, v and their t-derivatives, with segment rescaling
+    so exponential growth stays inside double range."""
+    L = bond.length
+    pot = bond.potential
+    tt = t * t
+
+    def rhs(x, y):
+        q = tt + pot.value_scalar(L - x if reverse else x)
+        return (y[1], q * y[0], y[3], q * y[2],
+                y[5], q * y[4] + 2.0 * t * y[0],
+                y[7], q * y[6] + 2.0 * t * y[2])
+
+    kappa_max = math.sqrt(tt + max(0.0, pot.maximum(L)))
+    edges = np.linspace(0.0, L, int(kappa_max * L / 20.0) + 2)
+    y = np.array([0.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+    sigma = 0.0
+    for x0, x1 in zip(edges[:-1], edges[1:]):
+        sol = solve_ivp(rhs, (x0, x1), y, method="DOP853",
+                        rtol=1e-12, atol=1e-14)
+        assert sol.success
+        y = sol.y[:, -1]
+        m = float(np.max(np.abs(y)))
+        if m > 1e10:
+            y = y / m
+            sigma += math.log(m)
+    uL, vL, huL, hvL = y[0], y[2], y[4], y[6]
+    return (-vL / uL, -(hvL * uL - vL * huL) / (uL * uL),
+            math.log(uL) + sigma, huL / uL)
+
+
+def test_free_bond_closed_forms():
+    bond = make_bump_interval(height=0.0)[0].bonds[0]
     for t in np.geomspace(0.1, 1000.0, 13):
-        if method == "riccati" and t < 20.0:
-            continue
-        if method == "linear" and t > 400.0:
-            continue
-        sol = solve_imag_axis(bond, float(t), method=method)
+        sol = solve_imag_axis(bond, float(t))
+        assert sol.method == "cpm"
         ref = free_reference(float(t))
         got = (sol.f_prime_at_0, sol.df_prime_at_0_dt, sol.log_u,
                sol.dlog_u_dt)
@@ -62,19 +92,35 @@ def test_constant_potential_shifts_the_frequency():
 
 
 def test_methods_agree_on_bump():
+    fields = ("f_prime_at_0", "df_prime_at_0_dt", "log_u", "dlog_u_dt")
+    # the height-100 bump pins the segment count: 200 segments miss 2e-11
+    cases = [(make_bump_interval(), 2e-9),
+             (make_bump_interval(center=0.35, half_width=0.2, height=4.0),
+              2e-9),
+             (make_bump_interval(height=100.0), 2e-11)]
+    for graph_mc, rel in cases:
+        bond = graph_mc[0].bonds[0]
+        for reverse in (False, True):
+            for t in (0.3, 2.0, 8.0, 25.0, 40.0):
+                sol = solve_imag_axis(bond, t, reverse=reverse)
+                ref = dop853_reference(bond, t, reverse)
+                for field, r in zip(fields, ref):
+                    err = abs(getattr(sol, field) - r)
+                    assert err <= rel * max(1.0, abs(r))
+
+
+def test_t_derivatives_near_zero():
+    # A complex step through tanh(y)/y loses the derivative as y -> 0;
+    # the series branch keeps it exact down to t = 0.
     bond = make_bump_interval()[0].bonds[0]
-    for t in (0.3, 2.0, 8.0, 25.0):
-        default = solve_imag_axis(bond, t)
-        lin = solve_imag_axis(bond, t, method="linear")
-        for field in ("f_prime_at_0", "df_prime_at_0_dt", "log_u",
-                      "dlog_u_dt"):
-            a, b = getattr(default, field), getattr(lin, field)
-            assert abs(a - b) <= 2e-9 * max(1.0, abs(a))
-    t = 40.0
-    ric = solve_imag_axis(bond, t, method="riccati")
-    lin = solve_imag_axis(bond, t, method="linear")
-    assert ric.f_prime_at_0 == pytest.approx(lin.f_prime_at_0, rel=1e-9)
-    assert ric.log_u == pytest.approx(lin.log_u, rel=1e-9)
+    for t in (1e-12, 1e-6):
+        sol = solve_imag_axis(bond, t)
+        ref = dop853_reference(bond, t)
+        assert abs(sol.df_prime_at_0_dt - ref[1]) <= 1e-12
+        assert abs(sol.dlog_u_dt - ref[3]) <= 1e-12
+    sol = solve_imag_axis(bond, 0.0)
+    assert sol.df_prime_at_0_dt == 0.0
+    assert sol.dlog_u_dt == 0.0
 
 
 def test_t_derivatives_match_finite_differences():
@@ -143,7 +189,7 @@ def test_negative_potential_refused_below_floor():
 def test_transfer_matrix_free_case():
     bond = make_interval(1.0)[0].bonds[0]
     for k in (0.5, 2.0, 7.0):
-        T = transfer_matrix_real(bond, k)
+        T = transfer_matrices_real(bond, np.array([k]))[0]
         expect = np.array([[math.cos(k), math.sin(k) / k],
                            [-k * math.sin(k), math.cos(k)]])
         assert np.allclose(T, expect, atol=1e-10)
@@ -152,6 +198,6 @@ def test_transfer_matrix_free_case():
 def test_transfer_matrix_unit_determinant_with_potential():
     bond = make_bump_interval(height=5.0)[0].bonds[0]
     for k in (0.7, 3.3, 11.0):
-        T = transfer_matrix_real(bond, k)
+        T = transfer_matrices_real(bond, np.array([k]))[0]
         det = T[0, 0] * T[1, 1] - T[0, 1] * T[1, 0]
         assert det == pytest.approx(1.0, abs=1e-9)

@@ -5,8 +5,9 @@ import pytest
 
 from conftest import BUMP, make_chain, make_circle, make_interval, make_star
 from graphzeta import (F_imag, NumericalError, asymptotic_F_coefficients,
-                       dF_dL_imag, replace_bond_length, secular_matrix_real,
+                       dF_dL_imag, replace_bond_length,
                        smallest_singular_values)
+from graphzeta.secular import secular_matrices_real
 
 
 def test_interval_singular_exactly_at_eigenvalues():
@@ -27,8 +28,8 @@ def test_circle_flux_shifts_the_spectrum():
 
 def test_secular_matrix_shape_and_locality():
     graph, mc = make_star(1.0)
-    S = secular_matrix_real(graph, mc, 1.3)
-    assert S.shape == (6, 6)
+    S = secular_matrices_real(graph, mc, np.array([1.3]))
+    assert S.shape == (1, 6, 6)
 
 
 def test_F_imag_positive_secular_function():
