@@ -54,12 +54,20 @@ def dop853_reference(bond, t, reverse=False):
             math.log(uL) + sigma, huL / uL)
 
 
-def test_free_bond_closed_forms():
+# the t ranges the former linear (u, v) and Riccati solvers served; the
+# constant-perturbation sweep covers both and must hold the closed forms
+# across each, overlap included
+@pytest.mark.parametrize("regime, t_lo, t_hi",
+                         [("linear", 0.0, 400.0), ("riccati", 20.0, math.inf)],
+                         ids=["linear", "riccati"])
+def test_free_bond_closed_forms(regime, t_lo, t_hi):
     bond = make_bump_interval(height=0.0)[0].bonds[0]
-    for t in np.geomspace(0.1, 1000.0, 13):
-        sol = solve_imag_axis(bond, float(t))
+    ts = [float(t) for t in np.geomspace(0.1, 1000.0, 13) if t_lo <= t <= t_hi]
+    assert len(ts) >= 5, regime
+    for t in ts:
+        sol = solve_imag_axis(bond, t)
         assert sol.method == "cpm"
-        ref = free_reference(float(t))
+        ref = free_reference(t)
         got = (sol.f_prime_at_0, sol.df_prime_at_0_dt, sol.log_u,
                sol.dlog_u_dt)
         for g, r in zip(got, ref):
