@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,23 +56,16 @@ def _rk4_steps(graph, k_max: float) -> int:
     return max(1200, int(6.0 * (k_max + 1.0) * width))
 
 
-def _matrices(graph, mc, ks, steps):
+def _matrices(graph, mc, ks, steps, threads):
     """Secular matrices with the transfer step error extrapolated away."""
-    s1 = secular_matrices_real(graph, mc, ks, steps=steps)
-    s2 = secular_matrices_real(graph, mc, ks, steps=2 * steps)
+    s1 = secular_matrices_real(graph, mc, ks, steps=steps, threads=threads)
+    s2 = secular_matrices_real(graph, mc, ks, steps=2 * steps,
+                               threads=threads)
     return (16.0 * s2 - s1) / 15.0
 
 
-def _singulars(graph, mc, ks, steps, threads=1):
-    if threads > 1 and len(ks) >= 4 * threads:
-        chunks = np.array_split(ks, 4 * threads)
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            parts = list(ex.map(
-                lambda c: secular_matrices_real(graph, mc, c, steps=steps),
-                chunks))
-        S = np.concatenate(parts, axis=0)
-    else:
-        S = secular_matrices_real(graph, mc, ks, steps=steps)
+def _singulars(graph, mc, ks, steps, threads):
+    S = secular_matrices_real(graph, mc, ks, steps=steps, threads=threads)
     return np.linalg.svd(S, compute_uv=False)
 
 
@@ -118,7 +110,7 @@ def _scan_once(graph, mc, k_max, dk, steps, threads):
         cands = np.asarray(cands)
         offsets = np.linspace(-dk, dk, FINE_POINTS)
         all_ks = (cands[:, None] + offsets[None, :]).ravel()
-        S = _matrices(graph, mc, all_ks, steps)
+        S = _matrices(graph, mc, all_ks, steps, threads)
         n = S.shape[-1]
         S = S.reshape(len(cands), FINE_POINTS, n, n)
         fine_sigma = np.linalg.svd(S, compute_uv=False)[..., -1]
@@ -156,7 +148,7 @@ def _scan_once(graph, mc, k_max, dk, steps, threads):
         roots = []
         total = 0
         if points:
-            final = _matrices(graph, mc, np.asarray(points), steps)
+            final = _matrices(graph, mc, np.asarray(points), steps, threads)
             svals = np.linalg.svd(final, compute_uv=False)
             for k, sv in zip(points, svals):
                 if sv[-1] >= 1e-5 * background:
@@ -184,11 +176,15 @@ def scan_spectrum(graph, mc, k_max: float, *, threads: int = 1) -> SpectrumWindo
 
     Coarse singular-value scan, local interpolation of the secular matrix,
     bounded minimization per candidate; a Weyl-count anomaly triggers one
-    rescan at 4x resolution before giving up.  Output is independent of
-    the thread count.
+    rescan at 4x resolution before giving up.  The coarse grid, the
+    refinement grid and the final check of the roots each split their
+    transfer matrices over `threads` threads; the output is independent
+    of the thread count.
     """
     if k_max <= 0.0:
         raise UnsupportedError("k_max must be positive")
+    if threads < 1:
+        raise UnsupportedError("threads must be at least 1")
     dk = math.pi / (16.0 * graph.total_length())
     steps = _rk4_steps(graph, k_max)
     try:

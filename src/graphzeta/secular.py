@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,13 +118,39 @@ def _assemble_real(graph, mc, transfer_blocks, nk):
         dhat[..., b, B + b] = 1.0
         dhat[..., B + b, b] = -ph * T[..., 1, 0]
         dhat[..., B + b, B + b] = -ph * T[..., 1, 1]
-    return mc.A @ phi + mc.B @ dhat
+    # in place, so at most three (nk, n, n) arrays are alive at once
+    S = mc.A @ phi
+    del phi
+    S += mc.B @ dhat
+    return S
 
 
-def secular_matrices_real(graph, mc, ks, *, steps: int = 1200) -> np.ndarray:
+def secular_matrices_real(graph, mc, ks, *, steps: int = 1200,
+                          threads: int = 1) -> np.ndarray:
+    """Real-axis secular matrices over an array of k.
+
+    The transfer matrices hold nearly all of the cost and are computed k
+    by k, so `threads` threads each fill one contiguous chunk of ks into
+    one shared array; the result does not depend on the split.  Smaller
+    chunks run slower, because every numpy call takes the interpreter
+    lock.  The assembly stays on the calling thread: assembling in the
+    workers left their allocator arenas holding the (nk, n, n) buffers.
+    """
     ks = np.asarray(ks, dtype=float)
-    blocks = [transfer_matrices_real(bond, ks, steps=steps)
-              for bond in graph.bonds]
+    blocks = np.empty((graph.bond_count, len(ks), 2, 2))
+
+    def fill(lo, hi):
+        for bond, out in zip(graph.bonds, blocks):
+            out[lo:hi] = transfer_matrices_real(bond, ks[lo:hi], steps=steps)
+
+    if threads == 1:
+        fill(0, len(ks))
+    else:
+        edges = np.linspace(0, len(ks), threads + 1).astype(int)
+        with ThreadPoolExecutor(max_workers=threads) as ex:
+            for f in [ex.submit(fill, lo, hi)
+                      for lo, hi in zip(edges[:-1], edges[1:])]:
+                f.result()
     return _assemble_real(graph, mc, blocks, len(ks))
 
 

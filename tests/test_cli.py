@@ -170,6 +170,12 @@ def test_exit_codes(tmp_path):
     assert rc == 4
 
 
+def test_spectrum_refuses_zero_threads(tmp_path):
+    path = write(tmp_path, INTERVAL)
+    assert main(["spectrum", "--graph", path, "--k-max", "10",
+                 "--threads", "0"]) == 4
+
+
 def test_parser_requires_command_arguments():
     parser = build_parser()
     with pytest.raises(SystemExit):

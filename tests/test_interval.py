@@ -54,6 +54,46 @@ def dop853_reference(bond, t, reverse=False):
             math.log(uL) + sigma, huL / uL)
 
 
+def rk4_reference(bond, ks, steps):
+    """Transfer matrices over ks by the classical RK4 loop, stage by stage
+    on both columns, across the support of the potential, with the free
+    stretches on either side in closed form."""
+    pot = bond.potential
+    a, b = pot.support(bond.length)
+    kk = ks * ks
+    h = (b - a) / steps
+    p0, q0 = np.ones_like(ks), np.zeros_like(ks)
+    p1, q1 = np.zeros_like(ks), np.ones_like(ks)
+    for i in range(steps):
+        x = a + i * h
+        w1 = pot.value_scalar(x) - kk
+        w2 = pot.value_scalar(x + 0.5 * h) - kk
+        w3 = pot.value_scalar(x + h) - kk
+        cols = []
+        for p, q in ((p0, q0), (p1, q1)):
+            k1p, k1q = q, w1 * p
+            k2p = q + 0.5 * h * k1q
+            k2q = w2 * (p + 0.5 * h * k1p)
+            k3p = q + 0.5 * h * k2q
+            k3q = w2 * (p + 0.5 * h * k2p)
+            k4p = q + h * k3q
+            k4q = w3 * (p + h * k3p)
+            cols.append((p + h / 6.0 * (k1p + 2.0 * k2p + 2.0 * k3p + k4p),
+                         q + h / 6.0 * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)))
+        (p0, q0), (p1, q1) = cols
+
+    def matrices(t00, t01, t10, t11):
+        return np.stack([np.stack([t00, t01], -1),
+                         np.stack([t10, t11], -1)], -2)
+
+    def free(ell):
+        c = np.cos(ks * ell)
+        s = ell * np.sinc(ks * ell / math.pi)       # sin(k ell) / k
+        return matrices(c, s, -kk * s, c)
+
+    return free(bond.length - b) @ matrices(p0, p1, q0, q1) @ free(a)
+
+
 # the t ranges the former linear (u, v) and Riccati solvers served; the
 # constant-perturbation sweep covers both and must hold the closed forms
 # across each, overlap included
@@ -209,3 +249,25 @@ def test_transfer_matrix_unit_determinant_with_potential():
         T = transfer_matrices_real(bond, np.array([k]))[0]
         det = T[0, 0] * T[1, 1] - T[0, 1] * T[1, 0]
         assert det == pytest.approx(1.0, abs=1e-9)
+
+
+def test_transfer_matrices_match_rk4_loop():
+    # each step applied as one exact 2x2 map reorders the arithmetic of
+    # the stage-by-stage loop and nothing else
+    ks = np.linspace(0.0, 215.0, 64)
+    # D^-1 T D with D = diag(1, k) keeps every entry of order one
+    scale = np.maximum(ks, 1.0)
+    D = np.stack([np.ones_like(ks), scale], -1)
+    for graph_mc in (make_bump_interval(),
+                     make_bump_interval(center=0.35, half_width=0.2,
+                                        height=4.0),
+                     make_bump_interval(height=-3.0),
+                     make_bump_interval(height=100.0)):
+        bond = graph_mc[0].bonds[0]
+        for steps in (1200, 2400):
+            got = transfer_matrices_real(bond, ks, steps=steps)
+            ref = rk4_reference(bond, ks, steps)
+            err = np.abs(got - ref) * D[:, None, :] / D[:, :, None]
+            size = np.abs(ref) * D[:, None, :] / D[:, :, None]
+            assert np.all(err.max(axis=(1, 2))
+                          <= 1e-11 * size.max(axis=(1, 2)))

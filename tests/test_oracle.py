@@ -75,6 +75,21 @@ def test_scan_respects_weyl_count():
     assert abs(window.count - weyl) < 4.0
 
 
+def test_scan_threads_give_the_same_roots():
+    graph, mc = make_chain((1.0, 1.0, 1.0), bump=BUMP)
+    one = scan_spectrum(graph, mc, 215.0, threads=1)
+    two = scan_spectrum(graph, mc, 215.0, threads=2)
+    assert len(one.roots) > 100
+    assert two.roots == one.roots
+
+
+def test_scan_rejects_thread_count_below_one():
+    graph, mc = make_interval(1.0)
+    for threads in (0, -2):
+        with pytest.raises(UnsupportedError):
+            scan_spectrum(graph, mc, 10.0, threads=threads)
+
+
 def test_scan_matches_discretization():
     graph, mc = make_chain((1.0, 1.0, 1.0), bump=BUMP)
     window = scan_spectrum(graph, mc, 8.0)
