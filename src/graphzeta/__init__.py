@@ -20,8 +20,7 @@ from .oracle import (SpectrumWindow, discretized_eigenvalues,
 from .potentials import (BumpPotential, ConstantPotential, ZeroPotential,
                          potential_from_dict)
 from .secular import (AsymptoticData, F_imag, asymptotic_F_coefficients,
-                      dF_dL_imag, logF_and_slope_imag,
-                      smallest_singular_values)
+                      dF_dL_imag, logF_and_slope_imag)
 from .wkb import d_constant, u_log_expansion, wkb_coefficients
 from .zeta import (MinusHalfData, ZetaEvaluation, minus_half_data,
                    zeta_dir_bond, zeta_im, zeta_total)
@@ -40,7 +39,7 @@ __all__ = [
     "minus_half_data", "mu_sensitivity", "parse_graph",
     "potential_from_dict", "reference_zeta_R", "replace_bond_length",
     "require_valid", "scan_spectrum",
-    "serialize_graph", "smallest_singular_values",
+    "serialize_graph",
     "solve_imag_axis", "u_log_expansion",
     "vacuum_energy", "validate_matching", "wkb_coefficients",
     "zeta_dir_bond", "zeta_direct", "zeta_im", "zeta_total",

@@ -16,9 +16,8 @@ from .errors import NumericalError, UnsupportedError
 from .graph import replace_bond_length
 from .interval import solve_imag_axis
 from .secular import asymptotic_F_coefficients, dF_dL_imag
-from .wkb import d_constant
-from .zeta import (_probe_secular_zero, _quadc, _require_local,
-                   _tail_integral, minus_half_data)
+from .zeta import (_probe_secular_zero, _require_local, integral,
+                   minus_half_data, residues_at_minus_half)
 
 TOL = 1e-10
 
@@ -42,6 +41,13 @@ class ForceResult:
 
 
 def vacuum_energy(graph, mc, mu: float = 1.0) -> EnergyResult:
+    """Vacuum energy zeta(-1/2)/2 at the renormalisation scale mu.
+
+    fp_half and res_half are half the finite part and half the residue of
+    zeta at s = -1/2, taken from minus_half_data; the energy at mu is
+    fp_half + res_half log(mu^2), and ambiguous flags a nonzero residue,
+    where that energy depends on the choice of mu.
+    """
     if mu <= 0.0:
         raise UnsupportedError("mu must be positive")
     data = minus_half_data(graph, mc)
@@ -53,13 +59,6 @@ def vacuum_energy(graph, mc, mu: float = 1.0) -> EnergyResult:
         mu=mu,
         finite_energy_at_mu=fp_half + res_half * math.log(mu * mu),
         ambiguous=bool(abs(res_half) > 1e-10))
-
-
-def _integrate(f):
-    """integral_0^inf f: adaptive on [0, 1], zeta's tail panels beyond."""
-    head, e_head = _quadc(f, 0.0, 1.0, False)
-    tail, e_tail = _tail_integral(f, TOL, False)
-    return (head + tail).real, e_head + e_tail
 
 
 def casimir_force(graph, mc, bond_id: str) -> ForceResult:
@@ -93,11 +92,9 @@ def casimir_force(graph, mc, bond_id: str) -> ForceResult:
         f_rev = solve_imag_axis(bond, t, reverse=True).f_prime_at_0
         return -(f_rev + t)
 
-    def interaction_integrand(t):
-        return dF_dL_imag(graph, mc, bond_id, t).real
-
-    i_dir, e_dir = _integrate(dirichlet_integrand)
-    i_int, e_int = _integrate(interaction_integrand)
+    i_dir, e_dir = integral(dirichlet_integrand, 0.5, TOL)
+    i_int, e_int = integral(lambda t: dF_dL_imag(graph, mc, bond_id, t),
+                            0.5, TOL)
     dirichlet_part = -i_dir / (2.0 * math.pi)
     interaction_part = -i_int / (2.0 * math.pi)
     return ForceResult(bond=bond_id, force=dirichlet_part + interaction_part,
@@ -118,10 +115,9 @@ def mu_sensitivity(graph, mc, bond_id: str, h: float = 1e-4) -> float:
     step = h * L
 
     def res_half(g):
-        asym = asymptotic_F_coefficients(g, mc, check=False)
-        r = asym.residue_at_minus_half.real if asym.gap == 1 else 0.0
-        r += sum(d_constant(b) / math.pi for b in g.bonds)
-        return r / 2.0
+        res_im, res_dir = residues_at_minus_half(
+            g, asymptotic_F_coefficients(g, mc, check=False))
+        return (res_im + sum(res_dir.values())) / 2.0
 
     plus = res_half(replace_bond_length(graph, bond_id, L + step))
     minus = res_half(replace_bond_length(graph, bond_id, L - step))

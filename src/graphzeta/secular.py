@@ -154,11 +154,6 @@ def secular_matrices_real(graph, mc, ks, *, steps: int = 1200,
     return _assemble_real(graph, mc, blocks, len(ks))
 
 
-def smallest_singular_values(graph, mc, ks, *, steps: int = 1200) -> np.ndarray:
-    S = secular_matrices_real(graph, mc, ks, steps=steps)
-    return np.linalg.svd(S, compute_uv=False)[:, -1]
-
-
 # ---------------------------------------------------------------------------
 # large-t asymptotics of F
 

@@ -7,9 +7,15 @@ conditions.  Both are computed as
     sin(pi s)/pi * integral_sqrt(gamma)^inf (t^2-gamma)^(-s) h'(t) dt
 
 with the large-t asymptotics of h removed and restored through closed
-Gamma-function terms, which extends the strip of validity to the left of
-Re s = 1/2.  The t-derivatives come from the solvers, never from numerical
-differencing.
+Gamma-function terms (_restored), which extends the strip of validity to
+the left of Re s = 1/2.  The t-derivatives come from the solvers, never
+from numerical differencing.
+
+With tau = sqrt(t^2 - gamma) that is integral_0^inf tau^(1-2s) g(tau)
+dtau, g = h'(t)/t, and so are the s = -1/2 integrals of minus_half_data
+and the Casimir integrals (s = 1/2, unit weight).  One driver, integral,
+evaluates them all: the substitution tau = z^(1/w) with adaptive quad on
+[0, 1] and the width-doubling panels on [1, inf) live there.
 """
 
 from __future__ import annotations
@@ -53,101 +59,93 @@ class MinusHalfData:
 
 
 # ---------------------------------------------------------------------------
-# quadrature plumbing
+# the rotated-axis integral
 
 
-def _quad_guarded(f, a, b, epsabs, epsrel, limit):
-    """quad with its roundoff complaint folded into the error estimate.
+def integral(g, s, tol, complex_path=False):
+    """(value, error) of integral_0^inf tau^(1-2s) g(tau) dtau.
 
-    Near the noise floor of the integrands built on bond solves quadpack
-    reports roundoff; the returned estimate is kept at least at epsabs then.
-    """
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", IntegrationWarning)
-        v, e = quad(f, a, b, epsabs=epsabs, epsrel=epsrel, limit=limit)
-    if caught:
-        e = max(e, epsabs)
-    return v, e
+    [0, 1] goes to one adaptive quad after tau = z^(1/w), w = 2 - 2 Re s,
+    which absorbs the endpoint power completely for real s (at s = 1/2
+    it is the identity); for complex s a bounded logarithmic oscillation
+    z^(-2i Im s / w) remains for the adaptive rule.
 
+    [1, inf) goes to width-doubling panels.  After each panel a local
+    power law is fitted; when the implied remainder is small it is added
+    as a correction and counted towards the error estimate.  Exponential
+    decay terminates even faster.  Once the samples fall to the rounding
+    floor of the bond solves the power fit goes blind, so a small
+    absolute floor also terminates, with the unresolvable remainder
+    charged to the error estimate.
 
-def _quadc(f, a, b, complex_path, epsabs=1e-12, epsrel=1e-10, limit=400):
-    if complex_path:
-        re, e1 = _quad_guarded(lambda x: f(x).real, a, b, epsabs,
-                               epsrel, limit)
-        im, e2 = _quad_guarded(lambda x: f(x).imag, a, b, epsabs,
-                               epsrel, limit)
-        return complex(re, im), e1 + e2
-    v, e = _quad_guarded(f, a, b, epsabs, epsrel, limit)
-    return complex(v, 0.0), e
-
-
-def _head_integral(rho, s, complex_path):
-    """integral_0^1 tau^(1-2s) rho(tau) dtau through tau = z^(1/w).
-
-    With w = 2 - 2 Re s the substitution absorbs the endpoint power
-    completely for real s; for complex s a bounded logarithmic
-    oscillation z^(-2i Im s / w) remains for the adaptive rule.
+    On a real path only the real part of g is integrated and the value is
+    a float.  Near the noise
+    floor of the integrands built on bond solves quadpack reports
+    roundoff; the estimate of that piece is then kept at least at epsabs.
     """
     s = complex(s)
     w = 2.0 - 2.0 * s.real
     p = 1.0 / w
     beta = 2.0 * s.imag / w
-    if complex_path:
-        def f(z):
-            val = rho(z ** p) / w
-            if beta:
-                val *= cmath.exp(complex(0.0, -beta * math.log(z)))
-            return val
-    else:
-        def f(z):
-            return rho(z ** p) / w
-    return _quadc(f, 0.0, 1.0, complex_path)
+    expo = 1.0 - 2.0 * s if complex_path else 1.0 - 2.0 * s.real
 
+    def head(z):
+        val = g(z ** p) / w
+        if beta:
+            val *= cmath.exp(complex(0.0, -beta * math.log(z)))
+        return val if complex_path else val.real
 
-def _tail_integral(f, tol_abs, complex_path):
-    """integral_1^inf f with width-doubling panels.
+    def tail(tau):
+        val = tau ** expo * g(tau)
+        return val if complex_path else val.real
 
-    After each panel a local power law is fitted; when the implied
-    remainder is small it is added as a correction and counted towards
-    the error estimate.  Exponential decay terminates even faster.  Once
-    the samples fall to the rounding floor of the bond solves the power
-    fit goes blind, so a small absolute floor also terminates, with
-    the unresolvable remainder charged to the error estimate.
-    """
-    total = 0j
-    err = 0.0
+    def piece(f, a, b, epsabs=1e-12, limit=400):
+        parts = []
+        err = 0.0
+        for part in ((lambda x: f(x).real, lambda x: f(x).imag)
+                     if complex_path else (f,)):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", IntegrationWarning)
+                v, e = quad(part, a, b, epsabs=epsabs, epsrel=1e-10,
+                            limit=limit)
+            parts.append(v)
+            err += max(e, epsabs) if caught else e
+        return complex(*parts), err
+
+    i_head, e_head = piece(head, 0.0, 1.0)
+    i_tail, e_tail = 0j, 0.0
     a = 1.0
     width = 1.0
-    floor = 1e-12 * max(1.0, abs(f(1.0)))
-    panel_abs = max(1e-13, 0.2 * tol_abs)
+    floor = 1e-12 * max(1.0, abs(tail(1.0)))
+    panel_abs = max(1e-13, 0.2 * tol)
     for _ in range(80):
-        w, e = _quadc(f, a, a + width, complex_path,
-                      epsabs=panel_abs, epsrel=1e-10, limit=120)
-        total += w
-        err += e
+        v, e = piece(tail, a, a + width, panel_abs, 120)
+        i_tail += v
+        e_tail += e
         a += width
-        f1 = f(a)
-        f2 = f(1.5 * a)
+        f1 = tail(a)
+        f2 = tail(1.5 * a)
         m1, m2 = abs(f1), abs(f2)
         if max(m1, m2) <= floor:
-            err += max(m1, m2) * a
+            e_tail += max(m1, m2) * a
             break
         if m1 < 1e-280 or m2 < 1e-280:
-            if m1 * a <= tol_abs:
+            if m1 * a <= tol:
                 break
         elif m2 < m1:
-            p = math.log(m1 / m2) / math.log(1.5)
-            if p > 1.1:
-                rem = m1 * a / (p - 1.0)
-                if rem <= 0.3 * tol_abs:
-                    total += f1 * a / (p - 1.0)
-                    err += 0.25 * rem
+            q = math.log(m1 / m2) / math.log(1.5)
+            if q > 1.1:
+                rem = m1 * a / (q - 1.0)
+                if rem <= 0.3 * tol:
+                    i_tail += f1 * a / (q - 1.0)
+                    e_tail += 0.25 * rem
                     break
         width *= 2.0
     else:
         raise NumericalError("tail of the rotated-axis integral did not "
                              "converge")
-    return total, err
+    total = i_head + i_tail
+    return (total if complex_path else total.real), e_head + e_tail
 
 
 # ---------------------------------------------------------------------------
@@ -190,10 +188,34 @@ def _gamma_ratio(s, j):
     return complex(gamma_fn(s + j / 2.0)) * complex(rgamma(s))
 
 
-def _gamma_series_term(s, j, coeff, gamma_val):
-    # (j coeff / 2) gamma^(-s-j/2) Gamma(s+j/2) / (Gamma(s) Gamma(1+j/2))
-    return (coeff * (j / 2.0) * _gamma_power(gamma_val, -s - j / 2.0)
-            * _gamma_ratio(s, j) / complex(gamma_fn(1.0 + j / 2.0)))
+def _restored(s, gamma, power, coeffs):
+    """Closed form of the large-t terms power/t - sum_j j c_j t^(-j-1)
+    subtracted from h'(t), coeffs yielding the pairs (j, c_j).
+
+    At gamma = 0 they are subtracted beyond t = 1 only and come back
+    through _k_frac; for gamma > 0 they are subtracted along the whole
+    ray and come back as Gamma-function series terms.
+    """
+    if gamma == 0.0:
+        out = power * _k_frac(s, 0)
+        for j, c in coeffs:
+            if c:
+                out -= j * c * _k_frac(s, j)
+        return out
+    out = power * _gamma_power(gamma, -s) / 2.0
+    for j, c in coeffs:
+        if c:
+            # (j c / 2) gamma^(-s-j/2) Gamma(s+j/2) / (Gamma(s) Gamma(1+j/2))
+            out -= (c * (j / 2.0) * _gamma_power(gamma, -s - j / 2.0)
+                    * _gamma_ratio(s, j) / complex(gamma_fn(1.0 + j / 2.0)))
+    return out
+
+
+def residues_at_minus_half(graph, asym):
+    """(res_im, {bond id: res_dir}): the residues at s = -1/2 of the
+    secular part and of each detached bond's Dirichlet part."""
+    res_im = asym.residue_at_minus_half.real if asym.gap == 1 else 0.0
+    return res_im, {b.id: d_constant(b) / math.pi for b in graph.bonds}
 
 
 # ---------------------------------------------------------------------------
@@ -262,55 +284,23 @@ def zeta_dir_bond(bond, s, gamma: float = 0.0, *, depth: int = DEPTH,
 
     L = bond.length
     ej = u_log_expansion(bond, depth)
-    complex_path = s.imag != 0.0
     K = _sin_over_pi(s)
 
-    if gamma == 0.0:
-        def rho_head(tau):
+    def g(tau):
+        if gamma == 0.0 and tau < 1.0:
             return solve_imag_axis(bond, tau).dlog_u_dt / tau
+        t = math.sqrt(gamma + tau * tau) if gamma else tau
+        return dirichlet_subtracted_derivative(bond, t, depth) / t
 
-        def t_of(tau):
-            return tau
-    else:
-        def rho_head(tau):
-            t = math.sqrt(gamma + tau * tau)
-            return dirichlet_subtracted_derivative(bond, t, depth) / t
-
-        def t_of(tau):
-            return math.sqrt(gamma + tau * tau)
-
-    i_head, e_head = _head_integral(rho_head, s, complex_path)
-
-    if complex_path:
-        def f_tail(tau):
-            t = t_of(tau)
-            return (tau ** (1.0 - 2.0 * s)
-                    * dirichlet_subtracted_derivative(bond, t, depth) / t)
-    else:
-        sr = s.real
-
-        def f_tail(tau):
-            t = t_of(tau)
-            return (tau ** (1.0 - 2.0 * sr)
-                    * dirichlet_subtracted_derivative(bond, t, depth) / t)
-    i_tail, e_tail = _tail_integral(f_tail, tol, complex_path)
-
+    i, err = integral(g, s, tol, s.imag != 0.0)
     if gamma == 0.0:
-        closed = K * L / (2.0 * s - 1.0) - _k_frac(s, 0)
-        for j, e in ej.items():
-            if e:
-                closed -= j * e * _k_frac(s, j)
+        closed = K * L / (2.0 * s - 1.0)
     else:
         closed = (L * complex(gamma_fn(s - 0.5)) * complex(rgamma(s))
-                  * _gamma_power(gamma, 0.5 - s) / (2.0 * SQRT_PI)
-                  - _gamma_power(gamma, -s) / 2.0)
-        for j, e in ej.items():
-            if e:
-                closed -= _gamma_series_term(s, j, e, gamma)
-
-    value = K * (i_head + i_tail) + closed
-    return ZetaEvaluation(s=s, gamma=gamma, value=value, strip=(-1.0, 1.0),
-                          quadrature_error=abs(K) * (e_head + e_tail))
+                  * _gamma_power(gamma, 0.5 - s) / (2.0 * SQRT_PI))
+    closed += _restored(s, gamma, -1, ej.items())
+    return ZetaEvaluation(s=s, gamma=gamma, value=K * i + closed,
+                          strip=(-1.0, 1.0), quadrature_error=abs(K) * err)
 
 
 # ---------------------------------------------------------------------------
@@ -352,56 +342,20 @@ def zeta_im(graph, mc, s, gamma: float = 0.0, *, asym=None,
 
     power = 2 * graph.bond_count - asym.leading_power
     complex_path = s.imag != 0.0 or _secular_is_complex(graph, mc)
-    K = _sin_over_pi(s)
 
-    def h_subtracted(t):
-        return subtracted_logF_derivative(graph, mc, t, asym=asym,
-                                          depth=depth)
-
-    if gamma == 0.0:
-        def rho_head_c(tau):
+    def g(tau):
+        if gamma == 0.0 and tau < 1.0:
             return logF_and_slope_imag(graph, mc, tau)[1] / tau
+        t = math.sqrt(gamma + tau * tau) if gamma else tau
+        return subtracted_logF_derivative(graph, mc, t, asym=asym,
+                                          depth=depth) / t
 
-        def t_of(tau):
-            return tau
-    else:
-        def rho_head_c(tau):
-            t = math.sqrt(gamma + tau * tau)
-            return h_subtracted(t) / t
-
-        def t_of(tau):
-            return math.sqrt(gamma + tau * tau)
-
-    rho_head = rho_head_c if complex_path else (lambda tau: rho_head_c(tau).real)
-    i_head, e_head = _head_integral(rho_head, s, complex_path)
-
-    if complex_path:
-        def f_tail(tau):
-            t = t_of(tau)
-            return tau ** (1.0 - 2.0 * s) * h_subtracted(t) / t
-    else:
-        sr = s.real
-
-        def f_tail(tau):
-            t = t_of(tau)
-            return tau ** (1.0 - 2.0 * sr) * (h_subtracted(t) / t).real
-    i_tail, e_tail = _tail_integral(f_tail, tol, complex_path)
-
-    coeffs = asym.log_coeffs
-    if gamma == 0.0:
-        closed = power * _k_frac(s, 0)
-        for j, aj in enumerate(coeffs[:depth], start=1):
-            if aj:
-                closed -= j * aj * _k_frac(s, j)
-    else:
-        closed = power * _gamma_power(gamma, -s) / 2.0
-        for j, aj in enumerate(coeffs[:depth], start=1):
-            if aj:
-                closed -= _gamma_series_term(s, j, aj, gamma)
-
-    value = K * (i_head + i_tail) + closed
-    return ZetaEvaluation(s=s, gamma=gamma, value=value, strip=strip,
-                          quadrature_error=abs(K) * (e_head + e_tail))
+    i, err = integral(g, s, tol, complex_path)
+    K = _sin_over_pi(s)
+    closed = _restored(s, gamma, power,
+                       enumerate(asym.log_coeffs[:depth], start=1))
+    return ZetaEvaluation(s=s, gamma=gamma, value=K * i + closed,
+                          strip=strip, quadrature_error=abs(K) * err)
 
 
 def zeta_total(graph, mc, s, gamma: float = 0.0, *, asym=None,
@@ -442,54 +396,49 @@ def minus_half_data(graph, mc, *, asym=None, tol: float = 1e-10) -> MinusHalfDat
     _probe_secular_zero(graph, mc, asym, 0.0)
 
     fp_dir = {}
-    res_dir = {}
     for bond in graph.bonds:
-        L = bond.length
         ej = u_log_expansion(bond, DEPTH)
 
-        def log_u(t, bond=bond):
-            return solve_imag_axis(bond, t).log_u
-
-        def g_sub(t, bond=bond, ej=ej):
+        def g_dir(t, bond=bond, ej=ej):
+            if t < 1.0:
+                return solve_imag_axis(bond, t).log_u
             out = dirichlet_log_u_subtracted(bond, t) + math.log(2.0 * t)
             for j, e in ej.items():
                 if e:
                     out -= e * t ** (-j)
             return out
 
-        i_head, _ = _quad_guarded(log_u, 0.0, 1.0, 1e-12, 1e-10, 200)
-        i_tail, _ = _tail_integral(g_sub, tol, False)
-        rational = -L / 2.0 + 1.0
+        i, _ = integral(g_dir, 0.5, tol)
+        rational = -bond.length / 2.0 + 1.0
         for j, e in ej.items():
             if j >= 2 and e:
                 rational -= j * e / (j - 1.0)
-        inner = log_u(1.0) - g_sub(1.0) + rational - i_head - i_tail.real
+        inner = (solve_imag_axis(bond, 1.0).log_u - g_dir(1.0) + rational
+                 - i)
         fp_dir[bond.id] = -inner / math.pi
-        res_dir[bond.id] = d_constant(bond) / math.pi
 
     power = 2 * graph.bond_count - asym.leading_power
     coeffs = asym.log_coeffs
     log_c = math.log(abs(asym.c_lead))
 
-    def logF_re(t):
-        return F_imag(graph, mc, t).log_abs
-
     def g_im(t):
-        out = logF_re(t) - log_c - power * math.log(t)
+        log_f = F_imag(graph, mc, t).log_abs
+        if t < 1.0:
+            return log_f
+        out = log_f - log_c - power * math.log(t)
         for j, aj in enumerate(coeffs, start=1):
             if aj:
                 out -= (aj * t ** (-j)).real
         return out
 
-    i_head, _ = _quad_guarded(logF_re, 0.0, 1.0, 1e-12, 1e-10, 200)
-    i_tail, _ = _tail_integral(g_im, tol, False)
+    i, _ = integral(g_im, 0.5, tol)
     boundary = log_c + sum(aj.real for aj in coeffs)
     rational = -float(power)
     for j, aj in enumerate(coeffs, start=1):
         if j >= 2 and aj:
             rational -= j * aj.real / (j - 1.0)
-    fp_im = -(boundary + rational - i_head - i_tail.real) / math.pi
-    res_im = (coeffs[0] / (2.0 * math.pi)).real if asym.gap == 1 else 0.0
+    fp_im = -(boundary + rational - i) / math.pi
+    res_im, res_dir = residues_at_minus_half(graph, asym)
 
     return MinusHalfData(
         fp_im=fp_im,

@@ -1,10 +1,18 @@
 import math
 
+import mpmath
 import pytest
 
 from conftest import make_circle, make_interval, make_star
 from graphzeta import (UnsupportedError, minus_half_data, reference_zeta_R,
                        zeta_dir_bond, zeta_im, zeta_total)
+
+
+def riemann_zeta(x):
+    """zeta_R(x); mpmath takes the complex arguments."""
+    if isinstance(x, complex):
+        return complex(mpmath.zeta(x))
+    return reference_zeta_R(x)
 
 
 def eigenvalue_sum(s, gamma, terms=16):
@@ -16,7 +24,7 @@ def eigenvalue_sum(s, gamma, terms=16):
     total = (math.pi ** 2 + gamma) ** (-s)
     coeff = 1.0
     for m in range(terms):
-        z = math.pi ** (-2 * s - 2 * m) * (reference_zeta_R(2 * s + 2 * m)
+        z = math.pi ** (-2 * s - 2 * m) * (riemann_zeta(2 * s + 2 * m)
                                            - 1.0)
         total += coeff * gamma ** m * z
         coeff *= -(s + m) / (m + 1.0)
@@ -31,6 +39,12 @@ def test_dirichlet_interval_zeta_identity():
         assert abs(ev.value - exact) < 1e-12
         assert abs(ev.value.imag) < 1e-12
         assert ev.quadrature_error < 1e-9
+    # complex s takes the oscillating branch of the [0, 1] substitution
+    for s in (complex(0.75, 0.5), complex(0.75, -0.5), complex(0.6, -1.2),
+              complex(0.9, 3.0)):
+        ev = zeta_total(graph, mc, s)
+        exact = math.pi ** (-2 * s) * riemann_zeta(2 * s)
+        assert abs(ev.value - exact) <= ev.quadrature_error
 
 
 def test_dirichlet_interval_zeta_with_gamma():
@@ -39,6 +53,11 @@ def test_dirichlet_interval_zeta_with_gamma():
         ev = zeta_total(graph, mc, s, gamma)
         ref = eigenvalue_sum(s, gamma)
         assert abs(ev.value - ref) < 1e-10
+    s = complex(0.75, 0.5)
+    for gamma in (0.5, 1.0):
+        ev = zeta_total(graph, mc, s, gamma)
+        ref = eigenvalue_sum(s, gamma)
+        assert abs(ev.value - ref) <= ev.quadrature_error
 
 
 def test_zeta_scaling_with_length():
