@@ -29,6 +29,7 @@ class EnergyResult:
     mu: float
     finite_energy_at_mu: float
     ambiguous: bool
+    error_estimate: float       # quadrature error of fp_half
 
 
 @dataclass(frozen=True)
@@ -46,7 +47,8 @@ def vacuum_energy(graph, mc, mu: float = 1.0) -> EnergyResult:
     fp_half and res_half are half the finite part and half the residue of
     zeta at s = -1/2, taken from minus_half_data; the energy at mu is
     fp_half + res_half log(mu^2), and ambiguous flags a nonzero residue,
-    where that energy depends on the choice of mu.
+    where that energy depends on the choice of mu.  error_estimate is
+    the quadrature error of fp_half, half that of the finite part.
     """
     if mu <= 0.0:
         raise UnsupportedError("mu must be positive")
@@ -58,7 +60,8 @@ def vacuum_energy(graph, mc, mu: float = 1.0) -> EnergyResult:
         res_half=res_half,
         mu=mu,
         finite_energy_at_mu=fp_half + res_half * math.log(mu * mu),
-        ambiguous=bool(abs(res_half) > 1e-10))
+        ambiguous=bool(abs(res_half) > 1e-10),
+        error_estimate=data.quadrature_error / 2.0)
 
 
 def casimir_force(graph, mc, bond_id: str) -> ForceResult:

@@ -1,10 +1,14 @@
 """Independent verification paths.
 
 Eigenvalues are located on the real k axis through the pole-free secular
-matrix, entirely separate from the imaginary-axis machinery the zeta
-engine uses; zeta values are then checked by direct summation with a
-Weyl-density tail.  A finite-difference discretization of the operator
-provides a third, fully matrix-based reference for test graphs.
+matrix S(k), entirely separate from the imaginary-axis machinery the zeta
+engine uses: a coarse grid of singular values flags a dip near every
+root, Newton steps on the pencil (S(k), -dS/dk) converge from each dip to
+the roots of det S, and the singular values of S at each converged root
+confirm it and give its multiplicity.  Zeta values are then checked by
+direct summation with a Weyl-density tail.  A finite-difference
+discretization of the operator provides a third, fully matrix-based
+reference for test graphs.
 """
 
 from __future__ import annotations
@@ -16,8 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 from scipy.integrate import quad
-from scipy.interpolate import CubicSpline
-from scipy.optimize import minimize_scalar
 from scipy.sparse.linalg import eigs
 from scipy.special import sici
 
@@ -27,8 +29,8 @@ from .graph import replace_bond_length
 from .secular import secular_matrices_real
 from .zeta import minus_half_data
 
-FINE_POINTS = 129
-MERGE_TOL = 5e-7
+NEWTON_STEPS = 12
+NEWTON_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -57,16 +59,67 @@ def _rk4_steps(graph, k_max: float) -> int:
 
 
 def _matrices(graph, mc, ks, steps, threads):
-    """Secular matrices with the transfer step error extrapolated away."""
-    s1 = secular_matrices_real(graph, mc, ks, steps=steps, threads=threads)
-    s2 = secular_matrices_real(graph, mc, ks, steps=2 * steps,
-                               threads=threads)
-    return (16.0 * s2 - s1) / 15.0
+    """(S, dS/dk) with the transfer step error extrapolated away."""
+    s1, d1 = secular_matrices_real(graph, mc, ks, steps=steps,
+                                   threads=threads, derivative=True)
+    s2, d2 = secular_matrices_real(graph, mc, ks, steps=2 * steps,
+                                   threads=threads, derivative=True)
+    return (16.0 * s2 - s1) / 15.0, (16.0 * d2 - d1) / 15.0
 
 
 def _singulars(graph, mc, ks, steps, threads):
     S = secular_matrices_real(graph, mc, ks, steps=steps, threads=threads)
     return np.linalg.svd(S, compute_uv=False)
+
+
+def _pencil_steps(S, dS, shift):
+    """Eigenvalues delta of the pencils S + delta dS, shape (nk, n).
+
+    With mu the eigenvalues of (S + shift dS)^-1 dS, delta = shift -
+    1/mu.  The shift keeps the solve away from S itself, which is
+    exactly singular in floating point at a root Newton has converged
+    to.  dS has rank at most B, so at least half of the deltas are
+    infinite or huge.
+    """
+    mu = np.linalg.eigvals(np.linalg.solve(S + shift * dS, dS))
+    return shift - np.divide(1.0, mu, out=np.full_like(mu, np.inf),
+                             where=mu != 0.0)
+
+
+def _newton(graph, mc, starts, dk, steps, threads):
+    """Roots of det S(k) by Newton steps k <- k + delta on the secular
+    pencil, from every start at once (successive linear problems; Ruhe,
+    SIAM J. Numer. Anal. 10, 1973).
+
+    The first step branches into every pencil eigenvalue with |delta| <
+    dk, so two roots in one coarse cell each get an iterate; later steps
+    take the eigenvalue nearest zero.  An iterate has converged once
+    |delta| < NEWTON_TOL.  It is dropped when a step reaches dk, or when
+    it is still going after NEWTON_STEPS steps (the k = 0 mode of a
+    graph, a double root of the even function det S(k), converges only
+    linearly).  Returns k + delta for each converged iterate, sorted, and
+    S at k.
+    """
+    S, dS = _matrices(graph, mc, starts, steps, threads)
+    # any shift inside the cell serves; see _pencil_steps
+    deltas = _pencil_steps(S, dS, 0.5 * dk)
+    row, col = np.nonzero(np.abs(deltas) < dk)
+    ks = starts[row] + deltas[row, col].real
+    roots, mats = [np.empty(0)], [S[:0]]
+    for _ in range(NEWTON_STEPS):
+        if not len(ks):
+            break
+        S, dS = _matrices(graph, mc, ks, steps, threads)
+        deltas = _pencil_steps(S, dS, 0.5 * dk)
+        delta = deltas[np.arange(len(ks)), np.argmin(np.abs(deltas), axis=1)]
+        done = np.abs(delta) < NEWTON_TOL
+        roots.append(ks[done] + delta[done].real)
+        mats.append(S[done])
+        going = ~done & (np.abs(delta) < dk)
+        ks = ks[going] + delta[going].real
+    roots = np.concatenate(roots)
+    order = np.argsort(roots, kind="stable")
+    return roots[order], np.concatenate(mats)[order]
 
 
 def _scan_once(graph, mc, k_max, dk, steps, threads):
@@ -85,72 +138,39 @@ def _scan_once(graph, mc, k_max, dk, steps, threads):
     # neighbourhood that can be very narrow when an almost-singular
     # direction saturates it (a delta coupling at large k shrinks the well
     # like 1/k), while log|det| picks up the wide logarithmic funnel every
-    # root carries regardless of that saturation.
+    # root carries regardless of that saturation.  k = 0 has no left
+    # neighbour, so a root below dk/2 shows as a one-sided dip there.
     cand_idx = set()
-    for i in range(1, m):
-        left = sigma[i - 1]
+    for i in range(m):
+        left = sigma[i - 1] if i > 0 else math.inf
         right = sigma[i + 1] if i + 1 < m else math.inf
         if sigma[i] <= left and sigma[i] <= right:
             local = float(np.max(sigma[max(i - 3, 0):i + 4]))
             if sigma[i] < 0.8 * background or sigma[i] < 0.55 * local:
                 cand_idx.add(i)
-    for i in range(1, m):
-        left = logdet[i - 1]
+    for i in range(m):
+        left = logdet[i - 1] if i > 0 else math.inf
         right = logdet[i + 1] if i + 1 < m else math.inf
         if logdet[i] <= left and logdet[i] <= right:
             local = float(np.max(logdet[max(i - 4, 0):i + 5]))
             if local - logdet[i] >= 0.5:
                 cand_idx.add(i)
-    cands = [ks[i] for i in sorted(cand_idx)]
+    # S is even in k, so dS/dk vanishes at 0: start that dip mid-cell
+    starts = np.array([ks[i] if i else 0.5 * dk for i in sorted(cand_idx)])
 
-    if not cands:
-        total = 0
-        roots = ()
-    else:
-        cands = np.asarray(cands)
-        offsets = np.linspace(-dk, dk, FINE_POINTS)
-        all_ks = (cands[:, None] + offsets[None, :]).ravel()
-        S = _matrices(graph, mc, all_ks, steps, threads)
-        n = S.shape[-1]
-        S = S.reshape(len(cands), FINE_POINTS, n, n)
-        fine_sigma = np.linalg.svd(S, compute_uv=False)[..., -1]
-
-        refined = []
-        for c in range(len(cands)):
-            spline = CubicSpline(offsets, S[c], axis=0)
-            fs = fine_sigma[c]
-            inner = max(5.0 * float(fs.min()), 0.15 * background)
-            for i0 in range(FINE_POINTS):
-                lo_n = fs[i0 - 1] if i0 > 0 else math.inf
-                hi_n = fs[i0 + 1] if i0 + 1 < FINE_POINTS else math.inf
-                if not (fs[i0] <= lo_n and fs[i0] <= hi_n):
-                    continue
-                if fs[i0] > inner:
-                    continue
-                lo = offsets[max(i0 - 1, 0)]
-                hi = offsets[min(i0 + 1, FINE_POINTS - 1)]
-                res = minimize_scalar(
-                    lambda x: np.linalg.svd(spline(x), compute_uv=False)[-1],
-                    bounds=(lo, hi), method="bounded",
-                    options={"xatol": 1e-13})
-                refined.append(float(cands[c] + res.x))
-        refined.sort()
-
-        merged = []
-        for k in refined:
-            if merged and k - merged[-1][-1] < MERGE_TOL:
-                merged[-1].append(k)
-            else:
-                merged.append([k])
-        points = [sum(g) / len(g) for g in merged]
-        points = [k for k in points if 0.0 < k <= k_max]
-
-        roots = []
-        total = 0
-        if points:
-            final = _matrices(graph, mc, np.asarray(points), steps, threads)
-            svals = np.linalg.svd(final, compute_uv=False)
-            for k, sv in zip(points, svals):
+    roots = []
+    total = 0
+    if len(starts):
+        found, mats = _newton(graph, mc, starts, dk, steps, threads)
+        # iterates that converged onto one root, from neighbouring dips or
+        # from the two pencil eigenvalues of a double root, agree to
+        # within NEWTON_TOL
+        keep = np.ones(len(found), dtype=bool)
+        keep[1:] = np.diff(found) >= NEWTON_TOL
+        keep &= (found > 0.0) & (found <= k_max)
+        if np.any(keep):
+            svals = np.linalg.svd(mats[keep], compute_uv=False)
+            for k, sv in zip(found[keep].tolist(), svals):
                 if sv[-1] >= 1e-5 * background:
                     continue
                 # sv[0] itself collapses when the matrix loses full rank,
@@ -159,7 +179,7 @@ def _scan_once(graph, mc, k_max, dk, steps, threads):
                 mult = int(np.count_nonzero(sv < 1e-6 * scale))
                 roots.append((k, max(mult, 1)))
                 total += max(mult, 1)
-        roots = tuple(roots)
+    roots = tuple(roots)
 
     estimate = graph.total_length() * k_max / math.pi
     bound = 2 * graph.bond_count + 2
@@ -174,13 +194,19 @@ def _scan_once(graph, mc, k_max, dk, steps, threads):
 def scan_spectrum(graph, mc, k_max: float, *, threads: int = 1) -> SpectrumWindow:
     """All roots in (0, k_max] with multiplicities.
 
-    Coarse singular-value scan, local interpolation of the secular matrix,
-    bounded minimization per candidate; a Weyl-count anomaly triggers one
-    rescan at 4x resolution before giving up.  The coarse grid, the
-    refinement grid and the final check of the roots each split their
+    A coarse grid of spacing dk ~ pi / (16 total length) flags dips of
+    the smallest singular value and of log|det S|.  From each dip, Newton
+    steps on the pencil (S(k), -dS/dk) converge to the roots of det S
+    within one grid cell, with dS/dk exact through the transfer matrices
+    and both Richardson-extrapolated in the RK4 step count.  The singular
+    values of S at each converged root confirm it and give its
+    multiplicity.  A Weyl-count anomaly triggers one rescan at dk/4
+    before giving up.  The coarse grid and every Newton step split their
     transfer matrices over `threads` threads; the output is independent
     of the thread count.
     """
+    if not math.isfinite(k_max):
+        raise UnsupportedError("k_max must be finite")
     if k_max <= 0.0:
         raise UnsupportedError("k_max must be positive")
     if threads < 1:

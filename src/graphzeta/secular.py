@@ -104,7 +104,10 @@ def logF_and_slope_imag(graph, mc, t: float):
 # real-axis secular matrix
 
 
-def _assemble_real(graph, mc, transfer_blocks, nk):
+def _assemble_real(graph, mc, transfer_blocks, nk, unit=1.0):
+    """A phi + B dhat from the bond transfer blocks; unit = 0 assembles
+    the k-derivative from the derivative blocks, since the remaining
+    entries of phi and dhat do not depend on k."""
     B = graph.bond_count
     n = 2 * B
     phi = np.zeros((nk, n, n), dtype=complex)
@@ -112,10 +115,10 @@ def _assemble_real(graph, mc, transfer_blocks, nk):
     for b, bond in enumerate(graph.bonds):
         T = transfer_blocks[b]
         ph = cmath.exp(1j * bond.vector_potential * bond.length)
-        phi[..., b, b] = 1.0
+        phi[..., b, b] = unit
         phi[..., B + b, b] = ph * T[..., 0, 0]
         phi[..., B + b, B + b] = ph * T[..., 0, 1]
-        dhat[..., b, B + b] = 1.0
+        dhat[..., b, B + b] = unit
         dhat[..., B + b, b] = -ph * T[..., 1, 0]
         dhat[..., B + b, B + b] = -ph * T[..., 1, 1]
     # in place, so at most three (nk, n, n) arrays are alive at once
@@ -126,8 +129,10 @@ def _assemble_real(graph, mc, transfer_blocks, nk):
 
 
 def secular_matrices_real(graph, mc, ks, *, steps: int = 1200,
-                          threads: int = 1) -> np.ndarray:
-    """Real-axis secular matrices over an array of k.
+                          threads: int = 1, derivative: bool = False):
+    """Real-axis secular matrices S(k) over an array of k; with
+    derivative=True the pair (S, dS/dk), both from one pass of the
+    transfer matrices.
 
     The transfer matrices hold nearly all of the cost and are computed k
     by k, so `threads` threads each fill one contiguous chunk of ks into
@@ -137,11 +142,12 @@ def secular_matrices_real(graph, mc, ks, *, steps: int = 1200,
     workers left their allocator arenas holding the (nk, n, n) buffers.
     """
     ks = np.asarray(ks, dtype=float)
-    blocks = np.empty((graph.bond_count, len(ks), 2, 2))
+    blocks = np.empty((1 + derivative, graph.bond_count, len(ks), 2, 2))
 
     def fill(lo, hi):
-        for bond, out in zip(graph.bonds, blocks):
-            out[lo:hi] = transfer_matrices_real(bond, ks[lo:hi], steps=steps)
+        for b, bond in enumerate(graph.bonds):
+            blocks[:, b, lo:hi] = transfer_matrices_real(
+                bond, ks[lo:hi], steps=steps, derivative=derivative)
 
     if threads == 1:
         fill(0, len(ks))
@@ -151,7 +157,10 @@ def secular_matrices_real(graph, mc, ks, *, steps: int = 1200,
             for f in [ex.submit(fill, lo, hi)
                       for lo, hi in zip(edges[:-1], edges[1:])]:
                 f.result()
-    return _assemble_real(graph, mc, blocks, len(ks))
+    S = _assemble_real(graph, mc, blocks[0], len(ks))
+    if not derivative:
+        return S
+    return S, _assemble_real(graph, mc, blocks[1], len(ks), unit=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,7 @@ class MinusHalfData:
     res_dir: dict
     fp_total: float
     res_total: float
+    quadrature_error: float     # of fp_total
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +384,8 @@ def minus_half_data(graph, mc, *, asym=None, tol: float = 1e-10) -> MinusHalfDat
 
     Both t-integrals are taken after integration by parts, so only values
     of log u and log F enter; all boundary terms are finite because of the
-    subtractions and are folded in below.
+    subtractions and are folded in below.  quadrature_error is the sum of
+    the integrals' error estimates over pi, the error of fp_total.
     """
     _require_local(mc, "minus_half_data")
     floor = graph.spectral_floor()
@@ -396,6 +398,7 @@ def minus_half_data(graph, mc, *, asym=None, tol: float = 1e-10) -> MinusHalfDat
     _probe_secular_zero(graph, mc, asym, 0.0)
 
     fp_dir = {}
+    err = 0.0
     for bond in graph.bonds:
         ej = u_log_expansion(bond, DEPTH)
 
@@ -408,7 +411,8 @@ def minus_half_data(graph, mc, *, asym=None, tol: float = 1e-10) -> MinusHalfDat
                     out -= e * t ** (-j)
             return out
 
-        i, _ = integral(g_dir, 0.5, tol)
+        i, i_err = integral(g_dir, 0.5, tol)
+        err += i_err
         rational = -bond.length / 2.0 + 1.0
         for j, e in ej.items():
             if j >= 2 and e:
@@ -431,7 +435,8 @@ def minus_half_data(graph, mc, *, asym=None, tol: float = 1e-10) -> MinusHalfDat
                 out -= (aj * t ** (-j)).real
         return out
 
-    i, _ = integral(g_im, 0.5, tol)
+    i, i_err = integral(g_im, 0.5, tol)
+    err += i_err
     boundary = log_c + sum(aj.real for aj in coeffs)
     rational = -float(power)
     for j, aj in enumerate(coeffs, start=1):
@@ -446,4 +451,5 @@ def minus_half_data(graph, mc, *, asym=None, tol: float = 1e-10) -> MinusHalfDat
         fp_dir=fp_dir,
         res_dir=res_dir,
         fp_total=fp_im + sum(fp_dir.values()),
-        res_total=res_im + sum(res_dir.values()))
+        res_total=res_im + sum(res_dir.values()),
+        quadrature_error=err / math.pi)

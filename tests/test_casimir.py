@@ -17,6 +17,12 @@ def test_vacuum_energy_interval():
     assert res.ambiguous is False
 
 
+def test_vacuum_energy_error_estimate_bounds_the_error():
+    res = vacuum_energy(*make_interval(1.0))
+    assert res.error_estimate > 0.0
+    assert abs(res.fp_half + math.pi / 24.0) <= res.error_estimate
+
+
 def test_vacuum_energy_scale_dependence():
     graph, mc = make_star(1.0)
     r1 = vacuum_energy(graph, mc, mu=1.0)

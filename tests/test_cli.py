@@ -176,6 +176,12 @@ def test_spectrum_refuses_zero_threads(tmp_path):
                  "--threads", "0"]) == 4
 
 
+def test_spectrum_refuses_non_finite_k_max(tmp_path):
+    path = write(tmp_path, INTERVAL)
+    for k_max in ("nan", "inf"):
+        assert main(["spectrum", "--graph", path, "--k-max", k_max]) == 4
+
+
 def test_parser_requires_command_arguments():
     parser = build_parser()
     with pytest.raises(SystemExit):

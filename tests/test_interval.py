@@ -271,3 +271,24 @@ def test_transfer_matrices_match_rk4_loop():
             size = np.abs(ref) * D[:, None, :] / D[:, :, None]
             assert np.all(err.max(axis=(1, 2))
                           <= 1e-11 * size.max(axis=(1, 2)))
+
+
+def test_transfer_matrix_derivative_matches_difference():
+    # the exact k-derivative of the step maps against a five-point
+    # difference of the same maps; k = sqrt(3) puts the constant bond on
+    # the series branch of its closed form
+    ks = np.array([0.0, 1e-3, 0.8, math.sqrt(3.0), 3.3, 40.0, 215.0])
+    h = 1e-3
+    for graph_mc in (make_interval(1.0), make_bump_interval(),
+                     make_interval(1.0, potential={"kind": "constant",
+                                                   "value": 3.0})):
+        bond = graph_mc[0].bonds[0]
+        T, dT = transfer_matrices_real(bond, ks, derivative=True)
+        assert np.array_equal(T, transfer_matrices_real(bond, ks))
+        assert np.all(dT[0] == 0.0)
+
+        def at(d):
+            return transfer_matrices_real(bond, ks + d)
+        diff = (8.0 * (at(h) - at(-h)) - (at(2 * h) - at(-2 * h))) / (12 * h)
+        scale = np.maximum(np.abs(diff).max(axis=(1, 2)), 1.0)
+        assert np.all(np.abs(dT - diff).max(axis=(1, 2)) <= 1e-9 * scale)

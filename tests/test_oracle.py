@@ -68,6 +68,47 @@ def test_scan_circle_flux():
             assert m == expected[match]
 
 
+def test_scan_circle_small_flux():
+    # the lowest root k = A sits below half a coarse cell, where the only
+    # dip is the one-sided one at k = 0
+    for A in (0.05, 0.01):
+        graph, mc = make_circle(1.0, A)
+        window = scan_spectrum(graph, mc, 20.0)
+        expected = sorted(abs(2 * math.pi * j + A) for j in range(-3, 4))
+        assert len(window.roots) == 7
+        for (k, m), k_ref in zip(window.roots, expected):
+            assert k == pytest.approx(k_ref, abs=1e-10)
+            assert m == 1
+
+
+def test_scan_roots_meet_closed_forms():
+    graph, mc = make_interval(1.0)
+    window = scan_spectrum(graph, mc, 20.0)
+    assert [m for _, m in window.roots] == [1] * 6
+    for j, (k, _) in enumerate(window.roots, start=1):
+        assert abs(k - j * math.pi) <= 1e-11
+    # the delta(1) star's leaf-antisymmetric doubles at k = m pi
+    graph, mc = make_star(1.0)
+    window = scan_spectrum(graph, mc, 30.0)
+    doubles = [k for k, m in window.roots if m == 2]
+    assert len(doubles) == 9
+    for n, k in enumerate(doubles, start=1):
+        assert abs(k - n * math.pi) <= 1e-11
+    graph, mc = make_circle(1.0, 1.0)
+    window = scan_spectrum(graph, mc, 20.0)
+    expected = sorted(abs(2 * math.pi * j + 1.0) for j in range(-3, 4))
+    assert [m for _, m in window.roots] == [1] * 7
+    for (k, _), k_ref in zip(window.roots, expected):
+        assert abs(k - k_ref) <= 1e-11
+
+
+def test_scan_rejects_non_finite_k_max():
+    graph, mc = make_interval(1.0)
+    for k_max in (math.nan, math.inf):
+        with pytest.raises(UnsupportedError):
+            scan_spectrum(graph, mc, k_max)
+
+
 def test_scan_respects_weyl_count():
     graph, mc = make_chain((1.0, 0.7, 1.3), bump=BUMP, bump_bond=0)
     window = scan_spectrum(graph, mc, 30.0)
