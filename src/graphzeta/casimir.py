@@ -50,8 +50,8 @@ def vacuum_energy(graph, mc, mu: float = 1.0) -> EnergyResult:
     where that energy depends on the choice of mu.  error_estimate is
     the quadrature error of fp_half, half that of the finite part.
     """
-    if mu <= 0.0:
-        raise UnsupportedError("mu must be positive")
+    if not 0.0 < mu < math.inf:
+        raise UnsupportedError("mu must be finite and positive")
     data = minus_half_data(graph, mc)
     fp_half = data.fp_total / 2.0
     res_half = data.res_total / 2.0

@@ -10,7 +10,9 @@ potential at every t, so one segment count serves all t.  All growth is
 kept in log form so large t L never overflows.
 
 Real axis: batched 2x2 transfer matrices for the magnetic-gauge-removed
-equation, used by the spectral scan.
+equation, used by the spectral scan.  Closed forms cover the free and
+constant stretches, RK4 step maps the rest; the k-derivative is a complex
+step through the same kernels.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .errors import NumericalError, UnsupportedError
 from .wkb import u_log_expansion
 
 CSTEP = 1e-30            # complex step for the t-derivatives
+KSTEP = 2.0 ** -600      # complex step for the real-axis k-derivative
 
 
 @dataclass(frozen=True)
@@ -187,16 +190,16 @@ def solve_imag_axis(bond, t, *, reverse: bool = False) -> ImagAxisSolution:
     return _solve_cached(bond, float(t), bool(reverse))
 
 
-def dirichlet_subtracted_derivative(bond, t: float, depth: int = 4) -> float:
-    """d/dt of [log u(L;t) - tL + log 2t - sum_{j<=depth} e_j t^-j].
+def dirichlet_subtracted_derivative(bond, t: float) -> float:
+    """d/dt of [log u(L;t) - tL + log 2t - sum_{j<=4} e_j t^-j].
 
-    Decays like t^(-depth-2); the closed-form branch avoids subtracting
-    two O(L) quantities.
+    Decays like t^-6; the closed-form branch avoids subtracting two O(L)
+    quantities.
     """
     L = bond.length
     pot = bond.potential
-    ej = u_log_expansion(bond, depth)
-    corr = sum(j * ej[j] * t ** (-j - 1) for j in range(1, depth + 1))
+    ej = u_log_expansion(bond)
+    corr = sum(j * e * t ** (-j - 1) for j, e in ej.items())
     if pot.kind in ("zero", "constant"):
         c = getattr(pot, "c", 0.0)
         kappa = math.sqrt(max(t * t + c, 0.0))
@@ -230,7 +233,8 @@ def dirichlet_log_u_subtracted(bond, t: float) -> float:
 
 
 def _blocks(t00, t01, t10, t11):
-    out = np.empty(np.shape(t00) + (2, 2))
+    out = np.empty(np.shape(t00) + (2, 2),
+                   dtype=np.result_type(t00, t01, t10, t11))
     out[..., 0, 0] = t00
     out[..., 0, 1] = t01
     out[..., 1, 0] = t10
@@ -238,41 +242,31 @@ def _blocks(t00, t01, t10, t11):
     return out
 
 
-def _analytic_blocks_batch(k2: np.ndarray, c: float, ell: float,
-                           derivative: bool = False):
-    """Transfer matrices across a stretch of constant potential c, and
-    with derivative=True also their derivatives in k^2.
+def _analytic_blocks_batch(k2: np.ndarray, c: float, ell: float):
+    """Transfer matrices across a stretch of constant potential c.
 
-    With z^2 = k^2 - c and sov = sin(z ell)/z, d cos/dk^2 = -ell sov/2 and
-    d sov/dk^2 = (ell cos - sov)/(2 z^2); below |z^2 ell^2| = 1e-3 the
-    series of the latter avoids the cancellation.
+    With z^2 = k^2 - c the entries are cos(z ell) and sin(z ell)/z; a
+    complex k^2 passes through.  Below |z^2 ell^2| = 1e-3 both come from
+    one series in x = z^2 ell^2, which keeps a complex step in k free of
+    the cancellation in sin(z ell)/z near z = 0.
     """
     z2 = k2 - c
-    z = np.sqrt(z2.astype(complex))
-    arg = z * ell
-    small = np.abs(arg) < 1e-6
-    zsafe = np.where(small, 1.0, z)
-    sov = np.where(small, ell * (1.0 - z2 * ell * ell / 6.0),
-                   (np.sin(arg) / zsafe).real)
-    cosv = np.cos(arg).real
-    out = _blocks(cosv, sov, -z2 * sov, cosv)
-    if not derivative:
-        return out
     x = z2 * ell * ell
-    near = np.abs(x) < 1e-3
-    dsov = np.where(
-        near, ell ** 3 * (-1.0 / 6.0 + x * (1.0 / 60.0 + x * (
-            -1.0 / 1680.0 + x / 90720.0))),
-        (ell * cosv - sov) / np.where(near, 1.0, 2.0 * z2))
-    dcos = -0.5 * ell * sov
-    return out, _blocks(dcos, dsov, -sov - z2 * dsov, dcos)
+    small = np.abs(x) < 1e-3
+    z = np.sqrt(np.where(small, 1.0, z2).astype(complex))
+    arg = z * ell
+    cosv = np.where(small, 1.0 + x * (-1.0 / 2.0 + x * (1.0 / 24.0 + x * (
+        -1.0 / 720.0 + x / 40320.0))), np.cos(arg))
+    sov = np.where(small, ell * (1.0 + x * (-1.0 / 6.0 + x * (1.0 / 120.0
+                   + x * (-1.0 / 5040.0 + x / 362880.0)))), np.sin(arg) / z)
+    if not np.iscomplexobj(k2):
+        cosv, sov = cosv.real, sov.real
+    return _blocks(cosv, sov, -z2 * sov, cosv)
 
 
-def _rk4_blocks_batch(pot, ks: np.ndarray, a: float, b: float, n: int,
-                      derivative: bool = False):
+def _rk4_blocks_batch(pot, ks: np.ndarray, a: float, b: float, n: int):
     """n classical RK4 steps of p' = q, q' = (V - k^2) p across [a, b],
-    for every k at once; with derivative=True also the exact derivative
-    of the product of steps in k^2.
+    for every k at once; a complex k passes through.
 
     With w = V - k^2 at x, x + h/2 and x + h, one step is the exact map
 
@@ -285,8 +279,7 @@ def _rk4_blocks_batch(pot, ks: np.ndarray, a: float, b: float, n: int,
     k^2, so it splits as F + c + d k^2: F holds every V-free term, k^4
     included, and is shared by all steps; c and d are tabulated per step
     from one evaluation of V per node grid.  A step is then 22 whole-batch
-    operations in fixed buffers.  The derivative Q = dF/dk^2 + d of the
-    step gives T' <- P T' + Q T in 31 more.
+    operations in fixed buffers of the dtype of k.
     """
     h = (b - a) / n
     x = a + np.arange(n) * h
@@ -306,19 +299,12 @@ def _rk4_blocks_batch(pot, ks: np.ndarray, a: float, b: float, n: int,
     f00 = 1.0 + kk * (-3.0 * h2 + h4 * kk)
     f01 = h - 2.0 * h3 * kk
     f10 = kk * (-h + 2.0 * h3 * kk)
-    # dF/dk^2; that of f01 is a constant
-    df00 = -3.0 * h2 + 2.0 * h4 * kk
-    df01 = -2.0 * h3
-    df10 = -h + 4.0 * h3 * kk
 
     table = np.stack([c00, d00, c01, c10, d10, c11, d11], axis=1).tolist()
 
     t00, t11 = np.ones_like(kk), np.ones_like(kk)
     t01, t10 = np.zeros_like(kk), np.zeros_like(kk)
-    p00, p01, p10, p11, u0, u1, tmp = np.empty((7,) + kk.shape)
-    if derivative:
-        s00, s01, s10, s11 = np.zeros((4,) + kk.shape)
-        q00, q10, q11, w0, w1 = np.empty((5,) + kk.shape)
+    p00, p01, p10, p11, u0, u1, tmp = np.empty((7,) + kk.shape, kk.dtype)
     mul = np.multiply
     for e00, g00, e01, e10, g10, e11, g11 in table:
         mul(kk, g00, out=p00)
@@ -331,41 +317,6 @@ def _rk4_blocks_batch(pot, ks: np.ndarray, a: float, b: float, n: int,
         mul(kk, g11, out=p11)
         p11 += f00
         p11 += e11
-        if derivative:
-            # T' (held in s) <- P T' + Q T, from the T before this step
-            np.add(df00, g00, out=q00)
-            np.add(df10, g10, out=q10)
-            np.add(df00, g11, out=q11)
-            mul(p00, s00, out=w0)
-            mul(p01, s10, out=tmp)
-            w0 += tmp
-            mul(q00, t00, out=tmp)
-            w0 += tmp
-            mul(t10, df01, out=tmp)
-            w0 += tmp
-            mul(p00, s01, out=w1)
-            mul(p01, s11, out=tmp)
-            w1 += tmp
-            mul(q00, t01, out=tmp)
-            w1 += tmp
-            mul(t11, df01, out=tmp)
-            w1 += tmp
-            s10 *= p11
-            mul(p10, s00, out=tmp)
-            s10 += tmp
-            mul(q10, t00, out=tmp)
-            s10 += tmp
-            mul(q11, t10, out=tmp)
-            s10 += tmp
-            s11 *= p11
-            mul(p10, s01, out=tmp)
-            s11 += tmp
-            mul(q10, t01, out=tmp)
-            s11 += tmp
-            mul(q11, t11, out=tmp)
-            s11 += tmp
-            s00, w0 = w0, s00
-            s01, w1 = w1, s01
         # row 0 of P T into (u0, u1), row 1 in place
         mul(p00, t00, out=u0)
         mul(p01, t10, out=tmp)
@@ -381,38 +332,32 @@ def _rk4_blocks_batch(pot, ks: np.ndarray, a: float, b: float, n: int,
         t11 += t01
         t00, u0 = u0, t00
         t01, u1 = u1, t01
-    out = _blocks(t00, t01, t10, t11)
-    if not derivative:
-        return out
-    return out, _blocks(s00, s01, s10, s11)
+    return _blocks(t00, t01, t10, t11)
+
+
+def _transfer(bond, ks: np.ndarray, steps: int):
+    pot = bond.potential
+    L = bond.length
+    k2 = ks * ks
+    if pot.kind in ("zero", "constant"):
+        return _analytic_blocks_batch(k2, getattr(pot, "c", 0.0), L)
+    a, b = pot.support(L)
+    return (_analytic_blocks_batch(k2, 0.0, L - b)
+            @ _rk4_blocks_batch(pot, ks, a, b, steps)
+            @ _analytic_blocks_batch(k2, 0.0, a))
 
 
 def transfer_matrices_real(bond, ks, *, steps: int = 1200,
                            derivative: bool = False):
     """Batched transfer matrices over an array of k.
 
-    With derivative=True returns (T, dT/dk), the derivative taken exactly
-    through the same closed forms and RK4 step maps.
+    With derivative=True returns (T, dT/dk) from one pass at the complex
+    k + i KSTEP (Squire and Trapp, SIAM Rev. 40, 1998): KSTEP^2
+    underflows, so T is bitwise that of the real pass and dT/dk carries
+    no cancellation.
     """
     ks = np.asarray(ks, dtype=float)
-    pot = bond.potential
-    L = bond.length
-    k2 = ks * ks
-    if pot.kind in ("zero", "constant"):
-        blocks = _analytic_blocks_batch(k2, getattr(pot, "c", 0.0), L,
-                                        derivative)
-        if not derivative:
-            return blocks
-        T, dT = blocks
-    else:
-        a, b = pot.support(L)
-        parts = [_analytic_blocks_batch(k2, 0.0, L - b, derivative),
-                 _rk4_blocks_batch(pot, ks, a, b, steps, derivative),
-                 _analytic_blocks_batch(k2, 0.0, a, derivative)]
-        if not derivative:
-            return parts[0] @ parts[1] @ parts[2]
-        (R, dR), (M, dM), (F, dF) = parts
-        RM = R @ M
-        T = RM @ F
-        dT = (dR @ M + R @ dM) @ F + RM @ dF
-    return T, 2.0 * ks[:, None, None] * dT
+    if not derivative:
+        return _transfer(bond, ks, steps)
+    T = _transfer(bond, ks + 1j * KSTEP, steps)
+    return T.real, T.imag / KSTEP

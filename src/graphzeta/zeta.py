@@ -229,8 +229,8 @@ def _bond_floor(bond) -> float:
 
 
 def _check_gamma(floor: float, gamma: float, what: str) -> None:
-    if gamma < 0.0:
-        raise UnsupportedError("gamma must be nonnegative")
+    if not 0.0 <= gamma < math.inf:
+        raise UnsupportedError("gamma must be finite and nonnegative")
     if floor > 0.0:
         if gamma == 0.0:
             raise NumericalError(
@@ -270,7 +270,7 @@ def _secular_is_complex(graph, mc) -> bool:
 # Dirichlet part
 
 
-def zeta_dir_bond(bond, s, gamma: float = 0.0, *, depth: int = DEPTH,
+def zeta_dir_bond(bond, s, gamma: float = 0.0, *,
                   tol: float = 1e-9) -> ZetaEvaluation:
     """Zeta function of the bond detached with Dirichlet ends."""
     s = complex(s)
@@ -284,14 +284,14 @@ def zeta_dir_bond(bond, s, gamma: float = 0.0, *, depth: int = DEPTH,
     _check_gamma(_bond_floor(bond), gamma, f"bond '{bond.id}'")
 
     L = bond.length
-    ej = u_log_expansion(bond, depth)
+    ej = u_log_expansion(bond, DEPTH)
     K = _sin_over_pi(s)
 
     def g(tau):
         if gamma == 0.0 and tau < 1.0:
             return solve_imag_axis(bond, tau).dlog_u_dt / tau
         t = math.sqrt(gamma + tau * tau) if gamma else tau
-        return dirichlet_subtracted_derivative(bond, t, depth) / t
+        return dirichlet_subtracted_derivative(bond, t) / t
 
     i, err = integral(g, s, tol, s.imag != 0.0)
     if gamma == 0.0:
@@ -308,28 +308,26 @@ def zeta_dir_bond(bond, s, gamma: float = 0.0, *, depth: int = DEPTH,
 # secular part
 
 
-def subtracted_logF_derivative(graph, mc, t: float, *, asym=None,
-                               depth: int = DEPTH) -> complex:
-    """d/dt log F with the power-law asymptotics removed to the given depth."""
+def subtracted_logF_derivative(graph, mc, t: float, *, asym=None) -> complex:
+    """d/dt log F with the power-law asymptotics removed to depth DEPTH."""
     if asym is None:
         asym = asymptotic_F_coefficients(graph, mc, check=False)
     power = 2 * graph.bond_count - asym.leading_power
     _, slope = logF_and_slope_imag(graph, mc, t)
     out = slope - power / t
-    for j, aj in enumerate(asym.log_coeffs[:depth], start=1):
+    for j, aj in enumerate(asym.log_coeffs[:DEPTH], start=1):
         if aj:
             out += j * aj * t ** (-j - 1)
     return out
 
 
-def zeta_im(graph, mc, s, gamma: float = 0.0, *, asym=None,
-            depth: int = DEPTH, tol: float = 1e-9) -> ZetaEvaluation:
+def zeta_im(graph, mc, s, gamma: float = 0.0, *,
+            tol: float = 1e-9) -> ZetaEvaluation:
     """Secular part of the zeta function."""
     s = complex(s)
     _require_local(mc, "zeta_im")
     _check_gamma(graph.spectral_floor(), gamma, "zeta_im")
-    if asym is None:
-        asym = asymptotic_F_coefficients(graph, mc)
+    asym = asymptotic_F_coefficients(graph, mc)
     strip = (asym.strip_min, 1.0)
     if not strip[0] < s.real < strip[1]:
         raise UnsupportedError(
@@ -348,21 +346,20 @@ def zeta_im(graph, mc, s, gamma: float = 0.0, *, asym=None,
         if gamma == 0.0 and tau < 1.0:
             return logF_and_slope_imag(graph, mc, tau)[1] / tau
         t = math.sqrt(gamma + tau * tau) if gamma else tau
-        return subtracted_logF_derivative(graph, mc, t, asym=asym,
-                                          depth=depth) / t
+        return subtracted_logF_derivative(graph, mc, t, asym=asym) / t
 
     i, err = integral(g, s, tol, complex_path)
     K = _sin_over_pi(s)
     closed = _restored(s, gamma, power,
-                       enumerate(asym.log_coeffs[:depth], start=1))
+                       enumerate(asym.log_coeffs[:DEPTH], start=1))
     return ZetaEvaluation(s=s, gamma=gamma, value=K * i + closed,
                           strip=strip, quadrature_error=abs(K) * err)
 
 
-def zeta_total(graph, mc, s, gamma: float = 0.0, *, asym=None,
+def zeta_total(graph, mc, s, gamma: float = 0.0, *,
                tol: float = 1e-9) -> ZetaEvaluation:
     """zeta(s, gamma) of the full graph operator."""
-    zi = zeta_im(graph, mc, s, gamma, asym=asym, tol=tol)
+    zi = zeta_im(graph, mc, s, gamma, tol=tol)
     value = zi.value
     err = zi.quadrature_error
     lo = zi.strip[0]
@@ -379,7 +376,7 @@ def zeta_total(graph, mc, s, gamma: float = 0.0, *, asym=None,
 # s = -1/2: finite parts and residues
 
 
-def minus_half_data(graph, mc, *, asym=None, tol: float = 1e-10) -> MinusHalfData:
+def minus_half_data(graph, mc, *, tol: float = 1e-10) -> MinusHalfData:
     """Finite parts and residues of the zeta components at s = -1/2, gamma=0.
 
     Both t-integrals are taken after integration by parts, so only values
@@ -393,8 +390,7 @@ def minus_half_data(graph, mc, *, asym=None, tol: float = 1e-10) -> MinusHalfDat
         raise NumericalError(
             "vacuum-energy data needs the gamma=0 ray, unreachable below "
             f"the spectral floor {floor:.6g} of a negative potential")
-    if asym is None:
-        asym = asymptotic_F_coefficients(graph, mc)
+    asym = asymptotic_F_coefficients(graph, mc)
     _probe_secular_zero(graph, mc, asym, 0.0)
 
     fp_dir = {}

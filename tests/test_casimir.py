@@ -17,6 +17,12 @@ def test_vacuum_energy_interval():
     assert res.ambiguous is False
 
 
+def test_vacuum_energy_refuses_non_finite_mu():
+    for mu in (math.nan, math.inf, 0.0):
+        with pytest.raises(UnsupportedError, match="finite"):
+            vacuum_energy(*make_interval(1.0), mu=mu)
+
+
 def test_vacuum_energy_error_estimate_bounds_the_error():
     res = vacuum_energy(*make_interval(1.0))
     assert res.error_estimate > 0.0

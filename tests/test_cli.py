@@ -182,6 +182,14 @@ def test_spectrum_refuses_non_finite_k_max(tmp_path):
         assert main(["spectrum", "--graph", path, "--k-max", k_max]) == 4
 
 
+def test_zeta_and_energy_refuse_non_finite_arguments(tmp_path):
+    path = write(tmp_path, INTERVAL)
+    for value in ("nan", "inf"):
+        assert main(["zeta", "--graph", path, "--s", "0.75",
+                     "--gamma", value]) == 4
+        assert main(["energy", "--graph", path, "--mu", value]) == 4
+
+
 def test_parser_requires_command_arguments():
     parser = build_parser()
     with pytest.raises(SystemExit):

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -292,3 +293,33 @@ def test_transfer_matrix_derivative_matches_difference():
         diff = (8.0 * (at(h) - at(-h)) - (at(2 * h) - at(-2 * h))) / (12 * h)
         scale = np.maximum(np.abs(diff).max(axis=(1, 2)), 1.0)
         assert np.all(np.abs(dT - diff).max(axis=(1, 2)) <= 1e-9 * scale)
+
+
+def closed_form_dT(k, c, L=1.0):
+    """dT/dk across a stretch of constant potential c, in 40 digits."""
+    with mpmath.workdps(40):
+        k = mpmath.mpf(k)
+        z2 = k * k - c
+        z = mpmath.sqrt(mpmath.mpc(z2))
+        cos = mpmath.cos(z * L)
+        sov = mpmath.sin(z * L) / z
+        dcos = -k * L * sov
+        dsov = k * (L * cos - sov) / z2
+        return np.array([[dcos, dsov], [-2 * k * sov - z2 * dsov, dcos]],
+                        dtype=complex).real
+
+
+def test_transfer_matrix_derivative_where_it_is_small():
+    # entry by entry where dT/dk is far below one: a free bond near k = 0
+    # and the c = 3 bond near k = sqrt(c), where sin(z L)/z cancels
+    cases = [(0.0, np.array([1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1]))]
+    j = np.arange(3, 9)
+    cases.append((3.0, math.sqrt(3.0) * np.concatenate(
+        [1.0 + 10.0 ** -j, 1.0 - 10.0 ** -j])))
+    for c, ks in cases:
+        bond = make_interval(1.0, potential={"kind": "constant",
+                                             "value": c})[0].bonds[0]
+        _, dT = transfer_matrices_real(bond, ks, derivative=True)
+        for k, got in zip(ks, dT):
+            ref = closed_form_dT(k, c)
+            assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref)), k

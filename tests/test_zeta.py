@@ -86,6 +86,16 @@ def test_zeta_dir_bond_domain_guards():
         zeta_dir_bond(bond, 0.75, gamma=-1.0)
 
 
+def test_zeta_refuses_non_finite_gamma():
+    graph, mc = make_star(1.0)
+    for gamma in (math.nan, math.inf):
+        for call in (lambda: zeta_dir_bond(graph.bonds[0], 0.75, gamma),
+                     lambda: zeta_im(graph, mc, 0.75, gamma),
+                     lambda: zeta_total(graph, mc, 0.75, gamma)):
+            with pytest.raises(UnsupportedError, match="finite"):
+                call()
+
+
 def test_zeta_rejects_global_conditions():
     import json
 
