@@ -12,7 +12,8 @@ kept in log form so large t L never overflows.
 Real axis: batched 2x2 transfer matrices for the magnetic-gauge-removed
 equation, used by the spectral scan.  Closed forms cover the free and
 constant stretches, RK4 step maps the rest; the k-derivative is a complex
-step through the same kernels.
+step through the same kernels, and the Richardson pair of step counts
+runs through the RK4 kernel as one batch.
 """
 
 from __future__ import annotations
@@ -264,9 +265,10 @@ def _analytic_blocks_batch(k2: np.ndarray, c: float, ell: float):
     return _blocks(cosv, sov, -z2 * sov, cosv)
 
 
-def _rk4_blocks_batch(pot, ks: np.ndarray, a: float, b: float, n: int):
-    """n classical RK4 steps of p' = q, q' = (V - k^2) p across [a, b],
-    for every k at once; a complex k passes through.
+def _rk4_blocks_batch(pot, ks: np.ndarray, spans, n: int):
+    """n classical RK4 steps of p' = q, q' = (V - k^2) p across every span
+    (a, b) in `spans`, for every k at once; a complex k passes through.
+    Returns the transfer matrices with shape (len(spans), len(ks), 2, 2).
 
     With w = V - k^2 at x, x + h/2 and x + h, one step is the exact map
 
@@ -277,46 +279,53 @@ def _rk4_blocks_batch(pot, ks: np.ndarray, a: float, b: float, n: int):
 
     applied to both columns of T.  Each entry is at most quadratic in
     k^2, so it splits as F + c + d k^2: F holds every V-free term, k^4
-    included, and is shared by all steps; c and d are tabulated per step
-    from one evaluation of V per node grid.  A step is then 22 whole-batch
-    operations in fixed buffers of the dtype of k.
+    included, and is shared by all steps of a span; c and d are
+    tabulated per step from one evaluation of V per node grid.  Each
+    span is one column group with its own step h, F and step table, and
+    all groups advance together, so independent spans of one step count
+    share the per-call cost.  P is held as one (2, 2, groups, k) array of
+    the dtype of k and formed in three whole-batch operations; P T takes
+    twelve more, in place.
     """
-    h = (b - a) / n
-    x = a + np.arange(n) * h
-    v1 = pot.value(x)
-    v2 = pot.value(x + 0.5 * h)
-    v3 = pot.value(x + h)
-    h2, h3, h4 = h * h / 6.0, h ** 3 / 12.0, h ** 4 / 24.0
-    # P01 has no V-dependent k^2 term; P11 shares f00 with P00
-    c00 = h2 * (v1 + 2.0 * v2) + h4 * v1 * v2
-    d00 = -h4 * (v1 + v2)
-    c01 = 2.0 * h3 * v2
-    c10 = h / 6.0 * (v1 + 4.0 * v2 + v3) + h3 * v2 * (v1 + v3)
-    d10 = -h3 * (v1 + 2.0 * v2 + v3)
-    c11 = h2 * (2.0 * v2 + v3) + h4 * v2 * v3
-    d11 = -h4 * (v2 + v3)
+    hs, tables = [], []
+    for a, b in spans:
+        h = (b - a) / n
+        x = a + np.arange(n) * h
+        v1 = pot.value(x)
+        v2 = pot.value(x + 0.5 * h)
+        v3 = pot.value(x + h)
+        h2, h3, h4 = h * h / 6.0, h ** 3 / 12.0, h ** 4 / 24.0
+        # c and d of P00, P01, P10, P11; P01 has no V-dependent k^2 term
+        tables.append([[h2 * (v1 + 2.0 * v2) + h4 * v1 * v2,
+                        2.0 * h3 * v2,
+                        h / 6.0 * (v1 + 4.0 * v2 + v3) + h3 * v2 * (v1 + v3),
+                        h2 * (2.0 * v2 + v3) + h4 * v2 * v3],
+                       [-h4 * (v1 + v2),
+                        np.zeros(n),
+                        -h3 * (v1 + 2.0 * v2 + v3),
+                        -h4 * (v2 + v3)]])
+        hs.append((h, h2, h3, h4))
+    # c and d of every step, (n, 2, 2, groups, 1) each
+    c, d = np.array(tables).transpose(1, 3, 2, 0).reshape(
+        2, n, 2, 2, len(spans), 1)
+    h, h2, h3, h4 = np.array(hs).T[:, :, None]
     kk = ks * ks
-    f00 = 1.0 + kk * (-3.0 * h2 + h4 * kk)
-    f01 = h - 2.0 * h3 * kk
-    f10 = kk * (-h + 2.0 * h3 * kk)
+    shape = (len(spans),) + kk.shape
+    F = np.empty((2, 2) + shape, kk.dtype)
+    F[0, 0] = F[1, 1] = 1.0 + kk * (-3.0 * h2 + h4 * kk)
+    F[0, 1] = h - 2.0 * h3 * kk
+    F[1, 0] = kk * (-h + 2.0 * h3 * kk)
 
-    table = np.stack([c00, d00, c01, c10, d10, c11, d11], axis=1).tolist()
-
-    t00, t11 = np.ones_like(kk), np.ones_like(kk)
-    t01, t10 = np.zeros_like(kk), np.zeros_like(kk)
-    p00, p01, p10, p11, u0, u1, tmp = np.empty((7,) + kk.shape, kk.dtype)
+    P = np.empty_like(F)
+    (p00, p01), (p10, p11) = P
+    t00, t11 = np.ones(shape, kk.dtype), np.ones(shape, kk.dtype)
+    t01, t10 = np.zeros(shape, kk.dtype), np.zeros(shape, kk.dtype)
+    u0, u1, tmp = np.empty((3,) + shape, kk.dtype)
     mul = np.multiply
-    for e00, g00, e01, e10, g10, e11, g11 in table:
-        mul(kk, g00, out=p00)
-        p00 += f00
-        p00 += e00
-        np.add(f01, e01, out=p01)
-        mul(kk, g10, out=p10)
-        p10 += f10
-        p10 += e10
-        mul(kk, g11, out=p11)
-        p11 += f00
-        p11 += e11
+    for ci, di in zip(c, d):
+        mul(kk, di, out=P)
+        P += F
+        P += ci
         # row 0 of P T into (u0, u1), row 1 in place
         mul(p00, t00, out=u0)
         mul(p01, t10, out=tmp)
@@ -335,29 +344,43 @@ def _rk4_blocks_batch(pot, ks: np.ndarray, a: float, b: float, n: int):
     return _blocks(t00, t01, t10, t11)
 
 
-def _transfer(bond, ks: np.ndarray, steps: int):
+def _transfer(bond, ks: np.ndarray, steps: int, richardson: bool):
     pot = bond.potential
     L = bond.length
     k2 = ks * ks
     if pot.kind in ("zero", "constant"):
         return _analytic_blocks_batch(k2, getattr(pot, "c", 0.0), L)
     a, b = pot.support(L)
-    return (_analytic_blocks_batch(k2, 0.0, L - b)
-            @ _rk4_blocks_batch(pot, ks, a, b, steps)
+    if richardson:
+        # T(n) over [a, b] and the two halves of T(2n), as one batch
+        mid = 0.5 * (a + b)
+        R = _rk4_blocks_batch(pot, ks, [(a, b), (a, mid), (mid, b)], steps)
+        # times 1/15: numpy divides a complex array by 15.0 as by a
+        # complex number, which would move the last bit of the real part
+        inner = (16.0 * (R[2] @ R[1]) - R[0]) * (1.0 / 15.0)
+    else:
+        inner = _rk4_blocks_batch(pot, ks, [(a, b)], steps)[0]
+    return (_analytic_blocks_batch(k2, 0.0, L - b) @ inner
             @ _analytic_blocks_batch(k2, 0.0, a))
 
 
 def transfer_matrices_real(bond, ks, *, steps: int = 1200,
-                           derivative: bool = False):
+                           derivative: bool = False,
+                           richardson: bool = False):
     """Batched transfer matrices over an array of k.
 
-    With derivative=True returns (T, dT/dk) from one pass at the complex
-    k + i KSTEP (Squire and Trapp, SIAM Rev. 40, 1998): KSTEP^2
-    underflows, so T is bitwise that of the real pass and dT/dk carries
-    no cancellation.
+    With richardson=True the RK4 block is (16 T(2 steps) - T(steps))/15,
+    the step error extrapolated away; the pass of `steps` steps over the
+    support and the two halves of the pass of 2 * steps steps run as one
+    batch of three column groups, each `steps` steps long.  The free
+    stretches on either side stay exact, and a closed-form bond returns
+    its plain T.  With derivative=True returns (T, dT/dk) from one pass
+    at the complex k + i KSTEP (Squire and Trapp, SIAM Rev. 40, 1998):
+    KSTEP^2 underflows, so T is bitwise that of the real pass and dT/dk
+    carries no cancellation.
     """
     ks = np.asarray(ks, dtype=float)
     if not derivative:
-        return _transfer(bond, ks, steps)
-    T = _transfer(bond, ks + 1j * KSTEP, steps)
+        return _transfer(bond, ks, steps, richardson)
+    T = _transfer(bond, ks + 1j * KSTEP, steps, richardson)
     return T.real, T.imag / KSTEP

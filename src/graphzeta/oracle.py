@@ -59,12 +59,10 @@ def _rk4_steps(graph, k_max: float) -> int:
 
 
 def _matrices(graph, mc, ks, steps, threads):
-    """(S, dS/dk) with the transfer step error extrapolated away."""
-    s1, d1 = secular_matrices_real(graph, mc, ks, steps=steps,
-                                   threads=threads, derivative=True)
-    s2, d2 = secular_matrices_real(graph, mc, ks, steps=2 * steps,
-                                   threads=threads, derivative=True)
-    return (16.0 * s2 - s1) / 15.0, (16.0 * d2 - d1) / 15.0
+    """(S, dS/dk) with the transfer step error extrapolated away: one
+    pass whose RK4 blocks are (16 T(2 steps) - T(steps))/15."""
+    return secular_matrices_real(graph, mc, ks, steps=steps, threads=threads,
+                                 derivative=True, richardson=True)
 
 
 def _singulars(graph, mc, ks, steps, threads):

@@ -129,10 +129,14 @@ def _assemble_real(graph, mc, transfer_blocks, nk, unit=1.0):
 
 
 def secular_matrices_real(graph, mc, ks, *, steps: int = 1200,
-                          threads: int = 1, derivative: bool = False):
+                          threads: int = 1, derivative: bool = False,
+                          richardson: bool = False):
     """Real-axis secular matrices S(k) over an array of k; with
     derivative=True the pair (S, dS/dk), both from one pass of the
-    transfer matrices.
+    transfer matrices.  With richardson=True the transfer matrices are
+    Richardson-extrapolated from steps to 2 * steps RK4 steps in that
+    one pass (see transfer_matrices_real); S is affine in them, so that
+    extrapolates S and dS/dk alike.
 
     The transfer matrices hold nearly all of the cost and are computed k
     by k, so `threads` threads each fill one contiguous chunk of ks into
@@ -147,7 +151,8 @@ def secular_matrices_real(graph, mc, ks, *, steps: int = 1200,
     def fill(lo, hi):
         for b, bond in enumerate(graph.bonds):
             blocks[:, b, lo:hi] = transfer_matrices_real(
-                bond, ks[lo:hi], steps=steps, derivative=derivative)
+                bond, ks[lo:hi], steps=steps, derivative=derivative,
+                richardson=richardson)
 
     if threads == 1:
         fill(0, len(ks))

@@ -83,7 +83,11 @@ def integral(g, s, tol, complex_path=False):
     a float.  Near the noise
     floor of the integrands built on bond solves quadpack reports
     roundoff; the estimate of that piece is then kept at least at epsabs.
+    Every tolerance a caller passes reaches this driver, which refuses
+    one outside 0 < tol < inf.
     """
+    if not 0.0 < tol < math.inf:
+        raise UnsupportedError("tol must be finite and positive")
     s = complex(s)
     w = 2.0 - 2.0 * s.real
     p = 1.0 / w
@@ -228,6 +232,11 @@ def _bond_floor(bond) -> float:
     return math.sqrt(-vmin) + 1e-6 if vmin < 0.0 else 0.0
 
 
+def _check_s(s: complex) -> None:
+    if not cmath.isfinite(s):
+        raise UnsupportedError("s must be finite")
+
+
 def _check_gamma(floor: float, gamma: float, what: str) -> None:
     if not 0.0 <= gamma < math.inf:
         raise UnsupportedError("gamma must be finite and nonnegative")
@@ -274,6 +283,7 @@ def zeta_dir_bond(bond, s, gamma: float = 0.0, *,
                   tol: float = 1e-9) -> ZetaEvaluation:
     """Zeta function of the bond detached with Dirichlet ends."""
     s = complex(s)
+    _check_s(s)
     if not -1.0 < s.real < 1.0:
         raise UnsupportedError("zeta_dir is represented in -1 < Re s < 1")
     if abs(s - 0.5) < 1e-9:
@@ -325,6 +335,7 @@ def zeta_im(graph, mc, s, gamma: float = 0.0, *,
             tol: float = 1e-9) -> ZetaEvaluation:
     """Secular part of the zeta function."""
     s = complex(s)
+    _check_s(s)
     _require_local(mc, "zeta_im")
     _check_gamma(graph.spectral_floor(), gamma, "zeta_im")
     asym = asymptotic_F_coefficients(graph, mc)

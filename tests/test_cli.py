@@ -190,6 +190,15 @@ def test_zeta_and_energy_refuse_non_finite_arguments(tmp_path):
         assert main(["energy", "--graph", path, "--mu", value]) == 4
 
 
+def test_zeta_refuses_non_finite_s_and_bad_tol(tmp_path):
+    path = write(tmp_path, INTERVAL)
+    for s in ("0.75,inf", "0.75,nan", "nan", "inf"):
+        assert main(["zeta", "--graph", path, f"--s={s}"]) == 4
+    for tol in ("nan", "-1", "0", "inf"):
+        assert main(["zeta", "--graph", path, "--s", "0.75",
+                     f"--tol={tol}"]) == 4
+
+
 def test_parser_requires_command_arguments():
     parser = build_parser()
     with pytest.raises(SystemExit):

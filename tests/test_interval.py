@@ -295,6 +295,33 @@ def test_transfer_matrix_derivative_matches_difference():
         assert np.all(np.abs(dT - diff).max(axis=(1, 2)) <= 1e-9 * scale)
 
 
+def test_transfer_matrix_richardson_pair_in_one_pass():
+    # the batched pair (steps-step pass and the two halves of the
+    # 2 steps-step pass) against two plain passes extrapolated afterwards
+    ks = np.concatenate([[0.0, 1e-6, 1e-3], np.linspace(0.01, 215.0, 96)])
+    scale = np.maximum(ks, 1.0)
+    D = np.stack([np.ones_like(ks), scale], -1)
+    for graph_mc in (make_bump_interval(),
+                     make_bump_interval(height=-3.0),
+                     make_bump_interval(height=100.0),
+                     make_bump_interval(center=0.35, half_width=0.2,
+                                        height=4.0)):
+        bond = graph_mc[0].bonds[0]
+        got = transfer_matrices_real(bond, ks, richardson=True)
+        ref = (16.0 * transfer_matrices_real(bond, ks, steps=2400)
+               - transfer_matrices_real(bond, ks)) / 15.0
+        err = np.abs(got - ref) * D[:, None, :] / D[:, :, None]
+        size = np.abs(ref) * D[:, None, :] / D[:, :, None]
+        assert np.all(err.max(axis=(1, 2)) <= 1e-12 * size.max(axis=(1, 2)))
+        T, _ = transfer_matrices_real(bond, ks, derivative=True,
+                                      richardson=True)
+        assert np.array_equal(T, got)
+    bond = make_interval(1.0, potential={"kind": "constant",
+                                         "value": 3.0})[0].bonds[0]
+    assert np.array_equal(transfer_matrices_real(bond, ks, richardson=True),
+                          transfer_matrices_real(bond, ks))
+
+
 def closed_form_dT(k, c, L=1.0):
     """dT/dk across a stretch of constant potential c, in 40 digits."""
     with mpmath.workdps(40):

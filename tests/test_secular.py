@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import BUMP, make_chain, make_circle, make_interval, make_star
+from conftest import (BUMP, from_doc, make_chain, make_circle, make_interval,
+                      make_star)
 from graphzeta import (F_imag, NumericalError, asymptotic_F_coefficients,
                        dF_dL_imag, replace_bond_length)
 from graphzeta.secular import secular_matrices_real
@@ -31,6 +32,31 @@ def test_secular_matrix_shape_and_locality():
     graph, mc = make_star(1.0)
     S = secular_matrices_real(graph, mc, np.array([1.3]))
     assert S.shape == (1, 6, 6)
+
+
+def test_real_matrices_independent_of_thread_split():
+    # bumps with different supports on two bonds, and an odd number of k
+    # so the chunks differ in size
+    graph, mc = from_doc({
+        "vertices": 4,
+        "bonds": [{"id": 1, "origin": 1, "terminus": 2, "length": 1.0,
+                   "potential": BUMP},
+                  {"id": 2, "origin": 2, "terminus": 3, "length": 1.3},
+                  {"id": 3, "origin": 3, "terminus": 4, "length": 0.8,
+                   "potential": {"kind": "bump", "center": 0.3,
+                                 "half_width": 0.2, "height": -2.0}}],
+        "matching": {"mode": "per_vertex", "vertices": [
+            {"vertex": 1, "kind": "dirichlet"},
+            {"vertex": 2, "kind": "delta", "lambda": 0.5},
+            {"vertex": 3, "kind": "delta", "lambda": 0.0},
+            {"vertex": 4, "kind": "neumann"}]}})
+    ks = np.linspace(0.0, 40.0, 7)
+    one = secular_matrices_real(graph, mc, ks, threads=1, derivative=True,
+                                richardson=True)
+    two = secular_matrices_real(graph, mc, ks, threads=2, derivative=True,
+                                richardson=True)
+    for a, b in zip(one, two):
+        assert np.array_equal(a, b)
 
 
 def test_F_imag_positive_secular_function():

@@ -96,6 +96,28 @@ def test_zeta_refuses_non_finite_gamma():
                 call()
 
 
+def test_zeta_refuses_non_finite_s():
+    graph, mc = make_star(1.0)
+    for s in (complex(0.75, math.inf), complex(0.75, math.nan),
+              complex(math.nan, 0.0), complex(math.inf, 0.0)):
+        for call in (lambda: zeta_dir_bond(graph.bonds[0], s),
+                     lambda: zeta_im(graph, mc, s),
+                     lambda: zeta_total(graph, mc, s)):
+            with pytest.raises(UnsupportedError, match="s must be finite"):
+                call()
+
+
+def test_zeta_refuses_tolerance_outside_range():
+    graph, mc = make_star(1.0)
+    for tol in (math.nan, -1.0, 0.0, math.inf):
+        for call in (lambda: zeta_dir_bond(graph.bonds[0], 0.75, tol=tol),
+                     lambda: zeta_im(graph, mc, 0.75, tol=tol),
+                     lambda: zeta_total(graph, mc, 0.75, tol=tol),
+                     lambda: minus_half_data(graph, mc, tol=tol)):
+            with pytest.raises(UnsupportedError, match="tol"):
+                call()
+
+
 def test_zeta_rejects_global_conditions():
     import json
 
