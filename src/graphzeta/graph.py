@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import GraphFormatError, ValidationError
-from .potentials import ZeroPotential, potential_from_dict
+from .potentials import ZeroPotential, _as_float, potential_from_dict
 
 VERTEX_KINDS = ("dirichlet", "neumann", "delta", "custom")
 
@@ -209,13 +209,9 @@ def require_valid(graph: MetricGraph, mc: MatchingConditions) -> None:
                               + "\n".join(report.lines()))
 
 
-def _as_float(x, what: str) -> float:
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
-        raise GraphFormatError(f"{what} must be a real number")
-    v = float(x)
-    if not math.isfinite(v):
-        raise GraphFormatError(f"{what} must be finite")
-    return v
+def _is_int(x) -> bool:
+    # a JSON true or false arrives as bool, which subclasses int
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _as_complex(x, what: str) -> complex:
@@ -253,7 +249,7 @@ def parse_graph(text: str, validate: bool = True):
         matching_doc = doc["matching"]
     except KeyError as exc:
         raise GraphFormatError(f"missing top-level field {exc}") from exc
-    if not isinstance(vcount, int) or vcount < 1:
+    if not _is_int(vcount) or vcount < 1:
         raise GraphFormatError("'vertices' must be a positive integer")
     if not isinstance(bond_docs, list) or not bond_docs:
         raise GraphFormatError("'bonds' must be a non-empty list")
@@ -273,13 +269,13 @@ def parse_graph(text: str, validate: bool = True):
             length = _as_float(bd["length"], "bond length")
         except KeyError as exc:
             raise GraphFormatError(f"bond missing field {exc}") from exc
-        if not isinstance(bid, int) or isinstance(bid, bool) or not 1 <= bid <= nb:
+        if not _is_int(bid) or not 1 <= bid <= nb:
             raise GraphFormatError(
                 f"bond id must be an integer between 1 and {nb}, got {bid!r}")
         if bid in seen_ids:
             raise GraphFormatError(f"duplicate bond id {bid}")
         seen_ids.add(bid)
-        if not isinstance(origin, int) or not isinstance(terminus, int):
+        if not _is_int(origin) or not _is_int(terminus):
             raise GraphFormatError(f"bond {bid}: endpoints must be integers")
         if not (1 <= origin <= vcount and 1 <= terminus <= vcount):
             raise GraphFormatError(
@@ -319,7 +315,7 @@ def parse_graph(text: str, validate: bool = True):
                 kind = entry["kind"]
             except KeyError as exc:
                 raise GraphFormatError(f"vertex entry missing {exc}") from exc
-            if not isinstance(v, int) or not 1 <= v <= vcount:
+            if not _is_int(v) or not 1 <= v <= vcount:
                 raise GraphFormatError(
                     f"vertex index must be an integer between 1 and {vcount}, "
                     f"got {v!r}")

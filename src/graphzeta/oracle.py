@@ -58,15 +58,15 @@ def _rk4_steps(graph, k_max: float) -> int:
     return max(1200, int(6.0 * (k_max + 1.0) * width))
 
 
-def _matrices(graph, mc, ks, steps, threads):
+def _matrices(graph, mc, ks, steps):
     """(S, dS/dk) with the transfer step error extrapolated away: one
     pass whose RK4 blocks are (16 T(2 steps) - T(steps))/15."""
-    return secular_matrices_real(graph, mc, ks, steps=steps, threads=threads,
-                                 derivative=True, richardson=True)
+    return secular_matrices_real(graph, mc, ks, steps=steps, derivative=True,
+                                 richardson=True)
 
 
-def _singulars(graph, mc, ks, steps, threads):
-    S = secular_matrices_real(graph, mc, ks, steps=steps, threads=threads)
+def _singulars(graph, mc, ks, steps):
+    S = secular_matrices_real(graph, mc, ks, steps=steps)
     return np.linalg.svd(S, compute_uv=False)
 
 
@@ -84,7 +84,7 @@ def _pencil_steps(S, dS, shift):
                              where=mu != 0.0)
 
 
-def _newton(graph, mc, starts, dk, steps, threads):
+def _newton(graph, mc, starts, dk, steps):
     """Roots of det S(k) by Newton steps k <- k + delta on the secular
     pencil, from every start at once (successive linear problems; Ruhe,
     SIAM J. Numer. Anal. 10, 1973).
@@ -98,7 +98,7 @@ def _newton(graph, mc, starts, dk, steps, threads):
     linearly).  Returns k + delta for each converged iterate, sorted, and
     S at k.
     """
-    S, dS = _matrices(graph, mc, starts, steps, threads)
+    S, dS = _matrices(graph, mc, starts, steps)
     # any shift inside the cell serves; see _pencil_steps
     deltas = _pencil_steps(S, dS, 0.5 * dk)
     row, col = np.nonzero(np.abs(deltas) < dk)
@@ -107,7 +107,7 @@ def _newton(graph, mc, starts, dk, steps, threads):
     for _ in range(NEWTON_STEPS):
         if not len(ks):
             break
-        S, dS = _matrices(graph, mc, ks, steps, threads)
+        S, dS = _matrices(graph, mc, ks, steps)
         deltas = _pencil_steps(S, dS, 0.5 * dk)
         delta = deltas[np.arange(len(ks)), np.argmin(np.abs(deltas), axis=1)]
         done = np.abs(delta) < NEWTON_TOL
@@ -120,11 +120,11 @@ def _newton(graph, mc, starts, dk, steps, threads):
     return roots[order], np.concatenate(mats)[order]
 
 
-def _scan_once(graph, mc, k_max, dk, steps, threads):
+def _scan_once(graph, mc, k_max, dk, steps):
     m = int(math.ceil(k_max / dk)) + 1
     ks = np.linspace(0.0, k_max, m)
     dk = ks[1] - ks[0]
-    svals = _singulars(graph, mc, ks, steps, threads)
+    svals = _singulars(graph, mc, ks, steps)
     sigma = svals[:, -1]
     with np.errstate(divide="ignore"):
         logdet = np.sum(np.log(svals), axis=-1)
@@ -159,7 +159,7 @@ def _scan_once(graph, mc, k_max, dk, steps, threads):
     roots = []
     total = 0
     if len(starts):
-        found, mats = _newton(graph, mc, starts, dk, steps, threads)
+        found, mats = _newton(graph, mc, starts, dk, steps)
         # iterates that converged onto one root, from neighbouring dips or
         # from the two pencil eigenvalues of a double root, agree to
         # within NEWTON_TOL
@@ -199,9 +199,10 @@ def scan_spectrum(graph, mc, k_max: float, *, threads: int = 1) -> SpectrumWindo
     and both Richardson-extrapolated in the RK4 step count.  The singular
     values of S at each converged root confirm it and give its
     multiplicity.  A Weyl-count anomaly triggers one rescan at dk/4
-    before giving up.  The coarse grid and every Newton step split their
-    transfer matrices over `threads` threads; the output is independent
-    of the thread count.
+    before giving up.  The scan runs on the calling thread: `threads`
+    must be at least 1 but reaches no computation, and is removed in the
+    benchmark-only change of ROADMAP item 6 that drops the benchmark's
+    threads = 2 operation.
     """
     if not math.isfinite(k_max):
         raise UnsupportedError("k_max must be finite")
@@ -212,11 +213,11 @@ def scan_spectrum(graph, mc, k_max: float, *, threads: int = 1) -> SpectrumWindo
     dk = math.pi / (16.0 * graph.total_length())
     steps = _rk4_steps(graph, k_max)
     try:
-        return _scan_once(graph, mc, k_max, dk, steps, threads)
+        return _scan_once(graph, mc, k_max, dk, steps)
     except _WeylAnomaly:
         pass
     try:
-        return _scan_once(graph, mc, k_max, dk / 4.0, steps, threads)
+        return _scan_once(graph, mc, k_max, dk / 4.0, steps)
     except _WeylAnomaly as exc:
         raise NumericalError(str(exc)) from None
 

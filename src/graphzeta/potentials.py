@@ -198,6 +198,16 @@ class BumpPotential:
                 "half_width": self.half_width, "height": self.height}
 
 
+def _as_float(x, what: str) -> float:
+    """A finite real number from a JSON document, or GraphFormatError."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise GraphFormatError(f"{what} must be a real number")
+    v = float(x)
+    if not math.isfinite(v):
+        raise GraphFormatError(f"{what} must be finite")
+    return v
+
+
 def potential_from_dict(data: dict):
     if not isinstance(data, dict) or "kind" not in data:
         raise GraphFormatError("potential must be an object with a 'kind'")
@@ -206,11 +216,13 @@ def potential_from_dict(data: dict):
         if kind == "zero":
             return ZeroPotential()
         if kind == "constant":
-            return ConstantPotential(c=float(data["value"]))
+            return ConstantPotential(
+                c=_as_float(data["value"], "constant potential value"))
         if kind == "bump":
-            return BumpPotential(center=float(data["center"]),
-                                 half_width=float(data["half_width"]),
-                                 height=float(data["height"]))
+            return BumpPotential(
+                center=_as_float(data["center"], "bump center"),
+                half_width=_as_float(data["half_width"], "bump half_width"),
+                height=_as_float(data["height"], "bump height"))
     except KeyError as exc:
         raise GraphFormatError(f"potential '{kind}' missing field {exc}") from exc
     raise GraphFormatError(f"unknown potential kind '{kind}'")

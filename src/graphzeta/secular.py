@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,43 +128,24 @@ def _assemble_real(graph, mc, transfer_blocks, nk, unit=1.0):
 
 
 def secular_matrices_real(graph, mc, ks, *, steps: int = 1200,
-                          threads: int = 1, derivative: bool = False,
-                          richardson: bool = False):
+                          derivative: bool = False, richardson: bool = False):
     """Real-axis secular matrices S(k) over an array of k; with
     derivative=True the pair (S, dS/dk), both from one pass of the
     transfer matrices.  With richardson=True the transfer matrices are
     Richardson-extrapolated from steps to 2 * steps RK4 steps in that
     one pass (see transfer_matrices_real); S is affine in them, so that
     extrapolates S and dS/dk alike.
-
-    The transfer matrices hold nearly all of the cost and are computed k
-    by k, so `threads` threads each fill one contiguous chunk of ks into
-    one shared array; the result does not depend on the split.  Smaller
-    chunks run slower, because every numpy call takes the interpreter
-    lock.  The assembly stays on the calling thread: assembling in the
-    workers left their allocator arenas holding the (nk, n, n) buffers.
     """
     ks = np.asarray(ks, dtype=float)
-    blocks = np.empty((1 + derivative, graph.bond_count, len(ks), 2, 2))
-
-    def fill(lo, hi):
-        for b, bond in enumerate(graph.bonds):
-            blocks[:, b, lo:hi] = transfer_matrices_real(
-                bond, ks[lo:hi], steps=steps, derivative=derivative,
-                richardson=richardson)
-
-    if threads == 1:
-        fill(0, len(ks))
-    else:
-        edges = np.linspace(0, len(ks), threads + 1).astype(int)
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            for f in [ex.submit(fill, lo, hi)
-                      for lo, hi in zip(edges[:-1], edges[1:])]:
-                f.result()
-    S = _assemble_real(graph, mc, blocks[0], len(ks))
+    blocks = [transfer_matrices_real(bond, ks, steps=steps,
+                                     derivative=derivative,
+                                     richardson=richardson)
+              for bond in graph.bonds]
     if not derivative:
-        return S
-    return S, _assemble_real(graph, mc, blocks[1], len(ks), unit=0.0)
+        return _assemble_real(graph, mc, blocks, len(ks))
+    T, dT = zip(*blocks)
+    return (_assemble_real(graph, mc, T, len(ks)),
+            _assemble_real(graph, mc, dT, len(ks), unit=0.0))
 
 
 # ---------------------------------------------------------------------------

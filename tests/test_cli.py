@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from graphzeta.cli import RunConfig, build_parser, main, run
+from graphzeta.cli import build_parser, main, run
 
 INTERVAL = {
     "vertices": 2,
@@ -43,15 +43,10 @@ def write(tmp_path, doc, name="graph.json"):
 
 def invoke(argv):
     out, err = io.StringIO(), io.StringIO()
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    config = RunConfig(command=args.command, graph_path=args.graph,
-                       k_max=args.k_max, s=args.s, gamma=args.gamma,
-                       mu=args.mu, bond=args.bond, fmt=args.fmt,
-                       tol=args.tol, threads=args.threads)
+    args = build_parser().parse_args(argv)
     from graphzeta.errors import GraphZetaError
     try:
-        rc = run(config, out=out, err=err)
+        rc = run(args, out=out, err=err)
     except GraphZetaError as exc:
         print(f"error: {exc}", file=err)
         rc = exc.exit_code
@@ -170,10 +165,25 @@ def test_exit_codes(tmp_path):
     assert rc == 4
 
 
-def test_spectrum_refuses_zero_threads(tmp_path):
+def test_commands_refuse_options_they_do_not_read(tmp_path):
     path = write(tmp_path, INTERVAL)
-    assert main(["spectrum", "--graph", path, "--k-max", "10",
-                 "--threads", "0"]) == 4
+    for argv in (["energy", "--tol", "nan"],
+                 ["force", "--bond", "1", "--tol=-1"],
+                 ["spectrum", "--k-max", "10", "--tol", "nan"],
+                 ["validate", "--k-max", "nan"],
+                 ["energy", "--threads", "5"],
+                 ["spectrum", "--k-max", "10", "--threads", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], "--graph", path] + argv[1:])
+        assert exc.value.code == 2, argv
+
+
+def test_malformed_potential_is_a_format_error(tmp_path):
+    doc = json.loads(json.dumps(INTERVAL))
+    doc["bonds"][0]["potential"] = {"kind": "constant", "value": math.inf}
+    path = write(tmp_path, doc)
+    assert main(["validate", "--graph", path]) == 2
+    assert main(["spectrum", "--graph", path, "--k-max", "10"]) == 2
 
 
 def test_spectrum_refuses_non_finite_k_max(tmp_path):
@@ -204,7 +214,7 @@ def test_parser_requires_command_arguments():
     with pytest.raises(SystemExit):
         parser.parse_args(["zeta"])
     with pytest.raises(SystemExit):
-        parser.parse_args(["spectrum", "--graph", "g.json", "--s", "zz"])
+        parser.parse_args(["zeta", "--graph", "g.json", "--s", "zz"])
 
 
 def test_main_entry_point(tmp_path):

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -80,6 +81,14 @@ def test_serialize_roundtrip():
                       "height": 1.0}), "strictly inside"),
     (lambda d: d["bonds"][0].__setitem__("potential", {"kind": "well"}),
      "potential kind"),
+    # JSON true is a Python bool, which subclasses int
+    (lambda d: d.__setitem__("vertices", True), "'vertices' must be"),
+    (lambda d: d["bonds"][0].__setitem__("origin", True),
+     "endpoints must be integers"),
+    (lambda d: d["bonds"][0].__setitem__("terminus", True),
+     "endpoints must be integers"),
+    (lambda d: d["matching"]["vertices"][0].__setitem__("vertex", True),
+     "vertex index"),
 ])
 def test_parse_rejects(mutate, fragment):
     doc = interval_doc()
@@ -102,6 +111,22 @@ def test_parse_rejects_duplicate_ids():
         {"id": 1, "origin": 2, "terminus": 3, "length": 1.0}]
     doc["matching"]["vertices"].append({"vertex": 3, "kind": "dirichlet"})
     with pytest.raises(GraphFormatError, match="duplicate"):
+        parse_graph(json.dumps(doc))
+
+
+@pytest.mark.parametrize("value, fragment", [
+    (math.inf, "finite"), (math.nan, "finite"), ("abc", "real number"),
+    ([0.3], "real number"), ("2.5", "real number"), (True, "real number")])
+@pytest.mark.parametrize("field", ["value", "center", "half_width", "height"])
+def test_parse_rejects_malformed_potential_numbers(field, value, fragment):
+    if field == "value":
+        pot = {"kind": "constant", "value": value}
+    else:
+        pot = {"kind": "bump", "center": 0.5, "half_width": 0.1,
+               "height": 1.0, field: value}
+    doc = interval_doc()
+    doc["bonds"][0]["potential"] = pot
+    with pytest.raises(GraphFormatError, match=fragment):
         parse_graph(json.dumps(doc))
 
 

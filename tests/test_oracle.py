@@ -116,14 +116,6 @@ def test_scan_respects_weyl_count():
     assert abs(window.count - weyl) < 4.0
 
 
-def test_scan_threads_give_the_same_roots():
-    graph, mc = make_chain((1.0, 1.0, 1.0), bump=BUMP)
-    one = scan_spectrum(graph, mc, 215.0, threads=1)
-    two = scan_spectrum(graph, mc, 215.0, threads=2)
-    assert len(one.roots) > 100
-    assert two.roots == one.roots
-
-
 def test_scan_rejects_thread_count_below_one():
     graph, mc = make_interval(1.0)
     for threads in (0, -2):

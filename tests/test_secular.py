@@ -34,14 +34,15 @@ def test_secular_matrix_shape_and_locality():
     assert S.shape == (1, 6, 6)
 
 
-def test_real_matrices_independent_of_thread_split():
-    # bumps with different supports on two bonds, and an odd number of k
-    # so the chunks differ in size
+def test_real_matrix_derivative_assembly():
+    # bumps with different supports on two bonds, and a flux whose phase
+    # multiplies the middle bond's blocks
     graph, mc = from_doc({
         "vertices": 4,
         "bonds": [{"id": 1, "origin": 1, "terminus": 2, "length": 1.0,
                    "potential": BUMP},
-                  {"id": 2, "origin": 2, "terminus": 3, "length": 1.3},
+                  {"id": 2, "origin": 2, "terminus": 3, "length": 1.3,
+                   "vector_potential": 0.7},
                   {"id": 3, "origin": 3, "terminus": 4, "length": 0.8,
                    "potential": {"kind": "bump", "center": 0.3,
                                  "half_width": 0.2, "height": -2.0}}],
@@ -51,12 +52,15 @@ def test_real_matrices_independent_of_thread_split():
             {"vertex": 3, "kind": "delta", "lambda": 0.0},
             {"vertex": 4, "kind": "neumann"}]}})
     ks = np.linspace(0.0, 40.0, 7)
-    one = secular_matrices_real(graph, mc, ks, threads=1, derivative=True,
-                                richardson=True)
-    two = secular_matrices_real(graph, mc, ks, threads=2, derivative=True,
-                                richardson=True)
-    for a, b in zip(one, two):
-        assert np.array_equal(a, b)
+    S, dS = secular_matrices_real(graph, mc, ks, derivative=True,
+                                  richardson=True)
+    assert np.array_equal(S, secular_matrices_real(graph, mc, ks,
+                                                   richardson=True))
+    h = 1e-4
+    diff = (secular_matrices_real(graph, mc, ks + h, richardson=True)
+            - secular_matrices_real(graph, mc, ks - h, richardson=True))
+    diff /= 2 * h
+    assert np.max(np.abs(dS - diff)) < 1e-7 * np.max(np.abs(dS))
 
 
 def test_F_imag_positive_secular_function():
