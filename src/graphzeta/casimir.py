@@ -12,10 +12,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import NumericalError, UnsupportedError
 from .graph import replace_bond_length
-from .interval import solve_imag_axis
-from .secular import asymptotic_F_coefficients, dF_dL_imag
+from .secular import (asymptotic_F_coefficients, bond_solutions,
+                      dlogF_dL_imag)
 from .zeta import (_probe_secular_zero, _require_local, integral,
                    minus_half_data, residues_at_minus_half)
 
@@ -71,8 +73,9 @@ def casimir_force(graph, mc, bond_id: str) -> ForceResult:
     Dirichlet part, whose length derivative is the logarithmic derivative
     u'(L)/u(L) (obtained from the reversed-orientation solve), and the
     interaction part, the exact length derivative of log F from
-    dF_dL_imag; both are t-integrals along the imaginary axis, and the
-    error estimate is their quadrature error.
+    dlogF_dL_imag; both are t-integrals along the imaginary axis, taken
+    as the two columns of one integral, and the error estimate is their
+    quadrature error.
     """
     _require_local(mc, "casimir_force")
     floor = graph.spectral_floor()
@@ -89,21 +92,24 @@ def casimir_force(graph, mc, bond_id: str) -> ForceResult:
     asym = asymptotic_F_coefficients(graph, mc, check=False)
     _probe_secular_zero(graph, mc, asym, 0.0)
 
-    def dirichlet_integrand(t):
+    b = graph.bonds.index(bond)
+
+    def g(t):
+        sols = bond_solutions(graph, t)
         # d/dL [log u(L) - t L] = u'(L)/u(L) - t; the reversed decaying
         # solution gives u'(L)/u(L) = -f'_rev(0).
-        f_rev = solve_imag_axis(bond, t, reverse=True).f_prime_at_0
-        return -(f_rev + t)
+        dirichlet = -(sols[b][1].f_prime_at_0 + t)
+        return np.stack((dirichlet,
+                         dlogF_dL_imag(graph, mc, bond_id, t, sols).real),
+                        axis=-1)
 
-    i_dir, e_dir = integral(dirichlet_integrand, 0.5, TOL)
-    i_int, e_int = integral(lambda t: dF_dL_imag(graph, mc, bond_id, t),
-                            0.5, TOL)
-    dirichlet_part = -i_dir / (2.0 * math.pi)
-    interaction_part = -i_int / (2.0 * math.pi)
+    (i_dir, i_int), (e_dir, e_int), _ = integral(g, 0.5, TOL)
+    dirichlet_part = float(-i_dir / (2.0 * math.pi))
+    interaction_part = float(-i_int / (2.0 * math.pi))
     return ForceResult(bond=bond_id, force=dirichlet_part + interaction_part,
                        dirichlet_part=dirichlet_part,
                        interaction_part=interaction_part,
-                       error_estimate=(e_dir + e_int) / (2.0 * math.pi))
+                       error_estimate=float(e_dir + e_int) / (2.0 * math.pi))
 
 
 def mu_sensitivity(graph, mc, bond_id: str, h: float = 1e-4) -> float:

@@ -1,13 +1,16 @@
 """Single-bond solutions of -f'' + V f = k^2 f on both spectral axes.
 
-Imaginary axis (k = i t): returns the boundary data entering the secular
-matrix, the derivative f'(0) of the solution decaying towards x = L, the
-logarithm of the Dirichlet solution u(L), and their t-derivatives.  Zero
-and constant potentials have closed forms; every other potential goes
-through one constant-perturbation sweep (Ixaru 1984; Ledoux, Van Daele and
-Vanden Berghe, ACM TOMS 31, 2005), whose segments are exact for a constant
-potential at every t, so one segment count serves all t.  All growth is
-kept in log form so large t L never overflows.
+Imaginary axis (k = i t): bond_solution returns, over an array of t, the
+boundary data entering the secular matrix, the derivative f'(0) of the
+solution decaying towards x = L, the logarithm of the Dirichlet solution
+u(L), and their t-derivatives; solve_imag_axis is the same at one t.
+Zero and constant potentials have closed forms, with their small- and
+large-x branches selected per node; every other potential goes through
+one constant-perturbation sweep (Ixaru 1984; Ledoux, Van Daele and
+Vanden Berghe, ACM TOMS 31, 2005), whose segments are exact for a
+constant potential at every t, so one segment count serves all t and
+all nodes sweep together.  All growth is kept in log form so large t L
+never overflows.
 
 Real axis: batched 2x2 transfer matrices for the magnetic-gauge-removed
 equation, used by the spectral scan.  Closed forms cover the free and
@@ -18,10 +21,9 @@ runs through the RK4 kernel as one batch.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,6 +32,7 @@ from .wkb import u_log_expansion
 
 CSTEP = 1e-30            # complex step for the t-derivatives
 KSTEP = 2.0 ** -600      # complex step for the real-axis k-derivative
+SWEEP_BLOCK = 64         # segments whose maps a sweep holds at once
 
 
 @dataclass(frozen=True)
@@ -42,98 +45,150 @@ class ImagAxisSolution:
     method: str
 
 
-def _cothm1(x: float) -> float:
+class BondSolution(NamedTuple):
+    """The fields of ImagAxisSolution as arrays over the nodes t, and
+    log u - t L computed without the cancellation of the difference."""
+
+    f_prime_at_0: np.ndarray
+    df_prime_at_0_dt: np.ndarray
+    log_u: np.ndarray
+    dlog_u_dt: np.ndarray
+    log_u_excess: np.ndarray
+
+    def take(self, mask) -> "BondSolution":
+        return BondSolution(*(a[mask] for a in self))
+
+
+def _cothm1(x):
     """coth(x) - 1 without cancellation for large x."""
-    if x > 350.0:
-        return 0.0
-    return 2.0 / math.expm1(2.0 * x)
+    return np.where(x > 350.0, 0.0, 2.0 / np.expm1(2.0 * np.minimum(x, 350.0)))
 
 
-def _coth_minus_inv(x: float) -> float:
+def _coth_minus_inv(x):
     """coth(x) - 1/x; series below x=0.15 avoids the 1/x cancellation."""
-    if x < 0.15:
-        x2 = x * x
-        return x * (1.0 / 3.0 + x2 * (-1.0 / 45.0 + x2 * (2.0 / 945.0
-                    + x2 * (-1.0 / 4725.0 + x2 * (2.0 / 93555.0)))))
-    return 1.0 / math.tanh(x) - 1.0 / x
+    x2 = x * x
+    series = x * (1.0 / 3.0 + x2 * (-1.0 / 45.0 + x2 * (2.0 / 945.0
+                  + x2 * (-1.0 / 4725.0 + x2 * (2.0 / 93555.0)))))
+    xs = np.maximum(x, 0.15)
+    return np.where(x < 0.15, series, 1.0 / np.tanh(xs) - 1.0 / xs)
 
 
-def _xcsch2_minus_coth(x: float) -> float:
+def _xcsch2_minus_coth(x):
     """x*csch(x)^2 - coth(x), same treatment."""
-    if x < 0.15:
-        x2 = x * x
-        return x * (-2.0 / 3.0 + x2 * (4.0 / 45.0 + x2 * (-4.0 / 315.0
-                    + x2 * (8.0 / 4725.0 + x2 * (-4.0 / 18711.0)))))
-    if x > 350.0:
-        return -1.0
-    s = math.sinh(x)
-    return x / (s * s) - 1.0 / math.tanh(x)
+    x2 = x * x
+    series = x * (-2.0 / 3.0 + x2 * (4.0 / 45.0 + x2 * (-4.0 / 315.0
+                  + x2 * (8.0 / 4725.0 + x2 * (-4.0 / 18711.0)))))
+    xs = np.clip(x, 0.15, 350.0)
+    s = np.sinh(xs)
+    mid = xs / (s * s) - 1.0 / np.tanh(xs)
+    return np.where(x < 0.15, series, np.where(x > 350.0, -1.0, mid))
 
 
-def _analytic(bond, t: float) -> ImagAxisSolution:
+def _analytic(bond, t) -> BondSolution:
     L = bond.length
     c = getattr(bond.potential, "c", 0.0)
-    kappa = math.sqrt(max(t * t + c, 0.0))
+    kappa = np.sqrt(np.maximum(t * t + c, 0.0))
     x = kappa * L
-    if x < 1e-8:
-        return ImagAxisSolution(
-            t=t,
-            f_prime_at_0=-1.0 / L - kappa * kappa * L / 3.0,
-            df_prime_at_0_dt=-2.0 * t * L / 3.0,
-            log_u=math.log(L) + x * x / 6.0,
-            dlog_u_dt=t * L * L / 3.0,
-            method="analytic")
-    return ImagAxisSolution(
-        t=t,
-        f_prime_at_0=-kappa / math.tanh(x) if x <= 350.0 else -kappa,
-        df_prime_at_0_dt=(t / kappa) * _xcsch2_minus_coth(x),
-        log_u=x - math.log(2.0 * kappa) + math.log(-math.expm1(-2.0 * x)),
-        dlog_u_dt=(t * L / kappa) * _coth_minus_inv(x),
-        method="analytic")
+    tiny = x < 1e-8
+    # the closed forms on the safe stand-ins ks, xs; the series below 1e-8
+    ks = np.where(tiny, 1.0, kappa)
+    xs = ks * L
+    return BondSolution(
+        np.where(tiny, -1.0 / L - kappa * kappa * L / 3.0,
+                 -ks / np.tanh(xs)),
+        np.where(tiny, -2.0 * t * L / 3.0, (t / ks) * _xcsch2_minus_coth(xs)),
+        np.where(tiny, math.log(L) + x * x / 6.0,
+                 xs - np.log(2.0 * ks) + np.log(-np.expm1(-2.0 * xs))),
+        np.where(tiny, t * L * L / 3.0, (t * L / ks) * _coth_minus_inv(xs)),
+        np.where(tiny, math.log(L) + x * x / 6.0 - t * L,
+                 L * c / (ks + t) - np.log(2.0 * ks)
+                 + np.log(-np.expm1(-2.0 * xs))))
 
 
-def _sweep(t: complex, w, V):
+def _segments(t, w, V):
+    """The segment maps of _sweep at the nodes t: T and P = q T at the
+    complex step, and log cosh(kappa w) - t w with its t-derivative.
+
+    They are evaluated in real arithmetic together with their
+    t-derivatives, which enter T and P as imaginary parts; below
+    |kappa w| = 1e-2 the series in z = q w^2 keep the derivative exact,
+    and a segment of width zero is the identity.
+    """
+    t = t[:, None]
+    w = w[:, None, :]
+    V = V[:, None, :]
+    q = t * t + V
+    dq = 2.0 * t
+    z = q * w * w
+    dz = dq * w * w
+    small = z < 1e-4
+    kappa = np.sqrt(np.where(small, 1.0, q))
+    y = np.where(small, 1.0, kappa * w)
+    dy = t / kappa * w
+    e = np.exp(-2.0 * y)
+    th = -np.expm1(-2.0 * y) / (1.0 + e)
+    tanhc = np.where(small, 1.0 + z * (-1.0 / 3.0 + z * (2.0 / 15.0
+                     - z * 17.0 / 315.0)), th / y)
+    dtanhc = np.where(small, dz * (-1.0 / 3.0 + z * (4.0 / 15.0
+                      - z * 51.0 / 315.0)), (1.0 - th * th - tanhc) * dy / y)
+    # log cosh(y) - t w; w (kappa - t) = w V / (kappa + t) spares it the
+    # cancellation
+    log_cosh = np.where(
+        small, z * (0.5 + z * (-1.0 / 12.0 + z / 45.0)) - t * w,
+        V * w / (kappa + t) + np.log1p(e) - math.log(2.0))
+    dlog_cosh = np.where(small, dz * (0.5 + z * (-1.0 / 6.0 + z / 15.0)),
+                         th * dy)
+    T = w * (tanhc + 1j * CSTEP * dtanhc)
+    return T, (q + 1j * CSTEP * dq) * T, log_cosh, dlog_cosh
+
+
+def _sweep(t, w, V):
     """Sweep from x = L, where f = 0 and f' = -1, across segments of widths
-    w and constant potentials V; returns (m, s) at the far end.
+    w and constant potentials V, one sweep per row of w and V and per
+    node of t, all at once; returns (m, s) at the far end, at the
+    complex step t + i CSTEP, with one row per sweep and one column per
+    node.
 
-    m = f/f' and s = log|f'| minus the free growth Re(t) * (swept length);
+    m = f/f' and s = log|f'| minus the free growth t * (swept length);
     keeping s of order one instead of t L keeps the absolute error of log u
     at rounding level, which the subtracted large-t integrands rely on.
 
     With q = t^2 + V, kappa = sqrt(q) and T = tanh(kappa w)/kappa, one
     segment is the exact map m <- (m - T)/(1 - m q T), with
-    log cosh(kappa w) + log(1 - m q T) added to log|f'|.  Below |kappa w| =
-    1e-2 the series in z = q w^2 keep the complex-step t-derivative exact.
+    log cosh(kappa w) + log(1 - m q T) added to log|f'|.  The segment
+    maps are formed SWEEP_BLOCK segments at a time, which bounds the
+    memory of a sweep over many nodes.
     """
-    q = t * t + V
-    z = q * w * w
-    small = np.abs(z) < 1e-4
-    kappa = np.sqrt(np.where(small, 1.0, q))
-    y = kappa * w
-    tanhc = np.where(small, 1.0 + z * (-1.0 / 3.0 + z * (2.0 / 15.0
-                     - z * 17.0 / 315.0)), np.tanh(y) / y)
-    # log cosh(y) - Re(t) w; w (kappa - t) = w V / (kappa + t) spares the
-    # real part the cancellation, and y carries the imaginary part whole
-    log_cosh = np.where(
-        small, z * (0.5 + z * (-1.0 / 12.0 + z / 45.0)) - t.real * w,
-        (V * w / (kappa + t)).real + 1j * y.imag
-        + np.log1p(np.exp(-2.0 * y)) - math.log(2.0))
-    T = w * tanhc
-    m = 0j
-    dens = []
-    for Ti, Pi in zip(T.tolist(), (q * T).tolist()):
-        d = 1.0 - m * Pi
-        m = (m - Ti) / d
-        dens.append(d)
-    return m, complex(log_cosh.sum() + np.log(dens).sum())
+    shape = (len(w), len(t))
+    m = np.zeros(shape, complex)
+    s = np.zeros(shape)
+    ds = np.zeros(shape)
+    for lo in range(0, w.shape[1], SWEEP_BLOCK):
+        block = slice(lo, lo + SWEEP_BLOCK)
+        T, P, log_cosh, dlog_cosh = _segments(t, w[:, block], V[:, block])
+        dens = np.empty_like(T)
+        for Ti, Pi, d in zip(np.moveaxis(T, -1, 0), np.moveaxis(P, -1, 0),
+                             np.moveaxis(dens, -1, 0)):
+            np.multiply(m, Pi, out=d)
+            np.subtract(1.0, d, out=d)
+            m -= Ti
+            m /= d
+        # 1 <= Re d, and Im d is of the order of the step: log d is
+        # log Re d + i Im d / Re d.  Summed per segment first: at large
+        # t both terms are near -+log 2.
+        s += (log_cosh + np.log(dens.real)).sum(axis=-1)
+        ds += (CSTEP * dlog_cosh.sum(axis=-1)
+               + (dens.imag / dens.real).sum(axis=-1))
+    return m, s + 1j * ds
 
 
-def _cpm(bond, t: float, reverse: bool) -> ImagAxisSolution:
+def _cpm(bond, t, reverse: bool) -> BondSolution:
     """Constant-perturbation sweep of the solution decaying towards x = L.
 
     The free stretches outside the support are one exact segment each;
     the support is cut into n midpoint segments, n fixed by the bond, and
-    Richardson-extrapolated from n to 2n.  t-derivatives come from a
+    Richardson-extrapolated from n to 2n.  The two sweeps run as one, the
+    n-segment one padded with empty segments.  t-derivatives come from a
     complex step through the same sweep.  By the Wronskian the Dirichlet
     solution has u(L) = f(0) = m0 f'(0).
     """
@@ -143,90 +198,88 @@ def _cpm(bond, t: float, reverse: bool) -> ImagAxisSolution:
     vmax = max(-pot.minimum(L), pot.maximum(L))
     n = max(200, math.ceil(200.0 * (b - a) * math.sqrt(vmax)))
     first, last = (a, L - b) if reverse else (L - b, a)
-    tc = complex(t, CSTEP)
-    ends = []
-    for k in (n, 2 * n):
+    w = np.zeros((2, 2 * n + 2))
+    V = np.zeros((2, 2 * n + 2))
+    for row, k in enumerate((n, 2 * n)):
         h = (b - a) / k
         mid = (np.arange(k) + 0.5) * h
-        x = a + mid if reverse else b - mid
-        w = np.concatenate(([first], np.full(k, h), [last]))
-        V = np.concatenate(([0.0], pot.value(x), [0.0]))
-        ends.append(_sweep(tc, w, V))
-    (m1, s1), (m2, s2) = ends
+        w[row, :k + 2] = np.concatenate(([first], np.full(k, h), [last]))
+        V[row, 1:k + 1] = pot.value(a + mid if reverse else b - mid)
+    (m1, m2), (s1, s2) = _sweep(t, w, V)
     m0 = (4.0 * m2 - m1) / 3.0
     s0 = (4.0 * s2 - s1) / 3.0
-    if not m0.real < 0.0:
+    lost = ~(m0.real < 0.0)
+    if lost.any():
         raise NumericalError(
-            f"bond '{bond.id}': solution lost decay at t={t}")
+            f"bond '{bond.id}': solution lost decay at t={t[lost][0]}")
     fp = 1.0 / m0
-    lu = s0 + cmath.log(-m0)
-    return ImagAxisSolution(
-        t=t,
-        f_prime_at_0=fp.real,
-        df_prime_at_0_dt=fp.imag / CSTEP,
-        log_u=t * L + lu.real,
-        dlog_u_dt=lu.imag / CSTEP,
-        method="cpm")
+    lu = s0 + np.log(-m0)
+    return BondSolution(fp.real, fp.imag / CSTEP, t * L + lu.real,
+                        lu.imag / CSTEP, lu.real)
 
 
-@lru_cache(maxsize=65536)
-def _solve_cached(bond, t: float, reverse: bool) -> ImagAxisSolution:
+def bond_solution(bond, t, *, reverse: bool = False) -> BondSolution:
+    """Boundary data of one bond at every node of the 1-d array t."""
     pot = bond.potential
     L = bond.length
-    if t < 0.0:
+    t = np.asarray(t, dtype=float)
+    if t.size and not t.min() >= 0.0:
         raise UnsupportedError("imaginary-axis parameter t must be >= 0")
     vmin = pot.minimum(L)
-    if vmin < 0.0 and t < math.sqrt(-vmin) + 1e-6:
+    if vmin < 0.0 and t.size and t.min() < math.sqrt(-vmin) + 1e-6:
         raise NumericalError(
-            f"bond '{bond.id}': t={t} below the spectral floor "
+            f"bond '{bond.id}': t={t.min()} below the spectral floor "
             f"{math.sqrt(-vmin) + 1e-6:.6g}")
     if pot.kind in ("zero", "constant"):
         return _analytic(bond, t)
+    if reverse and pot.symmetric(L):
+        reverse = False
     return _cpm(bond, t, reverse)
 
 
 def solve_imag_axis(bond, t, *, reverse: bool = False) -> ImagAxisSolution:
-    if reverse and bond.potential.symmetric(bond.length):
-        reverse = False
-    return _solve_cached(bond, float(t), bool(reverse))
+    """bond_solution at one t, as a record."""
+    t = float(t)
+    sol = bond_solution(bond, np.array([t]), reverse=reverse)
+    return ImagAxisSolution(
+        t, *(float(a[0]) for a in sol[:4]),
+        method="analytic" if bond.potential.kind in ("zero", "constant")
+        else "cpm")
 
 
-def dirichlet_subtracted_derivative(bond, t: float) -> float:
-    """d/dt of [log u(L;t) - tL + log 2t - sum_{j<=4} e_j t^-j].
+def dirichlet_subtracted_derivative(bond, t, sol=None):
+    """d/dt of [log u(L;t) - tL + log 2t - sum_{j<=4} e_j t^-j] over an
+    array of t > 0, or at one t; sol, the bond's solution at those t,
+    spares a second solve.
 
     Decays like t^-6; the closed-form branch avoids subtracting two O(L)
     quantities.
     """
+    t = np.asarray(t, dtype=float)
     L = bond.length
     pot = bond.potential
-    ej = u_log_expansion(bond)
-    corr = sum(j * e * t ** (-j - 1) for j, e in ej.items())
+    corr = sum(j * e * t ** (-j - 1) for j, e in u_log_expansion(bond).items())
     if pot.kind in ("zero", "constant"):
         c = getattr(pot, "c", 0.0)
-        kappa = math.sqrt(max(t * t + c, 0.0))
+        kappa = np.sqrt(np.maximum(t * t + c, 0.0))
         x = kappa * L
         base = (L * (t / kappa) * _cothm1(x)
                 - L * c / (kappa * (kappa + t))
                 + c / (t * kappa * kappa))
-        return base + corr
-    sol = solve_imag_axis(bond, t)
-    return sol.dlog_u_dt - L + 1.0 / t + corr
+        return (base + corr)[()]
+    if sol is None:
+        sol = bond_solution(bond, np.atleast_1d(t))
+    return (sol.dlog_u_dt.reshape(t.shape) - L + 1.0 / t + corr)[()]
 
 
-def dirichlet_log_u_subtracted(bond, t: float) -> float:
-    """log u(L;t) - tL, stable for the closed-form potentials."""
-    pot = bond.potential
-    L = bond.length
-    if pot.kind in ("zero", "constant"):
-        c = getattr(pot, "c", 0.0)
-        kappa = math.sqrt(max(t * t + c, 0.0))
-        x = kappa * L
-        if x < 1e-8:
-            return math.log(L) + x * x / 6.0 - t * L
-        return (L * c / (kappa + t) - math.log(2.0 * kappa)
-                + math.log(-math.expm1(-2.0 * x)))
-    sol = solve_imag_axis(bond, t)
-    return sol.log_u - t * L
+def dirichlet_log_u_subtracted(bond, t, sol=None):
+    """log u(L;t) - tL over an array of t, or at one t, without the
+    cancellation of the difference; sol as in
+    dirichlet_subtracted_derivative."""
+    t = np.asarray(t, dtype=float)
+    if sol is None:
+        sol = bond_solution(bond, np.atleast_1d(t))
+    return sol.log_u_excess.reshape(t.shape)[()]
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,13 @@
 Imaginary axis: F(it) = det(A + B M(t)) with M built from the decaying
 bond solutions; zeros of F on the real k axis are the eigenvalues.  The
 determinant is carried as (log|F|, phase) so products of exponentially
-large bond factors stay representable.
+large bond factors stay representable.  The kernels take an array of t:
+the bond solutions of all nodes (bond_solutions, shareable between
+kernels and with the Dirichlet parts), then M, dM/dt or dM/dL as one
+(t, 2B, 2B) stack, then one stacked slogdet (logF_imag) or one stacked
+solve and trace (logF_slope_imag, dlogF_dL_imag).  An exactly singular
+A + B M fails with NumericalError naming its t.  F_imag,
+logF_and_slope_imag and dF_dL_imag are the same at one t.
 
 Real axis: a pole-free parameterisation through bond transfer matrices,
 suitable for scanning; its smallest singular value vanishes exactly at
@@ -17,10 +23,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from .errors import NumericalError
-from .interval import solve_imag_axis, transfer_matrices_real
+from .interval import bond_solution, transfer_matrices_real
 from .wkb import wkb_coefficients
 
 UNDERFLOW_LOG = 690.0
@@ -33,70 +38,90 @@ class SecularValue:
     phase: float
 
 
-def secular_data_imag(graph, t: float):
-    """M(t) and dM/dt for the secular matrix A + B M."""
+def bond_solutions(graph, t):
+    """(forward, reverse) BondSolution of every bond at the nodes t; a
+    bond that reversal leaves unchanged shares one solve."""
+    out = []
+    for bond in graph.bonds:
+        fwd = bond_solution(bond, t)
+        rev = (fwd if bond.potential.symmetric(bond.length)
+               else bond_solution(bond, t, reverse=True))
+        out.append((fwd, rev))
+    return out
+
+
+def _secular_system(graph, mc, sols):
+    """K = A + B M, M and dM/dt, stacked over the nodes of sols."""
     B = graph.bond_count
     n = 2 * B
-    M = np.zeros((n, n), dtype=complex)
-    dM = np.zeros((n, n), dtype=complex)
-    for b, bond in enumerate(graph.bonds):
-        fwd = solve_imag_axis(bond, t)
-        rev = solve_imag_axis(bond, t, reverse=True)
-        M[b, b] = fwd.f_prime_at_0
-        dM[b, b] = fwd.df_prime_at_0_dt
-        M[B + b, B + b] = rev.f_prime_at_0
-        dM[B + b, B + b] = rev.df_prime_at_0_dt
-        if fwd.log_u < UNDERFLOW_LOG:
-            theta = bond.vector_potential * bond.length
-            w_in = cmath.exp(complex(-fwd.log_u, theta))
-            w_out = cmath.exp(complex(-fwd.log_u, -theta))
-            M[B + b, b] = w_in
-            M[b, B + b] = w_out
-            dM[B + b, b] = -fwd.dlog_u_dt * w_in
-            dM[b, B + b] = -fwd.dlog_u_dt * w_out
-    return M, dM
+    nt = len(sols[0][0].log_u)
+    M = np.zeros((nt, n, n), dtype=complex)
+    dM = np.zeros((nt, n, n), dtype=complex)
+    for b, (bond, (fwd, rev)) in enumerate(zip(graph.bonds, sols)):
+        M[:, b, b] = fwd.f_prime_at_0
+        dM[:, b, b] = fwd.df_prime_at_0_dt
+        M[:, B + b, B + b] = rev.f_prime_at_0
+        dM[:, B + b, B + b] = rev.df_prime_at_0_dt
+        # the off-diagonal exp(-log u) exp(+-i A L), dropped once it underflows
+        keep = fwd.log_u < UNDERFLOW_LOG
+        decay = np.where(keep, np.exp(-np.minimum(fwd.log_u, UNDERFLOW_LOG)),
+                         0.0)
+        phase = cmath.exp(1j * bond.vector_potential * bond.length)
+        M[:, B + b, b] = decay * phase
+        M[:, b, B + b] = decay * phase.conjugate()
+        dM[:, B + b, b] = -fwd.dlog_u_dt * M[:, B + b, b]
+        dM[:, b, B + b] = -fwd.dlog_u_dt * M[:, b, B + b]
+    return mc.A + mc.B @ M, M, dM
 
 
-def _det_log(K):
-    lu, piv = lu_factor(K, check_finite=False)
-    diag = np.diag(lu)
-    if np.any(diag == 0.0):
-        return -math.inf, 0.0, (lu, piv)
-    log_abs = float(np.sum(np.log(np.abs(diag))))
-    phase = float(np.sum(np.angle(diag)))
-    if np.count_nonzero(piv != np.arange(len(piv))) % 2:
-        phase += math.pi
-    phase = math.remainder(phase, 2.0 * math.pi)
-    if phase <= -math.pi:
-        phase += 2.0 * math.pi
-    return log_abs, phase, (lu, piv)
+def _vanished(t):
+    return NumericalError(f"secular determinant vanished at t={t}; "
+                          "an eigenvalue sits on the integration ray")
+
+
+def _solve(K, rhs, t):
+    """np.linalg.solve over the stack; an exactly singular K names its t."""
+    try:
+        return np.linalg.solve(K, rhs)
+    except np.linalg.LinAlgError:
+        singular = np.linalg.slogdet(K)[1] == -math.inf
+        raise _vanished(t[np.argmax(singular)]) from None
+
+
+def logF_imag(graph, mc, t, sols=None):
+    """(log|F|, phase of F) over the nodes t; log|F| is -inf where F
+    vanishes exactly, and the phase lies in (-pi, pi]."""
+    if sols is None:
+        sols = bond_solutions(graph, t)
+    sign, log_abs = np.linalg.slogdet(_secular_system(graph, mc, sols)[0])
+    phase = np.angle(sign)
+    return log_abs, np.where(phase <= -math.pi, math.pi, phase)
+
+
+def logF_slope_imag(graph, mc, t, sols=None):
+    """d/dt log F over the nodes t: tr[(A + B M)^-1 B M'], with M'
+    assembled from the solver's t-derivative outputs; no numerical
+    differentiation in t."""
+    if sols is None:
+        sols = bond_solutions(graph, t)
+    K, _, dM = _secular_system(graph, mc, sols)
+    return np.trace(_solve(K, mc.B @ dM, t), axis1=1, axis2=2)
 
 
 def F_imag(graph, mc, t: float) -> SecularValue:
-    M, _ = secular_data_imag(graph, t)
-    log_abs, phase, _ = _det_log(mc.A + mc.B @ M)
-    return SecularValue(t=t, log_abs=log_abs, phase=phase)
-
-
-def _secular_lu(graph, mc, t: float):
-    """M, dM/dt, log|F|, phase of F and the LU of A + B M, for F != 0."""
-    M, dM = secular_data_imag(graph, t)
-    log_abs, phase, lu = _det_log(mc.A + mc.B @ M)
-    if not math.isfinite(log_abs):
-        raise NumericalError(f"secular determinant vanished at t={t}; "
-                             "an eigenvalue sits on the integration ray")
-    return M, dM, log_abs, phase, lu
+    log_abs, phase = logF_imag(graph, mc, np.array([float(t)]))
+    return SecularValue(t=t, log_abs=float(log_abs[0]),
+                        phase=float(phase[0]))
 
 
 def logF_and_slope_imag(graph, mc, t: float):
-    """(SecularValue, d/dt log F) sharing one LU factorisation.
-
-    The derivative is tr[(A + B M)^-1 B M'], with M' assembled from the
-    solver's t-derivative outputs; no numerical differentiation in t.
-    """
-    M, dM, log_abs, phase, lu = _secular_lu(graph, mc, t)
-    X = lu_solve(lu, mc.B @ dM, check_finite=False)
-    return SecularValue(t=t, log_abs=log_abs, phase=phase), complex(np.trace(X))
+    """(SecularValue, d/dt log F) at one t, for F != 0."""
+    nodes = np.array([float(t)])
+    sols = bond_solutions(graph, nodes)
+    log_abs, phase = logF_imag(graph, mc, nodes, sols)
+    slope = logF_slope_imag(graph, mc, nodes, sols)
+    return (SecularValue(t=t, log_abs=float(log_abs[0]),
+                         phase=float(phase[0])), complex(slope[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -248,10 +273,10 @@ def _check_asymptotics(graph, mc, data: AsymptoticData) -> None:
                  for b in graph.bonds)
     t0 = max(100.0, 100.0 / lmin, 20.0 * math.sqrt(vscale) if vscale else 0.0)
     power = 2 * graph.bond_count - data.leading_power
+    ts = t0 * np.array([1.0, 10.0, 100.0])
     zs = []
-    for t in (t0, 10.0 * t0, 100.0 * t0):
-        sv = F_imag(graph, mc, t)
-        y = complex(sv.log_abs - power * math.log(t), sv.phase)
+    for t, log_abs, phase in zip(ts.tolist(), *logF_imag(graph, mc, ts)):
+        y = complex(log_abs - power * math.log(t), phase)
         yhat = cmath.log(data.c_lead) + sum(
             a / t ** j for j, a in enumerate(data.log_coeffs, start=1))
         diff = y - yhat
@@ -268,29 +293,37 @@ def _check_asymptotics(graph, mc, data: AsymptoticData) -> None:
             f"(deviation {slope_dev:.2e})")
 
 
-def dF_dL_imag(graph, mc, bond_id: str, t: float) -> complex:
-    """d/dL log F(it) in the length of one bond, moving its terminus.
+def dlogF_dL_imag(graph, mc, bond_id, t, sols=None):
+    """d/dL log F(it) over the nodes t, in the length of one bond, moving
+    its terminus.
 
-    tr[(A + B M)^-1 B dM/dL], sharing one LU factorisation of A + B M.
-    With u the Dirichlet solution (u(0) = 0, u'(0) = 1) and m = -u'(L)/u(L)
-    the reversed-orientation entry of M, the bond's block of dM/dL is
-    1/u(L)^2 on the forward diagonal, -(t^2 + V(L) - m^2) on the reverse
-    diagonal, and m + i A and m - i A times the off-diagonal entries
-    exp(+i A L)/u(L) and exp(-i A L)/u(L).  The solves it reads are the
-    ones M was built from, so no bond is solved twice.
+    tr[(A + B M)^-1 B dM/dL].  With u the Dirichlet solution (u(0) = 0,
+    u'(0) = 1) and m = -u'(L)/u(L) the reversed-orientation entry of M,
+    the bond's block of dM/dL is 1/u(L)^2 on the forward diagonal,
+    -(t^2 + V(L) - m^2) on the reverse diagonal, and m + i A and m - i A
+    times the off-diagonal entries exp(+i A L)/u(L) and exp(-i A L)/u(L).
+    The solves it reads are the ones M was built from, so no bond is
+    solved twice.
     """
     bond = graph.bond_by_id(bond_id)
     b = graph.bonds.index(bond)
     B = graph.bond_count
-    M, _, _, _, lu = _secular_lu(graph, mc, t)
-    fwd = solve_imag_axis(bond, t)
-    m_rev = M[B + b, B + b]
+    if sols is None:
+        sols = bond_solutions(graph, t)
+    K, M, _ = _secular_system(graph, mc, sols)
+    fwd = sols[b][0]
+    m_rev = M[:, B + b, B + b]
     phase = 1j * bond.vector_potential
     dM = np.zeros_like(M)
-    dM[b, b] = math.exp(-2.0 * fwd.log_u)
-    dM[B + b, B + b] = -(t * t + bond.potential.value_scalar(bond.length)
-                         - m_rev * m_rev)
-    dM[B + b, b] = (m_rev + phase) * M[B + b, b]
-    dM[b, B + b] = (m_rev - phase) * M[b, B + b]
-    X = lu_solve(lu, mc.B @ dM, check_finite=False)
-    return complex(np.trace(X))
+    dM[:, b, b] = np.exp(-2.0 * fwd.log_u)
+    dM[:, B + b, B + b] = -(t * t + bond.potential.value_scalar(bond.length)
+                            - m_rev * m_rev)
+    dM[:, B + b, b] = (m_rev + phase) * M[:, B + b, b]
+    dM[:, b, B + b] = (m_rev - phase) * M[:, b, B + b]
+    return np.trace(_solve(K, mc.B @ dM, t), axis1=1, axis2=2)
+
+
+def dF_dL_imag(graph, mc, bond_id: str, t: float) -> complex:
+    """dlogF_dL_imag at one t."""
+    return complex(dlogF_dL_imag(graph, mc, bond_id,
+                                 np.array([float(t)]))[0])

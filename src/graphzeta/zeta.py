@@ -14,29 +14,58 @@ from numerical differencing.
 With tau = sqrt(t^2 - gamma) that is integral_0^inf tau^(1-2s) g(tau)
 dtau, g = h'(t)/t, and so are the s = -1/2 integrals of minus_half_data
 and the Casimir integrals (s = 1/2, unit weight).  One driver, integral,
-evaluates them all: the substitution tau = z^(1/w) with adaptive quad on
-[0, 1] and the width-doubling panels on [1, inf) live there.
+evaluates them all with an adaptive 21-point Gauss-Kronrod rule that
+calls g once per refinement round on an array of nodes.  Every part of
+one call (the secular part, each bond's Dirichlet part) is one column of
+g, so the parts share their bond solves and their nodes.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 from scipy.special import gamma as gamma_fn, rgamma
 
 from .errors import NumericalError, UnsupportedError
-from .interval import (dirichlet_log_u_subtracted,
-                       dirichlet_subtracted_derivative, solve_imag_axis)
-from .secular import F_imag, asymptotic_F_coefficients, logF_and_slope_imag
+from .interval import (bond_solution, dirichlet_log_u_subtracted,
+                       dirichlet_subtracted_derivative)
+from .secular import (F_imag, _vanished, asymptotic_F_coefficients,
+                      bond_solutions, logF_imag, logF_slope_imag)
 from .wkb import d_constant, u_log_expansion
 
 DEPTH = 4
 SQRT_PI = math.sqrt(math.pi)
+MAX_INTERVALS = 200
+
+# 21-point Gauss-Kronrod rule on [-1, 1] (QUADPACK qk21, Piessens et al.
+# 1983): the Kronrod nodes x >= 0 and their weights, and the weights of
+# the embedded 10-point Gauss rule, whose nodes are every second x
+_XK = np.array([
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+    0.0])
+_WK = np.array([
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077208907236102, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821])
+_WG = np.array([
+    0.0, 0.066671344308688137593568809893332,
+    0.0, 0.149451349150580593145776339657697,
+    0.0, 0.219086362515982043995534934228163,
+    0.0, 0.269266719309996355091226921569469,
+    0.0, 0.295524224714752870173892994651338, 0.0])
+_GK_X = np.concatenate((-_XK[:-1], _XK[::-1]))
+_GK_W = np.concatenate((_WK[:-1], _WK[::-1]))
+_GK_WG = np.concatenate((_WG[:-1], _WG[::-1]))
 
 
 @dataclass(frozen=True)
@@ -46,6 +75,7 @@ class ZetaEvaluation:
     value: complex
     strip: tuple
     quadrature_error: float
+    nodes: int = 0              # integrand nodes of the rotated-axis integral
 
 
 @dataclass(frozen=True)
@@ -63,94 +93,184 @@ class MinusHalfData:
 # the rotated-axis integral
 
 
+def _gk21(f, half):
+    """Kronrod values and QUADPACK error estimates of the intervals whose
+    21 node values are f (intervals, 21, columns) and whose half-widths
+    are half; also the rounding floor 50 eps |f| of each estimate."""
+    resk = np.einsum("j,ijk->ik", _GK_W, f)
+    resg = np.einsum("j,ijk->ik", _GK_WG, f)
+    resabs = np.einsum("j,ijk->ik", _GK_W, np.abs(f))
+    resasc = np.einsum("j,ijk->ik", _GK_W, np.abs(f - 0.5 * resk[:, None]))
+    h = half[:, None]
+    err = np.abs(resk - resg) * h
+    resasc *= h
+    ratio = np.divide(200.0 * err, resasc, out=np.ones_like(err),
+                      where=resasc > 0.0)
+    err = np.where(err > 0.0, resasc * np.minimum(1.0, ratio) ** 1.5, err)
+    floor = 50.0 * np.finfo(float).eps * resabs * h
+    return resk * h, np.maximum(err, floor), floor
+
+
 def integral(g, s, tol, complex_path=False):
-    """(value, error) of integral_0^inf tau^(1-2s) g(tau) dtau.
+    """(value, error, nodes) of integral_0^inf tau^(1-2s) g(tau) dtau.
 
-    [0, 1] goes to one adaptive quad after tau = z^(1/w), w = 2 - 2 Re s,
-    which absorbs the endpoint power completely for real s (at s = 1/2
-    it is the identity); for complex s a bounded logarithmic oscillation
-    z^(-2i Im s / w) remains for the adaptive rule.
+    g maps a 1-d array of tau to an array with one row per tau and one
+    column per integrand (a 1-d array is one column); value and error
+    have one entry per column.  On
+    a real path only the real part of g is integrated and the value is
+    real; on a complex path the real and imaginary parts are separate
+    columns of the rule.  nodes counts the tau at which g was evaluated.
 
-    [1, inf) goes to width-doubling panels.  After each panel a local
-    power law is fitted; when the implied remainder is small it is added
-    as a correction and counted towards the error estimate.  Exponential
-    decay terminates even faster.  Once the samples fall to the rounding
-    floor of the bond solves the power fit goes blind, so a small
-    absolute floor also terminates, with the unresolvable remainder
-    charged to the error estimate.
+    [0, 1] is mapped by tau = z^(1/w), w = 2 - 2 Re s, which absorbs the
+    endpoint power completely for real s (at s = 1/2 it is the
+    identity); for complex s a bounded logarithmic oscillation
+    z^(-2i Im s / w) remains for the adaptive rule.  [1, inf) is mapped
+    by tau = e^y and cut at y = k log 2, where the first of two
+    successive samples of tau^(1-2s) g at tau = 2^k, k = 0..47, falls
+    below 1e-12 max(1, |value at tau = 1|); the remainder beyond,
+    estimated as that sample times 2^k, is charged to the error.  The
+    samples are taken twelve at a time until the cut shows, the first
+    twelve in the call that evaluates the head's first nodes.
 
-    On a real path only the real part of g is integrated and the value is
-    a float.  Near the noise
-    floor of the integrands built on bond solves quadpack reports
-    roundoff; the estimate of that piece is then kept at least at epsabs.
-    Every tolerance a caller passes reaches this driver, which refuses
-    one outside 0 < tol < inf.
+    Both pieces are intervals of one adaptive 21-point Gauss-Kronrod
+    rule with the QUADPACK error estimate (Piessens et al., 1983).  Each
+    round bisects the intervals with the largest errors, as many as it
+    takes for the rest to meet the target max(tol / 1000, 1e-10 |value|)
+    in every column, and evaluates g once on the nodes of all of them.
+    Intervals whose estimate has reached the rounding floor of their
+    samples are not bisected.  When four rounds have not halved the
+    error (noise in g, or a g that is not integrable) the driver stops:
+    an error within tol is returned, a larger one raises NumericalError.
+    The error covers the rule and the cut tail, not the error of the
+    values g itself returns.  Every tolerance a caller passes reaches
+    this driver, which refuses one outside 0 < tol < inf; a non-finite
+    value of g, and more than MAX_INTERVALS intervals, raise
+    NumericalError.
     """
     if not 0.0 < tol < math.inf:
         raise UnsupportedError("tol must be finite and positive")
     s = complex(s)
     w = 2.0 - 2.0 * s.real
-    p = 1.0 / w
-    beta = 2.0 * s.imag / w
     expo = 1.0 - 2.0 * s if complex_path else 1.0 - 2.0 * s.real
+    nodes = 0
 
-    def head(z):
-        val = g(z ** p) / w
-        if beta:
-            val *= cmath.exp(complex(0.0, -beta * math.log(z)))
-        return val if complex_path else val.real
+    def evaluate(tau):
+        nonlocal nodes
+        nodes += len(tau)
+        vals = np.asarray(g(tau)).reshape(len(tau), -1)
+        vals = vals.astype(complex) if complex_path else vals.real
+        bad = ~np.isfinite(vals).all(axis=1)
+        if bad.any():
+            raise NumericalError("rotated-axis integrand is not finite at "
+                                 f"tau={tau[bad][0]:.6g}")
+        return vals
 
-    def tail(tau):
-        val = tau ** expo * g(tau)
-        return val if complex_path else val.real
+    def columns(vals):
+        return (np.concatenate((vals.real, vals.imag), axis=1)
+                if complex_path else vals)
 
-    def piece(f, a, b, epsabs=1e-12, limit=400):
-        parts = []
-        err = 0.0
-        for part in ((lambda x: f(x).real, lambda x: f(x).imag)
-                     if complex_path else (f,)):
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always", IntegrationWarning)
-                v, e = quad(part, a, b, epsabs=epsabs, epsrel=1e-10,
-                            limit=limit)
-            parts.append(v)
-            err += max(e, epsabs) if caught else e
-        return complex(*parts), err
+    def weighted(x, vals):
+        """The integrand on [0, 1] (z) and on [1, 1 + T] (y = x - 1)."""
+        head = x < 1.0
+        wt = np.empty(len(x), complex if complex_path else float)
+        z = x[head]
+        wt[head] = (np.exp(-1j * (2.0 * s.imag / w) * np.log(z)) / w
+                    if s.imag else 1.0 / w)
+        wt[~head] = np.exp((expo + 1.0) * (x[~head] - 1.0))
+        return columns(vals * wt[:, None])
 
-    i_head, e_head = piece(head, 0.0, 1.0)
-    i_tail, e_tail = 0j, 0.0
-    a = 1.0
-    width = 1.0
-    floor = 1e-12 * max(1.0, abs(tail(1.0)))
-    panel_abs = max(1e-13, 0.2 * tol)
-    for _ in range(80):
-        v, e = piece(tail, a, a + width, panel_abs, 120)
-        i_tail += v
-        e_tail += e
-        a += width
-        f1 = tail(a)
-        f2 = tail(1.5 * a)
-        m1, m2 = abs(f1), abs(f2)
-        if max(m1, m2) <= floor:
-            e_tail += max(m1, m2) * a
+    def taus(x):
+        head = x < 1.0
+        tau = np.empty_like(x)
+        tau[head] = x[head] ** (1.0 / w)
+        tau[~head] = np.exp(x[~head] - 1.0)
+        return tau
+
+    def nodes_of(a, b):
+        return ((0.5 * (a + b))[:, None]
+                + (0.5 * (b - a))[:, None] * _GK_X).ravel()
+
+    # the probe of the tail, in chunks until the cut shows; the head's
+    # first nodes share the call of the first chunk
+    a, b = np.array([0.0]), np.array([1.0])
+    x = nodes_of(a, b)
+    head = None
+    samples = []
+    for chunk in np.split(2.0 ** np.arange(48), 4):
+        if head is None:
+            vals = evaluate(np.concatenate((taus(x), chunk)))
+            head, vals = vals[:21], vals[21:]
+        else:
+            vals = evaluate(chunk)
+        samples.append(columns(vals * (chunk ** expo)[:, None]))
+        tail = np.concatenate(samples)
+        low = (np.abs(tail) <= 1e-12 * np.maximum(1.0, np.abs(tail[0]))).all(
+            axis=1)
+        cut = np.flatnonzero(low[:-1] & low[1:])
+        if len(cut):
             break
-        if m1 < 1e-280 or m2 < 1e-280:
-            if m1 * a <= tol:
-                break
-        elif m2 < m1:
-            q = math.log(m1 / m2) / math.log(1.5)
-            if q > 1.1:
-                rem = m1 * a / (q - 1.0)
-                if rem <= 0.3 * tol:
-                    i_tail += f1 * a / (q - 1.0)
-                    e_tail += 0.25 * rem
-                    break
-        width *= 2.0
     else:
-        raise NumericalError("tail of the rotated-axis integral did not "
-                             "converge")
-    total = i_head + i_tail
-    return (total if complex_path else total.real), e_head + e_tail
+        raise NumericalError("rotated-axis integrand has not decayed at "
+                             f"tau={2.0 ** 47:g}")
+    k = cut[0]
+    rest = np.maximum(np.abs(tail[k]), np.abs(tail[k + 1])) * 2.0 ** k
+    val, err, rfloor = _gk21(weighted(x, head).reshape(1, 21, -1),
+                             np.array([0.5]))
+    # the tail's first interval waits for the head's first bisections
+    pending = (np.array([1.0] if k else []),
+               np.array([1.0 + k * math.log(2.0)] if k else []))
+    progress = []
+    while True:
+        target = np.maximum(1e-3 * tol, 1e-10 * np.abs(val.sum(axis=0)))
+        total = err.sum(axis=0)
+        ratio = (err / target).max(axis=1)
+        pick = np.empty(0, int)
+        if not (total <= target).all():
+            worst = taus(np.array([0.5 * (a + b)[np.argmax(ratio)]]))[0]
+            # stalled: four rounds have not halved the error (noise in g,
+            # or a g that is not integrable)
+            progress.append(ratio.sum())
+            stalled = len(progress) > 4 and progress[-1] > 0.5 * progress[-5]
+            live = np.flatnonzero((err > rfloor).any(axis=1))
+            if stalled or not len(live):
+                if (total > np.maximum(tol, target)).any():
+                    raise NumericalError(
+                        "rotated-axis integral does not converge; its "
+                        f"largest error sits at tau={worst:.6g}")
+            else:
+                order = live[np.argsort(-ratio[live])]
+                left = total - np.cumsum(err[order], axis=0)
+                done = (left <= 0.5 * target).all(axis=1)
+                pick = order[:np.argmax(done) + 1] if done.any() else order
+                if len(a) + len(pick) > MAX_INTERVALS:
+                    raise NumericalError(
+                        "rotated-axis integral did not converge within "
+                        f"{MAX_INTERVALS} intervals; its largest error "
+                        f"sits at tau={worst:.6g}")
+        if not len(pick) and not len(pending[0]):
+            break
+        mid = 0.5 * (a[pick] + b[pick])
+        lo = np.concatenate((pending[0], a[pick], mid))
+        hi = np.concatenate((pending[1], mid, b[pick]))
+        pending = (np.empty(0), np.empty(0))
+        keep = np.ones(len(a), bool)
+        keep[pick] = False
+        x = nodes_of(lo, hi)
+        f = weighted(x, evaluate(taus(x))).reshape(len(lo), 21, -1)
+        v, e, fl = _gk21(f, 0.5 * (hi - lo))
+        a = np.concatenate((a[keep], lo))
+        b = np.concatenate((b[keep], hi))
+        val = np.concatenate((val[keep], v))
+        err = np.concatenate((err[keep], e))
+        rfloor = np.concatenate((rfloor[keep], fl))
+
+    value = val.sum(axis=0)
+    error = err.sum(axis=0) + rest
+    if complex_path:
+        m = value.shape[0] // 2
+        value = value[:m] + 1j * value[m:]
+        error = error[:m] + error[m:]
+    return value, error, nodes
 
 
 # ---------------------------------------------------------------------------
@@ -276,14 +396,10 @@ def _secular_is_complex(graph, mc) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Dirichlet part
+# zeta: the secular part and the Dirichlet parts
 
 
-def zeta_dir_bond(bond, s, gamma: float = 0.0, *,
-                  tol: float = 1e-9) -> ZetaEvaluation:
-    """Zeta function of the bond detached with Dirichlet ends."""
-    s = complex(s)
-    _check_s(s)
+def _check_dir(bond, s: complex, gamma: float) -> None:
     if not -1.0 < s.real < 1.0:
         raise UnsupportedError("zeta_dir is represented in -1 < Re s < 1")
     if abs(s - 0.5) < 1e-9:
@@ -293,42 +409,111 @@ def zeta_dir_bond(bond, s, gamma: float = 0.0, *,
                                "part and residue come from minus_half_data")
     _check_gamma(_bond_floor(bond), gamma, f"bond '{bond.id}'")
 
+
+def _dir_closed(bond, s: complex, gamma: float) -> complex:
     L = bond.length
-    ej = u_log_expansion(bond, DEPTH)
-    K = _sin_over_pi(s)
-
-    def g(tau):
-        if gamma == 0.0 and tau < 1.0:
-            return solve_imag_axis(bond, tau).dlog_u_dt / tau
-        t = math.sqrt(gamma + tau * tau) if gamma else tau
-        return dirichlet_subtracted_derivative(bond, t) / t
-
-    i, err = integral(g, s, tol, s.imag != 0.0)
     if gamma == 0.0:
-        closed = K * L / (2.0 * s - 1.0)
+        closed = _sin_over_pi(s) * L / (2.0 * s - 1.0)
     else:
         closed = (L * complex(gamma_fn(s - 0.5)) * complex(rgamma(s))
                   * _gamma_power(gamma, 0.5 - s) / (2.0 * SQRT_PI))
-    closed += _restored(s, gamma, -1, ej.items())
-    return ZetaEvaluation(s=s, gamma=gamma, value=K * i + closed,
-                          strip=(-1.0, 1.0), quadrature_error=abs(K) * err)
+    return closed + _restored(s, gamma, -1, u_log_expansion(bond, DEPTH).items())
 
 
-# ---------------------------------------------------------------------------
-# secular part
+def _secular_setup(graph, mc, s: complex, gamma: float):
+    """The checks of the secular part; returns its asymptotic data."""
+    _require_local(mc, "zeta_im")
+    _check_gamma(graph.spectral_floor(), gamma, "zeta_im")
+    asym = asymptotic_F_coefficients(graph, mc)
+    if not asym.strip_min < s.real < 1.0:
+        raise UnsupportedError(
+            f"zeta_im is represented in {asym.strip_min:g} < Re s < 1 for "
+            "this graph")
+    gap = asym.gap
+    if math.isfinite(gap) and int(gap) % 2 == 1 and abs(s + gap / 2.0) < 1e-9:
+        raise UnsupportedError(
+            f"s={-gap / 2.0} is a pole of zeta_im; its finite part and "
+            "residue come from minus_half_data")
+    _probe_secular_zero(graph, mc, asym, gamma)
+    return asym
 
 
-def subtracted_logF_derivative(graph, mc, t: float, *, asym=None) -> complex:
-    """d/dt log F with the power-law asymptotics removed to depth DEPTH."""
+def _power(graph, asym) -> int:
+    return 2 * graph.bond_count - asym.leading_power
+
+
+def _subtract_powers(slope, t, power, coeffs):
+    """slope - power/t + sum_j j a_j t^(-j-1) over the first DEPTH a_j."""
+    out = slope - power / t
+    for j, aj in enumerate(coeffs[:DEPTH], start=1):
+        if aj:
+            out = out + j * aj * t ** (-j - 1)
+    return out
+
+
+def _zeta_parts(s: complex, gamma: float, tol: float, bonds, secular=None):
+    """(values, errors, nodes) of the zeta parts, the secular part first
+    when secular = (graph, mc, asym) is given, then the Dirichlet part of
+    each bond; one integral with one column per part.
+
+    Each column is h'(t)/t, unsubtracted below tau = 1 on the gamma = 0
+    ray and subtracted above it (everywhere when gamma > 0).
+    """
+    if secular is not None:
+        graph, mc, asym = secular
+        power = _power(graph, asym)
+
+    def g(tau):
+        t = np.sqrt(gamma + tau * tau) if gamma else tau
+        sub = tau >= 1.0 if gamma == 0.0 else np.ones(len(tau), bool)
+        ts = t[sub]
+        cols = []
+        if secular is not None:
+            sols = bond_solutions(graph, t)
+            fwd = [f for f, _ in sols]
+            col = logF_slope_imag(graph, mc, t, sols)
+            col[sub] = _subtract_powers(col[sub], ts, power, asym.log_coeffs)
+            cols.append(col / t)
+        else:
+            fwd = [bond_solution(bond, t) for bond in bonds]
+        for bond, sol in zip(bonds, fwd):
+            col = sol.dlog_u_dt.copy()
+            col[sub] = dirichlet_subtracted_derivative(bond, ts, sol.take(sub))
+            cols.append(col / t)
+        return np.stack(cols, axis=-1)
+
+    complex_path = s.imag != 0.0 or (secular is not None
+                                     and _secular_is_complex(graph, mc))
+    i, err, nodes = integral(g, s, tol, complex_path)
+    K = _sin_over_pi(s)
+    closed = [_dir_closed(bond, s, gamma) for bond in bonds]
+    if secular is not None:
+        closed.insert(0, _restored(s, gamma, power,
+                                   enumerate(asym.log_coeffs[:DEPTH], start=1)))
+    return K * i + np.array(closed), abs(K) * err, nodes
+
+
+def zeta_dir_bond(bond, s, gamma: float = 0.0, *,
+                  tol: float = 1e-9) -> ZetaEvaluation:
+    """Zeta function of the bond detached with Dirichlet ends."""
+    s = complex(s)
+    _check_s(s)
+    _check_dir(bond, s, gamma)
+    values, errors, nodes = _zeta_parts(s, gamma, tol, [bond])
+    return ZetaEvaluation(s=s, gamma=gamma, value=complex(values[0]),
+                          strip=(-1.0, 1.0),
+                          quadrature_error=float(errors[0]), nodes=nodes)
+
+
+def subtracted_logF_derivative(graph, mc, t, *, asym=None):
+    """d/dt log F with the power-law asymptotics removed to depth DEPTH,
+    over an array of t, or at one t."""
     if asym is None:
         asym = asymptotic_F_coefficients(graph, mc, check=False)
-    power = 2 * graph.bond_count - asym.leading_power
-    _, slope = logF_and_slope_imag(graph, mc, t)
-    out = slope - power / t
-    for j, aj in enumerate(asym.log_coeffs[:DEPTH], start=1):
-        if aj:
-            out += j * aj * t ** (-j - 1)
-    return out
+    t = np.asarray(t, dtype=float)
+    slope = logF_slope_imag(graph, mc, np.atleast_1d(t)).reshape(t.shape)
+    return _subtract_powers(slope, t, _power(graph, asym),
+                            asym.log_coeffs)[()]
 
 
 def zeta_im(graph, mc, s, gamma: float = 0.0, *,
@@ -336,51 +521,28 @@ def zeta_im(graph, mc, s, gamma: float = 0.0, *,
     """Secular part of the zeta function."""
     s = complex(s)
     _check_s(s)
-    _require_local(mc, "zeta_im")
-    _check_gamma(graph.spectral_floor(), gamma, "zeta_im")
-    asym = asymptotic_F_coefficients(graph, mc)
-    strip = (asym.strip_min, 1.0)
-    if not strip[0] < s.real < strip[1]:
-        raise UnsupportedError(
-            f"zeta_im is represented in {strip[0]:g} < Re s < 1 for this graph")
-    gap = asym.gap
-    if math.isfinite(gap) and int(gap) % 2 == 1 and abs(s + gap / 2.0) < 1e-9:
-        raise UnsupportedError(
-            f"s={-gap / 2.0} is a pole of zeta_im; its finite part and "
-            "residue come from minus_half_data")
-    _probe_secular_zero(graph, mc, asym, gamma)
-
-    power = 2 * graph.bond_count - asym.leading_power
-    complex_path = s.imag != 0.0 or _secular_is_complex(graph, mc)
-
-    def g(tau):
-        if gamma == 0.0 and tau < 1.0:
-            return logF_and_slope_imag(graph, mc, tau)[1] / tau
-        t = math.sqrt(gamma + tau * tau) if gamma else tau
-        return subtracted_logF_derivative(graph, mc, t, asym=asym) / t
-
-    i, err = integral(g, s, tol, complex_path)
-    K = _sin_over_pi(s)
-    closed = _restored(s, gamma, power,
-                       enumerate(asym.log_coeffs[:DEPTH], start=1))
-    return ZetaEvaluation(s=s, gamma=gamma, value=K * i + closed,
-                          strip=strip, quadrature_error=abs(K) * err)
+    asym = _secular_setup(graph, mc, s, gamma)
+    values, errors, nodes = _zeta_parts(s, gamma, tol, [],
+                                        (graph, mc, asym))
+    return ZetaEvaluation(s=s, gamma=gamma, value=complex(values[0]),
+                          strip=(asym.strip_min, 1.0),
+                          quadrature_error=float(errors[0]), nodes=nodes)
 
 
 def zeta_total(graph, mc, s, gamma: float = 0.0, *,
                tol: float = 1e-9) -> ZetaEvaluation:
-    """zeta(s, gamma) of the full graph operator."""
-    zi = zeta_im(graph, mc, s, gamma, tol=tol)
-    value = zi.value
-    err = zi.quadrature_error
-    lo = zi.strip[0]
+    """zeta(s, gamma) of the full graph operator: the secular part and
+    every bond's Dirichlet part, as the columns of one integral."""
+    s = complex(s)
+    _check_s(s)
+    asym = _secular_setup(graph, mc, s, gamma)
     for bond in graph.bonds:
-        zd = zeta_dir_bond(bond, s, gamma, tol=tol)
-        value += zd.value
-        err += zd.quadrature_error
-        lo = max(lo, zd.strip[0])
-    return ZetaEvaluation(s=complex(s), gamma=gamma, value=value,
-                          strip=(lo, 1.0), quadrature_error=err)
+        _check_dir(bond, s, gamma)
+    values, errors, nodes = _zeta_parts(s, gamma, tol, graph.bonds,
+                                        (graph, mc, asym))
+    return ZetaEvaluation(s=s, gamma=gamma, value=complex(values.sum()),
+                          strip=(max(asym.strip_min, -1.0), 1.0),
+                          quadrature_error=float(errors.sum()), nodes=nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +554,9 @@ def minus_half_data(graph, mc, *, tol: float = 1e-10) -> MinusHalfData:
 
     Both t-integrals are taken after integration by parts, so only values
     of log u and log F enter; all boundary terms are finite because of the
-    subtractions and are folded in below.  quadrature_error is the sum of
+    subtractions and are folded in below.  The secular part and each
+    bond's Dirichlet part are the columns of one integral, unsubtracted
+    below t = 1 and subtracted above.  quadrature_error is the sum of
     the integrals' error estimates over pi, the error of fp_total.
     """
     _require_local(mc, "minus_half_data")
@@ -404,52 +568,50 @@ def minus_half_data(graph, mc, *, tol: float = 1e-10) -> MinusHalfData:
     asym = asymptotic_F_coefficients(graph, mc)
     _probe_secular_zero(graph, mc, asym, 0.0)
 
-    fp_dir = {}
-    err = 0.0
-    for bond in graph.bonds:
-        ej = u_log_expansion(bond, DEPTH)
-
-        def g_dir(t, bond=bond, ej=ej):
-            if t < 1.0:
-                return solve_imag_axis(bond, t).log_u
-            out = dirichlet_log_u_subtracted(bond, t) + math.log(2.0 * t)
-            for j, e in ej.items():
-                if e:
-                    out -= e * t ** (-j)
-            return out
-
-        i, i_err = integral(g_dir, 0.5, tol)
-        err += i_err
-        rational = -bond.length / 2.0 + 1.0
-        for j, e in ej.items():
-            if j >= 2 and e:
-                rational -= j * e / (j - 1.0)
-        inner = (solve_imag_axis(bond, 1.0).log_u - g_dir(1.0) + rational
-                 - i)
-        fp_dir[bond.id] = -inner / math.pi
-
-    power = 2 * graph.bond_count - asym.leading_power
+    power = _power(graph, asym)
     coeffs = asym.log_coeffs
     log_c = math.log(abs(asym.c_lead))
+    expansions = [u_log_expansion(bond, DEPTH) for bond in graph.bonds]
 
-    def g_im(t):
-        log_f = F_imag(graph, mc, t).log_abs
-        if t < 1.0:
-            return log_f
-        out = log_f - log_c - power * math.log(t)
+    def g(t):
+        sols = bond_solutions(graph, t)
+        sub = t >= 1.0
+        ts = t[sub]
+        col, _ = logF_imag(graph, mc, t, sols)
+        if np.isneginf(col).any():
+            raise _vanished(t[np.isneginf(col)][0])
+        col[sub] -= log_c + power * np.log(ts)
         for j, aj in enumerate(coeffs, start=1):
             if aj:
-                out -= (aj * t ** (-j)).real
-        return out
+                col[sub] -= (aj * ts ** (-j)).real
+        cols = [col]
+        for bond, ej, (fwd, _) in zip(graph.bonds, expansions, sols):
+            col = fwd.log_u.copy()
+            col[sub] = (dirichlet_log_u_subtracted(bond, ts, fwd.take(sub))
+                        + np.log(2.0 * ts))
+            for j, e in ej.items():
+                if e:
+                    col[sub] -= e * ts ** (-j)
+            cols.append(col)
+        return np.stack(cols, axis=-1)
 
-    i, i_err = integral(g_im, 0.5, tol)
-    err += i_err
+    i, i_err, _ = integral(g, 0.5, tol)
     boundary = log_c + sum(aj.real for aj in coeffs)
     rational = -float(power)
     for j, aj in enumerate(coeffs, start=1):
         if j >= 2 and aj:
             rational -= j * aj.real / (j - 1.0)
-    fp_im = -(boundary + rational - i) / math.pi
+    fp_im = -(boundary + rational - i[0]) / math.pi
+
+    fp_dir = {}
+    for bond, ej, i_b in zip(graph.bonds, expansions, i[1:]):
+        # the unsubtracted minus the subtracted integrand at t = 1
+        jump = bond.length - math.log(2.0) + sum(ej.values())
+        rational = -bond.length / 2.0 + 1.0
+        for j, e in ej.items():
+            if j >= 2 and e:
+                rational -= j * e / (j - 1.0)
+        fp_dir[bond.id] = -(jump + rational - i_b) / math.pi
     res_im, res_dir = residues_at_minus_half(graph, asym)
 
     return MinusHalfData(
@@ -459,4 +621,4 @@ def minus_half_data(graph, mc, *, tol: float = 1e-10) -> MinusHalfData:
         res_dir=res_dir,
         fp_total=fp_im + sum(fp_dir.values()),
         res_total=res_im + sum(res_dir.values()),
-        quadrature_error=err / math.pi)
+        quadrature_error=float(i_err.sum()) / math.pi)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,10 @@ from conftest import (BUMP, from_doc, make_chain, make_circle, make_interval,
                       make_star)
 from graphzeta import (F_imag, NumericalError, asymptotic_F_coefficients,
                        dF_dL_imag, replace_bond_length)
-from graphzeta.secular import secular_matrices_real
+from graphzeta.interval import (bond_solution, dirichlet_log_u_subtracted,
+                                dirichlet_subtracted_derivative)
+from graphzeta.secular import (bond_solutions, dlogF_dL_imag, logF_imag,
+                               logF_slope_imag, secular_matrices_real)
 
 
 def test_interval_singular_exactly_at_eigenvalues():
@@ -163,3 +167,55 @@ def test_length_derivative_of_log_F():
                                    2.0 * math.pi) / (2.0 * h)
             assert got.real == pytest.approx(fd_re, abs=1e-6)
             assert got.imag == pytest.approx(fd_im, abs=1e-10)
+
+
+def test_batched_kernels_match_single_nodes():
+    # One t-array across every masked branch: x = t L below 1e-8, below
+    # 0.15 and above 350 on the free and constant bonds, log u >= 690
+    # where M drops the off-diagonal entries, and the series and closed
+    # branches of the sweep on an off-centre bump, which is also solved
+    # reversed; bond 2 carries a flux.  Every node of the batch must equal
+    # the call on that node alone, without a RuntimeWarning.
+    graph, mc = from_doc({
+        "vertices": 4,
+        "bonds": [{"id": 1, "origin": 1, "terminus": 2, "length": 1.0,
+                   "potential": {**BUMP, "center": 0.35, "half_width": 0.2}},
+                  {"id": 2, "origin": 2, "terminus": 3, "length": 1.3,
+                   "vector_potential": 0.7},
+                  {"id": 3, "origin": 3, "terminus": 4, "length": 0.8,
+                   "potential": {"kind": "constant", "value": 2.0}}],
+        "matching": {"mode": "per_vertex", "vertices": [
+            {"vertex": 1, "kind": "dirichlet"},
+            {"vertex": 2, "kind": "delta", "lambda": 0.5},
+            {"vertex": 3, "kind": "delta", "lambda": 0.0},
+            {"vertex": 4, "kind": "dirichlet"}]}})
+    t = np.array([1e-9, 0.1, 0.8, 5.0, 60.0, 400.0, 1000.0])
+
+    def same(batch, one, i):
+        batch, one = np.asarray(batch)[i], np.asarray(one)[0]
+        assert abs(batch - one) <= 1e-15 * abs(one), (i, batch, one)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        sols = bond_solutions(graph, t)
+        assert sols[0][1] is not sols[0][0]
+        kernels = [lambda x, s: logF_imag(graph, mc, x, s)[0],
+                   lambda x, s: logF_imag(graph, mc, x, s)[1],
+                   lambda x, s: logF_slope_imag(graph, mc, x, s)]
+        kernels += [lambda x, s, b=b: dlogF_dL_imag(graph, mc, b, x, s)
+                    for b in (1, 2, 3)]
+        batched = [k(t, sols) for k in kernels]
+        for i in range(len(t)):
+            node = t[i:i + 1]
+            one = bond_solutions(graph, node)
+            for (fwd, rev), (fwd1, rev1) in zip(sols, one):
+                for field, field1 in zip(fwd + rev, fwd1 + rev1):
+                    same(field, field1, i)
+            for k, full in zip(kernels, batched):
+                same(full, k(node, one), i)
+            for bond in graph.bonds:
+                sol = bond_solution(bond, node)
+                same(dirichlet_subtracted_derivative(bond, t),
+                     dirichlet_subtracted_derivative(bond, node, sol), i)
+                same(dirichlet_log_u_subtracted(bond, t),
+                     dirichlet_log_u_subtracted(bond, node, sol), i)

@@ -1,11 +1,17 @@
+import json
 import math
 
 import mpmath
+import numpy as np
 import pytest
+from scipy.special import gamma as gamma_fn
 
 from conftest import make_circle, make_interval, make_star
-from graphzeta import (UnsupportedError, minus_half_data, reference_zeta_R,
+from graphzeta import (NumericalError, UnsupportedError, casimir_force,
+                       minus_half_data, reference_zeta_R, vacuum_energy,
                        zeta_dir_bond, zeta_im, zeta_total)
+from graphzeta.cli import main
+from graphzeta.zeta import integral
 
 
 def riemann_zeta(x):
@@ -182,3 +188,106 @@ def test_zeta_on_flux_circle():
     direct = (2 * math.pi) ** (-2 * s) * (hurwitz(2 * s, q)
                                           + hurwitz(2 * s, 1.0 - q))
     assert abs(ev.value - direct) < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# the rotated-axis integral driver
+
+
+@pytest.mark.parametrize("s", [0.6, 0.9, complex(0.75, 0.5)],
+                         ids=["0.6", "0.9", "0.75+0.5i"])
+def test_integral_gamma_function(s):
+    # integral_0^inf tau^(1-2s) e^-tau dtau = Gamma(2 - 2s); the complex s
+    # packs the real and imaginary parts into separate columns
+    complex_path = isinstance(s, complex)
+    value, error, nodes = integral(lambda tau: np.exp(-tau), s, 1e-9,
+                                   complex_path)
+    exact = complex(gamma_fn(2.0 - 2.0 * complex(s)))
+    assert abs(value[0] - exact) <= error[0]
+    assert error[0] < 1e-9
+    assert nodes > 0
+    if not complex_path:
+        assert np.isrealobj(value)
+
+
+def test_integral_power_law_tails_and_columns():
+    # integral_0^inf tau^(1-2s) (1 + tau^2)^-n dtau, n = 3 and 1, as two
+    # columns on the same nodes: Gamma(1 - s) Gamma(2 + s) / 4 with a
+    # tau^-6 tail, and pi / (2 sin(pi (1 - s))) with a tau^-2 tail, whose
+    # cut remainder dominates its error
+    s = 0.75
+
+    def g(tau):
+        col = 1.0 / (1.0 + tau * tau)
+        return np.stack((col ** 3, col), axis=-1)
+
+    value, error, _ = integral(g, s, 1e-9)
+    exact = (gamma_fn(1.0 - s) * gamma_fn(2.0 + s) / 4.0,
+             math.pi / (2.0 * math.sin(math.pi * (1.0 - s))))
+    assert abs(value[0] - exact[0]) <= error[0] < 1e-9
+    assert abs(value[1] - exact[1]) <= error[1]
+
+
+def test_integral_refuses_non_integrable_integrand():
+    # tau^-2 at 0 with unit weight has no integral; the driver gives up
+    # after a few rounds instead of refining towards tau = 0
+    nodes = []
+
+    def g(tau):
+        nodes.append(len(tau))
+        return np.exp(-tau) / (tau * tau)
+
+    with pytest.raises(NumericalError, match="tau="):
+        integral(g, 0.5, 1e-10)
+    assert sum(nodes) < 1000
+
+
+# Zero modes: F(it) vanishes as t -> 0, and the rotated-axis integrals do
+# not exist.  Each call fails typed, whether the probe at the bottom of
+# the ray sees it, the integral stops converging or a node hits a zero of
+# the secular determinant.
+ZERO_MODE_GRAPHS = {
+    "neumann_star_123": lambda: make_star(0.0, lengths=(1.0, 2.0, 3.0),
+                                          leaf="neumann"),
+    "circle_a0": lambda: make_circle(1.0, 0.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ZERO_MODE_GRAPHS))
+@pytest.mark.parametrize("call", ["zeta", "energy", "force"])
+def test_zero_mode_graphs_fail_typed(name, call):
+    graph, mc = ZERO_MODE_GRAPHS[name]()
+    run = {"zeta": lambda: zeta_total(graph, mc, 0.75),
+           "energy": lambda: vacuum_energy(graph, mc),
+           "force": lambda: casimir_force(graph, mc, 1)}[call]
+    with pytest.raises(NumericalError, match="t="):
+        run()
+
+
+def test_equal_length_neumann_star_zeta_fails_typed(tmp_path):
+    graph, mc = make_star(0.0, leaf="neumann")
+    with pytest.raises(NumericalError, match="tau="):
+        zeta_total(graph, mc, 0.75)
+    path = tmp_path / "star.json"
+    path.write_text(json.dumps({
+        "vertices": 4,
+        "bonds": [{"id": i + 1, "origin": 1, "terminus": i + 2, "length": 1.0}
+                  for i in range(3)],
+        "matching": {"mode": "per_vertex", "vertices": (
+            [{"vertex": 1, "kind": "delta", "lambda": 0.0}]
+            + [{"vertex": i + 2, "kind": "neumann"} for i in range(3)])}}))
+    assert main(["zeta", "--graph", str(path), "--s", "0.75"]) == 3
+
+
+# Nodes of zeta_total at s = 0.75, gamma = 0.5 on the benchmark's delta(1)
+# star and flux circle, as recorded in CHANGES.md; a driver that loses the
+# batching or the shared columns needs many more.
+NODE_COUNTS = {"star_delta": 138, "circle_flux": 96}
+
+
+@pytest.mark.parametrize("name", sorted(NODE_COUNTS))
+def test_zeta_total_node_count(name):
+    graph, mc = {"star_delta": lambda: make_star(1.0),
+                 "circle_flux": lambda: make_circle(1.0, 0.5)}[name]()
+    ev = zeta_total(graph, mc, 0.75, 0.5)
+    assert 0 < ev.nodes <= 1.1 * NODE_COUNTS[name]
