@@ -14,8 +14,7 @@ from .graph import (Bond, MatchingConditions, MetricGraph, VertexSpec,
                     replace_bond_length, require_valid,
                     serialize_graph, validate_matching)
 from .interval import solve_imag_axis
-from .oracle import (SpectrumWindow, discretized_eigenvalues,
-                     energy_finite_difference, reference_zeta_R,
+from .oracle import (SpectrumWindow, energy_finite_difference,
                      scan_spectrum, zeta_direct)
 from .potentials import (BumpPotential, ConstantPotential, ZeroPotential,
                          potential_from_dict)
@@ -34,10 +33,9 @@ __all__ = [
     "NumericalError", "SpectrumWindow", "UnsupportedError",
     "ValidationError", "VertexSpec", "ZeroPotential", "ZetaEvaluation",
     "asymptotic_F_coefficients", "build_vertex_conditions", "casimir_force",
-    "d_constant", "dF_dL_imag", "discretized_eigenvalues",
-    "energy_finite_difference", "load_graph", "logF_and_slope_imag",
-    "minus_half_data", "mu_sensitivity", "parse_graph",
-    "potential_from_dict", "reference_zeta_R", "replace_bond_length",
+    "d_constant", "dF_dL_imag", "energy_finite_difference", "load_graph",
+    "logF_and_slope_imag", "minus_half_data", "mu_sensitivity",
+    "parse_graph", "potential_from_dict", "replace_bond_length",
     "require_valid", "scan_spectrum",
     "serialize_graph",
     "solve_imag_axis", "u_log_expansion",

@@ -6,9 +6,12 @@ engine uses: a coarse grid of singular values flags a dip near every
 root, Newton steps on the pencil (S(k), -dS/dk) converge from each dip to
 the roots of det S, and the singular values of S at each converged root
 confirm it and give its multiplicity.  Zeta values are then checked by
-direct summation with a Weyl-density tail.  A finite-difference
-discretization of the operator provides a third, fully matrix-based
-reference for test graphs.
+direct summation with a Weyl-density tail, and the force by finite
+differences of the energy.
+
+The scan needs numpy alone.  scipy serves only the direct summation,
+which imports it inside its helpers, so the rest of the package runs
+without it.
 """
 
 from __future__ import annotations
@@ -18,10 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.integrate import quad
-from scipy.sparse.linalg import eigs
-from scipy.special import sici
 
 from .casimir import mu_sensitivity
 from .errors import NumericalError, UnsupportedError
@@ -228,6 +227,8 @@ def scan_spectrum(graph, mc, k_max: float, *, threads: int = 1) -> SpectrumWindo
 
 def _tail_int(K, s, gamma, extra: int = 0):
     """integral_K^inf (gamma + k^2)^(-s) k^(-extra) dk via k = K/x on (0, 1]."""
+    from scipy.integrate import quad
+
     s = complex(s)
     ratio = gamma / (K * K)
     alpha = 2.0 * s.real - 2.0 + extra
@@ -259,6 +260,8 @@ def _counting_fit(ks, ms, density, A, B):
     of the Weyl line; the smooth weight keeps the step-function
     oscillation out of the fitted moments.  Returns (c, a).
     """
+    from scipy.special import sici
+
     om = 2.0 * np.pi / (B - A)
     si_A, ci_A = sici(om * A)
 
@@ -301,6 +304,8 @@ def zeta_direct(spectrum: SpectrumWindow, s, gamma: float = 0.0):
     the roots themselves and fed into the tail measure.  The spread
     across taper placements goes into the error bound.
     """
+    from scipy.integrate import quad
+
     s = complex(s)
     if s.real <= 0.5:
         raise UnsupportedError("direct summation needs Re s > 1/2")
@@ -396,118 +401,3 @@ def energy_finite_difference(graph, mc, bond_id: str, h: float = 1e-4) -> float:
     plus = minus_half_data(replace_bond_length(graph, bond_id, L + h), mc)
     minus = minus_half_data(replace_bond_length(graph, bond_id, L - h), mc)
     return -(plus.fp_total - minus.fp_total) / (4.0 * h)
-
-
-# ---------------------------------------------------------------------------
-# discretized operator
-
-
-def _fd_eigenvalues(graph, specs, n_per_bond, count):
-    B = graph.bond_count
-    sizes = [n_per_bond] * B
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    total = int(offsets[-1])
-    hs = [b.length / (n_per_bond + 1) for b in graph.bonds]
-
-    rows, cols, vals = [], [], []
-
-    def add(r, c, v):
-        rows.append(r)
-        cols.append(c)
-        vals.append(v)
-
-    # interior second-difference rows
-    for b, bond in enumerate(graph.bonds):
-        h = hs[b]
-        base = offsets[b]
-        x = (np.arange(1, n_per_bond + 1)) * h
-        v = bond.potential.value(x)
-        for i in range(n_per_bond):
-            add(base + i, base + i, 2.0 / (h * h) + float(v[i]))
-            if i > 0:
-                add(base + i, base + i - 1, -1.0 / (h * h))
-            if i + 1 < n_per_bond:
-                add(base + i, base + i + 1, -1.0 / (h * h))
-
-    # vertex values eliminated through the delta condition
-    for vtx in range(graph.vertex_count):
-        spec = specs[vtx]
-        ends = []             # (adjacent interior node, next one, h, base row)
-        for b, bond in enumerate(graph.bonds):
-            h = hs[b]
-            base = offsets[b]
-            if bond.origin == vtx:
-                ends.append((base, base + 1, h))
-            if bond.terminus == vtx:
-                last = base + n_per_bond - 1
-                ends.append((last, last - 1, h))
-        if spec.kind == "dirichlet":
-            continue
-        lam = spec.lam if spec.kind == "delta" else 0.0
-        denom = lam + sum(3.0 / (2.0 * h) for _, _, h in ends)
-        if denom == 0.0:
-            raise NumericalError("degenerate vertex elimination in the "
-                                 "discretization oracle")
-        weights = []
-        for first, second, h in ends:
-            weights.append((first, 2.0 / (h * denom)))
-            weights.append((second, -1.0 / (2.0 * h * denom)))
-        # neighbouring interior rows see the vertex value
-        for first, _, h in ends:
-            for col, w in weights:
-                add(first, col, -w / (h * h))
-
-    A = sp.csr_matrix(sp.coo_matrix((vals, (rows, cols)),
-                                    shape=(total, total)))
-    want = min(count + 6, total - 2)
-    vals_e = eigs(A, k=want, sigma=-0.5, which="LM",
-                  return_eigenvectors=False)
-    out = np.sort(np.real(vals_e))
-    return out[:count]
-
-
-def discretized_eigenvalues(graph, mc, count: int = 10,
-                            points_per_bond: int = 10000) -> np.ndarray:
-    """Lowest eigenvalues from a second-order grid, Richardson improved.
-
-    Supports dirichlet / neumann / delta vertices without magnetic
-    phases; meant as a test reference, not a production path.
-    """
-    if mc.vertex_specs is None:
-        raise UnsupportedError("discretization oracle needs per-vertex "
-                               "conditions")
-    if any(b.vector_potential != 0.0 for b in graph.bonds):
-        raise UnsupportedError("discretization oracle does not support "
-                               "vector potentials")
-    specs = {}
-    for spec in mc.vertex_specs:
-        if spec.kind not in ("dirichlet", "neumann", "delta"):
-            raise UnsupportedError("discretization oracle supports only "
-                                   "dirichlet, neumann and delta vertices")
-        specs[spec.vertex] = spec
-    n_fine = points_per_bond | 1        # odd, so the coarse spacing is exactly 2h
-    n_coarse = (n_fine - 1) // 2
-    coarse = _fd_eigenvalues(graph, specs, n_coarse, count)
-    fine = _fd_eigenvalues(graph, specs, n_fine, count)
-    return (4.0 * fine - coarse) / 3.0
-
-
-# ---------------------------------------------------------------------------
-# Riemann zeta reference, independent of scipy
-
-
-def reference_zeta_R(s: float, terms: int = 50) -> float:
-    """zeta_R(s) through the accelerated alternating series."""
-    if s <= 0.0 or s == 1.0:
-        raise UnsupportedError("reference valid for s > 0, s != 1")
-    d = ((3.0 + math.sqrt(8.0)) ** terms
-         + (3.0 - math.sqrt(8.0)) ** terms) / 2.0
-    b = -1.0
-    c = -d
-    eta = 0.0
-    for k in range(terms):
-        c = b - c
-        eta += c * (k + 1.0) ** (-s)
-        b *= (k + terms) * (k - terms) / ((k + 0.5) * (k + 1.0))
-    eta /= d
-    return eta / (1.0 - 2.0 ** (1.0 - s))

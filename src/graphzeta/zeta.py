@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma as gamma_fn, rgamma
 
 from .errors import NumericalError, UnsupportedError
 from .interval import (bond_solution, dirichlet_log_u_subtracted,
@@ -121,18 +120,24 @@ def integral(g, s, tol, complex_path=False):
     real; on a complex path the real and imaginary parts are separate
     columns of the rule.  nodes counts the tau at which g was evaluated.
 
-    [0, 1] is mapped by tau = z^(1/w), w = 2 - 2 Re s, which absorbs the
-    endpoint power completely for real s (at s = 1/2 it is the
-    identity); for complex s a bounded logarithmic oscillation
-    z^(-2i Im s / w) remains for the adaptive rule.  [1, inf) is mapped
-    by tau = e^y and cut at y = k log 2, where the first of two
-    successive samples of tau^(1-2s) g at tau = 2^k, k = 0..47, falls
-    below 1e-12 max(1, |value at tau = 1|); the remainder beyond,
-    estimated as that sample times 2^k, is charged to the error.  The
-    samples are taken twelve at a time until the cut shows, the first
-    twelve in the call that evaluates the head's first nodes.
+    The head, tau in [0, 1], is mapped by tau = z^(1/w), w = 2 - 2 Re s.
+    For real s the rule works in z, which absorbs the endpoint power
+    completely (at s = 1/2 it is the identity).  For complex s the
+    power leaves the bounded oscillation z^(-2i Im s / w), with no limit
+    at z = 0, so the rule works in y = log z instead, where the
+    integrand decays like e^y; the head is cut at y = -k log 2, where
+    the first of two successive samples of the integrand in y at
+    z = 2^-k, k = 0..47, falls below 1e-12 times the largest of 1, the
+    value at tau = 1 and the head's samples, and the sample there is
+    charged to the error.  The tail, [1, inf), is mapped by tau = e^y
+    and cut at y = k log 2, where the first of two successive samples of
+    tau^(1-2s) g at tau = 2^k, k = 0..47, falls below
+    1e-12 max(1, |value at tau = 1|); the remainder beyond, estimated as
+    that sample times 2^k, is charged to the error.  The samples are
+    taken twelve at a time until the cuts show, the first twelve in the
+    call that evaluates the first nodes of a real-s head.
 
-    Both pieces are intervals of one adaptive 21-point Gauss-Kronrod
+    The pieces are intervals of one adaptive 21-point Gauss-Kronrod
     rule with the QUADPACK error estimate (Piessens et al., 1983).  Each
     round bisects the intervals with the largest errors, as many as it
     takes for the rest to meet the target max(tol / 1000, 1e-10 |value|)
@@ -141,7 +146,7 @@ def integral(g, s, tol, complex_path=False):
     samples are not bisected.  When four rounds have not halved the
     error (noise in g, or a g that is not integrable) the driver stops:
     an error within tol is returned, a larger one raises NumericalError.
-    The error covers the rule and the cut tail, not the error of the
+    The error covers the rule and the cut ends, not the error of the
     values g itself returns.  Every tolerance a caller passes reaches
     this driver, which refuses one outside 0 < tol < inf; a non-finite
     value of g, and more than MAX_INTERVALS intervals, raise
@@ -152,6 +157,7 @@ def integral(g, s, tol, complex_path=False):
     s = complex(s)
     w = 2.0 - 2.0 * s.real
     expo = 1.0 - 2.0 * s if complex_path else 1.0 - 2.0 * s.real
+    log_head = s.imag != 0.0
     nodes = 0
 
     def evaluate(tau):
@@ -169,20 +175,24 @@ def integral(g, s, tol, complex_path=False):
         return (np.concatenate((vals.real, vals.imag), axis=1)
                 if complex_path else vals)
 
+    # x is the variable of the rule: the head's z on [0, 1] (real s) or
+    # y = log z on [-k log 2, 0] (complex s), the tail's y + 1 on
+    # [1, 1 + k log 2]
     def weighted(x, vals):
-        """The integrand on [0, 1] (z) and on [1, 1 + T] (y = x - 1)."""
         head = x < 1.0
         wt = np.empty(len(x), complex if complex_path else float)
-        z = x[head]
-        wt[head] = (np.exp(-1j * (2.0 * s.imag / w) * np.log(z)) / w
-                    if s.imag else 1.0 / w)
+        wt[head] = (np.exp((1.0 - 2j * s.imag / w) * x[head]) / w
+                    if log_head else 1.0 / w)
         wt[~head] = np.exp((expo + 1.0) * (x[~head] - 1.0))
         return columns(vals * wt[:, None])
 
     def taus(x):
         head = x < 1.0
         tau = np.empty_like(x)
-        tau[head] = x[head] ** (1.0 / w)
+        # tau = z^(1/w) underflows as Re s -> 1; below e^-700 g(tau) is
+        # g(0) to rounding
+        tau[head] = (np.exp(np.maximum(x[head] / w, -700.0)) if log_head
+                     else x[head] ** (1.0 / w))
         tau[~head] = np.exp(x[~head] - 1.0)
         return tau
 
@@ -190,35 +200,73 @@ def integral(g, s, tol, complex_path=False):
         return ((0.5 * (a + b))[:, None]
                 + (0.5 * (b - a))[:, None] * _GK_X).ravel()
 
-    # the probe of the tail, in chunks until the cut shows; the head's
-    # first nodes share the call of the first chunk
-    a, b = np.array([0.0]), np.array([1.0])
-    x = nodes_of(a, b)
-    head = None
-    samples = []
-    for chunk in np.split(2.0 ** np.arange(48), 4):
-        if head is None:
-            vals = evaluate(np.concatenate((taus(x), chunk)))
-            head, vals = vals[:21], vals[21:]
-        else:
-            vals = evaluate(chunk)
-        samples.append(columns(vals * (chunk ** expo)[:, None]))
-        tail = np.concatenate(samples)
-        low = (np.abs(tail) <= 1e-12 * np.maximum(1.0, np.abs(tail[0]))).all(
+    def cut_of(samples, ref):
+        """Index of the first of two successive samples at or below
+        1e-12 max(1, |ref|) in every column, or None."""
+        low = (np.abs(samples) <= 1e-12 * np.maximum(1.0, np.abs(ref))).all(
             axis=1)
-        cut = np.flatnonzero(low[:-1] & low[1:])
-        if len(cut):
+        hit = np.flatnonzero(low[:-1] & low[1:])
+        return hit[0] if len(hit) else None
+
+    # the probes of the ends, in chunks until both cuts show; a real-s
+    # head has its first nodes in the call of the first chunk
+    first = np.empty(0) if log_head else nodes_of(np.array([0.0]),
+                                                  np.array([1.0]))
+    tail, head = [], []
+    k_tail = k_head = None
+    for chunk in np.split(np.arange(48.0), 4):
+        up = 2.0 ** chunk if k_tail is None else np.empty(0)
+        down = (-math.log(2.0) * chunk if log_head and k_head is None
+                else np.empty(0))
+        vals = evaluate(np.concatenate((taus(first), up, taus(down))))
+        if len(first):
+            head_vals = vals[:len(first)]
+            vals = vals[len(first):]
+            first = np.empty(0)
+        if len(up):
+            tail.append(columns(vals[:len(up)] * (up ** expo)[:, None]))
+            k_tail = cut_of(np.concatenate(tail), tail[0][0])
+        if len(down):
+            head.append(weighted(down, vals[len(up):]))
+            samples = np.concatenate(head)
+            k_head = cut_of(samples, np.maximum(np.abs(tail[0][0]),
+                                                np.abs(samples).max(axis=0)))
+        if k_tail is not None and (k_head is not None or not log_head):
             break
     else:
+        where = 2.0 ** 47 if k_tail is None else 2.0 ** (-47.0 / w)
         raise NumericalError("rotated-axis integrand has not decayed at "
-                             f"tau={2.0 ** 47:g}")
-    k = cut[0]
+                             f"tau={where:g}")
+    tail = np.concatenate(tail)
+    k = k_tail
     rest = np.maximum(np.abs(tail[k]), np.abs(tail[k + 1])) * 2.0 ** k
-    val, err, rfloor = _gk21(weighted(x, head).reshape(1, 21, -1),
-                             np.array([0.5]))
-    # the tail's first interval waits for the head's first bisections
-    pending = (np.array([1.0] if k else []),
-               np.array([1.0 + k * math.log(2.0)] if k else []))
+    lo, hi = [], []
+    if log_head:
+        head = np.concatenate(head)
+        rest += np.maximum(np.abs(head[k_head]), np.abs(head[k_head + 1]))
+        a = b = np.empty(0)
+        val = err = rfloor = np.empty((0, head.shape[1]))
+        if k_head:
+            # one period of the oscillation e^(-2i Im s y / w) per interval
+            y0 = -k_head * math.log(2.0)
+            n = math.ceil(-y0 * abs(s.imag) / (math.pi * w))
+            if n > MAX_INTERVALS:
+                raise NumericalError(
+                    f"rotated-axis integrand oscillates {n} times below "
+                    f"tau=1, more than {MAX_INTERVALS} intervals can hold")
+            edges = np.linspace(y0, 0.0, n + 1)
+            lo.extend(edges[:-1])
+            hi.extend(edges[1:])
+    else:
+        a, b = np.array([0.0]), np.array([1.0])
+        val, err, rfloor = _gk21(
+            weighted(nodes_of(a, b), head_vals).reshape(1, 21, -1),
+            np.array([0.5]))
+    # the first intervals in y wait for the first round
+    if k:
+        lo.append(1.0)
+        hi.append(1.0 + k * math.log(2.0))
+    pending = (np.array(lo), np.array(hi))
     progress = []
     while True:
         target = np.maximum(1e-3 * tol, 1e-10 * np.abs(val.sum(axis=0)))
@@ -263,7 +311,6 @@ def integral(g, s, tol, complex_path=False):
         val = np.concatenate((val[keep], v))
         err = np.concatenate((err[keep], e))
         rfloor = np.concatenate((rfloor[keep], fl))
-
     value = val.sum(axis=0)
     error = err.sum(axis=0) + rest
     if complex_path:
@@ -298,6 +345,49 @@ def _k_frac(s, j):
     return cmath.sin(math.pi * s) / (math.pi * (2.0 * s + j))
 
 
+# Lanczos's approximation with g = 7 and nine terms (Lanczos, SIAM J.
+# Numer. Anal. B 1, 1964), used on Re z >= 1/2
+_LANCZOS_G = 7.0
+_LANCZOS = (0.99999999999980993, 676.5203681218851, -1259.1392167224028,
+            771.32342877765313, -176.61502916214059, 12.507343278686905,
+            -0.13857109526572012, 9.9843695780195716e-6,
+            1.5056327351493116e-7)
+
+
+def _lanczos(z: complex) -> complex:
+    z -= 1.0
+    series = _LANCZOS[0]
+    for i, c in enumerate(_LANCZOS[1:], start=1):
+        series += c / (z + i)
+    t = z + _LANCZOS_G + 0.5
+    return math.sqrt(2.0 * math.pi) * cmath.exp((z + 0.5) * cmath.log(t)
+                                                 - t) * series
+
+
+def _sin_pi(z: complex) -> complex:
+    """sin(pi z), reduced by the nearest integer so that it is exactly 0
+    at the integers."""
+    n = round(z.real)
+    return (-1.0) ** n * cmath.sin(math.pi * (z - n))
+
+
+def _gamma(z) -> complex:
+    """Gamma(z) at complex z away from the poles; reflection below
+    Re z = 1/2."""
+    z = complex(z)
+    if z.real < 0.5:
+        return math.pi / (_sin_pi(z) * _lanczos(1.0 - z))
+    return _lanczos(z)
+
+
+def _rgamma(z) -> complex:
+    """1 / Gamma(z), exactly 0 at z = 0, -1, -2, ..."""
+    z = complex(z)
+    if z.real < 0.5:
+        return _sin_pi(z) * _lanczos(1.0 - z) / math.pi
+    return 1.0 / _lanczos(z)
+
+
 def _gamma_power(gamma_val, expo):
     return cmath.exp(expo * math.log(gamma_val))
 
@@ -310,7 +400,7 @@ def _gamma_ratio(s, j):
         for i in range(j // 2):
             out *= s + i
         return out
-    return complex(gamma_fn(s + j / 2.0)) * complex(rgamma(s))
+    return _gamma(s + j / 2.0) * _rgamma(s)
 
 
 def _restored(s, gamma, power, coeffs):
@@ -332,7 +422,7 @@ def _restored(s, gamma, power, coeffs):
         if c:
             # (j c / 2) gamma^(-s-j/2) Gamma(s+j/2) / (Gamma(s) Gamma(1+j/2))
             out -= (c * (j / 2.0) * _gamma_power(gamma, -s - j / 2.0)
-                    * _gamma_ratio(s, j) / complex(gamma_fn(1.0 + j / 2.0)))
+                    * _gamma_ratio(s, j) / math.gamma(1.0 + j / 2.0))
     return out
 
 
@@ -415,7 +505,7 @@ def _dir_closed(bond, s: complex, gamma: float) -> complex:
     if gamma == 0.0:
         closed = _sin_over_pi(s) * L / (2.0 * s - 1.0)
     else:
-        closed = (L * complex(gamma_fn(s - 0.5)) * complex(rgamma(s))
+        closed = (L * _gamma(s - 0.5) * _rgamma(s)
                   * _gamma_power(gamma, 0.5 - s) / (2.0 * SQRT_PI))
     return closed + _restored(s, gamma, -1, u_log_expansion(bond, DEPTH).items())
 

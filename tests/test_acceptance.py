@@ -17,11 +17,11 @@ from conftest import (BUMP, make_bump_interval, make_chain, make_circle,
                       make_interval, make_star)
 from graphzeta import (asymptotic_F_coefficients, casimir_force,
                        energy_finite_difference, minus_half_data,
-                       mu_sensitivity, reference_zeta_R, scan_spectrum,
-                       solve_imag_axis, vacuum_energy, zeta_direct,
-                       zeta_total)
+                       mu_sensitivity, scan_spectrum, solve_imag_axis,
+                       vacuum_energy, zeta_direct, zeta_total)
 from graphzeta.interval import dirichlet_subtracted_derivative
 from graphzeta.zeta import subtracted_logF_derivative
+from oracles import reference_zeta_R
 
 
 def report(n, dt, budget, detail):

@@ -5,9 +5,8 @@ import pytest
 from scipy.optimize import brentq
 
 from conftest import BUMP, make_chain, make_circle, make_interval, make_star
-from graphzeta import (UnsupportedError, discretized_eigenvalues,
-                       reference_zeta_R, scan_spectrum, zeta_direct,
-                       zeta_total)
+from graphzeta import UnsupportedError, scan_spectrum, zeta_direct, zeta_total
+from oracles import discretized_eigenvalues, reference_zeta_R
 
 
 def test_scan_interval():

@@ -77,6 +77,21 @@ def test_bump_integrals_against_quadrature():
     assert p.square_integral(1.0) == pytest.approx(ref2, abs=1e-10)
 
 
+@pytest.mark.parametrize("center, half_width, height", [
+    (0.5, 0.3, 3.0), (0.3, 0.2, 1.0), (0.5, 0.3, -2.0), (0.4, 5e-4, 1.0),
+    (0.1, 0.3, 1.0)], ids=["centred", "off_centre", "negative", "narrow",
+                           "clipped"])
+def test_bump_integrals_match_quad(center, half_width, height):
+    p = BumpPotential(center=center, half_width=half_width, height=height)
+    lo, hi = p.support(1.0)
+    ref, _ = quad(p.value_scalar, lo, hi, epsabs=0.0, epsrel=1e-13,
+                  limit=200)
+    ref2, _ = quad(lambda x: p.value_scalar(x) ** 2, lo, hi, epsabs=0.0,
+                   epsrel=1e-13, limit=200)
+    assert abs(p.integral(1.0) / ref - 1.0) < 1e-14
+    assert abs(p.square_integral(1.0) / ref2 - 1.0) < 1e-14
+
+
 def test_potential_from_dict_errors():
     with pytest.raises(GraphFormatError):
         potential_from_dict({"kind": "well"})

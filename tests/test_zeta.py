@@ -4,14 +4,15 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from scipy.special import gamma as gamma_fn
+from scipy.special import gamma as gamma_fn, rgamma
 
-from conftest import make_circle, make_interval, make_star
+from conftest import make_bump_interval, make_circle, make_interval, make_star
 from graphzeta import (NumericalError, UnsupportedError, casimir_force,
-                       minus_half_data, reference_zeta_R, vacuum_energy,
-                       zeta_dir_bond, zeta_im, zeta_total)
+                       minus_half_data, vacuum_energy, zeta_dir_bond, zeta_im,
+                       zeta_total)
 from graphzeta.cli import main
-from graphzeta.zeta import integral
+from graphzeta.zeta import _gamma, _rgamma, integral
+from oracles import reference_zeta_R
 
 
 def riemann_zeta(x):
@@ -45,12 +46,15 @@ def test_dirichlet_interval_zeta_identity():
         assert abs(ev.value - exact) < 1e-12
         assert abs(ev.value.imag) < 1e-12
         assert ev.quadrature_error < 1e-9
-    # complex s takes the oscillating branch of the [0, 1] substitution
+    # complex s takes the head in log z; at 0.3 + 0.2i and -0.3 + 0.2i,
+    # left of Re s = 1/2, the value is -0.58804 - 0.39420i and
+    # -0.34492 - 0.08132i
     for s in (complex(0.75, 0.5), complex(0.75, -0.5), complex(0.6, -1.2),
-              complex(0.9, 3.0)):
+              complex(0.9, 3.0), complex(0.3, 0.2), complex(-0.3, 0.2)):
         ev = zeta_total(graph, mc, s)
         exact = math.pi ** (-2 * s) * riemann_zeta(2 * s)
         assert abs(ev.value - exact) <= ev.quadrature_error
+        assert abs(ev.value - exact) < 1e-9
 
 
 def test_dirichlet_interval_zeta_with_gamma():
@@ -59,11 +63,50 @@ def test_dirichlet_interval_zeta_with_gamma():
         ev = zeta_total(graph, mc, s, gamma)
         ref = eigenvalue_sum(s, gamma)
         assert abs(ev.value - ref) < 1e-10
-    s = complex(0.75, 0.5)
-    for gamma in (0.5, 1.0):
+    for s, gamma in ((complex(0.75, 0.5), 0.5), (complex(0.75, 0.5), 1.0),
+                     (complex(0.3, 0.2), 0.5), (complex(-0.3, 0.2), 0.5)):
         ev = zeta_total(graph, mc, s, gamma)
         ref = eigenvalue_sum(s, gamma)
         assert abs(ev.value - ref) <= ev.quadrature_error
+
+
+@pytest.mark.parametrize("name", ["bump_interval", "star_delta"])
+def test_complex_s_left_of_one_half_scales_with_length(name):
+    # lengths by c, potentials by c^-2 and couplings by 1/c give
+    # zeta_c(s, gamma / c^2) = c^(2s) zeta(s, gamma) exactly
+    def build(c):
+        if name == "star_delta":
+            return make_star(1.0 / c, lengths=(c, c, c))
+        return make_bump_interval(c, 0.5 * c, 0.3 * c, 3.0 / c ** 2)
+
+    s, gamma, c = complex(-0.3, 0.2), 0.5, 1.1
+    ev = zeta_total(*build(1.0), s, gamma)
+    ev_c = zeta_total(*build(c), s, gamma / c ** 2)
+    scale = c ** (2 * s)
+    assert abs(ev_c.value - scale * ev.value) <= (
+        abs(scale) * ev.quadrature_error + ev_c.quadrature_error)
+
+
+@pytest.mark.parametrize("lam, exact", [(None, -0.5), (1.0, -1.0)],
+                         ids=["interval", "star_delta"])
+def test_zeta_at_zero_with_gamma(lam, exact):
+    # at s = 0 only the closed forms remain, and 1/Gamma(s) = 0 removes
+    # their Gamma(s + j/2) / Gamma(s) terms
+    graph, mc = make_interval(1.0) if lam is None else make_star(lam)
+    ev = zeta_total(graph, mc, 0.0, 0.5)
+    assert abs(ev.value - exact) < 1e-12
+
+
+def test_lanczos_gamma_against_scipy():
+    for re in np.linspace(-1.5, 2.5, 41):
+        for im in np.linspace(-3.0, 3.0, 31):
+            z = complex(re, im)
+            if im == 0.0 and re <= 0.0 and re == round(re):
+                continue
+            assert abs(_gamma(z) / complex(gamma_fn(z)) - 1.0) < 1e-13
+            assert abs(_rgamma(z) / complex(rgamma(z)) - 1.0) < 1e-13
+    assert _rgamma(0.0) == 0.0
+    assert _rgamma(-1.0) == 0.0
 
 
 def test_zeta_scaling_with_length():
