@@ -9,8 +9,10 @@ large-x branches selected per node; every other potential goes through
 one constant-perturbation sweep (Ixaru 1984; Ledoux, Van Daele and
 Vanden Berghe, ACM TOMS 31, 2005), whose segments are exact for a
 constant potential at every t, so one segment count serves all t and
-all nodes sweep together.  All growth is kept in log form so large t L
-never overflows.
+all nodes sweep together.  The sweep multiplies the 2x2 segment maps
+pairwise, a fixed-length block at a time, and runs the Richardson pair
+of segment counts n and 2n as three rows of n segments.  All growth is
+kept in log form so large t L never overflows.
 
 Real axis: batched 2x2 transfer matrices for the magnetic-gauge-removed
 equation, used by the spectral scan.  Closed forms cover the free and
@@ -32,7 +34,7 @@ from .wkb import u_log_expansion
 
 CSTEP = 1e-30            # complex step for the t-derivatives
 KSTEP = 2.0 ** -600      # complex step for the real-axis k-derivative
-SWEEP_BLOCK = 64         # segments whose maps a sweep holds at once
+SWEEP_BLOCK = 32         # segments whose maps a sweep holds at once
 
 
 @dataclass(frozen=True)
@@ -142,44 +144,93 @@ def _segments(t, w, V):
     return T, (q + 1j * CSTEP * dq) * T, log_cosh, dlog_cosh
 
 
+def _log_step(z):
+    """log z for z > 0 at the complex step: Im z is of the order of the
+    step, so log z is log Re z + i Im z / Re z."""
+    return np.log(z.real) + 1j * (z.imag / z.real)
+
+
+def _matmul(B, A):
+    """B A over stacks of 2x2 matrices held as (2, 2, ...) arrays."""
+    BA = B[:, :, None] * A[None]        # BA[i, k, j] = B_ik A_kj
+    return BA[:, 0] + BA[:, 1]
+
+
+def _block_product(T, P):
+    """The product of the segment maps [[1, T], [P, 1]] along the last axis,
+    later segments on the left, as one (2, 2, ...) stack.
+
+    Neighbouring maps are multiplied pairwise, the first round from T and
+    P directly, so a block of k segments takes about log2(k) whole-stack
+    rounds; an odd map out is carried to the next round.
+    """
+    k = T.shape[-1]
+    h = k // 2
+    M = np.empty((2, 2) + T.shape[:-1] + (h + k % 2,), T.dtype)
+    (m00, m01), (m10, m11) = M[..., :h]
+    Te, To = T[..., 0:2 * h:2], T[..., 1:2 * h:2]
+    Pe, Po = P[..., 0:2 * h:2], P[..., 1:2 * h:2]
+    np.multiply(To, Pe, out=m00)
+    m00 += 1.0
+    np.add(Te, To, out=m01)
+    np.add(Pe, Po, out=m10)
+    np.multiply(Po, Te, out=m11)
+    m11 += 1.0
+    if k % 2:
+        M[0, 0, ..., -1] = M[1, 1, ..., -1] = 1.0
+        M[0, 1, ..., -1] = T[..., -1]
+        M[1, 0, ..., -1] = P[..., -1]
+    while M.shape[-1] > 1:
+        h = M.shape[-1] // 2
+        paired = _matmul(M[..., 1:2 * h:2], M[..., 0:2 * h:2])
+        M = (np.concatenate((paired, M[..., -1:]), axis=-1)
+             if M.shape[-1] % 2 else paired)
+    return M[..., 0]
+
+
 def _sweep(t, w, V):
     """Sweep from x = L, where f = 0 and f' = -1, across segments of widths
     w and constant potentials V, one sweep per row of w and V and per
-    node of t, all at once; returns (m, s) at the far end, at the
-    complex step t + i CSTEP, with one row per sweep and one column per
-    node.
+    node of t, all at once, at the complex step t + i CSTEP.  Returns
+    (R, s) with one row per sweep and one column per node: R, a
+    (2, 2, rows, nodes) stack, is the product of the segment maps in the
+    basis (f, -f'), and s the log of the scale divided out of it plus the
+    log cosh(kappa w) - t w of every segment.  So (f, -f') at the far end
+    is e^s (R01, R11).
 
-    m = f/f' and s = log|f'| minus the free growth t * (swept length);
-    keeping s of order one instead of t L keeps the absolute error of log u
-    at rounding level, which the subtracted large-t integrands rely on.
+    Keeping s of order one instead of t L keeps the absolute error of
+    log u at rounding level, which the subtracted large-t integrands rely
+    on.
 
     With q = t^2 + V, kappa = sqrt(q) and T = tanh(kappa w)/kappa, one
-    segment is the exact map m <- (m - T)/(1 - m q T), with
-    log cosh(kappa w) + log(1 - m q T) added to log|f'|.  The segment
-    maps are formed SWEEP_BLOCK segments at a time, which bounds the
-    memory of a sweep over many nodes.
+    segment maps (f, -f') by cosh(kappa w) [[1, T], [q T, 1]].  Every
+    entry is positive, so the products of the maps are accurate in any
+    order of association.  The maps of SWEEP_BLOCK segments at a time,
+    a constant so that no node's result depends on the batch, are
+    multiplied pairwise (_block_product); each block product then joins
+    one running product per row, divided by its R11 after every block,
+    the log of the divisor going to s.  No count of segments overflows,
+    and the column (R01, R11) = (-m, 1) holds m = f/f', which contracts
+    towards a fixed point: the rounding of one block's product is
+    forgotten, where in an unscaled product the t-derivative in Im R
+    would gather it from every segment.
     """
-    shape = (len(w), len(t))
-    m = np.zeros(shape, complex)
-    s = np.zeros(shape)
-    ds = np.zeros(shape)
+    s = np.zeros((len(w), len(t)), complex)
+    R = None
     for lo in range(0, w.shape[1], SWEEP_BLOCK):
         block = slice(lo, lo + SWEEP_BLOCK)
         T, P, log_cosh, dlog_cosh = _segments(t, w[:, block], V[:, block])
-        dens = np.empty_like(T)
-        for Ti, Pi, d in zip(np.moveaxis(T, -1, 0), np.moveaxis(P, -1, 0),
-                             np.moveaxis(dens, -1, 0)):
-            np.multiply(m, Pi, out=d)
-            np.subtract(1.0, d, out=d)
-            m -= Ti
-            m /= d
-        # 1 <= Re d, and Im d is of the order of the step: log d is
-        # log Re d + i Im d / Re d.  Summed per segment first: at large
-        # t both terms are near -+log 2.
-        s += (log_cosh + np.log(dens.real)).sum(axis=-1)
-        ds += (CSTEP * dlog_cosh.sum(axis=-1)
-               + (dens.imag / dens.real).sum(axis=-1))
-    return m, s + 1j * ds
+        M = _block_product(T, P)
+        R = M if R is None else _matmul(M, R)
+        scale = R[1, 1].copy()
+        R /= scale
+        # summed per block first: at large t both terms are near -+log 2
+        # per segment
+        s += (log_cosh.sum(axis=-1) + 1j * CSTEP * dlog_cosh.sum(axis=-1)
+              + _log_step(scale))
+        # freed before the next block's maps are formed
+        del T, P, log_cosh, dlog_cosh
+    return R, s
 
 
 def _cpm(bond, t, reverse: bool) -> BondSolution:
@@ -187,10 +238,13 @@ def _cpm(bond, t, reverse: bool) -> BondSolution:
 
     The free stretches outside the support are one exact segment each;
     the support is cut into n midpoint segments, n fixed by the bond, and
-    Richardson-extrapolated from n to 2n.  The two sweeps run as one, the
-    n-segment one padded with empty segments.  t-derivatives come from a
-    complex step through the same sweep.  By the Wronskian the Dirichlet
-    solution has u(L) = f(0) = m0 f'(0).
+    Richardson-extrapolated from n to 2n.  The pair runs as one sweep of
+    three rows of n segments: the n-segment sweep and the two halves of
+    the 2n-segment one, whose products are joined at the end; a free
+    stretch on the far side of a half is a segment of width zero, the
+    identity.  t-derivatives come from a complex step through the same
+    sweep.  By the Wronskian the Dirichlet solution has
+    u(L) = f(0) = m0 f'(0).
     """
     L = bond.length
     pot = bond.potential
@@ -198,14 +252,23 @@ def _cpm(bond, t, reverse: bool) -> BondSolution:
     vmax = max(-pot.minimum(L), pot.maximum(L))
     n = max(200, math.ceil(200.0 * (b - a) * math.sqrt(vmax)))
     first, last = (a, L - b) if reverse else (L - b, a)
-    w = np.zeros((2, 2 * n + 2))
-    V = np.zeros((2, 2 * n + 2))
-    for row, k in enumerate((n, 2 * n)):
+    w = np.zeros((3, n + 2))
+    V = np.zeros((3, n + 2))
+    w[:, 0] = first, first, 0.0
+    w[:, -1] = last, 0.0, last
+    for rows, k in ((slice(0, 1), n), (slice(1, 3), 2 * n)):
         h = (b - a) / k
         mid = (np.arange(k) + 0.5) * h
-        w[row, :k + 2] = np.concatenate(([first], np.full(k, h), [last]))
-        V[row, 1:k + 1] = pot.value(a + mid if reverse else b - mid)
-    (m1, m2), (s1, s2) = _sweep(t, w, V)
+        w[rows, 1:-1] = h
+        V[rows, 1:-1] = pot.value(a + mid if reverse else b - mid).reshape(
+            -1, n)
+    R, s = _sweep(t, w, V)
+    R1 = R[:, :, 0]
+    R2 = _matmul(R[:, :, 2], R[:, :, 1])
+    m1 = -R1[0, 1] / R1[1, 1]
+    m2 = -R2[0, 1] / R2[1, 1]
+    s1 = s[0] + _log_step(R1[1, 1])
+    s2 = s[1] + s[2] + _log_step(R2[1, 1])
     m0 = (4.0 * m2 - m1) / 3.0
     s0 = (4.0 * s2 - s1) / 3.0
     lost = ~(m0.real < 0.0)

@@ -15,9 +15,13 @@ from functools import lru_cache
 from .errors import UnsupportedError
 
 J_MAX = 4
+# Bonds compare by value, and every rescaled or length-perturbed graph
+# brings new ones: an unbounded cache would grow for the life of the
+# process.  One operation needs a few entries per bond.
+CACHE_SIZE = 128
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def wkb_coefficients(bond, *, reverse: bool = False, j_max: int = J_MAX):
     """(s_1, ..., s_jmax) at the entry vertex of the given direction."""
     if j_max > J_MAX:
@@ -36,7 +40,7 @@ def wkb_coefficients(bond, *, reverse: bool = False, j_max: int = J_MAX):
     return s[:j_max]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def u_log_expansion(bond, depth: int = 4):
     """Coefficients {j: e_j} of the large-t expansion of log u(L;t).
 

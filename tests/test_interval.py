@@ -7,7 +7,9 @@ from scipy.integrate import solve_ivp
 
 from conftest import make_bump_interval, make_interval
 from graphzeta import NumericalError, solve_imag_axis
-from graphzeta.interval import (dirichlet_log_u_subtracted,
+from graphzeta.interval import (CSTEP, SWEEP_BLOCK, BondSolution,
+                                _block_product, _segments, bond_solution,
+                                dirichlet_log_u_subtracted,
                                 dirichlet_subtracted_derivative,
                                 transfer_matrices_real)
 from graphzeta.wkb import u_log_expansion
@@ -93,6 +95,100 @@ def rk4_reference(bond, ks, steps):
         return matrices(c, s, -kk * s, c)
 
     return free(bond.length - b) @ matrices(p0, p1, q0, q1) @ free(a)
+
+
+def sweep_reference(bond, t, reverse=False):
+    """BondSolution by the per-segment Moebius recurrence
+    m <- (m - T)/(1 - m q T), one segment at a time, for the n- and the
+    2n-segment sweeps separately, then Richardson-extrapolated."""
+    L = bond.length
+    pot = bond.potential
+    if reverse and pot.symmetric(L):
+        reverse = False
+    a, b = pot.support(L)
+    vmax = max(-pot.minimum(L), pot.maximum(L))
+    n = max(200, math.ceil(200.0 * (b - a) * math.sqrt(vmax)))
+    first, last = (a, L - b) if reverse else (L - b, a)
+    ms, ss = [], []
+    for k in (n, 2 * n):
+        h = (b - a) / k
+        mid = (np.arange(k) + 0.5) * h
+        w = np.concatenate(([first], np.full(k, h), [last]))
+        V = np.concatenate(([0.0], pot.value(a + mid if reverse
+                                             else b - mid), [0.0]))
+        T, P, log_cosh, dlog_cosh = (x[0] for x in
+                                     _segments(t, w[None], V[None]))
+        m = np.zeros(len(t), complex)
+        d = np.empty_like(T)
+        for i in range(k + 2):
+            d[:, i] = 1.0 - m * P[:, i]
+            m = (m - T[:, i]) / d[:, i]
+        ms.append(m)
+        # summed per segment first: at large t both terms are near -+log 2
+        ss.append((log_cosh + np.log(d.real)).sum(axis=-1)
+                  + 1j * (CSTEP * dlog_cosh + d.imag / d.real).sum(axis=-1))
+    m0 = (4.0 * ms[1] - ms[0]) / 3.0
+    s0 = (4.0 * ss[1] - ss[0]) / 3.0
+    fp = 1.0 / m0
+    lu = s0 + np.log(-m0)
+    return BondSolution(fp.real, fp.imag / CSTEP, t * L + lu.real,
+                        lu.imag / CSTEP, lu.real)
+
+
+# height 100 takes n = 1201 segments, so the 2n sweep crosses 2,402, past
+# the range of an unscaled product of the maps; heights 5 and 100 take an
+# odd n
+SWEEP_CASES = [dict(height=0.3), dict(center=0.35, half_width=0.2, height=4.0),
+               dict(height=100.0), dict(height=-3.0), dict(height=5.0)]
+
+
+def above_floor(bond, count):
+    floor = math.sqrt(max(0.0, -bond.potential.minimum(bond.length))) + 1e-6
+    return floor * np.geomspace(1.0, 1e4 / floor, count)
+
+
+@pytest.mark.parametrize("kw", SWEEP_CASES, ids=lambda kw: str(kw["height"]))
+def test_sweep_matches_sequential_recurrence(kw):
+    bond = make_bump_interval(**kw)[0].bonds[0]
+    t = above_floor(bond, 41)
+    for reverse in (False, True):
+        got = bond_solution(bond, t, reverse=reverse)
+        ref = sweep_reference(bond, t, reverse)
+        for field, g, r in zip(BondSolution._fields, got, ref):
+            bound = 1e-13 * np.maximum(1.0, np.abs(r))
+            assert np.all(np.abs(g - r) <= bound), (field, reverse)
+
+
+@pytest.mark.parametrize("kw", SWEEP_CASES[:3],
+                         ids=lambda kw: str(kw["height"]))
+def test_sweep_is_batch_invariant(kw):
+    # a node's result must not depend on the nodes batched with it
+    bond = make_bump_interval(**kw)[0].bonds[0]
+    t = above_floor(bond, 33)
+    for reverse in (False, True):
+        got = bond_solution(bond, t, reverse=reverse)
+        one = [bond_solution(bond, t[i:i + 1], reverse=reverse)
+               for i in range(len(t))]
+        for g, *single in zip(got, *one):
+            assert np.array_equal(g, np.concatenate(single))
+
+
+def test_block_product_against_sequential_product():
+    # every block length up to two blocks, odd counts carried through the
+    # rounds included
+    rng = np.random.default_rng(7)
+    for k in range(1, 2 * SWEEP_BLOCK + 1):
+        T = rng.uniform(0.0, 1.0, (2, 3, k)) * (1.0 + 1e-30j)
+        P = rng.uniform(0.0, 5.0, (2, 3, k)) * (1.0 - 1e-30j)
+        ref = np.broadcast_to(np.eye(2), (2, 3, 2, 2)).astype(complex)
+        for i in range(k):
+            M = np.array([[np.ones((2, 3)), T[..., i]],
+                          [P[..., i], np.ones((2, 3))]])
+            ref = np.moveaxis(M, (0, 1), (-2, -1)) @ ref
+        got = np.moveaxis(_block_product(T, P), (0, 1), (-2, -1))
+        assert np.all(np.abs(got.real - ref.real) <= 1e-14 * ref.real), k
+        assert np.all(np.abs(got.imag - ref.imag)
+                      <= 1e-14 * np.abs(ref.imag).max()), k
 
 
 # the t ranges the former linear (u, v) and Riccati solvers served; the

@@ -5,6 +5,7 @@ import sympy as sp
 
 from conftest import make_bump_interval, make_interval
 from graphzeta import d_constant, u_log_expansion, wkb_coefficients
+from graphzeta.wkb import CACHE_SIZE
 
 
 class _SymbolicPotential:
@@ -116,3 +117,14 @@ def test_large_t_solution_approaches_wkb_slope():
     s = wkb_coefficients(bond)
     model = -t + sum(sj * t ** (-j) for j, sj in enumerate(s, start=1))
     assert sol.f_prime_at_0 == pytest.approx(model, abs=1e-7)
+
+
+def test_caches_stay_bounded():
+    # every distinct bond is a new key; the caches must not keep them all
+    for i in range(CACHE_SIZE + 20):
+        bond = make_bump_interval(L=1.0 + 1e-3 * i)[0].bonds[0]
+        u_log_expansion(bond)
+        wkb_coefficients(bond)
+        wkb_coefficients(bond, reverse=True)
+    for cached in (u_log_expansion, wkb_coefficients):
+        assert cached.cache_info().currsize <= CACHE_SIZE
