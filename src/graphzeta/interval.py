@@ -15,10 +15,12 @@ of segment counts n and 2n as three rows of n segments.  All growth is
 kept in log form so large t L never overflows.
 
 Real axis: batched 2x2 transfer matrices for the magnetic-gauge-removed
-equation, used by the spectral scan.  Closed forms cover the free and
-constant stretches, RK4 step maps the rest; the k-derivative is a complex
-step through the same kernels, and the Richardson pair of step counts
-runs through the RK4 kernel as one batch.
+equation, used by the spectral scan.  A bond is cut into the same
+segments of constant potential, each mapped exactly by cos and sin (cosh
+and sinh below the potential) at every k, so the error does not grow
+with k; the maps are multiplied pairwise a block at a time, with the
+Richardson pair as the same three rows, and the k-derivative is a
+complex step through the same maps.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .wkb import u_log_expansion
 CSTEP = 1e-30            # complex step for the t-derivatives
 KSTEP = 2.0 ** -600      # complex step for the real-axis k-derivative
 SWEEP_BLOCK = 32         # segments whose maps a sweep holds at once
+REAL_BLOCK = 16          # the same on the real axis, whose batches are larger
 
 
 @dataclass(frozen=True)
@@ -158,12 +161,15 @@ def _matmul(B, A):
 
 def _block_product(T, P):
     """The product of the segment maps [[1, T], [P, 1]] along the last axis,
-    later segments on the left, as one (2, 2, ...) stack.
+    later segments on the left, as one (2, 2, ...) stack."""
+    # the first round's stack passes to _product alone, which frees it
+    # after the next round
+    return _product(_first_round(T, P))
 
-    Neighbouring maps are multiplied pairwise, the first round from T and
-    P directly, so a block of k segments takes about log2(k) whole-stack
-    rounds; an odd map out is carried to the next round.
-    """
+
+def _first_round(T, P):
+    """The first round of _product on the maps [[1, T], [P, 1]], written
+    from T and P directly."""
     k = T.shape[-1]
     h = k // 2
     M = np.empty((2, 2) + T.shape[:-1] + (h + k % 2,), T.dtype)
@@ -180,6 +186,14 @@ def _block_product(T, P):
         M[0, 0, ..., -1] = M[1, 1, ..., -1] = 1.0
         M[0, 1, ..., -1] = T[..., -1]
         M[1, 0, ..., -1] = P[..., -1]
+    return M
+
+
+def _product(M):
+    """The product along the last axis of a (2, 2, ...) stack of maps,
+    later maps on the left.  Neighbouring maps are multiplied pairwise,
+    so k maps take about log2(k) whole-stack rounds; an odd map out is
+    carried to the next round."""
     while M.shape[-1] > 1:
         h = M.shape[-1] // 2
         paired = _matmul(M[..., 1:2 * h:2], M[..., 0:2 * h:2])
@@ -233,18 +247,14 @@ def _sweep(t, w, V):
     return R, s
 
 
-def _cpm(bond, t, reverse: bool) -> BondSolution:
-    """Constant-perturbation sweep of the solution decaying towards x = L.
-
-    The free stretches outside the support are one exact segment each;
-    the support is cut into n midpoint segments, n fixed by the bond, and
-    Richardson-extrapolated from n to 2n.  The pair runs as one sweep of
-    three rows of n segments: the n-segment sweep and the two halves of
-    the 2n-segment one, whose products are joined at the end; a free
-    stretch on the far side of a half is a segment of width zero, the
-    identity.  t-derivatives come from a complex step through the same
-    sweep.  By the Wronskian the Dirichlet solution has
-    u(L) = f(0) = m0 f'(0).
+def _segment_layout(bond, reverse: bool):
+    """Widths and potentials (w, V) of the segments of a bump bond, as
+    three rows of n + 2 in the order a sweep from x = L meets them, or
+    from x = 0 with reverse=True: the n-segment cut of the support, and
+    the two halves of the 2n-segment cut.  Each free stretch is one
+    exact segment, and on the far side of a half a segment of width
+    zero, the identity.  n = max(200, 200 (b - a) sqrt(max |V|)) is
+    fixed by the bond, the same on both axes and at every t or k.
     """
     L = bond.length
     pot = bond.potential
@@ -262,7 +272,20 @@ def _cpm(bond, t, reverse: bool) -> BondSolution:
         w[rows, 1:-1] = h
         V[rows, 1:-1] = pot.value(a + mid if reverse else b - mid).reshape(
             -1, n)
-    R, s = _sweep(t, w, V)
+    return w, V
+
+
+def _cpm(bond, t, reverse: bool) -> BondSolution:
+    """Constant-perturbation sweep of the solution decaying towards x = L.
+
+    The segments are those of _segment_layout, Richardson-extrapolated
+    from n to 2n: the pair runs as one sweep of its three rows, and the
+    products of the two halves are joined at the end.  t-derivatives
+    come from a complex step through the same sweep.  By the Wronskian
+    the Dirichlet solution has u(L) = f(0) = m0 f'(0).
+    """
+    L = bond.length
+    R, s = _sweep(t, *_segment_layout(bond, reverse))
     R1 = R[:, :, 0]
     R2 = _matmul(R[:, :, 2], R[:, :, 1])
     m1 = -R1[0, 1] / R1[1, 1]
@@ -349,154 +372,115 @@ def dirichlet_log_u_subtracted(bond, t, sol=None):
 # real axis
 
 
-def _blocks(t00, t01, t10, t11):
-    out = np.empty(np.shape(t00) + (2, 2),
-                   dtype=np.result_type(t00, t01, t10, t11))
-    out[..., 0, 0] = t00
-    out[..., 0, 1] = t01
-    out[..., 1, 0] = t10
-    out[..., 1, 1] = t11
-    return out
+def _real_segments(ks, w, V, derivative: bool):
+    """The maps of segments of widths w and constant potentials V, rows
+    of segments against the array ks, as one (2, 2, rows, k, segments)
+    stack; with derivative=True at the complex step k + i KSTEP.
 
-
-def _analytic_blocks_batch(k2: np.ndarray, c: float, ell: float):
-    """Transfer matrices across a stretch of constant potential c.
-
-    With z^2 = k^2 - c the entries are cos(z ell) and sin(z ell)/z; a
-    complex k^2 passes through.  Below |z^2 ell^2| = 1e-3 both come from
-    one series in x = z^2 ell^2, which keeps a complex step in k free of
-    the cancellation in sin(z ell)/z near z = 0.
+    With x = k^2 - V, C = cos(sqrt(x) w) and S = sin(sqrt(x) w)/sqrt(x),
+    one segment maps (f, f') by [[C, S], [-x S, C]].  cos and sin are
+    evaluated over the whole block; the cosh and sinh of x < 0 and the
+    series in z = x w^2 below |z| = 1e-3, which keeps S and its
+    derivative free of cancellation near x = 0, only on the elements
+    their masks select.  A segment of width zero is the identity.  The
+    k-derivatives, dC/dx = -w S/2 and dS/dx = (w C - S)/(2 x), are
+    formed in real arithmetic and enter as imaginary parts, so the real
+    parts are bitwise those of the plain maps.
     """
-    z2 = k2 - c
-    x = z2 * ell * ell
-    small = np.abs(x) < 1e-3
-    z = np.sqrt(np.where(small, 1.0, z2).astype(complex))
-    arg = z * ell
-    cosv = np.where(small, 1.0 + x * (-1.0 / 2.0 + x * (1.0 / 24.0 + x * (
-        -1.0 / 720.0 + x / 40320.0))), np.cos(arg))
-    sov = np.where(small, ell * (1.0 + x * (-1.0 / 6.0 + x * (1.0 / 120.0
-                   + x * (-1.0 / 5040.0 + x / 362880.0)))), np.sin(arg) / z)
-    if not np.iscomplexobj(k2):
-        cosv, sov = cosv.real, sov.real
-    return _blocks(cosv, sov, -z2 * sov, cosv)
+    k = ks[:, None]
+    w = np.broadcast_to(w[:, None, :], (len(w), len(ks), w.shape[1]))
+    x = k * k - V[:, None, :]
+    M = np.empty((2, 2) + x.shape, complex if derivative else float)
+    Mr = M.real
+    C, S = Mr[0, 0], Mr[0, 1]
+    z = x * w * w
+    small = np.abs(z) < 1e-3
+    series = small.any()
+    # the closed forms fail only where x = 0, on the series branch
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.sqrt(np.abs(x))
+        y = r * w
+        np.cos(y, out=C)
+        np.sin(y, out=S)
+        S /= r
+        neg = x < 0.0
+        if neg.any():
+            C[neg] = np.cosh(y[neg])
+            S[neg] = np.sinh(y[neg]) / r[neg]
+        if series:
+            zs, ws = z[small], w[small]
+            C[small] = 1.0 + zs * (-1.0 / 2.0 + zs * (1.0 / 24.0 + zs * (
+                -1.0 / 720.0 + zs / 40320.0)))
+            S[small] = ws * (1.0 + zs * (-1.0 / 6.0 + zs * (1.0 / 120.0
+                             + zs * (-1.0 / 5040.0 + zs / 362880.0))))
+        if derivative:
+            dS = (w * C - S) * k / x
+    Mr[1, 1] = C
+    np.multiply(-x, S, out=Mr[1, 0])
+    if derivative:
+        if series:
+            ks_small = np.broadcast_to(k, x.shape)[small]
+            dS[small] = 2.0 * ks_small * ws * ws * ws * (
+                -1.0 / 6.0 + zs * (1.0 / 60.0 + zs * (-1.0 / 1680.0
+                                                     + zs / 90720.0)))
+        Mi = M.imag
+        Mi[0, 0] = Mi[1, 1] = -KSTEP * k * w * S
+        Mi[0, 1] = KSTEP * dS
+        Mi[1, 0] = -KSTEP * (2.0 * k * S + x * dS)
+    return M
 
 
-def _rk4_blocks_batch(pot, ks: np.ndarray, spans, n: int):
-    """n classical RK4 steps of p' = q, q' = (V - k^2) p across every span
-    (a, b) in `spans`, for every k at once; a complex k passes through.
-    Returns the transfer matrices with shape (len(spans), len(ks), 2, 2).
-
-    With w = V - k^2 at x, x + h/2 and x + h, one step is the exact map
-
-        P00 = 1 + h^2/6 (w1 + 2 w2) + h^4/24 w1 w2
-        P01 = h + h^3/6 w2
-        P10 = h/6 (w1 + 4 w2 + w3) + h^3/12 w2 (w1 + w3)
-        P11 = 1 + h^2/6 (2 w2 + w3) + h^4/24 w2 w3
-
-    applied to both columns of T.  Each entry is at most quadratic in
-    k^2, so it splits as F + c + d k^2: F holds every V-free term, k^4
-    included, and is shared by all steps of a span; c and d are
-    tabulated per step from one evaluation of V per node grid.  Each
-    span is one column group with its own step h, F and step table, and
-    all groups advance together, so independent spans of one step count
-    share the per-call cost.  P is held as one (2, 2, groups, k) array of
-    the dtype of k and formed in three whole-batch operations; P T takes
-    twelve more, in place.
+def _real_sweep(ks, w, V, derivative: bool):
+    """The transfer matrices across each row of segments of widths w and
+    potentials V at every k, as one (2, 2, rows, k) stack: the maps of
+    REAL_BLOCK segments at a time, a constant so that no k's result
+    depends on the batch, multiplied pairwise (_product), each block
+    product joining one running product per row.  A map grows only where
+    k^2 < V, like cosh(sqrt(V - k^2) w), so the product is not rescaled.
     """
-    hs, tables = [], []
-    for a, b in spans:
-        h = (b - a) / n
-        x = a + np.arange(n) * h
-        v1 = pot.value(x)
-        v2 = pot.value(x + 0.5 * h)
-        v3 = pot.value(x + h)
-        h2, h3, h4 = h * h / 6.0, h ** 3 / 12.0, h ** 4 / 24.0
-        # c and d of P00, P01, P10, P11; P01 has no V-dependent k^2 term
-        tables.append([[h2 * (v1 + 2.0 * v2) + h4 * v1 * v2,
-                        2.0 * h3 * v2,
-                        h / 6.0 * (v1 + 4.0 * v2 + v3) + h3 * v2 * (v1 + v3),
-                        h2 * (2.0 * v2 + v3) + h4 * v2 * v3],
-                       [-h4 * (v1 + v2),
-                        np.zeros(n),
-                        -h3 * (v1 + 2.0 * v2 + v3),
-                        -h4 * (v2 + v3)]])
-        hs.append((h, h2, h3, h4))
-    # c and d of every step, (n, 2, 2, groups, 1) each
-    c, d = np.array(tables).transpose(1, 3, 2, 0).reshape(
-        2, n, 2, 2, len(spans), 1)
-    h, h2, h3, h4 = np.array(hs).T[:, :, None]
-    kk = ks * ks
-    shape = (len(spans),) + kk.shape
-    F = np.empty((2, 2) + shape, kk.dtype)
-    F[0, 0] = F[1, 1] = 1.0 + kk * (-3.0 * h2 + h4 * kk)
-    F[0, 1] = h - 2.0 * h3 * kk
-    F[1, 0] = kk * (-h + 2.0 * h3 * kk)
-
-    P = np.empty_like(F)
-    (p00, p01), (p10, p11) = P
-    t00, t11 = np.ones(shape, kk.dtype), np.ones(shape, kk.dtype)
-    t01, t10 = np.zeros(shape, kk.dtype), np.zeros(shape, kk.dtype)
-    u0, u1, tmp = np.empty((3,) + shape, kk.dtype)
-    mul = np.multiply
-    for ci, di in zip(c, d):
-        mul(kk, di, out=P)
-        P += F
-        P += ci
-        # row 0 of P T into (u0, u1), row 1 in place
-        mul(p00, t00, out=u0)
-        mul(p01, t10, out=tmp)
-        u0 += tmp
-        mul(p00, t01, out=u1)
-        mul(p01, t11, out=tmp)
-        u1 += tmp
-        mul(p10, t00, out=t00)
-        mul(p11, t10, out=t10)
-        t10 += t00
-        mul(p10, t01, out=t01)
-        mul(p11, t11, out=t11)
-        t11 += t01
-        t00, u0 = u0, t00
-        t01, u1 = u1, t01
-    return _blocks(t00, t01, t10, t11)
+    R = None
+    for lo in range(0, w.shape[1], REAL_BLOCK):
+        block = slice(lo, lo + REAL_BLOCK)
+        M = _product(_real_segments(ks, w[:, block], V[:, block], derivative))
+        R = M if R is None else _matmul(M, R)
+    return R
 
 
-def _transfer(bond, ks: np.ndarray, steps: int, richardson: bool):
-    pot = bond.potential
-    L = bond.length
-    k2 = ks * ks
-    if pot.kind in ("zero", "constant"):
-        return _analytic_blocks_batch(k2, getattr(pot, "c", 0.0), L)
-    a, b = pot.support(L)
-    if richardson:
-        # T(n) over [a, b] and the two halves of T(2n), as one batch
-        mid = 0.5 * (a + b)
-        R = _rk4_blocks_batch(pot, ks, [(a, b), (a, mid), (mid, b)], steps)
-        # times 1/15: numpy divides a complex array by 15.0 as by a
-        # complex number, which would move the last bit of the real part
-        inner = (16.0 * (R[2] @ R[1]) - R[0]) * (1.0 / 15.0)
-    else:
-        inner = _rk4_blocks_batch(pot, ks, [(a, b)], steps)[0]
-    return (_analytic_blocks_batch(k2, 0.0, L - b) @ inner
-            @ _analytic_blocks_batch(k2, 0.0, a))
-
-
-def transfer_matrices_real(bond, ks, *, steps: int = 1200,
-                           derivative: bool = False,
+def transfer_matrices_real(bond, ks, *, derivative: bool = False,
                            richardson: bool = False):
-    """Batched transfer matrices over an array of k.
+    """Batched transfer matrices (f, f')(0) -> (f, f')(L) over an array of
+    k, shape (k, 2, 2).
 
-    With richardson=True the RK4 block is (16 T(2 steps) - T(steps))/15,
-    the step error extrapolated away; the pass of `steps` steps over the
-    support and the two halves of the pass of 2 * steps steps run as one
-    batch of three column groups, each `steps` steps long.  The free
-    stretches on either side stay exact, and a closed-form bond returns
-    its plain T.  With derivative=True returns (T, dT/dk) from one pass
-    at the complex k + i KSTEP (Squire and Trapp, SIAM Rev. 40, 1998):
-    KSTEP^2 underflows, so T is bitwise that of the real pass and dT/dk
-    carries no cancellation.
+    The bond is cut into the segments of the imaginary-axis sweep: one
+    segment for each free stretch and for a constant bond, and the n
+    midpoint segments of the support, n independent of k.  Every segment
+    is exact at every k, so the error of the n-segment product does not
+    grow with k.  With richardson=True it is (4 T(2n) - T(n))/3, the
+    n-segment pass and the two halves of the 2n-segment pass running as
+    three rows of n segments; a closed-form bond returns its plain T.
+    With derivative=True returns (T, dT/dk) from the same pass at the
+    complex k + i KSTEP (Squire and Trapp, SIAM Rev. 40, 1998): KSTEP^2
+    underflows, so T is bitwise that of the real pass and dT/dk carries
+    no cancellation.
     """
     ks = np.asarray(ks, dtype=float)
+    pot = bond.potential
+    if pot.kind in ("zero", "constant"):
+        w = np.array([[bond.length]])
+        V = np.array([[getattr(pot, "c", 0.0)]])
+        T = _real_sweep(ks, w, V, derivative)[:, :, 0]
+    else:
+        # left to right in x: the layout of a sweep from x = 0
+        w, V = _segment_layout(bond, reverse=True)
+        if richardson:
+            R = _real_sweep(ks, w, V, derivative)
+            T2 = _matmul(R[:, :, 2], R[:, :, 1])
+            # times 1/3: numpy divides a complex array by 3.0 as by a
+            # complex number, which would move the last bit of the real part
+            T = (4.0 * T2 - R[:, :, 0]) * (1.0 / 3.0)
+        else:
+            T = _real_sweep(ks, w[:1], V[:1], derivative)[:, :, 0]
+    T = np.moveaxis(T, (0, 1), (-2, -1))
     if not derivative:
-        return _transfer(bond, ks, steps, richardson)
-    T = _transfer(bond, ks + 1j * KSTEP, steps, richardson)
+        return T
     return T.real, T.imag / KSTEP

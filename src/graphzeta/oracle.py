@@ -47,25 +47,15 @@ class _WeylAnomaly(Exception):
     pass
 
 
-def _rk4_steps(graph, k_max: float) -> int:
-    width = 0.0
-    for b in graph.bonds:
-        support = getattr(b.potential, "support", None)
-        if support is not None:
-            x0, x1 = support(b.length)
-            width = max(width, x1 - x0)
-    return max(1200, int(6.0 * (k_max + 1.0) * width))
-
-
-def _matrices(graph, mc, ks, steps):
-    """(S, dS/dk) with the transfer step error extrapolated away: one
-    pass whose RK4 blocks are (16 T(2 steps) - T(steps))/15."""
-    return secular_matrices_real(graph, mc, ks, steps=steps, derivative=True,
+def _matrices(graph, mc, ks):
+    """(S, dS/dk) with the transfer matrices' segment error extrapolated
+    away: one pass of (4 T(2n) - T(n))/3 on every bump bond."""
+    return secular_matrices_real(graph, mc, ks, derivative=True,
                                  richardson=True)
 
 
-def _singulars(graph, mc, ks, steps):
-    S = secular_matrices_real(graph, mc, ks, steps=steps)
+def _singulars(graph, mc, ks):
+    S = secular_matrices_real(graph, mc, ks)
     return np.linalg.svd(S, compute_uv=False)
 
 
@@ -83,7 +73,7 @@ def _pencil_steps(S, dS, shift):
                              where=mu != 0.0)
 
 
-def _newton(graph, mc, starts, dk, steps):
+def _newton(graph, mc, starts, dk):
     """Roots of det S(k) by Newton steps k <- k + delta on the secular
     pencil, from every start at once (successive linear problems; Ruhe,
     SIAM J. Numer. Anal. 10, 1973).
@@ -97,7 +87,7 @@ def _newton(graph, mc, starts, dk, steps):
     linearly).  Returns k + delta for each converged iterate, sorted, and
     S at k.
     """
-    S, dS = _matrices(graph, mc, starts, steps)
+    S, dS = _matrices(graph, mc, starts)
     # any shift inside the cell serves; see _pencil_steps
     deltas = _pencil_steps(S, dS, 0.5 * dk)
     row, col = np.nonzero(np.abs(deltas) < dk)
@@ -106,7 +96,7 @@ def _newton(graph, mc, starts, dk, steps):
     for _ in range(NEWTON_STEPS):
         if not len(ks):
             break
-        S, dS = _matrices(graph, mc, ks, steps)
+        S, dS = _matrices(graph, mc, ks)
         deltas = _pencil_steps(S, dS, 0.5 * dk)
         delta = deltas[np.arange(len(ks)), np.argmin(np.abs(deltas), axis=1)]
         done = np.abs(delta) < NEWTON_TOL
@@ -119,11 +109,11 @@ def _newton(graph, mc, starts, dk, steps):
     return roots[order], np.concatenate(mats)[order]
 
 
-def _scan_once(graph, mc, k_max, dk, steps):
+def _scan_once(graph, mc, k_max, dk):
     m = int(math.ceil(k_max / dk)) + 1
     ks = np.linspace(0.0, k_max, m)
     dk = ks[1] - ks[0]
-    svals = _singulars(graph, mc, ks, steps)
+    svals = _singulars(graph, mc, ks)
     sigma = svals[:, -1]
     with np.errstate(divide="ignore"):
         logdet = np.sum(np.log(svals), axis=-1)
@@ -158,7 +148,7 @@ def _scan_once(graph, mc, k_max, dk, steps):
     roots = []
     total = 0
     if len(starts):
-        found, mats = _newton(graph, mc, starts, dk, steps)
+        found, mats = _newton(graph, mc, starts, dk)
         # iterates that converged onto one root, from neighbouring dips or
         # from the two pencil eigenvalues of a double root, agree to
         # within NEWTON_TOL
@@ -195,9 +185,10 @@ def scan_spectrum(graph, mc, k_max: float, *, threads: int = 1) -> SpectrumWindo
     the smallest singular value and of log|det S|.  From each dip, Newton
     steps on the pencil (S(k), -dS/dk) converge to the roots of det S
     within one grid cell, with dS/dk exact through the transfer matrices
-    and both Richardson-extrapolated in the RK4 step count.  The singular
-    values of S at each converged root confirm it and give its
-    multiplicity.  A Weyl-count anomaly triggers one rescan at dk/4
+    and both Richardson-extrapolated in the count of constant-potential
+    segments a bump bond is cut into, which does not grow with k_max.
+    The singular values of S at each converged root confirm it and give
+    its multiplicity.  A Weyl-count anomaly triggers one rescan at dk/4
     before giving up.  The scan runs on the calling thread: `threads`
     must be at least 1 but reaches no computation, and is removed in the
     benchmark-only change of ROADMAP item 7 (benchmark upkeep) that drops
@@ -210,13 +201,12 @@ def scan_spectrum(graph, mc, k_max: float, *, threads: int = 1) -> SpectrumWindo
     if threads < 1:
         raise UnsupportedError("threads must be at least 1")
     dk = math.pi / (16.0 * graph.total_length())
-    steps = _rk4_steps(graph, k_max)
     try:
-        return _scan_once(graph, mc, k_max, dk, steps)
+        return _scan_once(graph, mc, k_max, dk)
     except _WeylAnomaly:
         pass
     try:
-        return _scan_once(graph, mc, k_max, dk / 4.0, steps)
+        return _scan_once(graph, mc, k_max, dk / 4.0)
     except _WeylAnomaly as exc:
         raise NumericalError(str(exc)) from None
 

@@ -152,18 +152,17 @@ def _assemble_real(graph, mc, transfer_blocks, nk, unit=1.0):
     return S
 
 
-def secular_matrices_real(graph, mc, ks, *, steps: int = 1200,
-                          derivative: bool = False, richardson: bool = False):
+def secular_matrices_real(graph, mc, ks, *, derivative: bool = False,
+                          richardson: bool = False):
     """Real-axis secular matrices S(k) over an array of k; with
     derivative=True the pair (S, dS/dk), both from one pass of the
-    transfer matrices.  With richardson=True the transfer matrices are
-    Richardson-extrapolated from steps to 2 * steps RK4 steps in that
-    one pass (see transfer_matrices_real); S is affine in them, so that
-    extrapolates S and dS/dk alike.
+    transfer matrices.  With richardson=True the transfer matrices of
+    the bump bonds are Richardson-extrapolated from n to 2n segments of
+    constant potential in that one pass (see transfer_matrices_real); S
+    is affine in them, so that extrapolates S and dS/dk alike.
     """
     ks = np.asarray(ks, dtype=float)
-    blocks = [transfer_matrices_real(bond, ks, steps=steps,
-                                     derivative=derivative,
+    blocks = [transfer_matrices_real(bond, ks, derivative=derivative,
                                      richardson=richardson)
               for bond in graph.bonds]
     if not derivative:

@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from conftest import make_bump_interval, make_interval
-from graphzeta import NumericalError, solve_imag_axis
+from conftest import BUMP, make_bump_interval, make_chain, make_interval
+from graphzeta import NumericalError, scan_spectrum, solve_imag_axis
 from graphzeta.interval import (CSTEP, SWEEP_BLOCK, BondSolution,
-                                _block_product, _segments, bond_solution,
-                                dirichlet_log_u_subtracted,
+                                _block_product, _real_sweep, _segments,
+                                bond_solution, dirichlet_log_u_subtracted,
                                 dirichlet_subtracted_derivative,
                                 transfer_matrices_real)
+from graphzeta.secular import _assemble_real
 from graphzeta.wkb import u_log_expansion
 
 
@@ -57,44 +58,90 @@ def dop853_reference(bond, t, reverse=False):
             math.log(uL) + sigma, huL / uL)
 
 
+def stack_2x2(t00, t01, t10, t11):
+    return np.stack([np.stack([t00, t01], -1), np.stack([t10, t11], -1)], -2)
+
+
+def free_transfer(ks, ell):
+    c = np.cos(ks * ell)
+    s = ell * np.sinc(ks * ell / math.pi)       # sin(k ell) / k
+    return stack_2x2(c, s, -ks * ks * s, c)
+
+
 def rk4_reference(bond, ks, steps):
-    """Transfer matrices over ks by the classical RK4 loop, stage by stage
-    on both columns, across the support of the potential, with the free
-    stretches on either side in closed form."""
+    """Transfer matrices over ks by the classical RK4 loop, stage by stage,
+    both columns at once, across the support of the potential, with the
+    free stretches on either side in closed form."""
     pot = bond.potential
     a, b = pot.support(bond.length)
     kk = ks * ks
     h = (b - a) / steps
-    p0, q0 = np.ones_like(ks), np.zeros_like(ks)
-    p1, q1 = np.zeros_like(ks), np.ones_like(ks)
+    x = a + np.arange(steps) * h
+    v1, v2, v3 = (pot.value(x + d) for d in (0.0, 0.5 * h, h))
+    # column j of the transfer matrix is (p[j], q[j])
+    p, q = np.eye(2)[:, :, None] * np.ones_like(ks)
     for i in range(steps):
-        x = a + i * h
-        w1 = pot.value_scalar(x) - kk
-        w2 = pot.value_scalar(x + 0.5 * h) - kk
-        w3 = pot.value_scalar(x + h) - kk
-        cols = []
-        for p, q in ((p0, q0), (p1, q1)):
-            k1p, k1q = q, w1 * p
-            k2p = q + 0.5 * h * k1q
-            k2q = w2 * (p + 0.5 * h * k1p)
-            k3p = q + 0.5 * h * k2q
-            k3q = w2 * (p + 0.5 * h * k2p)
-            k4p = q + h * k3q
-            k4q = w3 * (p + h * k3p)
-            cols.append((p + h / 6.0 * (k1p + 2.0 * k2p + 2.0 * k3p + k4p),
-                         q + h / 6.0 * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)))
-        (p0, q0), (p1, q1) = cols
+        w1, w2, w3 = v1[i] - kk, v2[i] - kk, v3[i] - kk
+        k1p, k1q = q, w1 * p
+        k2p = q + 0.5 * h * k1q
+        k2q = w2 * (p + 0.5 * h * k1p)
+        k3p = q + 0.5 * h * k2q
+        k3q = w2 * (p + 0.5 * h * k2p)
+        k4p = q + h * k3q
+        k4q = w3 * (p + h * k3p)
+        p = p + h / 6.0 * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
+        q = q + h / 6.0 * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
+    return (free_transfer(ks, bond.length - b)
+            @ stack_2x2(p[0], p[1], q[0], q[1]) @ free_transfer(ks, a))
 
-    def matrices(t00, t01, t10, t11):
-        return np.stack([np.stack([t00, t01], -1),
-                         np.stack([t10, t11], -1)], -2)
 
-    def free(ell):
-        c = np.cos(ks * ell)
-        s = ell * np.sinc(ks * ell / math.pi)       # sin(k ell) / k
-        return matrices(c, s, -kk * s, c)
+def rk4_converged(bond, ks):
+    """rk4_reference Richardson-extrapolated from 9,600 to 19,200 steps,
+    within about 1e-11 of the exact transfer matrices up to k = 215."""
+    return (16.0 * rk4_reference(bond, ks, 19200)
+            - rk4_reference(bond, ks, 9600)) / 15.0
 
-    return free(bond.length - b) @ matrices(p0, p1, q0, q1) @ free(a)
+
+def segment_row(bond, n):
+    """Widths and potentials of the n-segment cut of a bump bond, left to
+    right, with one segment for each free stretch."""
+    pot = bond.potential
+    a, b = pot.support(bond.length)
+    h = (b - a) / n
+    w = np.concatenate(([a], np.full(n, h), [bond.length - b]))
+    V = np.concatenate(([0.0], pot.value(a + (np.arange(n) + 0.5) * h),
+                        [0.0]))
+    return w, V
+
+
+def segment_count(bond):
+    pot = bond.potential
+    a, b = pot.support(bond.length)
+    vmax = max(-pot.minimum(bond.length), pot.maximum(bond.length))
+    return max(200, math.ceil(200.0 * (b - a) * math.sqrt(vmax)))
+
+
+def segment_product_reference(bond, ks):
+    """Transfer matrices over ks as the product of the n segment maps
+    [[C, S], [-x S, C]], x = k^2 - V, taken one segment at a time from
+    x = 0, each map from cos and sinc at the complex square root of x."""
+    T = np.broadcast_to(np.eye(2), (len(ks), 2, 2))
+    for w, V in zip(*segment_row(bond, segment_count(bond))):
+        x = ks * ks - V
+        y = np.sqrt(x + 0j) * w
+        C = np.cos(y).real
+        S = w * np.sinc(y / math.pi).real
+        T = stack_2x2(C, S, -x * S, C) @ T
+    return T
+
+
+def d_scaled_error(got, ref, ks):
+    """max |got - ref| over max |ref| at each k, both as D^-1 T D with
+    D = diag(1, max(k, 1)), which keeps every entry of order one."""
+    D = np.stack([np.ones_like(ks), np.maximum(ks, 1.0)], -1)
+    scale = D[:, None, :] / D[:, :, None]
+    return ((np.abs(got - ref) * scale).max(axis=(1, 2))
+            / (np.abs(ref) * scale).max(axis=(1, 2)))
 
 
 def sweep_reference(bond, t, reverse=False):
@@ -348,30 +395,36 @@ def test_transfer_matrix_unit_determinant_with_potential():
         assert det == pytest.approx(1.0, abs=1e-9)
 
 
-def test_transfer_matrices_match_rk4_loop():
-    # each step applied as one exact 2x2 map reorders the arithmetic of
-    # the stage-by-stage loop and nothing else
+# the bumps of the real-axis tests; height 100 takes n = 1,200 segments
+REAL_CASES = [dict(height=0.3), dict(height=3.0),
+              dict(center=0.35, half_width=0.2, height=4.0),
+              dict(height=-3.0), dict(height=100.0)]
+
+
+@pytest.mark.parametrize("kw", REAL_CASES, ids=lambda kw: str(kw["height"]))
+def test_transfer_matrices_match_sequential_segment_product(kw):
+    # the masked branches and the pairwise products of blocks reorder the
+    # arithmetic of the one-segment-at-a-time product and nothing else
     ks = np.linspace(0.0, 215.0, 64)
-    # D^-1 T D with D = diag(1, k) keeps every entry of order one
-    scale = np.maximum(ks, 1.0)
-    D = np.stack([np.ones_like(ks), scale], -1)
-    for graph_mc in (make_bump_interval(),
-                     make_bump_interval(center=0.35, half_width=0.2,
-                                        height=4.0),
-                     make_bump_interval(height=-3.0),
-                     make_bump_interval(height=100.0)):
-        bond = graph_mc[0].bonds[0]
-        for steps in (1200, 2400):
-            got = transfer_matrices_real(bond, ks, steps=steps)
-            ref = rk4_reference(bond, ks, steps)
-            err = np.abs(got - ref) * D[:, None, :] / D[:, :, None]
-            size = np.abs(ref) * D[:, None, :] / D[:, :, None]
-            assert np.all(err.max(axis=(1, 2))
-                          <= 1e-11 * size.max(axis=(1, 2)))
+    bond = make_bump_interval(**kw)[0].bonds[0]
+    got = transfer_matrices_real(bond, ks)
+    ref = segment_product_reference(bond, ks)
+    assert np.all(d_scaled_error(got, ref, ks) <= 1e-11)
+
+
+@pytest.mark.parametrize("kw", REAL_CASES, ids=lambda kw: str(kw["height"]))
+def test_transfer_matrices_converge_to_rk4_reference(kw):
+    # the segment error does not grow with k: the Richardson pair holds
+    # the converged RK4 loop up to k = 215, where the RK4 pair of 1,200
+    # and 2,400 steps was off by about 4e-7
+    ks = np.linspace(0.0, 215.0, 64)
+    bond = make_bump_interval(**kw)[0].bonds[0]
+    got = transfer_matrices_real(bond, ks, richardson=True)
+    assert np.all(d_scaled_error(got, rk4_converged(bond, ks), ks) <= 1e-10)
 
 
 def test_transfer_matrix_derivative_matches_difference():
-    # the exact k-derivative of the step maps against a five-point
+    # the exact k-derivative of the segment maps against a five-point
     # difference of the same maps; k = sqrt(3) puts the constant bond on
     # the series branch of its closed form
     ks = np.array([0.0, 1e-3, 0.8, math.sqrt(3.0), 3.3, 40.0, 215.0])
@@ -391,24 +444,21 @@ def test_transfer_matrix_derivative_matches_difference():
         assert np.all(np.abs(dT - diff).max(axis=(1, 2)) <= 1e-9 * scale)
 
 
-def test_transfer_matrix_richardson_pair_in_one_pass():
-    # the batched pair (steps-step pass and the two halves of the
-    # 2 steps-step pass) against two plain passes extrapolated afterwards
+def test_transfer_matrix_richardson_rows_match_two_passes():
+    # the pair as three rows of n segments (the n-segment pass and the two
+    # halves of the 2n-segment pass) against two plain passes extrapolated
+    # afterwards
     ks = np.concatenate([[0.0, 1e-6, 1e-3], np.linspace(0.01, 215.0, 96)])
-    scale = np.maximum(ks, 1.0)
-    D = np.stack([np.ones_like(ks), scale], -1)
-    for graph_mc in (make_bump_interval(),
-                     make_bump_interval(height=-3.0),
-                     make_bump_interval(height=100.0),
-                     make_bump_interval(center=0.35, half_width=0.2,
-                                        height=4.0)):
-        bond = graph_mc[0].bonds[0]
+    for kw in REAL_CASES:
+        bond = make_bump_interval(**kw)[0].bonds[0]
+        n = segment_count(bond)
         got = transfer_matrices_real(bond, ks, richardson=True)
-        ref = (16.0 * transfer_matrices_real(bond, ks, steps=2400)
-               - transfer_matrices_real(bond, ks)) / 15.0
-        err = np.abs(got - ref) * D[:, None, :] / D[:, :, None]
-        size = np.abs(ref) * D[:, None, :] / D[:, :, None]
-        assert np.all(err.max(axis=(1, 2)) <= 1e-12 * size.max(axis=(1, 2)))
+        T1, T2 = (np.moveaxis(_real_sweep(ks, *(a[None] for a in
+                                                segment_row(bond, m)),
+                                          False)[:, :, 0], (0, 1), (-2, -1))
+                  for m in (n, 2 * n))
+        ref = (4.0 * T2 - T1) / 3.0
+        assert np.all(d_scaled_error(got, ref, ks) <= 1e-12)
         T, _ = transfer_matrices_real(bond, ks, derivative=True,
                                       richardson=True)
         assert np.array_equal(T, got)
@@ -416,6 +466,21 @@ def test_transfer_matrix_richardson_pair_in_one_pass():
                                          "value": 3.0})[0].bonds[0]
     assert np.array_equal(transfer_matrices_real(bond, ks, richardson=True),
                           transfer_matrices_real(bond, ks))
+
+
+def test_scan_top_roots_match_rk4_reference():
+    # the top roots of the height-3 bump chain, against det S assembled
+    # from the converged RK4 loop and refined by one secant step
+    graph, mc = make_chain((1.0, 1.0, 1.0), bump=BUMP)
+    roots = scan_spectrum(graph, mc, 215.0).roots[-4:]
+    assert all(m == 1 for _, m in roots)
+    h = 1e-7
+    ks = np.array([k + d for k, _ in roots for d in (0.0, h)])
+    blocks = [rk4_converged(b, ks) if b.potential.kind == "bump"
+              else free_transfer(ks, b.length) for b in graph.bonds]
+    det = np.linalg.det(_assemble_real(graph, mc, blocks, len(ks)))
+    for (k, _), d0, d1 in zip(roots, det[0::2], det[1::2]):
+        assert abs((h * d0 / (d0 - d1)).real) <= 1e-11, k
 
 
 def closed_form_dT(k, c, L=1.0):

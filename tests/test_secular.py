@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from conftest import (BUMP, from_doc, make_chain, make_circle, make_interval,
-                      make_star)
+from conftest import (BUMP, from_doc, make_bump_interval, make_chain,
+                      make_circle, make_interval, make_star)
 from graphzeta import (F_imag, NumericalError, asymptotic_F_coefficients,
                        dF_dL_imag, replace_bond_length)
 from graphzeta.interval import (bond_solution, dirichlet_log_u_subtracted,
@@ -65,6 +66,23 @@ def test_real_matrix_derivative_assembly():
             - secular_matrices_real(graph, mc, ks - h, richardson=True))
     diff /= 2 * h
     assert np.max(np.abs(dS - diff)) < 1e-7 * np.max(np.abs(dS))
+
+
+def test_real_matrices_memory_does_not_grow_with_segment_count():
+    # one coarse-grid call of the bump chain's scan to k = 215; the maps
+    # are held a block of segments at a time, so height 100 (n = 1,200)
+    # needs no more than height 0.3 (n = 200)
+    ks = np.linspace(0.0, 215.0, 3286)
+    peaks = []
+    for height in (0.3, 100.0):
+        graph, mc = make_bump_interval(height=height)
+        tracemalloc.start()
+        try:
+            secular_matrices_real(graph, mc, ks)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.25 * peaks[0]
 
 
 def test_F_imag_positive_secular_function():
