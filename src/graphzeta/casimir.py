@@ -95,7 +95,7 @@ def casimir_force(graph, mc, bond_id: str) -> ForceResult:
     b = graph.bonds.index(bond)
 
     def g(t):
-        sols = bond_solutions(graph, t)
+        sols = bond_solutions(graph, t, derivative=False)
         # d/dL [log u(L) - t L] = u'(L)/u(L) - t; the reversed decaying
         # solution gives u'(L)/u(L) = -f'_rev(0).
         dirichlet = -(sols[b][1].f_prime_at_0 + t)

@@ -4,6 +4,10 @@ Imaginary axis (k = i t): bond_solution returns, over an array of t, the
 boundary data entering the secular matrix, the derivative f'(0) of the
 solution decaying towards x = L, the logarithm of the Dirichlet solution
 u(L), and their t-derivatives; solve_imag_axis is the same at one t.
+The t-derivatives come from a complex step and are formed only on
+request: zeta's h'(t)/t integrand reads them, while the vacuum energy,
+the Casimir force and the secular determinant on its own read only
+log F and log u and take a float64 pass at about half the cost.
 Zero and constant potentials have closed forms, with their small- and
 large-x branches selected per node; every other potential goes through
 one constant-perturbation sweep (Ixaru 1984; Ledoux, Van Daele and
@@ -52,7 +56,8 @@ class ImagAxisSolution:
 
 class BondSolution(NamedTuple):
     """The fields of ImagAxisSolution as arrays over the nodes t, and
-    log u - t L computed without the cancellation of the difference."""
+    log u - t L computed without the cancellation of the difference; the
+    t-derivatives are None when the solve skipped them."""
 
     f_prime_at_0: np.ndarray
     df_prime_at_0_dt: np.ndarray
@@ -61,7 +66,7 @@ class BondSolution(NamedTuple):
     log_u_excess: np.ndarray
 
     def take(self, mask) -> "BondSolution":
-        return BondSolution(*(a[mask] for a in self))
+        return BondSolution(*(None if a is None else a[mask] for a in self))
 
 
 def _cothm1(x):
@@ -89,7 +94,7 @@ def _xcsch2_minus_coth(x):
     return np.where(x < 0.15, series, np.where(x > 350.0, -1.0, mid))
 
 
-def _analytic(bond, t) -> BondSolution:
+def _analytic(bond, t, derivative: bool) -> BondSolution:
     L = bond.length
     c = getattr(bond.potential, "c", 0.0)
     kappa = np.sqrt(np.maximum(t * t + c, 0.0))
@@ -98,49 +103,59 @@ def _analytic(bond, t) -> BondSolution:
     # the closed forms on the safe stand-ins ks, xs; the series below 1e-8
     ks = np.where(tiny, 1.0, kappa)
     xs = ks * L
+    fp = np.where(tiny, -1.0 / L - kappa * kappa * L / 3.0, -ks / np.tanh(xs))
+    log_u = np.where(tiny, math.log(L) + x * x / 6.0,
+                     xs - np.log(2.0 * ks) + np.log(-np.expm1(-2.0 * xs)))
+    excess = np.where(tiny, math.log(L) + x * x / 6.0 - t * L,
+                      L * c / (ks + t) - np.log(2.0 * ks)
+                      + np.log(-np.expm1(-2.0 * xs)))
+    if not derivative:
+        return BondSolution(fp, None, log_u, None, excess)
     return BondSolution(
-        np.where(tiny, -1.0 / L - kappa * kappa * L / 3.0,
-                 -ks / np.tanh(xs)),
+        fp,
         np.where(tiny, -2.0 * t * L / 3.0, (t / ks) * _xcsch2_minus_coth(xs)),
-        np.where(tiny, math.log(L) + x * x / 6.0,
-                 xs - np.log(2.0 * ks) + np.log(-np.expm1(-2.0 * xs))),
+        log_u,
         np.where(tiny, t * L * L / 3.0, (t * L / ks) * _coth_minus_inv(xs)),
-        np.where(tiny, math.log(L) + x * x / 6.0 - t * L,
-                 L * c / (ks + t) - np.log(2.0 * ks)
-                 + np.log(-np.expm1(-2.0 * xs))))
+        excess)
 
 
-def _segments(t, w, V):
-    """The segment maps of _sweep at the nodes t: T and P = q T at the
-    complex step, and log cosh(kappa w) - t w with its t-derivative.
+def _segments(t, w, V, derivative: bool):
+    """The segment maps of _sweep at the nodes t: T, P = q T and
+    log cosh(kappa w) - t w, and with derivative=True the t-derivative of
+    the last.
 
-    They are evaluated in real arithmetic together with their
-    t-derivatives, which enter T and P as imaginary parts; below
-    |kappa w| = 1e-2 the series in z = q w^2 keep the derivative exact,
-    and a segment of width zero is the identity.
+    With derivative=False, the pass of bond_solution's energy and force
+    callers, all three are float64.  With derivative=True T and P are at
+    the complex step t + i CSTEP, their t-derivatives formed in real
+    arithmetic and entering as imaginary parts; below |kappa w| = 1e-2
+    the series in z = q w^2 keep the derivative exact.  A segment of
+    width zero is the identity.
     """
     t = t[:, None]
     w = w[:, None, :]
     V = V[:, None, :]
     q = t * t + V
-    dq = 2.0 * t
     z = q * w * w
-    dz = dq * w * w
     small = z < 1e-4
     kappa = np.sqrt(np.where(small, 1.0, q))
     y = np.where(small, 1.0, kappa * w)
-    dy = t / kappa * w
     e = np.exp(-2.0 * y)
     th = -np.expm1(-2.0 * y) / (1.0 + e)
     tanhc = np.where(small, 1.0 + z * (-1.0 / 3.0 + z * (2.0 / 15.0
                      - z * 17.0 / 315.0)), th / y)
-    dtanhc = np.where(small, dz * (-1.0 / 3.0 + z * (4.0 / 15.0
-                      - z * 51.0 / 315.0)), (1.0 - th * th - tanhc) * dy / y)
     # log cosh(y) - t w; w (kappa - t) = w V / (kappa + t) spares it the
     # cancellation
     log_cosh = np.where(
         small, z * (0.5 + z * (-1.0 / 12.0 + z / 45.0)) - t * w,
         V * w / (kappa + t) + np.log1p(e) - math.log(2.0))
+    if not derivative:
+        T = w * tanhc
+        return T, q * T, log_cosh, None
+    dq = 2.0 * t
+    dz = dq * w * w
+    dy = t / kappa * w
+    dtanhc = np.where(small, dz * (-1.0 / 3.0 + z * (4.0 / 15.0
+                      - z * 51.0 / 315.0)), (1.0 - th * th - tanhc) * dy / y)
     dlog_cosh = np.where(small, dz * (0.5 + z * (-1.0 / 6.0 + z / 15.0)),
                          th * dy)
     T = w * (tanhc + 1j * CSTEP * dtanhc)
@@ -148,8 +163,10 @@ def _segments(t, w, V):
 
 
 def _log_step(z):
-    """log z for z > 0 at the complex step: Im z is of the order of the
-    step, so log z is log Re z + i Im z / Re z."""
+    """log z for z > 0; for complex z at the complex step, where Im z is
+    of the order of the step, log Re z + i Im z / Re z."""
+    if not np.iscomplexobj(z):
+        return np.log(z)
     return np.log(z.real) + 1j * (z.imag / z.real)
 
 
@@ -202,15 +219,16 @@ def _product(M):
     return M[..., 0]
 
 
-def _sweep(t, w, V):
+def _sweep(t, w, V, derivative: bool):
     """Sweep from x = L, where f = 0 and f' = -1, across segments of widths
     w and constant potentials V, one sweep per row of w and V and per
-    node of t, all at once, at the complex step t + i CSTEP.  Returns
-    (R, s) with one row per sweep and one column per node: R, a
-    (2, 2, rows, nodes) stack, is the product of the segment maps in the
-    basis (f, -f'), and s the log of the scale divided out of it plus the
-    log cosh(kappa w) - t w of every segment.  So (f, -f') at the far end
-    is e^s (R01, R11).
+    node of t, all at once; at the complex step t + i CSTEP with
+    derivative=True, in float64 otherwise (the callers of each are
+    listed at bond_solution).  Returns (R, s) with one row
+    per sweep and one column per node: R, a (2, 2, rows, nodes) stack, is
+    the product of the segment maps in the basis (f, -f'), and s the log
+    of the scale divided out of it plus the log cosh(kappa w) - t w of
+    every segment.  So (f, -f') at the far end is e^s (R01, R11).
 
     Keeping s of order one instead of t L keeps the absolute error of
     log u at rounding level, which the subtracted large-t integrands rely
@@ -229,19 +247,27 @@ def _sweep(t, w, V):
     forgotten, where in an unscaled product the t-derivative in Im R
     would gather it from every segment.
     """
-    s = np.zeros((len(w), len(t)), complex)
+    s = np.zeros((len(w), len(t)), complex if derivative else float)
     R = None
     for lo in range(0, w.shape[1], SWEEP_BLOCK):
         block = slice(lo, lo + SWEEP_BLOCK)
-        T, P, log_cosh, dlog_cosh = _segments(t, w[:, block], V[:, block])
+        T, P, log_cosh, dlog_cosh = _segments(t, w[:, block], V[:, block],
+                                              derivative)
         M = _block_product(T, P)
         R = M if R is None else _matmul(M, R)
         scale = R[1, 1].copy()
-        R /= scale
+        if derivative:
+            R /= scale
+        else:
+            # numpy divides by a complex array as times its reciprocal, so
+            # the real pass rounds like the real part of the complex one
+            R *= 1.0 / scale
         # summed per block first: at large t both terms are near -+log 2
         # per segment
-        s += (log_cosh.sum(axis=-1) + 1j * CSTEP * dlog_cosh.sum(axis=-1)
-              + _log_step(scale))
+        step = log_cosh.sum(axis=-1)
+        if derivative:
+            step = step + 1j * CSTEP * dlog_cosh.sum(axis=-1)
+        s += step + _log_step(scale)
         # freed before the next block's maps are formed
         del T, P, log_cosh, dlog_cosh
     return R, s
@@ -275,17 +301,19 @@ def _segment_layout(bond, reverse: bool):
     return w, V
 
 
-def _cpm(bond, t, reverse: bool) -> BondSolution:
+def _cpm(bond, t, reverse: bool, derivative: bool) -> BondSolution:
     """Constant-perturbation sweep of the solution decaying towards x = L.
 
     The segments are those of _segment_layout, Richardson-extrapolated
     from n to 2n: the pair runs as one sweep of its three rows, and the
-    products of the two halves are joined at the end.  t-derivatives
-    come from a complex step through the same sweep.  By the Wronskian
-    the Dirichlet solution has u(L) = f(0) = m0 f'(0).
+    products of the two halves are joined at the end.  With
+    derivative=True the t-derivatives come from a complex step through
+    the same sweep; otherwise the sweep is real and they are None, as
+    bond_solution's energy and force callers ask.  By
+    the Wronskian the Dirichlet solution has u(L) = f(0) = m0 f'(0).
     """
     L = bond.length
-    R, s = _sweep(t, *_segment_layout(bond, reverse))
+    R, s = _sweep(t, *_segment_layout(bond, reverse), derivative)
     R1 = R[:, :, 0]
     R2 = _matmul(R[:, :, 2], R[:, :, 1])
     m1 = -R1[0, 1] / R1[1, 1]
@@ -300,12 +328,25 @@ def _cpm(bond, t, reverse: bool) -> BondSolution:
             f"bond '{bond.id}': solution lost decay at t={t[lost][0]}")
     fp = 1.0 / m0
     lu = s0 + np.log(-m0)
+    if not derivative:
+        return BondSolution(fp, None, t * L + lu, None, lu)
     return BondSolution(fp.real, fp.imag / CSTEP, t * L + lu.real,
                         lu.imag / CSTEP, lu.real)
 
 
-def bond_solution(bond, t, *, reverse: bool = False) -> BondSolution:
-    """Boundary data of one bond at every node of the 1-d array t."""
+def bond_solution(bond, t, *, reverse: bool = False,
+                  derivative: bool = True) -> BondSolution:
+    """Boundary data of one bond at every node of the 1-d array t.
+
+    With derivative=False the t-derivative fields are None and a bump
+    bond is swept in float64, at about half the cost of the complex
+    step.  The integrands of the vacuum energy (minus_half_data) and of
+    the Casimir force read only log F and log u, and take that pass, as
+    do logF_imag and dlogF_dL_imag when they solve for themselves, which
+    covers F_imag, the zero probe and the large-t asymptotics check.
+    zeta's integrand, logF_slope_imag and solve_imag_axis keep the
+    complex step.
+    """
     pot = bond.potential
     L = bond.length
     t = np.asarray(t, dtype=float)
@@ -317,10 +358,10 @@ def bond_solution(bond, t, *, reverse: bool = False) -> BondSolution:
             f"bond '{bond.id}': t={t.min()} below the spectral floor "
             f"{math.sqrt(-vmin) + 1e-6:.6g}")
     if pot.kind in ("zero", "constant"):
-        return _analytic(bond, t)
+        return _analytic(bond, t, derivative)
     if reverse and pot.symmetric(L):
         reverse = False
-    return _cpm(bond, t, reverse)
+    return _cpm(bond, t, reverse, derivative)
 
 
 def solve_imag_axis(bond, t, *, reverse: bool = False) -> ImagAxisSolution:

@@ -38,30 +38,32 @@ class SecularValue:
     phase: float
 
 
-def bond_solutions(graph, t):
+def bond_solutions(graph, t, *, derivative: bool = True):
     """(forward, reverse) BondSolution of every bond at the nodes t; a
-    bond that reversal leaves unchanged shares one solve."""
+    bond that reversal leaves unchanged shares one solve.  derivative as
+    in bond_solution."""
     out = []
     for bond in graph.bonds:
-        fwd = bond_solution(bond, t)
+        fwd = bond_solution(bond, t, derivative=derivative)
         rev = (fwd if bond.potential.symmetric(bond.length)
-               else bond_solution(bond, t, reverse=True))
+               else bond_solution(bond, t, reverse=True,
+                                  derivative=derivative))
         out.append((fwd, rev))
     return out
 
 
 def _secular_system(graph, mc, sols):
-    """K = A + B M, M and dM/dt, stacked over the nodes of sols."""
+    """K = A + B M, M and dM/dt, stacked over the nodes of sols; dM is
+    None when the solutions carry no t-derivatives."""
     B = graph.bond_count
     n = 2 * B
     nt = len(sols[0][0].log_u)
     M = np.zeros((nt, n, n), dtype=complex)
-    dM = np.zeros((nt, n, n), dtype=complex)
+    derivative = sols[0][0].df_prime_at_0_dt is not None
+    dM = np.zeros((nt, n, n), dtype=complex) if derivative else None
     for b, (bond, (fwd, rev)) in enumerate(zip(graph.bonds, sols)):
         M[:, b, b] = fwd.f_prime_at_0
-        dM[:, b, b] = fwd.df_prime_at_0_dt
         M[:, B + b, B + b] = rev.f_prime_at_0
-        dM[:, B + b, B + b] = rev.df_prime_at_0_dt
         # the off-diagonal exp(-log u) exp(+-i A L), dropped once it underflows
         keep = fwd.log_u < UNDERFLOW_LOG
         decay = np.where(keep, np.exp(-np.minimum(fwd.log_u, UNDERFLOW_LOG)),
@@ -69,8 +71,11 @@ def _secular_system(graph, mc, sols):
         phase = cmath.exp(1j * bond.vector_potential * bond.length)
         M[:, B + b, b] = decay * phase
         M[:, b, B + b] = decay * phase.conjugate()
-        dM[:, B + b, b] = -fwd.dlog_u_dt * M[:, B + b, b]
-        dM[:, b, B + b] = -fwd.dlog_u_dt * M[:, b, B + b]
+        if derivative:
+            dM[:, b, b] = fwd.df_prime_at_0_dt
+            dM[:, B + b, B + b] = rev.df_prime_at_0_dt
+            dM[:, B + b, b] = -fwd.dlog_u_dt * M[:, B + b, b]
+            dM[:, b, B + b] = -fwd.dlog_u_dt * M[:, b, B + b]
     return mc.A + mc.B @ M, M, dM
 
 
@@ -92,7 +97,7 @@ def logF_imag(graph, mc, t, sols=None):
     """(log|F|, phase of F) over the nodes t; log|F| is -inf where F
     vanishes exactly, and the phase lies in (-pi, pi]."""
     if sols is None:
-        sols = bond_solutions(graph, t)
+        sols = bond_solutions(graph, t, derivative=False)
     sign, log_abs = np.linalg.slogdet(_secular_system(graph, mc, sols)[0])
     phase = np.angle(sign)
     return log_abs, np.where(phase <= -math.pi, math.pi, phase)
@@ -101,10 +106,13 @@ def logF_imag(graph, mc, t, sols=None):
 def logF_slope_imag(graph, mc, t, sols=None):
     """d/dt log F over the nodes t: tr[(A + B M)^-1 B M'], with M'
     assembled from the solver's t-derivative outputs; no numerical
-    differentiation in t."""
+    differentiation in t.  sols must carry the t-derivatives."""
     if sols is None:
         sols = bond_solutions(graph, t)
     K, _, dM = _secular_system(graph, mc, sols)
+    if dM is None:
+        raise ValueError("logF_slope_imag needs bond solutions that carry "
+                         "t-derivatives")
     return np.trace(_solve(K, mc.B @ dM, t), axis1=1, axis2=2)
 
 
@@ -302,13 +310,13 @@ def dlogF_dL_imag(graph, mc, bond_id, t, sols=None):
     -(t^2 + V(L) - m^2) on the reverse diagonal, and m + i A and m - i A
     times the off-diagonal entries exp(+i A L)/u(L) and exp(-i A L)/u(L).
     The solves it reads are the ones M was built from, so no bond is
-    solved twice.
+    solved twice, and they need not carry t-derivatives.
     """
     bond = graph.bond_by_id(bond_id)
     b = graph.bonds.index(bond)
     B = graph.bond_count
     if sols is None:
-        sols = bond_solutions(graph, t)
+        sols = bond_solutions(graph, t, derivative=False)
     K, M, _ = _secular_system(graph, mc, sols)
     fwd = sols[b][0]
     m_rev = M[:, B + b, B + b]

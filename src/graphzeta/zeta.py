@@ -664,7 +664,7 @@ def minus_half_data(graph, mc, *, tol: float = 1e-10) -> MinusHalfData:
     expansions = [u_log_expansion(bond, DEPTH) for bond in graph.bonds]
 
     def g(t):
-        sols = bond_solutions(graph, t)
+        sols = bond_solutions(graph, t, derivative=False)
         sub = t >= 1.0
         ts = t[sub]
         col, _ = logF_imag(graph, mc, t, sols)

@@ -4,9 +4,10 @@ import pytest
 
 from conftest import (BUMP, make_bump_interval, make_chain, make_interval,
                       make_star)
-from graphzeta import (UnsupportedError, casimir_force,
-                       energy_finite_difference, mu_sensitivity,
-                       vacuum_energy)
+from graphzeta import (F_imag, UnsupportedError, asymptotic_F_coefficients,
+                       casimir_force, energy_finite_difference,
+                       mu_sensitivity, vacuum_energy, zeta_total)
+from graphzeta import interval
 
 
 def test_vacuum_energy_interval():
@@ -106,3 +107,29 @@ def test_force_error_estimate_reported():
     assert math.isfinite(res.force)
     assert res.force == pytest.approx(res.dirichlet_part
                                       + res.interaction_part, abs=1e-14)
+
+
+def test_energy_and_force_run_no_complex_step(monkeypatch):
+    # energy and force read only log F and log u, so no bump sweep of
+    # theirs may pay for t-derivatives; zeta's h'(t)/t still needs them
+    seen = []
+    sweep = interval._sweep
+
+    def spy(t, w, V, derivative):
+        seen.append(derivative)
+        return sweep(t, w, V, derivative)
+
+    monkeypatch.setattr(interval, "_sweep", spy)
+    bump = {**BUMP, "height": 0.3}
+    for graph, mc in (make_bump_interval(height=0.3), make_chain(bump=bump)):
+        calls = {"energy": lambda: vacuum_energy(graph, mc),
+                 "force": lambda: casimir_force(graph, mc, 1),
+                 "F_imag": lambda: F_imag(graph, mc, 2.0),
+                 "asymptotics": lambda: asymptotic_F_coefficients(graph, mc)}
+        for name, call in calls.items():
+            seen.clear()
+            call()
+            assert seen and not any(seen), name
+        seen.clear()
+        zeta_total(graph, mc, 0.75, 0.5)
+        assert any(seen)

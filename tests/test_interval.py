@@ -12,7 +12,7 @@ from graphzeta.interval import (CSTEP, SWEEP_BLOCK, BondSolution,
                                 bond_solution, dirichlet_log_u_subtracted,
                                 dirichlet_subtracted_derivative,
                                 transfer_matrices_real)
-from graphzeta.secular import _assemble_real
+from graphzeta.secular import _assemble_real, bond_solutions, logF_slope_imag
 from graphzeta.wkb import u_log_expansion
 
 
@@ -164,7 +164,7 @@ def sweep_reference(bond, t, reverse=False):
         V = np.concatenate(([0.0], pot.value(a + mid if reverse
                                              else b - mid), [0.0]))
         T, P, log_cosh, dlog_cosh = (x[0] for x in
-                                     _segments(t, w[None], V[None]))
+                                     _segments(t, w[None], V[None], True))
         m = np.zeros(len(t), complex)
         d = np.empty_like(T)
         for i in range(k + 2):
@@ -218,6 +218,44 @@ def test_sweep_is_batch_invariant(kw):
                for i in range(len(t))]
         for g, *single in zip(got, *one):
             assert np.array_equal(g, np.concatenate(single))
+
+
+@pytest.mark.parametrize("kw", SWEEP_CASES, ids=lambda kw: str(kw["height"]))
+def test_real_pass_matches_complex_step(kw):
+    # the float64 sweep of energy and force against the complex-step one:
+    # the same values up to complex against real rounding
+    bond = make_bump_interval(**kw)[0].bonds[0]
+    t = above_floor(bond, 41)
+    for reverse in (False, True):
+        ref = bond_solution(bond, t, reverse=reverse)
+        got = bond_solution(bond, t, reverse=reverse, derivative=False)
+        assert got.df_prime_at_0_dt is None and got.dlog_u_dt is None
+        for field in ("f_prime_at_0", "log_u", "log_u_excess"):
+            g, r = getattr(got, field), getattr(ref, field)
+            assert g.dtype == np.float64, field
+            bound = 1e-15 * np.maximum(1.0, np.abs(r))
+            assert np.all(np.abs(g - r) <= bound), (field, reverse)
+
+
+def test_derivative_free_solutions_refuse_derivative_kernels():
+    t = np.array([0.5, 3.0, 40.0])
+    for potential in (None, {"kind": "constant", "value": 2.0}, BUMP):
+        bond = make_interval(1.0, potential=potential)[0].bonds[0]
+        got = bond_solution(bond, t, derivative=False)
+        assert got.df_prime_at_0_dt is None and got.dlog_u_dt is None
+        assert got.take(t > 1.0).dlog_u_dt is None
+        if potential is None or potential["kind"] == "constant":
+            # the closed forms are the same expressions either way
+            ref = bond_solution(bond, t)
+            for field in ("f_prime_at_0", "log_u", "log_u_excess"):
+                assert np.array_equal(getattr(got, field),
+                                      getattr(ref, field)), field
+    graph, mc = make_chain(bump=BUMP)
+    sols = bond_solutions(graph, t, derivative=False)
+    with pytest.raises(ValueError, match="t-derivatives"):
+        logF_slope_imag(graph, mc, t, sols)
+    with pytest.raises(AttributeError):
+        dirichlet_subtracted_derivative(graph.bonds[1], t, sols[1][0])
 
 
 def test_block_product_against_sequential_product():
