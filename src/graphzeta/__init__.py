@@ -13,13 +13,10 @@ from .graph import (Bond, MatchingConditions, MetricGraph, VertexSpec,
                     build_vertex_conditions, load_graph, parse_graph,
                     replace_bond_length, require_valid,
                     serialize_graph, validate_matching)
-from .interval import solve_imag_axis
 from .oracle import (SpectrumWindow, energy_finite_difference,
                      scan_spectrum, zeta_direct)
-from .potentials import (BumpPotential, ConstantPotential, ZeroPotential,
-                         potential_from_dict)
-from .secular import (AsymptoticData, F_imag, asymptotic_F_coefficients,
-                      dF_dL_imag, logF_and_slope_imag)
+from .potentials import BumpPotential, ConstantPotential, potential_from_dict
+from .secular import AsymptoticData, F_imag, asymptotic_F_coefficients
 from .wkb import d_constant, u_log_expansion, wkb_coefficients
 from .zeta import (MinusHalfData, ZetaEvaluation, minus_half_data,
                    zeta_dir_bond, zeta_im, zeta_total)
@@ -31,14 +28,12 @@ __all__ = [
     "EnergyResult", "F_imag", "ForceResult", "GraphFormatError",
     "GraphZetaError", "MatchingConditions", "MetricGraph", "MinusHalfData",
     "NumericalError", "SpectrumWindow", "UnsupportedError",
-    "ValidationError", "VertexSpec", "ZeroPotential", "ZetaEvaluation",
+    "ValidationError", "VertexSpec", "ZetaEvaluation",
     "asymptotic_F_coefficients", "build_vertex_conditions", "casimir_force",
-    "d_constant", "dF_dL_imag", "energy_finite_difference", "load_graph",
-    "logF_and_slope_imag", "minus_half_data", "mu_sensitivity",
-    "parse_graph", "potential_from_dict", "replace_bond_length",
-    "require_valid", "scan_spectrum",
-    "serialize_graph",
-    "solve_imag_axis", "u_log_expansion",
+    "d_constant", "energy_finite_difference", "load_graph",
+    "minus_half_data", "mu_sensitivity", "parse_graph",
+    "potential_from_dict", "replace_bond_length", "require_valid",
+    "scan_spectrum", "serialize_graph", "u_log_expansion",
     "vacuum_energy", "validate_matching", "wkb_coefficients",
     "zeta_dir_bond", "zeta_direct", "zeta_im", "zeta_total",
 ]

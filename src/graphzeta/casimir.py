@@ -48,9 +48,11 @@ def vacuum_energy(graph, mc, mu: float = 1.0) -> EnergyResult:
 
     fp_half and res_half are half the finite part and half the residue of
     zeta at s = -1/2, taken from minus_half_data; the energy at mu is
-    fp_half + res_half log(mu^2), and ambiguous flags a nonzero residue,
-    where that energy depends on the choice of mu.  error_estimate is
-    the quadrature error of fp_half, half that of the finite part.
+    fp_half + res_half log(mu^2), taken as 2 res_half log(mu), since
+    mu^2 overflows or underflows for some finite mu.  ambiguous flags a
+    nonzero residue, where that energy depends on the choice of mu.
+    error_estimate is the quadrature error of fp_half, half that of the
+    finite part.
     """
     if not 0.0 < mu < math.inf:
         raise UnsupportedError("mu must be finite and positive")
@@ -61,7 +63,7 @@ def vacuum_energy(graph, mc, mu: float = 1.0) -> EnergyResult:
         fp_half=fp_half,
         res_half=res_half,
         mu=mu,
-        finite_energy_at_mu=fp_half + res_half * math.log(mu * mu),
+        finite_energy_at_mu=fp_half + 2.0 * res_half * math.log(mu),
         ambiguous=bool(abs(res_half) > 1e-10),
         error_estimate=data.quadrature_error / 2.0)
 

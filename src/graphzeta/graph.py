@@ -10,13 +10,13 @@ psihat the inward covariant derivatives.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import GraphFormatError, ValidationError
-from .potentials import ZeroPotential, _as_float, potential_from_dict
+from .potentials import (ConstantPotential, _as_float, potential_from_dict,
+                         spectral_floor)
 
 VERTEX_KINDS = ("dirichlet", "neumann", "delta", "custom")
 
@@ -63,10 +63,7 @@ class MetricGraph:
 
     def spectral_floor(self) -> float:
         """Smallest t at which q = t^2 + V is safely positive on every bond."""
-        vmin = min(b.potential.minimum(b.length) for b in self.bonds)
-        if vmin < 0.0:
-            return math.sqrt(-vmin) + 1e-6
-        return 0.0
+        return max(spectral_floor(b.potential, b.length) for b in self.bonds)
 
 
 @dataclass(frozen=True)
@@ -286,7 +283,7 @@ def parse_graph(text: str, validate: bool = True):
         if length <= 0.0:
             raise GraphFormatError(f"bond {bid}: length must be positive")
         pot = (potential_from_dict(bd["potential"]) if "potential" in bd
-               else ZeroPotential())
+               else ConstantPotential(0.0))
         if pot.kind == "bump" and not pot.compact(length):
             raise GraphFormatError(
                 f"bond {bid}: bump support must lie strictly inside (0, L)")
@@ -376,7 +373,7 @@ def serialize_graph(graph: MetricGraph, mc: MatchingConditions) -> str:
               "length": b.length}
         if b.vector_potential != 0.0:
             bd["vector_potential"] = b.vector_potential
-        if b.potential.kind != "zero":
+        if b.potential != ConstantPotential(0.0):
             bd["potential"] = b.potential.to_dict()
         bonds.append(bd)
     if mc.local and mc.vertex_specs is not None:

@@ -3,11 +3,11 @@
 Imaginary axis (k = i t): bond_solution returns, over an array of t, the
 boundary data entering the secular matrix, the derivative f'(0) of the
 solution decaying towards x = L, the logarithm of the Dirichlet solution
-u(L), and their t-derivatives; solve_imag_axis is the same at one t.
-The t-derivatives come from a complex step and are formed only on
-request: zeta's h'(t)/t integrand reads them, while the vacuum energy,
-the Casimir force and the secular determinant on its own read only
-log F and log u and take a float64 pass at about half the cost.
+u(L), and their t-derivatives.  The t-derivatives come from a complex
+step and are formed only on request: zeta's h'(t)/t integrand reads
+them, while the vacuum energy, the Casimir force and the secular
+determinant on its own read only log F and log u and take a float64
+pass at about half the cost.
 Zero and constant potentials have closed forms, with their small- and
 large-x branches selected per node; every other potential goes through
 one constant-perturbation sweep (Ixaru 1984; Ledoux, Van Daele and
@@ -30,12 +30,12 @@ complex step through the same maps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import NumericalError, UnsupportedError
+from .potentials import spectral_floor
 from .wkb import u_log_expansion
 
 CSTEP = 1e-30            # complex step for the t-derivatives
@@ -44,20 +44,12 @@ SWEEP_BLOCK = 32         # segments whose maps a sweep holds at once
 REAL_BLOCK = 16          # the same on the real axis, whose batches are larger
 
 
-@dataclass(frozen=True)
-class ImagAxisSolution:
-    t: float
-    f_prime_at_0: float
-    df_prime_at_0_dt: float
-    log_u: float
-    dlog_u_dt: float
-    method: str
-
-
 class BondSolution(NamedTuple):
-    """The fields of ImagAxisSolution as arrays over the nodes t, and
-    log u - t L computed without the cancellation of the difference; the
-    t-derivatives are None when the solve skipped them."""
+    """Boundary data of one bond as arrays over the nodes t: f'(0) of the
+    solution decaying towards x = L, normalised to f(0) = 1; log u(L) of
+    the Dirichlet solution, u(0) = 0 and u'(0) = 1; their t-derivatives,
+    None when the solve skipped them; and log u - t L computed without
+    the cancellation of the difference."""
 
     f_prime_at_0: np.ndarray
     df_prime_at_0_dt: np.ndarray
@@ -96,7 +88,7 @@ def _xcsch2_minus_coth(x):
 
 def _analytic(bond, t, derivative: bool) -> BondSolution:
     L = bond.length
-    c = getattr(bond.potential, "c", 0.0)
+    c = bond.potential.c
     kappa = np.sqrt(np.maximum(t * t + c, 0.0))
     x = kappa * L
     tiny = x < 1e-8
@@ -344,34 +336,23 @@ def bond_solution(bond, t, *, reverse: bool = False,
     the Casimir force read only log F and log u, and take that pass, as
     do logF_imag and dlogF_dL_imag when they solve for themselves, which
     covers F_imag, the zero probe and the large-t asymptotics check.
-    zeta's integrand, logF_slope_imag and solve_imag_axis keep the
-    complex step.
+    zeta's integrand and logF_slope_imag keep the complex step.
     """
     pot = bond.potential
     L = bond.length
     t = np.asarray(t, dtype=float)
     if t.size and not t.min() >= 0.0:
         raise UnsupportedError("imaginary-axis parameter t must be >= 0")
-    vmin = pot.minimum(L)
-    if vmin < 0.0 and t.size and t.min() < math.sqrt(-vmin) + 1e-6:
+    floor = spectral_floor(pot, L)
+    if t.size and t.min() < floor:
         raise NumericalError(
             f"bond '{bond.id}': t={t.min()} below the spectral floor "
-            f"{math.sqrt(-vmin) + 1e-6:.6g}")
-    if pot.kind in ("zero", "constant"):
+            f"{floor:.6g}")
+    if pot.kind == "constant":
         return _analytic(bond, t, derivative)
     if reverse and pot.symmetric(L):
         reverse = False
     return _cpm(bond, t, reverse, derivative)
-
-
-def solve_imag_axis(bond, t, *, reverse: bool = False) -> ImagAxisSolution:
-    """bond_solution at one t, as a record."""
-    t = float(t)
-    sol = bond_solution(bond, np.array([t]), reverse=reverse)
-    return ImagAxisSolution(
-        t, *(float(a[0]) for a in sol[:4]),
-        method="analytic" if bond.potential.kind in ("zero", "constant")
-        else "cpm")
 
 
 def dirichlet_subtracted_derivative(bond, t, sol=None):
@@ -386,8 +367,8 @@ def dirichlet_subtracted_derivative(bond, t, sol=None):
     L = bond.length
     pot = bond.potential
     corr = sum(j * e * t ** (-j - 1) for j, e in u_log_expansion(bond).items())
-    if pot.kind in ("zero", "constant"):
-        c = getattr(pot, "c", 0.0)
+    if pot.kind == "constant":
+        c = pot.c
         kappa = np.sqrt(np.maximum(t * t + c, 0.0))
         x = kappa * L
         base = (L * (t / kappa) * _cothm1(x)
@@ -397,16 +378,6 @@ def dirichlet_subtracted_derivative(bond, t, sol=None):
     if sol is None:
         sol = bond_solution(bond, np.atleast_1d(t))
     return (sol.dlog_u_dt.reshape(t.shape) - L + 1.0 / t + corr)[()]
-
-
-def dirichlet_log_u_subtracted(bond, t, sol=None):
-    """log u(L;t) - tL over an array of t, or at one t, without the
-    cancellation of the difference; sol as in
-    dirichlet_subtracted_derivative."""
-    t = np.asarray(t, dtype=float)
-    if sol is None:
-        sol = bond_solution(bond, np.atleast_1d(t))
-    return sol.log_u_excess.reshape(t.shape)[()]
 
 
 # ---------------------------------------------------------------------------
@@ -506,9 +477,9 @@ def transfer_matrices_real(bond, ks, *, derivative: bool = False,
     """
     ks = np.asarray(ks, dtype=float)
     pot = bond.potential
-    if pot.kind in ("zero", "constant"):
+    if pot.kind == "constant":
         w = np.array([[bond.length]])
-        V = np.array([[getattr(pot, "c", 0.0)]])
+        V = np.array([[pot.c]])
         T = _real_sweep(ks, w, V, derivative)[:, :, 0]
     else:
         # left to right in x: the layout of a sweep from x = 0

@@ -1,4 +1,4 @@
-"""Bond potentials with analytic derivatives up to fourth order.
+"""Bond potentials with analytic derivatives up to third order.
 
 Natural units hbar = 2m = 1 throughout: potentials carry dimension
 1/length^2.
@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import GraphFormatError, UnsupportedError
 
-MAX_ORDER = 4
+MAX_ORDER = 3
 GL_NODES = 128
 
 
@@ -45,39 +45,12 @@ def _check_order(order: int) -> None:
         )
 
 
-@dataclass(frozen=True)
-class ZeroPotential:
-    kind = "zero"
-
-    def value(self, x, order: int = 0):
-        _check_order(order)
-        if np.ndim(x):
-            return np.zeros_like(np.asarray(x, dtype=float))
-        return 0.0
-
-    def value_scalar(self, x: float) -> float:
-        return 0.0
-
-    def integral(self, length: float) -> float:
-        return 0.0
-
-    def square_integral(self, length: float) -> float:
-        return 0.0
-
-    def minimum(self, length: float) -> float:
-        return 0.0
-
-    def maximum(self, length: float) -> float:
-        return 0.0
-
-    def symmetric(self, length: float) -> bool:
-        return True
-
-    def compact(self, length: float) -> bool:
-        return True
-
-    def to_dict(self) -> dict:
-        return {"kind": "zero"}
+def spectral_floor(potential, length: float) -> float:
+    """Smallest t at which q = t^2 + V is safely positive along a bond of
+    the given length: sqrt(-min V) + 1e-6 below a negative potential, 0
+    otherwise."""
+    vmin = potential.minimum(length)
+    return math.sqrt(-vmin) + 1e-6 if vmin < 0.0 else 0.0
 
 
 @dataclass(frozen=True)
@@ -94,9 +67,6 @@ class ConstantPotential:
                 out += self.c
             return out
         return self.c if order == 0 else 0.0
-
-    def value_scalar(self, x: float) -> float:
-        return self.c
 
     def integral(self, length: float) -> float:
         return self.c * length
@@ -167,23 +137,9 @@ class BumpPotential:
                 else:
                     iu4 = iu3 * iu
                     e3 = -24.0 * y * iu3 - 48.0 * y ** 3 * iu4
-                    if order == 3:
-                        g = (e3 + 3.0 * e1 * e2 + e1 ** 3) * f0
-                    else:
-                        iu5 = iu4 * iu
-                        e4 = (-24.0 * iu3 - 288.0 * y * y * iu4
-                              - 384.0 * y ** 4 * iu5)
-                        g = (e4 + 4.0 * e1 * e3 + 3.0 * e2 * e2
-                             + 6.0 * e1 * e1 * e2 + e1 ** 4) * f0
+                    g = (e3 + 3.0 * e1 * e2 + e1 ** 3) * f0
         out = np.where(inside, g, 0.0) * (self.height / self.half_width ** order)
         return float(out) if scalar else out
-
-    def value_scalar(self, x: float) -> float:
-        y = (x - self.center) / self.half_width
-        u = 1.0 - y * y
-        if u <= 1e-14:
-            return 0.0
-        return self.height * math.exp(1.0 - 1.0 / u)
 
     def _support_integral(self, length: float, power: int) -> float:
         """integral of V^power over the bond: the Gauss-Legendre rule in
@@ -240,7 +196,7 @@ def potential_from_dict(data: dict):
     kind = data["kind"]
     try:
         if kind == "zero":
-            return ZeroPotential()
+            return ConstantPotential(0.0)
         if kind == "constant":
             return ConstantPotential(
                 c=_as_float(data["value"], "constant potential value"))

@@ -8,8 +8,8 @@ the bond solutions of all nodes (bond_solutions, shareable between
 kernels and with the Dirichlet parts), then M, dM/dt or dM/dL as one
 (t, 2B, 2B) stack, then one stacked slogdet (logF_imag) or one stacked
 solve and trace (logF_slope_imag, dlogF_dL_imag).  An exactly singular
-A + B M fails with NumericalError naming its t.  F_imag,
-logF_and_slope_imag and dF_dL_imag are the same at one t.
+A + B M fails with NumericalError naming its t.  F_imag is logF_imag
+at one t, as a record.
 
 Real axis: a pole-free parameterisation through bond transfer matrices,
 suitable for scanning; its smallest singular value vanishes exactly at
@@ -120,16 +120,6 @@ def F_imag(graph, mc, t: float) -> SecularValue:
     log_abs, phase = logF_imag(graph, mc, np.array([float(t)]))
     return SecularValue(t=t, log_abs=float(log_abs[0]),
                         phase=float(phase[0]))
-
-
-def logF_and_slope_imag(graph, mc, t: float):
-    """(SecularValue, d/dt log F) at one t, for F != 0."""
-    nodes = np.array([float(t)])
-    sols = bond_solutions(graph, nodes)
-    log_abs, phase = logF_imag(graph, mc, nodes, sols)
-    slope = logF_slope_imag(graph, mc, nodes, sols)
-    return (SecularValue(t=t, log_abs=float(log_abs[0]),
-                         phase=float(phase[0])), complex(slope[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -323,14 +313,9 @@ def dlogF_dL_imag(graph, mc, bond_id, t, sols=None):
     phase = 1j * bond.vector_potential
     dM = np.zeros_like(M)
     dM[:, b, b] = np.exp(-2.0 * fwd.log_u)
-    dM[:, B + b, B + b] = -(t * t + bond.potential.value_scalar(bond.length)
+    dM[:, B + b, B + b] = -(t * t + bond.potential.value(bond.length)
                             - m_rev * m_rev)
     dM[:, B + b, b] = (m_rev + phase) * M[:, B + b, b]
     dM[:, b, B + b] = (m_rev - phase) * M[:, b, B + b]
     return np.trace(_solve(K, mc.B @ dM, t), axis1=1, axis2=2)
 
-
-def dF_dL_imag(graph, mc, bond_id: str, t: float) -> complex:
-    """dlogF_dL_imag at one t."""
-    return complex(dlogF_dL_imag(graph, mc, bond_id,
-                                 np.array([float(t)]))[0])

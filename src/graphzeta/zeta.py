@@ -29,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, UnsupportedError
-from .interval import (bond_solution, dirichlet_log_u_subtracted,
-                       dirichlet_subtracted_derivative)
+from .interval import bond_solution, dirichlet_subtracted_derivative
+from .potentials import spectral_floor
 from .secular import (F_imag, _vanished, asymptotic_F_coefficients,
                       bond_solutions, logF_imag, logF_slope_imag)
 from .wkb import d_constant, u_log_expansion
@@ -437,11 +437,6 @@ def residues_at_minus_half(graph, asym):
 # guards
 
 
-def _bond_floor(bond) -> float:
-    vmin = bond.potential.minimum(bond.length)
-    return math.sqrt(-vmin) + 1e-6 if vmin < 0.0 else 0.0
-
-
 def _check_s(s: complex) -> None:
     if not cmath.isfinite(s):
         raise UnsupportedError("s must be finite")
@@ -497,7 +492,8 @@ def _check_dir(bond, s: complex, gamma: float) -> None:
     if abs(s + 0.5) < 1e-9:
         raise UnsupportedError("s=-1/2 is a pole of zeta_dir; its finite "
                                "part and residue come from minus_half_data")
-    _check_gamma(_bond_floor(bond), gamma, f"bond '{bond.id}'")
+    _check_gamma(spectral_floor(bond.potential, bond.length), gamma,
+                 f"bond '{bond.id}'")
 
 
 def _dir_closed(bond, s: complex, gamma: float) -> complex:
@@ -677,8 +673,7 @@ def minus_half_data(graph, mc, *, tol: float = 1e-10) -> MinusHalfData:
         cols = [col]
         for bond, ej, (fwd, _) in zip(graph.bonds, expansions, sols):
             col = fwd.log_u.copy()
-            col[sub] = (dirichlet_log_u_subtracted(bond, ts, fwd.take(sub))
-                        + np.log(2.0 * ts))
+            col[sub] = fwd.log_u_excess[sub] + np.log(2.0 * ts)
             for j, e in ej.items():
                 if e:
                     col[sub] -= e * ts ** (-j)

@@ -24,6 +24,15 @@ def test_vacuum_energy_refuses_non_finite_mu():
             vacuum_energy(*make_interval(1.0), mu=mu)
 
 
+def test_vacuum_energy_at_extreme_mu():
+    # mu^2 underflows at 1e-200 and overflows at 1e200; the energy at mu
+    # must not
+    for mu in (1e-200, 1e200):
+        res = vacuum_energy(*make_interval(1.0), mu=mu)
+        assert math.isfinite(res.finite_energy_at_mu)
+        assert res.finite_energy_at_mu == res.fp_half
+
+
 def test_vacuum_energy_error_estimate_bounds_the_error():
     res = vacuum_energy(*make_interval(1.0))
     assert res.error_estimate > 0.0

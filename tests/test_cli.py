@@ -126,6 +126,17 @@ def test_energy_command_unambiguous(tmp_path):
     assert vals["ambiguous"] == "false"
 
 
+def test_energy_command_at_extreme_mu(tmp_path):
+    path = write(tmp_path, INTERVAL)
+    for mu in ("1e-200", "1e200"):
+        rc, out, _ = invoke(["energy", "--graph", path, "--mu", mu])
+        assert rc == 0
+        header, row = out.strip().splitlines()
+        vals = dict(zip(header.split(","), row.split(",")))
+        assert math.isfinite(float(vals["finite_energy_at_mu"]))
+        assert vals["finite_energy_at_mu"] == vals["fp_half"]
+
+
 def test_energy_command_warns_on_pole(tmp_path):
     rc, out, err = invoke(["energy", "--graph", write(tmp_path, STAR),
                            "--mu", "2.0"])

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from conftest import from_doc, make_chain, make_circle, make_interval, make_star
-from graphzeta import (GraphFormatError, ValidationError, parse_graph,
-                       replace_bond_length, serialize_graph,
-                       validate_matching)
+from graphzeta import (GraphFormatError, ValidationError, casimir_force,
+                       parse_graph, replace_bond_length, serialize_graph,
+                       validate_matching, zeta_total)
 
 
 def interval_doc(**overrides):
@@ -58,6 +58,28 @@ def test_serialize_roundtrip():
     assert wire["bonds"][0]["origin"] == 1
     assert wire["matching"]["vertices"][0]["vertex"] == 1
     assert np.allclose(mc2.A, mc.A) and np.allclose(mc2.B, mc.B)
+
+
+def test_zero_potential_spellings_are_one_bond():
+    # no potential, the zero kind and the constant 0 are one operator:
+    # equal bonds, bitwise-equal results, and nothing written back
+    results = []
+    for potential in (None, {"kind": "zero"}, {"kind": "constant", "value": 0}):
+        bonds = [{"id": i + 1, "origin": 1, "terminus": i + 2, "length": L}
+                 for i, L in enumerate((1.0, 1.3, 0.8))]
+        if potential is not None:
+            bonds[0]["potential"] = potential
+        verts = [{"vertex": 1, "kind": "delta", "lambda": 1.0}]
+        verts += [{"vertex": i + 2, "kind": "dirichlet"} for i in range(3)]
+        graph, mc = from_doc({"vertices": 4, "bonds": bonds, "matching": {
+            "mode": "per_vertex", "vertices": verts}})
+        wire = json.loads(serialize_graph(graph, mc))
+        assert all("potential" not in bd for bd in wire["bonds"]), potential
+        z = zeta_total(graph, mc, 0.75, 0.5)
+        # repr tells every float apart bitwise, -0.0 from 0.0 included
+        results.append(repr((graph.bonds, z.value, z.quadrature_error,
+                             casimir_force(graph, mc, 1))))
+    assert results[1] == results[0] and results[2] == results[0]
 
 
 @pytest.mark.parametrize("mutate, fragment", [

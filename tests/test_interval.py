@@ -6,11 +6,10 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from conftest import BUMP, make_bump_interval, make_chain, make_interval
-from graphzeta import NumericalError, scan_spectrum, solve_imag_axis
+from graphzeta import NumericalError, interval, scan_spectrum
 from graphzeta.interval import (CSTEP, SWEEP_BLOCK, BondSolution,
                                 _block_product, _real_sweep, _segments,
-                                bond_solution, dirichlet_log_u_subtracted,
-                                dirichlet_subtracted_derivative,
+                                bond_solution, dirichlet_subtracted_derivative,
                                 transfer_matrices_real)
 from graphzeta.secular import _assemble_real, bond_solutions, logF_slope_imag
 from graphzeta.wkb import u_log_expansion
@@ -35,7 +34,7 @@ def dop853_reference(bond, t, reverse=False):
     tt = t * t
 
     def rhs(x, y):
-        q = tt + pot.value_scalar(L - x if reverse else x)
+        q = tt + pot.value(L - x if reverse else x)
         return (y[1], q * y[0], y[3], q * y[2],
                 y[5], q * y[4] + 2.0 * t * y[0],
                 y[7], q * y[6] + 2.0 * t * y[2])
@@ -284,45 +283,68 @@ def test_block_product_against_sequential_product():
                          ids=["linear", "riccati"])
 def test_free_bond_closed_forms(regime, t_lo, t_hi):
     bond = make_bump_interval(height=0.0)[0].bonds[0]
-    ts = [float(t) for t in np.geomspace(0.1, 1000.0, 13) if t_lo <= t <= t_hi]
+    ts = np.array([t for t in np.geomspace(0.1, 1000.0, 13)
+                   if t_lo <= t <= t_hi])
     assert len(ts) >= 5, regime
-    for t in ts:
-        sol = solve_imag_axis(bond, t)
-        assert sol.method == "cpm"
+    sol = bond_solution(bond, ts)
+    for i, t in enumerate(ts):
         ref = free_reference(t)
-        got = (sol.f_prime_at_0, sol.df_prime_at_0_dt, sol.log_u,
-               sol.dlog_u_dt)
-        for g, r in zip(got, ref):
-            assert abs(g - r) <= 1e-10 * max(1.0, abs(r))
+        for g, r in zip(sol[:4], ref):
+            assert abs(g[i] - r) <= 1e-10 * max(1.0, abs(r))
 
 
 def test_analytic_path_small_and_large_t():
     bond = make_interval(1.0)[0].bonds[0]
-    for t in (1e-9, 1e-6, 1e-3, 0.05, 1.0, 50.0, 500.0, 5000.0):
-        sol = solve_imag_axis(bond, t)
-        assert sol.method == "analytic"
+    ts = np.array([1e-9, 1e-6, 1e-3, 0.05, 1.0, 50.0, 500.0, 5000.0])
+    sol = bond_solution(bond, ts)
+    for t, fp, log_u in zip(ts, sol.f_prime_at_0, sol.log_u):
         if t >= 1e-6:
             ref = free_reference(t)
-            assert sol.f_prime_at_0 == pytest.approx(ref[0], rel=1e-12)
-            assert sol.log_u == pytest.approx(ref[2], rel=1e-12, abs=1e-12)
+            assert fp == pytest.approx(ref[0], rel=1e-12)
+            assert log_u == pytest.approx(ref[2], rel=1e-12, abs=1e-12)
         else:
             # u -> x solution, f'/f -> -1/L
-            assert sol.f_prime_at_0 == pytest.approx(-1.0, rel=1e-9)
-            assert sol.log_u == pytest.approx(0.0, abs=1e-9)
+            assert fp == pytest.approx(-1.0, rel=1e-9)
+            assert log_u == pytest.approx(0.0, abs=1e-9)
+
+
+def test_only_bump_bonds_enter_the_sweep(monkeypatch):
+    # zero and constant bonds take the closed forms; every bump bond, one
+    # of height zero included, is swept, with or without t-derivatives
+    seen = []
+    sweep = interval._sweep
+
+    def spy(t, w, V, derivative):
+        seen.append(derivative)
+        return sweep(t, w, V, derivative)
+
+    monkeypatch.setattr(interval, "_sweep", spy)
+    t = np.array([0.5, 3.0, 40.0])
+    cases = [(None, False), ({"kind": "zero"}, False),
+             ({"kind": "constant", "value": 2.0}, False),
+             (BUMP, True), ({**BUMP, "height": 0.0}, True)]
+    for potential, swept in cases:
+        bond = make_interval(1.0, potential=potential)[0].bonds[0]
+        for derivative in (True, False):
+            for reverse in (False, True):
+                seen.clear()
+                bond_solution(bond, t, reverse=reverse, derivative=derivative)
+                assert seen == ([derivative] if swept else []), (
+                    potential, derivative, reverse)
 
 
 def test_constant_potential_shifts_the_frequency():
     bond = make_interval(1.0, potential={"kind": "constant", "value": 2.0})[0].bonds[0]
     t = 1.3
     kappa = math.sqrt(t * t + 2.0)
-    sol = solve_imag_axis(bond, t)
-    assert sol.f_prime_at_0 == pytest.approx(-kappa / math.tanh(kappa), rel=1e-12)
-    assert sol.log_u == pytest.approx(
+    sol = bond_solution(bond, np.array([t]))
+    assert sol.f_prime_at_0[0] == pytest.approx(-kappa / math.tanh(kappa),
+                                                rel=1e-12)
+    assert sol.log_u[0] == pytest.approx(
         math.log(math.sinh(kappa) / kappa), rel=1e-12)
 
 
 def test_methods_agree_on_bump():
-    fields = ("f_prime_at_0", "df_prime_at_0_dt", "log_u", "dlog_u_dt")
     # the height-100 bump pins the segment count: 200 segments miss 2e-11
     cases = [(make_bump_interval(), 2e-9),
              (make_bump_interval(center=0.35, half_width=0.2, height=4.0),
@@ -331,11 +353,12 @@ def test_methods_agree_on_bump():
     for graph_mc, rel in cases:
         bond = graph_mc[0].bonds[0]
         for reverse in (False, True):
-            for t in (0.3, 2.0, 8.0, 25.0, 40.0):
-                sol = solve_imag_axis(bond, t, reverse=reverse)
+            ts = np.array([0.3, 2.0, 8.0, 25.0, 40.0])
+            sol = bond_solution(bond, ts, reverse=reverse)
+            for i, t in enumerate(ts):
                 ref = dop853_reference(bond, t, reverse)
-                for field, r in zip(fields, ref):
-                    err = abs(getattr(sol, field) - r)
+                for g, r in zip(sol[:4], ref):
+                    err = abs(g[i] - r)
                     assert err <= rel * max(1.0, abs(r))
 
 
@@ -343,45 +366,50 @@ def test_t_derivatives_near_zero():
     # A complex step through tanh(y)/y loses the derivative as y -> 0;
     # the series branch keeps it exact down to t = 0.
     bond = make_bump_interval()[0].bonds[0]
-    for t in (1e-12, 1e-6):
-        sol = solve_imag_axis(bond, t)
+    ts = np.array([1e-12, 1e-6])
+    sol = bond_solution(bond, ts)
+    for i, t in enumerate(ts):
         ref = dop853_reference(bond, t)
-        assert abs(sol.df_prime_at_0_dt - ref[1]) <= 1e-12
-        assert abs(sol.dlog_u_dt - ref[3]) <= 1e-12
-    sol = solve_imag_axis(bond, 0.0)
-    assert sol.df_prime_at_0_dt == 0.0
-    assert sol.dlog_u_dt == 0.0
+        assert abs(sol.df_prime_at_0_dt[i] - ref[1]) <= 1e-12
+        assert abs(sol.dlog_u_dt[i] - ref[3]) <= 1e-12
+    sol = bond_solution(bond, np.array([0.0]))
+    assert sol.df_prime_at_0_dt[0] == 0.0
+    assert sol.dlog_u_dt[0] == 0.0
 
 
 def test_t_derivatives_match_finite_differences():
     bond = make_bump_interval()[0].bonds[0]
     h = 1e-5
-    for t in (0.8, 3.0, 30.0):
-        sol = solve_imag_axis(bond, t)
-        plus = solve_imag_axis(bond, t + h)
-        minus = solve_imag_axis(bond, t - h)
-        fd_fp = (plus.f_prime_at_0 - minus.f_prime_at_0) / (2 * h)
-        fd_lu = (plus.log_u - minus.log_u) / (2 * h)
-        assert sol.df_prime_at_0_dt == pytest.approx(fd_fp, rel=5e-6, abs=5e-6)
-        assert sol.dlog_u_dt == pytest.approx(fd_lu, rel=5e-6, abs=5e-6)
+    ts = np.array([0.8, 3.0, 30.0])
+    sol = bond_solution(bond, ts)
+    plus = bond_solution(bond, ts + h)
+    minus = bond_solution(bond, ts - h)
+    fd_fp = (plus.f_prime_at_0 - minus.f_prime_at_0) / (2 * h)
+    fd_lu = (plus.log_u - minus.log_u) / (2 * h)
+    for i in range(len(ts)):
+        assert sol.df_prime_at_0_dt[i] == pytest.approx(fd_fp[i], rel=5e-6,
+                                                        abs=5e-6)
+        assert sol.dlog_u_dt[i] == pytest.approx(fd_lu[i], rel=5e-6, abs=5e-6)
 
 
 def test_reverse_solve_on_asymmetric_potential():
     bond = make_bump_interval(center=0.35, half_width=0.2, height=4.0)[0].bonds[0]
-    t = 2.0
-    fwd = solve_imag_axis(bond, t)
-    rev = solve_imag_axis(bond, t, reverse=True)
-    assert fwd.f_prime_at_0 != pytest.approx(rev.f_prime_at_0, rel=1e-6)
+    t = np.array([2.0])
+    fwd = bond_solution(bond, t)
+    rev = bond_solution(bond, t, reverse=True)
+    assert fwd.f_prime_at_0[0] != pytest.approx(rev.f_prime_at_0[0], rel=1e-6)
     # log u is direction independent: same Dirichlet data both ways
-    assert fwd.log_u == pytest.approx(rev.log_u, rel=1e-10)
+    assert fwd.log_u[0] == pytest.approx(rev.log_u[0], rel=1e-10)
 
 
 def test_subtracted_log_u_tracks_expansion():
     bond = make_bump_interval()[0].bonds[0]
     ej = u_log_expansion(bond, 4)
+    ts = np.array([20.0, 40.0, 80.0])
+    excess = bond_solution(bond, ts).log_u_excess
     last = math.inf
-    for t in (20.0, 40.0, 80.0):
-        rem = abs(dirichlet_log_u_subtracted(bond, t) + math.log(2.0 * t)
+    for t, ex in zip(ts, excess):
+        rem = abs(ex + math.log(2.0 * t)
                   - sum(ej[j] * t ** (-j) for j in range(1, 5)))
         assert rem < min(last, 1e-5)
         last = rem
@@ -389,13 +417,14 @@ def test_subtracted_log_u_tracks_expansion():
 
 def test_subtracted_log_u_closed_forms():
     free = make_interval(1.0)[0].bonds[0]
-    assert dirichlet_log_u_subtracted(free, 1000.0) == pytest.approx(
-        -math.log(2000.0), rel=1e-14)
+    assert bond_solution(free, np.array([1000.0])).log_u_excess[0] == (
+        pytest.approx(-math.log(2000.0), rel=1e-14))
     bond = make_interval(1.0, potential={"kind": "constant", "value": 2.0})[0].bonds[0]
     t = 300.0
     kappa = math.sqrt(t * t + 2.0)
     direct = math.log(math.sinh(kappa) / kappa) - t
-    assert dirichlet_log_u_subtracted(bond, t) == pytest.approx(direct, rel=1e-12)
+    assert bond_solution(bond, np.array([t])).log_u_excess[0] == (
+        pytest.approx(direct, rel=1e-12))
 
 
 def test_subtracted_derivative_decay_exponent():
@@ -411,9 +440,9 @@ def test_negative_potential_refused_below_floor():
     bond = graph.bonds[0]
     assert graph.spectral_floor() == pytest.approx(2.0, abs=1e-5)
     with pytest.raises(NumericalError):
-        solve_imag_axis(bond, 1.0)
-    sol = solve_imag_axis(bond, 2.1)
-    assert math.isfinite(sol.f_prime_at_0)
+        bond_solution(bond, np.array([1.0]))
+    sol = bond_solution(bond, np.array([2.1]))
+    assert math.isfinite(sol.f_prime_at_0[0])
 
 
 def test_transfer_matrix_free_case():

@@ -5,12 +5,12 @@ import pytest
 from scipy.integrate import quad
 
 from graphzeta import GraphFormatError, UnsupportedError, potential_from_dict
-from graphzeta.potentials import (BumpPotential, ConstantPotential,
-                                  ZeroPotential)
+from graphzeta.potentials import BumpPotential, ConstantPotential
 
 
 def test_zero_potential():
-    p = ZeroPotential()
+    p = potential_from_dict({"kind": "zero"})
+    assert p == ConstantPotential(0.0)
     assert p.value(0.3) == 0.0
     assert np.all(p.value(np.linspace(0, 1, 5), 2) == 0.0)
     assert p.integral(2.0) == 0.0
@@ -53,12 +53,12 @@ def test_bump_derivatives_match_finite_differences():
             fd = (p.value(x + h, order - 1) - p.value(x - h, order - 1)) / (2 * h)
             assert p.value(x, order) == pytest.approx(fd, rel=1e-6, abs=1e-4)
     with pytest.raises(UnsupportedError):
-        p.value(0.5, 5)
+        p.value(0.5, 4)
 
 
 def test_bump_vanishes_smoothly_at_support_edge():
     p = BumpPotential(center=0.5, half_width=0.3, height=2.0)
-    for order in range(5):
+    for order in range(4):
         # all derivatives fade out towards the edge
         assert abs(p.value(0.7999, order)) < 1e-4
         assert p.value(0.81, order) == 0.0
@@ -84,9 +84,8 @@ def test_bump_integrals_against_quadrature():
 def test_bump_integrals_match_quad(center, half_width, height):
     p = BumpPotential(center=center, half_width=half_width, height=height)
     lo, hi = p.support(1.0)
-    ref, _ = quad(p.value_scalar, lo, hi, epsabs=0.0, epsrel=1e-13,
-                  limit=200)
-    ref2, _ = quad(lambda x: p.value_scalar(x) ** 2, lo, hi, epsabs=0.0,
+    ref, _ = quad(p.value, lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)
+    ref2, _ = quad(lambda x: p.value(x) ** 2, lo, hi, epsabs=0.0,
                    epsrel=1e-13, limit=200)
     assert abs(p.integral(1.0) / ref - 1.0) < 1e-14
     assert abs(p.square_integral(1.0) / ref2 - 1.0) < 1e-14
