@@ -7,24 +7,22 @@ u(L), and their t-derivatives.  The t-derivatives come from a complex
 step and are formed only on request: zeta's h'(t)/t integrand reads
 them, while the vacuum energy, the Casimir force and the secular
 determinant on its own read only log F and log u and take a float64
-pass at about half the cost.
+pass at half to three quarters of the cost.
 Zero and constant potentials have closed forms, with their small- and
 large-x branches selected per node; every other potential goes through
-one constant-perturbation sweep (Ixaru 1984; Ledoux, Van Daele and
-Vanden Berghe, ACM TOMS 31, 2005), whose segments are exact for a
+one sweep of fourth-order Magnus segment maps, which are exact for a
 constant potential at every t, so one segment count serves all t and
 all nodes sweep together.  The sweep multiplies the 2x2 segment maps
-pairwise, a fixed-length block at a time, and runs the Richardson pair
-of segment counts n and 2n as three rows of n segments.  All growth is
-kept in log form so large t L never overflows.
+pairwise, a fixed-length block at a time, and keeps all growth in log
+form, so large t L never overflows.
 
 Real axis: batched 2x2 transfer matrices for the magnetic-gauge-removed
-equation, used by the spectral scan.  A bond is cut into the same
-segments of constant potential, each mapped exactly by cos and sin (cosh
-and sinh below the potential) at every k, so the error does not grow
-with k; the maps are multiplied pairwise a block at a time, with the
-Richardson pair as the same three rows, and the k-derivative is a
-complex step through the same maps.
+equation, used by the spectral scan.  A bump bond is cut into midpoint
+segments of constant potential, each mapped exactly by cos and sin
+(cosh and sinh below the potential) at every k, so the error does not
+grow with k; the maps are multiplied pairwise a block at a time, the
+Richardson pair of segment counts n and 2n runs as three rows of n
+segments, and the k-derivative is a complex step through the same maps.
 """
 
 from __future__ import annotations
@@ -40,7 +38,7 @@ from .wkb import u_log_expansion
 
 CSTEP = 1e-30            # complex step for the t-derivatives
 KSTEP = 2.0 ** -600      # complex step for the real-axis k-derivative
-SWEEP_BLOCK = 32         # segments whose maps a sweep holds at once
+SWEEP_BLOCK = 128        # segments whose maps a sweep holds at once
 REAL_BLOCK = 16          # the same on the real axis, whose batches are larger
 
 
@@ -111,47 +109,48 @@ def _analytic(bond, t, derivative: bool) -> BondSolution:
         excess)
 
 
-def _segments(t, w, V, derivative: bool):
-    """The segment maps of _sweep at the nodes t: T, P = q T and
-    log cosh(kappa w) - t w, and with derivative=True the t-derivative of
+def _segments(t, w, V1, V2, derivative: bool):
+    """The segment maps of _sweep at the nodes t: D, T, P and
+    log cosh(theta) - t w, and with derivative=True the t-derivative of
     the last.
 
     With derivative=False, the pass of bond_solution's energy and force
-    callers, all three are float64.  With derivative=True T and P are at
-    the complex step t + i CSTEP, their t-derivatives formed in real
-    arithmetic and entering as imaginary parts; below |kappa w| = 1e-2
-    the series in z = q w^2 keep the derivative exact.  A segment of
-    width zero is the identity.
+    callers, all four are float64.  With derivative=True D, T and P are
+    at the complex step t + i CSTEP, their t-derivatives formed in real
+    arithmetic and entering as imaginary parts; below theta = 1e-2 the
+    series in z = theta^2 keep the derivative exact.  A segment of width
+    zero is the identity.
     """
     t = t[:, None]
-    w = w[:, None, :]
-    V = V[:, None, :]
-    q = t * t + V
-    z = q * w * w
+    beta = (math.sqrt(3.0) / 12.0) * w * w * (V1 - V2)
+    Vbar = 0.5 * (V1 + V2)
+    q = t * t + Vbar
+    z = beta * beta + q * w * w
     small = z < 1e-4
-    kappa = np.sqrt(np.where(small, 1.0, q))
-    y = np.where(small, 1.0, kappa * w)
+    y = np.sqrt(np.where(small, 1.0, z))
     e = np.exp(-2.0 * y)
     th = -np.expm1(-2.0 * y) / (1.0 + e)
     tanhc = np.where(small, 1.0 + z * (-1.0 / 3.0 + z * (2.0 / 15.0
                      - z * 17.0 / 315.0)), th / y)
-    # log cosh(y) - t w; w (kappa - t) = w V / (kappa + t) spares it the
-    # cancellation
+    # log cosh(theta) - t w; theta - t w = (theta^2 - t^2 w^2)/(theta + t w)
+    # spares it the cancellation
     log_cosh = np.where(
         small, z * (0.5 + z * (-1.0 / 12.0 + z / 45.0)) - t * w,
-        V * w / (kappa + t) + np.log1p(e) - math.log(2.0))
+        (beta * beta + w * w * Vbar) / (y + t * w) + np.log1p(e)
+        - math.log(2.0))
     if not derivative:
         T = w * tanhc
-        return T, q * T, log_cosh, None
+        return beta * tanhc, T, q * T, log_cosh, None
     dq = 2.0 * t
     dz = dq * w * w
-    dy = t / kappa * w
+    dy = t * w * w / y
     dtanhc = np.where(small, dz * (-1.0 / 3.0 + z * (4.0 / 15.0
                       - z * 51.0 / 315.0)), (1.0 - th * th - tanhc) * dy / y)
     dlog_cosh = np.where(small, dz * (0.5 + z * (-1.0 / 6.0 + z / 15.0)),
                          th * dy)
-    T = w * (tanhc + 1j * CSTEP * dtanhc)
-    return T, (q + 1j * CSTEP * dq) * T, log_cosh, dlog_cosh
+    tanhc = tanhc + 1j * CSTEP * dtanhc
+    T = w * tanhc
+    return beta * tanhc, T, (q + 1j * CSTEP * dq) * T, log_cosh, dlog_cosh
 
 
 def _log_step(z):
@@ -168,33 +167,35 @@ def _matmul(B, A):
     return BA[:, 0] + BA[:, 1]
 
 
-def _block_product(T, P):
-    """The product of the segment maps [[1, T], [P, 1]] along the last axis,
-    later segments on the left, as one (2, 2, ...) stack."""
+def _block_product(D, T, P):
+    """The product of the segment maps [[1 + D, T], [P, 1 - D]] along the
+    last axis, later segments on the left, as one (2, 2, ...) stack."""
     # the first round's stack passes to _product alone, which frees it
     # after the next round
-    return _product(_first_round(T, P))
+    return _product(_first_round(D, T, P))
 
 
-def _first_round(T, P):
-    """The first round of _product on the maps [[1, T], [P, 1]], written
-    from T and P directly."""
+def _first_round(D, T, P):
+    """The first round of _product on the maps [[1 + D, T], [P, 1 - D]],
+    written from D, T and P directly."""
     k = T.shape[-1]
     h = k // 2
     M = np.empty((2, 2) + T.shape[:-1] + (h + k % 2,), T.dtype)
     (m00, m01), (m10, m11) = M[..., :h]
-    Te, To = T[..., 0:2 * h:2], T[..., 1:2 * h:2]
-    Pe, Po = P[..., 0:2 * h:2], P[..., 1:2 * h:2]
-    np.multiply(To, Pe, out=m00)
-    m00 += 1.0
-    np.add(Te, To, out=m01)
-    np.add(Pe, Po, out=m10)
-    np.multiply(Po, Te, out=m11)
-    m11 += 1.0
+    A, B = 1.0 + D, 1.0 - D
+    # the map of segment 2i + 1 times that of segment 2i
+    Ae, Be, Te, Pe = (X[..., 0:2 * h:2] for X in (A, B, T, P))
+    Ao, Bo, To, Po = (X[..., 1:2 * h:2] for X in (A, B, T, P))
+    np.multiply(Ao, Ae, out=m00)
+    m00 += To * Pe
+    np.multiply(Ao, Te, out=m01)
+    m01 += To * Be
+    np.multiply(Po, Ae, out=m10)
+    m10 += Bo * Pe
+    np.multiply(Bo, Be, out=m11)
+    m11 += Po * Te
     if k % 2:
-        M[0, 0, ..., -1] = M[1, 1, ..., -1] = 1.0
-        M[0, 1, ..., -1] = T[..., -1]
-        M[1, 0, ..., -1] = P[..., -1]
+        M[..., -1] = [[A[..., -1], T[..., -1]], [P[..., -1], B[..., -1]]]
     return M
 
 
@@ -211,41 +212,46 @@ def _product(M):
     return M[..., 0]
 
 
-def _sweep(t, w, V, derivative: bool):
+def _sweep(t, w, V1, V2, derivative: bool):
     """Sweep from x = L, where f = 0 and f' = -1, across segments of widths
-    w and constant potentials V, one sweep per row of w and V and per
-    node of t, all at once; at the complex step t + i CSTEP with
-    derivative=True, in float64 otherwise (the callers of each are
-    listed at bond_solution).  Returns (R, s) with one row
-    per sweep and one column per node: R, a (2, 2, rows, nodes) stack, is
-    the product of the segment maps in the basis (f, -f'), and s the log
-    of the scale divided out of it plus the log cosh(kappa w) - t w of
-    every segment.  So (f, -f') at the far end is e^s (R01, R11).
+    w whose potentials are V1 and V2 at their two Gauss points, in the
+    order the sweep meets them, at every node of t at once; at the
+    complex step t + i CSTEP with derivative=True, in float64 otherwise
+    (the callers of each are listed at bond_solution).  Returns (R, s)
+    with one column per node: R, a (2, 2, nodes) stack, is the product
+    of the segment maps in the basis (f, -f'), and s the log of the
+    scale divided out of it plus the log cosh(theta) - t w of every
+    segment.  So (f, -f') at the far end is e^s (R01, R11).
 
     Keeping s of order one instead of t L keeps the absolute error of
     log u at rounding level, which the subtracted large-t integrands rely
     on.
 
-    With q = t^2 + V, kappa = sqrt(q) and T = tanh(kappa w)/kappa, one
-    segment maps (f, -f') by cosh(kappa w) [[1, T], [q T, 1]].  Every
-    entry is positive, so the products of the maps are accurate in any
-    order of association.  The maps of SWEEP_BLOCK segments at a time,
-    a constant so that no node's result depends on the batch, are
-    multiplied pairwise (_block_product); each block product then joins
-    one running product per row, divided by its R11 after every block,
-    the log of the divisor going to s.  No count of segments overflows,
-    and the column (R01, R11) = (-m, 1) holds m = f/f', which contracts
-    towards a fixed point: the rounding of one block's product is
-    forgotten, where in an unscaled product the t-derivative in Im R
-    would gather it from every segment.
+    With q = t^2 + (V1 + V2)/2, beta = (sqrt 3/12) w^2 (V1 - V2),
+    theta^2 = beta^2 + w^2 q and c = tanh(theta)/theta, one segment maps
+    (f, -f') by cosh(theta) [[1 + beta c, w c], [w q c, 1 - beta c]], the
+    exponential of the two-Gauss-point Magnus exponent (Iserles and
+    Norsett, Proc. R. Soc. A 455, 1999; Blanes, Casas, Oteo and Ros,
+    Phys. Rep. 470, 2009): fourth order in w, and exact for a constant
+    potential at every t.  |beta c| <= tanh(theta), so every entry is
+    positive and the products of the maps are accurate in any order of
+    association.  The maps of SWEEP_BLOCK segments at a time, a constant
+    so that no node's result depends on the batch, are multiplied
+    pairwise (_block_product); each block product then joins the running
+    product, divided by its R11 after every block, the log of the
+    divisor going to s.  No count of segments overflows, and the column
+    (R01, R11) = (-m, 1) holds m = f/f', which contracts towards a fixed
+    point: the rounding of one block's product is forgotten, where in an
+    unscaled product the t-derivative in Im R would gather it from every
+    segment.
     """
-    s = np.zeros((len(w), len(t)), complex if derivative else float)
+    s = np.zeros(len(t), complex if derivative else float)
     R = None
-    for lo in range(0, w.shape[1], SWEEP_BLOCK):
+    for lo in range(0, len(w), SWEEP_BLOCK):
         block = slice(lo, lo + SWEEP_BLOCK)
-        T, P, log_cosh, dlog_cosh = _segments(t, w[:, block], V[:, block],
-                                              derivative)
-        M = _block_product(T, P)
+        D, T, P, log_cosh, dlog_cosh = _segments(
+            t, w[block], V1[block], V2[block], derivative)
+        M = _block_product(D, T, P)
         R = M if R is None else _matmul(M, R)
         scale = R[1, 1].copy()
         if derivative:
@@ -261,59 +267,52 @@ def _sweep(t, w, V, derivative: bool):
             step = step + 1j * CSTEP * dlog_cosh.sum(axis=-1)
         s += step + _log_step(scale)
         # freed before the next block's maps are formed
-        del T, P, log_cosh, dlog_cosh
+        del D, T, P, log_cosh, dlog_cosh
     return R, s
 
 
-def _segment_layout(bond, reverse: bool):
-    """Widths and potentials (w, V) of the segments of a bump bond, as
-    three rows of n + 2 in the order a sweep from x = L meets them, or
-    from x = 0 with reverse=True: the n-segment cut of the support, and
-    the two halves of the 2n-segment cut.  Each free stretch is one
-    exact segment, and on the far side of a half a segment of width
-    zero, the identity.  n = max(200, 200 (b - a) sqrt(max |V|)) is
-    fixed by the bond, the same on both axes and at every t or k.
-    """
+def _segment_count(bond, per_width: int):
+    """The support (a, b) of a bump bond and its segment count
+    n = max(m, m (b - a) sqrt(max |V|)), m = per_width: fixed by the bond,
+    the same at every t or k."""
     L = bond.length
     pot = bond.potential
     a, b = pot.support(L)
     vmax = max(-pot.minimum(L), pot.maximum(L))
-    n = max(200, math.ceil(200.0 * (b - a) * math.sqrt(vmax)))
+    return a, b, max(per_width,
+                     math.ceil(per_width * (b - a) * math.sqrt(vmax)))
+
+
+def _gauss_layout(bond, reverse: bool):
+    """Widths w and Gauss-point potentials V1, V2 of the segments of a
+    bump bond, in the order a sweep from x = L meets them, or from x = 0
+    with reverse=True: one exact segment for each free stretch, and
+    between them the n = _segment_count(bond, 300) segments of the
+    support, whose Gauss points lie w/(2 sqrt 3) either side of the
+    middle."""
+    L = bond.length
+    a, b, n = _segment_count(bond, 300)
+    h = (b - a) / n
     first, last = (a, L - b) if reverse else (L - b, a)
-    w = np.zeros((3, n + 2))
-    V = np.zeros((3, n + 2))
-    w[:, 0] = first, first, 0.0
-    w[:, -1] = last, 0.0, last
-    for rows, k in ((slice(0, 1), n), (slice(1, 3), 2 * n)):
-        h = (b - a) / k
-        mid = (np.arange(k) + 0.5) * h
-        w[rows, 1:-1] = h
-        V[rows, 1:-1] = pot.value(a + mid if reverse else b - mid).reshape(
-            -1, n)
-    return w, V
+    w = np.concatenate(([first], np.full(n, h), [last]))
+    g = 0.5 / math.sqrt(3.0)
+    V1, V2 = (np.concatenate(([0.0], bond.potential.value(
+        a + d if reverse else b - d), [0.0]))
+        for d in ((np.arange(n) + 0.5 - g) * h, (np.arange(n) + 0.5 + g) * h))
+    return w, V1, V2
 
 
 def _cpm(bond, t, reverse: bool, derivative: bool) -> BondSolution:
-    """Constant-perturbation sweep of the solution decaying towards x = L.
-
-    The segments are those of _segment_layout, Richardson-extrapolated
-    from n to 2n: the pair runs as one sweep of its three rows, and the
-    products of the two halves are joined at the end.  With
-    derivative=True the t-derivatives come from a complex step through
-    the same sweep; otherwise the sweep is real and they are None, as
-    bond_solution's energy and force callers ask.  By
-    the Wronskian the Dirichlet solution has u(L) = f(0) = m0 f'(0).
+    """Sweep of the solution decaying towards x = L across the segments
+    of _gauss_layout.  With derivative=True the t-derivatives come from
+    a complex step through the same sweep; otherwise the sweep is real
+    and they are None, as bond_solution's energy and force callers ask.
+    By the Wronskian the Dirichlet solution has u(L) = f(0) = m0 f'(0).
     """
     L = bond.length
-    R, s = _sweep(t, *_segment_layout(bond, reverse), derivative)
-    R1 = R[:, :, 0]
-    R2 = _matmul(R[:, :, 2], R[:, :, 1])
-    m1 = -R1[0, 1] / R1[1, 1]
-    m2 = -R2[0, 1] / R2[1, 1]
-    s1 = s[0] + _log_step(R1[1, 1])
-    s2 = s[1] + s[2] + _log_step(R2[1, 1])
-    m0 = (4.0 * m2 - m1) / 3.0
-    s0 = (4.0 * s2 - s1) / 3.0
+    R, s = _sweep(t, *_gauss_layout(bond, reverse), derivative)
+    m0 = -R[0, 1] / R[1, 1]
+    s0 = s + _log_step(R[1, 1])
     lost = ~(m0.real < 0.0)
     if lost.any():
         raise NumericalError(
@@ -331,11 +330,12 @@ def bond_solution(bond, t, *, reverse: bool = False,
     """Boundary data of one bond at every node of the 1-d array t.
 
     With derivative=False the t-derivative fields are None and a bump
-    bond is swept in float64, at about half the cost of the complex
-    step.  The integrands of the vacuum energy (minus_half_data) and of
-    the Casimir force read only log F and log u, and take that pass, as
-    do logF_imag and dlogF_dL_imag when they solve for themselves, which
-    covers F_imag, the zero probe and the large-t asymptotics check.
+    bond is swept in float64, at half to three quarters of the cost of
+    the complex step.  The integrands of the vacuum energy
+    (minus_half_data) and of the Casimir force read only log F and log
+    u, and take that pass, as do logF_imag and dlogF_dL_imag when they
+    solve for themselves, which covers F_imag, the zero probe and the
+    large-t asymptotics check.
     zeta's integrand and logF_slope_imag keep the complex step.
     """
     pot = bond.potential
@@ -458,16 +458,37 @@ def _real_sweep(ks, w, V, derivative: bool):
     return R
 
 
+def _midpoint_layout(bond):
+    """Widths and potentials (w, V) of the segments of a bump bond from
+    x = 0, as three rows of n + 2: the cut of the support into
+    n = _segment_count(bond, 200) segments, each at the potential of its
+    middle, and the two halves of the 2n-segment cut.  Each free stretch
+    is one exact segment, and on the far side of a half a segment of
+    width zero, the identity."""
+    L = bond.length
+    a, b, n = _segment_count(bond, 200)
+    w = np.zeros((3, n + 2))
+    V = np.zeros((3, n + 2))
+    w[:, 0] = a, a, 0.0
+    w[:, -1] = L - b, 0.0, L - b
+    for rows, k in ((slice(0, 1), n), (slice(1, 3), 2 * n)):
+        h = (b - a) / k
+        w[rows, 1:-1] = h
+        V[rows, 1:-1] = bond.potential.value(
+            a + (np.arange(k) + 0.5) * h).reshape(-1, n)
+    return w, V
+
+
 def transfer_matrices_real(bond, ks, *, derivative: bool = False,
                            richardson: bool = False):
     """Batched transfer matrices (f, f')(0) -> (f, f')(L) over an array of
     k, shape (k, 2, 2).
 
-    The bond is cut into the segments of the imaginary-axis sweep: one
-    segment for each free stretch and for a constant bond, and the n
-    midpoint segments of the support, n independent of k.  Every segment
-    is exact at every k, so the error of the n-segment product does not
-    grow with k.  With richardson=True it is (4 T(2n) - T(n))/3, the
+    The bond is cut into the segments of _midpoint_layout: one segment
+    for each free stretch and for a constant bond, and the n midpoint
+    segments of the support, n independent of k.  Every segment is exact
+    at every k, so the error of the n-segment product does not grow with
+    k.  With richardson=True it is (4 T(2n) - T(n))/3, the
     n-segment pass and the two halves of the 2n-segment pass running as
     three rows of n segments; a closed-form bond returns its plain T.
     With derivative=True returns (T, dT/dk) from the same pass at the
@@ -482,8 +503,7 @@ def transfer_matrices_real(bond, ks, *, derivative: bool = False,
         V = np.array([[pot.c]])
         T = _real_sweep(ks, w, V, derivative)[:, :, 0]
     else:
-        # left to right in x: the layout of a sweep from x = 0
-        w, V = _segment_layout(bond, reverse=True)
+        w, V = _midpoint_layout(bond)
         if richardson:
             R = _real_sweep(ks, w, V, derivative)
             T2 = _matmul(R[:, :, 2], R[:, :, 1])

@@ -191,7 +191,7 @@ def scan_spectrum(graph, mc, k_max: float, *, threads: int = 1) -> SpectrumWindo
     its multiplicity.  A Weyl-count anomaly triggers one rescan at dk/4
     before giving up.  The scan runs on the calling thread: `threads`
     must be at least 1 but reaches no computation, and is removed in the
-    benchmark-only change of ROADMAP item 7 (benchmark upkeep) that drops
+    benchmark-only change of ROADMAP item 2 (benchmark upkeep) that drops
     the benchmark's threads = 2 operation.
     """
     if not math.isfinite(k_max):

@@ -124,9 +124,9 @@ def test_energy_and_force_run_no_complex_step(monkeypatch):
     seen = []
     sweep = interval._sweep
 
-    def spy(t, w, V, derivative):
+    def spy(t, w, V1, V2, derivative):
         seen.append(derivative)
-        return sweep(t, w, V, derivative)
+        return sweep(t, w, V1, V2, derivative)
 
     monkeypatch.setattr(interval, "_sweep", spy)
     bump = {**BUMP, "height": 0.3}

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -113,11 +114,13 @@ def segment_row(bond, n):
     return w, V
 
 
-def segment_count(bond):
+def segment_count(bond, per_width=200):
+    """n = max(m, m (b - a) sqrt(max |V|)) segments of the support, with
+    m = 200 on the real axis and m = 300 on the imaginary axis."""
     pot = bond.potential
     a, b = pot.support(bond.length)
     vmax = max(-pot.minimum(bond.length), pot.maximum(bond.length))
-    return max(200, math.ceil(200.0 * (b - a) * math.sqrt(vmax)))
+    return max(per_width, math.ceil(per_width * (b - a) * math.sqrt(vmax)))
 
 
 def segment_product_reference(bond, ks):
@@ -145,45 +148,42 @@ def d_scaled_error(got, ref, ks):
 
 def sweep_reference(bond, t, reverse=False):
     """BondSolution by the per-segment Moebius recurrence
-    m <- (m - T)/(1 - m q T), one segment at a time, for the n- and the
-    2n-segment sweeps separately, then Richardson-extrapolated."""
+    m <- ((1 + D) m - T)/(1 - D - m P) over the fourth-order Magnus maps
+    of the n-segment cut, one segment at a time, with the two Gauss
+    points of each segment in the order the sweep meets them."""
     L = bond.length
     pot = bond.potential
     if reverse and pot.symmetric(L):
         reverse = False
     a, b = pot.support(L)
-    vmax = max(-pot.minimum(L), pot.maximum(L))
-    n = max(200, math.ceil(200.0 * (b - a) * math.sqrt(vmax)))
+    n = segment_count(bond, 300)
     first, last = (a, L - b) if reverse else (L - b, a)
-    ms, ss = [], []
-    for k in (n, 2 * n):
-        h = (b - a) / k
-        mid = (np.arange(k) + 0.5) * h
-        w = np.concatenate(([first], np.full(k, h), [last]))
-        V = np.concatenate(([0.0], pot.value(a + mid if reverse
-                                             else b - mid), [0.0]))
-        T, P, log_cosh, dlog_cosh = (x[0] for x in
-                                     _segments(t, w[None], V[None], True))
-        m = np.zeros(len(t), complex)
-        d = np.empty_like(T)
-        for i in range(k + 2):
-            d[:, i] = 1.0 - m * P[:, i]
-            m = (m - T[:, i]) / d[:, i]
-        ms.append(m)
-        # summed per segment first: at large t both terms are near -+log 2
-        ss.append((log_cosh + np.log(d.real)).sum(axis=-1)
-                  + 1j * (CSTEP * dlog_cosh + d.imag / d.real).sum(axis=-1))
-    m0 = (4.0 * ms[1] - ms[0]) / 3.0
-    s0 = (4.0 * ss[1] - ss[0]) / 3.0
-    fp = 1.0 / m0
-    lu = s0 + np.log(-m0)
+    h = (b - a) / n
+    w = np.concatenate(([first], np.full(n, h), [last]))
+    # the Gauss points' distances from the end the sweep starts at
+    g = 0.5 / math.sqrt(3.0)
+    V1, V2 = (np.concatenate(([0.0], pot.value(a + x if reverse else b - x),
+                              [0.0]))
+              for x in ((np.arange(n) + 0.5 - g) * h,
+                        (np.arange(n) + 0.5 + g) * h))
+    D, T, P, log_cosh, dlog_cosh = _segments(t, w, V1, V2, True)
+    m = np.zeros(len(t), complex)
+    d = np.empty_like(T)
+    for i in range(n + 2):
+        d[:, i] = 1.0 - D[:, i] - m * P[:, i]
+        m = ((1.0 + D[:, i]) * m - T[:, i]) / d[:, i]
+    # summed per segment first: at large t both terms are near -+log 2
+    s = ((log_cosh + np.log(d.real)).sum(axis=-1)
+         + 1j * (CSTEP * dlog_cosh + d.imag / d.real).sum(axis=-1))
+    fp = 1.0 / m
+    lu = s + np.log(-m)
     return BondSolution(fp.real, fp.imag / CSTEP, t * L + lu.real,
                         lu.imag / CSTEP, lu.real)
 
 
-# height 100 takes n = 1201 segments, so the 2n sweep crosses 2,402, past
-# the range of an unscaled product of the maps; heights 5 and 100 take an
-# odd n
+# height 100 takes n = 1,801 segments, past the range of an unscaled
+# product of the maps; heights 5 and 100 take an odd n, so their last
+# block of maps carries an odd map out
 SWEEP_CASES = [dict(height=0.3), dict(center=0.35, half_width=0.2, height=4.0),
                dict(height=100.0), dict(height=-3.0), dict(height=5.0)]
 
@@ -203,6 +203,46 @@ def test_sweep_matches_sequential_recurrence(kw):
         for field, g, r in zip(BondSolution._fields, got, ref):
             bound = 1e-13 * np.maximum(1.0, np.abs(r))
             assert np.all(np.abs(g - r) <= bound), (field, reverse)
+
+
+@pytest.mark.parametrize("kw", SWEEP_CASES, ids=lambda kw: str(kw["height"]))
+def test_sweep_converges_in_segment_count(kw, monkeypatch):
+    # the segment count of the bond against the same sweep cut into 16
+    # times as many segments, which is converged to rounding
+    bond = make_bump_interval(**kw)[0].bonds[0]
+    t = above_floor(bond, 41)
+    got = [bond_solution(bond, t, reverse=reverse)
+           for reverse in (False, True)]
+    count = interval._segment_count
+
+    def refined(bond, per_width):
+        a, b, n = count(bond, per_width)
+        return a, b, 16 * n
+
+    monkeypatch.setattr(interval, "_segment_count", refined)
+    for reverse, g_sol in zip((False, True), got):
+        ref = bond_solution(bond, t, reverse=reverse)
+        for field, g, r in zip(BondSolution._fields, g_sol, ref):
+            bound = 5e-12 * np.maximum(1.0, np.abs(r))
+            assert np.all(np.abs(g - r) <= bound), (field, reverse)
+
+
+def test_sweep_memory_does_not_grow_with_segment_count():
+    # the maps are held a block of segments at a time, so height 100
+    # (n = 1,801) needs no more than height 0.3 (n = 300), with or
+    # without t-derivatives
+    t = np.geomspace(0.05, 1e4, 400)
+    for derivative in (True, False):
+        peaks = []
+        for height in (0.3, 100.0):
+            bond = make_bump_interval(height=height)[0].bonds[0]
+            tracemalloc.start()
+            try:
+                bond_solution(bond, t, derivative=derivative)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0], derivative
 
 
 @pytest.mark.parametrize("kw", SWEEP_CASES[:3],
@@ -259,25 +299,26 @@ def test_derivative_free_solutions_refuse_derivative_kernels():
 
 def test_block_product_against_sequential_product():
     # every block length up to two blocks, odd counts carried through the
-    # rounds included
+    # rounds included, with a diagonal term of either sign
     rng = np.random.default_rng(7)
     for k in range(1, 2 * SWEEP_BLOCK + 1):
+        D = rng.uniform(-0.9, 0.9, (2, 3, k)) * (1.0 + 1e-30j)
         T = rng.uniform(0.0, 1.0, (2, 3, k)) * (1.0 + 1e-30j)
         P = rng.uniform(0.0, 5.0, (2, 3, k)) * (1.0 - 1e-30j)
         ref = np.broadcast_to(np.eye(2), (2, 3, 2, 2)).astype(complex)
         for i in range(k):
-            M = np.array([[np.ones((2, 3)), T[..., i]],
-                          [P[..., i], np.ones((2, 3))]])
+            M = np.array([[1.0 + D[..., i], T[..., i]],
+                          [P[..., i], 1.0 - D[..., i]]])
             ref = np.moveaxis(M, (0, 1), (-2, -1)) @ ref
-        got = np.moveaxis(_block_product(T, P), (0, 1), (-2, -1))
+        got = np.moveaxis(_block_product(D, T, P), (0, 1), (-2, -1))
         assert np.all(np.abs(got.real - ref.real) <= 1e-14 * ref.real), k
         assert np.all(np.abs(got.imag - ref.imag)
                       <= 1e-14 * np.abs(ref.imag).max()), k
 
 
 # the t ranges the former linear (u, v) and Riccati solvers served; the
-# constant-perturbation sweep covers both and must hold the closed forms
-# across each, overlap included
+# Magnus sweep covers both and must hold the closed forms across each,
+# overlap included
 @pytest.mark.parametrize("regime, t_lo, t_hi",
                          [("linear", 0.0, 400.0), ("riccati", 20.0, math.inf)],
                          ids=["linear", "riccati"])
@@ -314,9 +355,9 @@ def test_only_bump_bonds_enter_the_sweep(monkeypatch):
     seen = []
     sweep = interval._sweep
 
-    def spy(t, w, V, derivative):
+    def spy(t, w, V1, V2, derivative):
         seen.append(derivative)
-        return sweep(t, w, V, derivative)
+        return sweep(t, w, V1, V2, derivative)
 
     monkeypatch.setattr(interval, "_sweep", spy)
     t = np.array([0.5, 3.0, 40.0])

@@ -8,12 +8,14 @@ derandomised, so every run checks the same graphs.
 
 import math
 import warnings
+from dataclasses import replace
 
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from conftest import from_doc
-from graphzeta import casimir_force
+from graphzeta import (build_vertex_conditions, casimir_force, vacuum_energy,
+                       zeta_total)
 
 # A failing example makes the hypothesis pytest plugin import its patch
 # writer, whose libcst dependency warns with a DeprecationWarning that this
@@ -100,8 +102,56 @@ def relabelled(doc, vertex_perm, bond_perm):
                          "vertices": sorted(verts, key=lambda v: v["vertex"])}}
 
 
+def reversed_bond(doc, bond_id):
+    """The graph and matching conditions of doc with one bond running the
+    other way: its ends swapped, its bump mirrored and its flux negated.
+    The document format stores every bond with origin <= terminus, so
+    the ends are swapped on the parsed graph."""
+    bonds = []
+    for bd in doc["bonds"]:
+        if bd["id"] == bond_id:
+            bd = {**bd, "vector_potential": -bd.get("vector_potential", 0.0)}
+            pot = bd.get("potential")
+            if pot is not None:
+                bd["potential"] = {**pot,
+                                   "center": bd["length"] - pot["center"]}
+        bonds.append(bd)
+    graph, mc = from_doc({**doc, "bonds": bonds})
+    bonds = [replace(b, origin=b.terminus, terminus=b.origin)
+             if b.id == bond_id else b for b in graph.bonds]
+    graph = replace(graph, bonds=tuple(bonds))
+    return graph, build_vertex_conditions(graph, mc.vertex_specs)
+
+
 def force(doc, bond_id):
     return casimir_force(*from_doc(doc), bond_id).force
+
+
+# the tolerances on the integrals of zeta_total (default), minus_half_data
+# (default) and casimir_force (casimir.TOL)
+ZETA_TOL = 1e-9
+ENERGY_TOL = 1e-10
+FORCE_TOL = 1e-10
+# gamma takes the values of the benchmark's zeta points: below about
+# gamma = 1e-2 the subtracted integrand of a bump bond cancels against its
+# closed form, and the error runs past tol
+zeta_points = st.tuples(st.floats(0.6, 0.9), st.sampled_from((0.0, 0.5, 1.0)))
+
+
+def zeta(graph_mc, point):
+    s, gamma = point
+    return zeta_total(*graph_mc, s, gamma, tol=ZETA_TOL).value
+
+
+def assert_same_physics(got, ref, point):
+    """got and ref, each a graph and its matching conditions, have the same
+    zeta at point and the same vacuum energy, within the calls' own
+    tolerances: zeta is sin(pi s)/pi times an integral within tol, and
+    fp_half half an integral over pi."""
+    assert abs(zeta(got, point) - zeta(ref, point)) < 2.0 * ZETA_TOL
+    e_got, e_ref = vacuum_energy(*got), vacuum_energy(*ref)
+    assert abs(e_got.fp_half - e_ref.fp_half) < ENERGY_TOL
+    assert abs(e_got.res_half - e_ref.res_half) < ENERGY_TOL
 
 
 @SETTINGS
@@ -130,3 +180,39 @@ def test_force_ignores_labels(case, data):
                 bond_perm[bond_id - 1] + 1)
     # the same nodes; only the rounding of the permuted matrices differs
     assert abs(got - force(doc, bond_id)) < 1e-12
+
+
+@SETTINGS
+@given(graph_docs(), st.floats(0.8, 1.25), zeta_points)
+def test_zeta_scales_with_length(case, c, point):
+    doc, _ = case
+    s, gamma = point
+    ref = zeta(from_doc(doc), point)
+    got = zeta(from_doc(scaled(doc, c)), (s, gamma / (c * c)))
+    # each value within its own tol; the nodes move with c
+    assert abs(got - c ** (2.0 * s) * ref) < ZETA_TOL * (1.0 + c ** (2.0 * s))
+
+
+@SETTINGS
+@given(graph_docs(), st.data(), zeta_points)
+def test_zeta_and_energy_ignore_labels(case, data, point):
+    doc, _ = case
+    n = len(doc["bonds"])
+    vertex_perm = data.draw(st.permutations(range(n + 1)))
+    bond_perm = data.draw(st.permutations(range(n)))
+    assert_same_physics(from_doc(relabelled(doc, vertex_perm, bond_perm)),
+                        from_doc(doc), point)
+
+
+@SETTINGS
+@given(graph_docs(), st.data(), zeta_points)
+def test_reversing_a_bond_changes_nothing(case, data, point):
+    doc, bond_id = case
+    flipped = data.draw(st.integers(1, len(doc["bonds"])))
+    got = reversed_bond(doc, flipped)
+    assert_same_physics(got, from_doc(doc), point)
+    # the force moves the terminus, which reversal makes the other end
+    # of a bump bond; elsewhere it is the same force
+    if flipped != bond_id or "potential" not in doc["bonds"][bond_id - 1]:
+        ref = force(doc, bond_id)
+        assert abs(casimir_force(*got, bond_id).force - ref) < 2 * FORCE_TOL
