@@ -21,8 +21,9 @@ equation, used by the spectral scan.  A bump bond is cut into midpoint
 segments of constant potential, each mapped exactly by cos and sin
 (cosh and sinh below the potential) at every k, so the error does not
 grow with k; the maps are multiplied pairwise a block at a time, the
-Richardson pair of segment counts n and 2n runs as three rows of n
-segments, and the k-derivative is a complex step through the same maps.
+k-derivative is a complex step through the same maps, the scan's Newton
+steps read the Richardson pair of counts n and 2n as three rows of n
+segments, and its coarse grid one row of about n/4 (COARSE_PER_WIDTH).
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ CSTEP = 1e-30            # complex step for the t-derivatives
 KSTEP = 2.0 ** -600      # complex step for the real-axis k-derivative
 SWEEP_BLOCK = 128        # segments whose maps a sweep holds at once
 REAL_BLOCK = 16          # the same on the real axis, whose batches are larger
+COARSE_PER_WIDTH = 50    # real-axis segments per width of the plain pass
 
 
 class BondSolution(NamedTuple):
@@ -458,15 +460,15 @@ def _real_sweep(ks, w, V, derivative: bool):
     return R
 
 
-def _midpoint_layout(bond):
+def _midpoint_layout(bond, per_width: int):
     """Widths and potentials (w, V) of the segments of a bump bond from
-    x = 0, as three rows of n + 2: the cut of the support into
-    n = _segment_count(bond, 200) segments, each at the potential of its
-    middle, and the two halves of the 2n-segment cut.  Each free stretch
-    is one exact segment, and on the far side of a half a segment of
-    width zero, the identity."""
+    x = 0, as three rows of n + 2: the cut of the support into n =
+    _segment_count(bond, per_width) midpoint segments, and the two halves
+    of the 2n-segment cut; the plain pass takes the first row only.  Each
+    free stretch is one exact segment, and on the far side of a half the
+    identity, a segment of width zero."""
     L = bond.length
-    a, b, n = _segment_count(bond, 200)
+    a, b, n = _segment_count(bond, per_width)
     w = np.zeros((3, n + 2))
     V = np.zeros((3, n + 2))
     w[:, 0] = a, a, 0.0
@@ -488,9 +490,11 @@ def transfer_matrices_real(bond, ks, *, derivative: bool = False,
     for each free stretch and for a constant bond, and the n midpoint
     segments of the support, n independent of k.  Every segment is exact
     at every k, so the error of the n-segment product does not grow with
-    k.  With richardson=True it is (4 T(2n) - T(n))/3, the
-    n-segment pass and the two halves of the 2n-segment pass running as
-    three rows of n segments; a closed-form bond returns its plain T.
+    k.  The plain pass, the scan's coarse grid, has n at COARSE_PER_WIDTH.
+    With richardson=True, for its Newton steps and root checks, it is
+    (4 T(2n) - T(n))/3 at per_width 200, the n-segment pass and the two
+    halves of the 2n-segment pass running as three rows of n segments; a
+    closed-form bond returns its plain T.
     With derivative=True returns (T, dT/dk) from the same pass at the
     complex k + i KSTEP (Squire and Trapp, SIAM Rev. 40, 1998): KSTEP^2
     underflows, so T is bitwise that of the real pass and dT/dk carries
@@ -503,7 +507,7 @@ def transfer_matrices_real(bond, ks, *, derivative: bool = False,
         V = np.array([[pot.c]])
         T = _real_sweep(ks, w, V, derivative)[:, :, 0]
     else:
-        w, V = _midpoint_layout(bond)
+        w, V = _midpoint_layout(bond, 200 if richardson else COARSE_PER_WIDTH)
         if richardson:
             R = _real_sweep(ks, w, V, derivative)
             T2 = _matmul(R[:, :, 2], R[:, :, 1])

@@ -2,11 +2,13 @@
 
 Eigenvalues are located on the real k axis through the pole-free secular
 matrix S(k), entirely separate from the imaginary-axis machinery the zeta
-engine uses: a coarse grid of singular values flags a dip near every
-root, Newton steps on the pencil (S(k), -dS/dk) converge from each dip to
-the roots of det S, and the singular values of S at each converged root
-confirm it and give its multiplicity.  Zeta values are then checked by
-direct summation with a Weyl-density tail, and the force by finite
+engine uses: a coarse grid of singular values, at a quarter of the
+Newton steps' bump segments, flags a dip near every root, Newton steps
+on the pencil (S(k), -dS/dk) converge from each dip to the roots of
+det S, and the singular values of S at each converged root confirm it
+and give its multiplicity.  S is float64 unless a flux or complex
+matching makes it complex.  Zeta values are then checked by direct
+summation with a Weyl-density tail, and the force by finite
 differences of the energy.
 
 The scan needs numpy alone.  scipy serves only the direct summation,
@@ -55,6 +57,7 @@ def _matrices(graph, mc, ks):
 
 
 def _singulars(graph, mc, ks):
+    """Coarse grid's singular values of S: n/4 segments, float64 if real."""
     S = secular_matrices_real(graph, mc, ks)
     return np.linalg.svd(S, compute_uv=False)
 
@@ -109,6 +112,15 @@ def _newton(graph, mc, starts, dk):
     return roots[order], np.concatenate(mats)[order]
 
 
+def _dips(y, half):
+    """Local minima of y, +inf beyond its ends, and the maximum of y over
+    i - half .. i + half, clipped at the ends."""
+    low = (y <= np.r_[math.inf, y[:-1]]) & (y <= np.r_[y[1:], math.inf])
+    pad = np.full(half, -math.inf)
+    return low, np.lib.stride_tricks.sliding_window_view(
+        np.r_[pad, y, pad], 2 * half + 1).max(axis=1)
+
+
 def _scan_once(graph, mc, k_max, dk):
     m = int(math.ceil(k_max / dk)) + 1
     ks = np.linspace(0.0, k_max, m)
@@ -127,23 +139,13 @@ def _scan_once(graph, mc, k_max, dk):
     # like 1/k), while log|det| picks up the wide logarithmic funnel every
     # root carries regardless of that saturation.  k = 0 has no left
     # neighbour, so a root below dk/2 shows as a one-sided dip there.
-    cand_idx = set()
-    for i in range(m):
-        left = sigma[i - 1] if i > 0 else math.inf
-        right = sigma[i + 1] if i + 1 < m else math.inf
-        if sigma[i] <= left and sigma[i] <= right:
-            local = float(np.max(sigma[max(i - 3, 0):i + 4]))
-            if sigma[i] < 0.8 * background or sigma[i] < 0.55 * local:
-                cand_idx.add(i)
-    for i in range(m):
-        left = logdet[i - 1] if i > 0 else math.inf
-        right = logdet[i + 1] if i + 1 < m else math.inf
-        if logdet[i] <= left and logdet[i] <= right:
-            local = float(np.max(logdet[max(i - 4, 0):i + 5]))
-            if local - logdet[i] >= 0.5:
-                cand_idx.add(i)
+    low, local = _dips(sigma, 3)
+    cand = low & ((sigma < 0.8 * background) | (sigma < 0.55 * local))
+    low, local = _dips(logdet, 4)
+    with np.errstate(invalid="ignore"):  # -inf - -inf where S is singular
+        cand |= low & (local - logdet >= 0.5)
     # S is even in k, so dS/dk vanishes at 0: start that dip mid-cell
-    starts = np.array([ks[i] if i else 0.5 * dk for i in sorted(cand_idx)])
+    starts = np.where(ks > 0.0, ks, 0.5 * dk)[cand]
 
     roots = []
     total = 0
@@ -182,17 +184,18 @@ def scan_spectrum(graph, mc, k_max: float, *, threads: int = 1) -> SpectrumWindo
     """All roots in (0, k_max] with multiplicities.
 
     A coarse grid of spacing dk ~ pi / (16 total length) flags dips of
-    the smallest singular value and of log|det S|.  From each dip, Newton
-    steps on the pencil (S(k), -dS/dk) converge to the roots of det S
-    within one grid cell, with dS/dk exact through the transfer matrices
-    and both Richardson-extrapolated in the count of constant-potential
-    segments a bump bond is cut into, which does not grow with k_max.
-    The singular values of S at each converged root confirm it and give
-    its multiplicity.  A Weyl-count anomaly triggers one rescan at dk/4
-    before giving up.  The scan runs on the calling thread: `threads`
-    must be at least 1 but reaches no computation, and is removed in the
-    benchmark-only change of ROADMAP item 2 (benchmark upkeep) that drops
-    the benchmark's threads = 2 operation.
+    the smallest singular value and of log|det S|, a bump bond cut into
+    n/4 constant-potential segments.  From each dip, Newton steps on the
+    pencil (S(k), -dS/dk) converge to the roots of det S within one grid
+    cell, with dS/dk exact through the transfer matrices and both
+    Richardson-extrapolated from n to 2n segments, n fixed by the bond.
+    The singular values of that S at each converged root confirm it and
+    give its multiplicity.  S is float64 without flux or complex
+    matching.  A Weyl-count anomaly triggers one rescan at dk/4 before
+    giving up.  The scan runs on the calling thread: `threads` must be
+    at least 1 but reaches no computation, and is removed in the
+    benchmark-only change of ROADMAP item 2 (benchmark upkeep) that
+    drops the benchmark's threads = 2 operation.
     """
     if not math.isfinite(k_max):
         raise UnsupportedError("k_max must be finite")

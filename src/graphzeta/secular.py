@@ -13,7 +13,8 @@ at one t, as a record.
 
 Real axis: a pole-free parameterisation through bond transfer matrices,
 suitable for scanning; its smallest singular value vanishes exactly at
-eigenvalues, with multiplicity equal to the null-space dimension.
+eigenvalues, with multiplicity equal to the null-space dimension.  S is
+float64 unless _secular_is_complex; its coarse pass takes n/4 segments.
 """
 
 from __future__ import annotations
@@ -122,6 +123,12 @@ def F_imag(graph, mc, t: float) -> SecularValue:
                         phase=float(phase[0]))
 
 
+def _secular_is_complex(graph, mc) -> bool:
+    return (any(b.vector_potential != 0.0 for b in graph.bonds)
+            or float(np.max(np.abs(mc.A.imag))) > 0.0
+            or float(np.max(np.abs(mc.B.imag))) > 0.0)
+
+
 # ---------------------------------------------------------------------------
 # real-axis secular matrix
 
@@ -132,11 +139,12 @@ def _assemble_real(graph, mc, transfer_blocks, nk, unit=1.0):
     entries of phi and dhat do not depend on k."""
     B = graph.bond_count
     n = 2 * B
-    phi = np.zeros((nk, n, n), dtype=complex)
-    dhat = np.zeros((nk, n, n), dtype=complex)
+    cplx = _secular_is_complex(graph, mc)
+    phi = np.zeros((nk, n, n), dtype=complex if cplx else float)
+    dhat = np.zeros_like(phi)
     for b, bond in enumerate(graph.bonds):
         T = transfer_blocks[b]
-        ph = cmath.exp(1j * bond.vector_potential * bond.length)
+        ph = cmath.exp(1j * bond.vector_potential * bond.length) if cplx else 1
         phi[..., b, b] = unit
         phi[..., B + b, b] = ph * T[..., 0, 0]
         phi[..., B + b, B + b] = ph * T[..., 0, 1]
@@ -144,9 +152,9 @@ def _assemble_real(graph, mc, transfer_blocks, nk, unit=1.0):
         dhat[..., B + b, b] = -ph * T[..., 1, 0]
         dhat[..., B + b, B + b] = -ph * T[..., 1, 1]
     # in place, so at most three (nk, n, n) arrays are alive at once
-    S = mc.A @ phi
+    S = (mc.A if cplx else mc.A.real) @ phi
     del phi
-    S += mc.B @ dhat
+    S += (mc.B if cplx else mc.B.real) @ dhat
     return S
 
 
@@ -157,7 +165,8 @@ def secular_matrices_real(graph, mc, ks, *, derivative: bool = False,
     transfer matrices.  With richardson=True the transfer matrices of
     the bump bonds are Richardson-extrapolated from n to 2n segments of
     constant potential in that one pass (see transfer_matrices_real); S
-    is affine in them, so that extrapolates S and dS/dk alike.
+    is affine in them, so that extrapolates S and dS/dk alike; the plain
+    pass takes the coarse grid's count.  float64 unless _secular_is_complex.
     """
     ks = np.asarray(ks, dtype=float)
     blocks = [transfer_matrices_real(bond, ks, derivative=derivative,

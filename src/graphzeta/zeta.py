@@ -31,8 +31,9 @@ import numpy as np
 from .errors import NumericalError, UnsupportedError
 from .interval import bond_solution, dirichlet_subtracted_derivative
 from .potentials import spectral_floor
-from .secular import (F_imag, _vanished, asymptotic_F_coefficients,
-                      bond_solutions, logF_imag, logF_slope_imag)
+from .secular import (F_imag, _secular_is_complex, _vanished,
+                      asymptotic_F_coefficients, bond_solutions, logF_imag,
+                      logF_slope_imag)
 from .wkb import d_constant, u_log_expansion
 
 DEPTH = 4
@@ -471,13 +472,6 @@ def _probe_secular_zero(graph, mc, asym, gamma: float) -> None:
             "secular function is numerically zero at the bottom of the "
             f"integration ray (t={t_probe:g}); an eigenvalue at or below "
             "-gamma makes this zeta representation invalid")
-
-
-def _secular_is_complex(graph, mc) -> bool:
-    if any(b.vector_potential != 0.0 for b in graph.bonds):
-        return True
-    return (float(np.max(np.abs(mc.A.imag))) > 0.0
-            or float(np.max(np.abs(mc.B.imag))) > 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from conftest import BUMP, make_bump_interval, make_chain, make_interval
-from graphzeta import NumericalError, interval, scan_spectrum
+from graphzeta import NumericalError, interval, oracle, scan_spectrum
 from graphzeta.interval import (CSTEP, SWEEP_BLOCK, BondSolution,
                                 _block_product, _real_sweep, _segments,
                                 bond_solution, dirichlet_subtracted_derivative,
@@ -116,19 +116,20 @@ def segment_row(bond, n):
 
 def segment_count(bond, per_width=200):
     """n = max(m, m (b - a) sqrt(max |V|)) segments of the support, with
-    m = 200 on the real axis and m = 300 on the imaginary axis."""
+    m = 200 for the real axis's Richardson pair, 50 for its plain pass
+    (the scan's coarse grid) and m = 300 on the imaginary axis."""
     pot = bond.potential
     a, b = pot.support(bond.length)
     vmax = max(-pot.minimum(bond.length), pot.maximum(bond.length))
     return max(per_width, math.ceil(per_width * (b - a) * math.sqrt(vmax)))
 
 
-def segment_product_reference(bond, ks):
+def segment_product_reference(bond, ks, per_width):
     """Transfer matrices over ks as the product of the n segment maps
     [[C, S], [-x S, C]], x = k^2 - V, taken one segment at a time from
     x = 0, each map from cos and sinc at the complex square root of x."""
     T = np.broadcast_to(np.eye(2), (len(ks), 2, 2))
-    for w, V in zip(*segment_row(bond, segment_count(bond))):
+    for w, V in zip(*segment_row(bond, segment_count(bond, per_width))):
         x = ks * ks - V
         y = np.sqrt(x + 0j) * w
         C = np.cos(y).real
@@ -512,11 +513,12 @@ REAL_CASES = [dict(height=0.3), dict(height=3.0),
 @pytest.mark.parametrize("kw", REAL_CASES, ids=lambda kw: str(kw["height"]))
 def test_transfer_matrices_match_sequential_segment_product(kw):
     # the masked branches and the pairwise products of blocks reorder the
-    # arithmetic of the one-segment-at-a-time product and nothing else
+    # arithmetic of the one-segment-at-a-time product and nothing else;
+    # the plain pass cuts the support at the coarse grid's count
     ks = np.linspace(0.0, 215.0, 64)
     bond = make_bump_interval(**kw)[0].bonds[0]
     got = transfer_matrices_real(bond, ks)
-    ref = segment_product_reference(bond, ks)
+    ref = segment_product_reference(bond, ks, interval.COARSE_PER_WIDTH)
     assert np.all(d_scaled_error(got, ref, ks) <= 1e-11)
 
 
@@ -524,11 +526,16 @@ def test_transfer_matrices_match_sequential_segment_product(kw):
 def test_transfer_matrices_converge_to_rk4_reference(kw):
     # the segment error does not grow with k: the Richardson pair holds
     # the converged RK4 loop up to k = 215, where the RK4 pair of 1,200
-    # and 2,400 steps was off by about 4e-7
+    # and 2,400 steps was off by about 4e-7.  The plain pass at a quarter
+    # of the count, which only ranks neighbouring k on the scan's coarse
+    # grid, stays within 1e-4 of the same reference
     ks = np.linspace(0.0, 215.0, 64)
     bond = make_bump_interval(**kw)[0].bonds[0]
+    ref = rk4_converged(bond, ks)
     got = transfer_matrices_real(bond, ks, richardson=True)
-    assert np.all(d_scaled_error(got, rk4_converged(bond, ks), ks) <= 1e-10)
+    assert np.all(d_scaled_error(got, ref, ks) <= 1e-10)
+    coarse = transfer_matrices_real(bond, ks)
+    assert np.all(d_scaled_error(coarse, ref, ks) <= 1e-4)
 
 
 def test_transfer_matrix_derivative_matches_difference():
@@ -574,6 +581,36 @@ def test_transfer_matrix_richardson_rows_match_two_passes():
                                          "value": 3.0})[0].bonds[0]
     assert np.array_equal(transfer_matrices_real(bond, ks, richardson=True),
                           transfer_matrices_real(bond, ks))
+
+
+def test_coarse_count_moves_no_newton_start(monkeypatch):
+    # the coarse grid only ranks sigma_min and log|det S| between
+    # neighbouring k: at a quarter of the Newton count it hands _newton
+    # bitwise the starts, and the scan returns the roots, of the grid at
+    # the full count
+    graphs = [make_bump_interval(**kw) for kw in REAL_CASES]
+    graphs.append(make_chain((1.0, 1.0, 1.0), bump=BUMP))
+    newton = oracle._newton
+
+    def scan(graph, mc):
+        seen = []
+
+        def spy(graph, mc, starts, dk):
+            seen.append(starts)
+            return newton(graph, mc, starts, dk)
+        with monkeypatch.context() as m:
+            m.setattr(oracle, "_newton", spy)
+            roots = scan_spectrum(graph, mc, 215.0).roots
+        return seen, roots
+
+    for graph, mc in graphs:
+        starts, roots = scan(graph, mc)
+        with monkeypatch.context() as m:
+            m.setattr(interval, "COARSE_PER_WIDTH", 200)
+            starts_full, roots_full = scan(graph, mc)
+        assert len(starts) == len(starts_full)
+        assert all(np.array_equal(a, b) for a, b in zip(starts, starts_full))
+        assert roots == roots_full
 
 
 def test_scan_top_roots_match_rk4_reference():

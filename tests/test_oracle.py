@@ -5,7 +5,8 @@ import pytest
 from scipy.optimize import brentq
 
 from conftest import BUMP, make_chain, make_circle, make_interval, make_star
-from graphzeta import UnsupportedError, scan_spectrum, zeta_direct, zeta_total
+from graphzeta import (UnsupportedError, oracle, scan_spectrum, zeta_direct,
+                       zeta_total)
 from oracles import discretized_eigenvalues, reference_zeta_R
 
 
@@ -99,6 +100,98 @@ def test_scan_roots_meet_closed_forms():
     assert [m for _, m in window.roots] == [1] * 7
     for (k, _), k_ref in zip(window.roots, expected):
         assert abs(k - k_ref) <= 1e-11
+
+
+def reference_starts(ks, svals):
+    """The Newton starts of the coarse grid ks with singular values svals,
+    from the scan's two dip detectors written as one Python loop each
+    over the grid: the reference for the array form in the scan."""
+    m = len(ks)
+    sigma = svals[:, -1]
+    with np.errstate(divide="ignore"):
+        logdet = np.sum(np.log(svals), axis=-1)
+    background = float(np.median(sigma))
+    cand_idx = set()
+    for i in range(m):
+        left = sigma[i - 1] if i > 0 else math.inf
+        right = sigma[i + 1] if i + 1 < m else math.inf
+        if sigma[i] <= left and sigma[i] <= right:
+            local = float(np.max(sigma[max(i - 3, 0):i + 4]))
+            if sigma[i] < 0.8 * background or sigma[i] < 0.55 * local:
+                cand_idx.add(i)
+    for i in range(m):
+        left = logdet[i - 1] if i > 0 else math.inf
+        right = logdet[i + 1] if i + 1 < m else math.inf
+        if logdet[i] <= left and logdet[i] <= right:
+            local = float(np.max(logdet[max(i - 4, 0):i + 5]))
+            with np.errstate(invalid="ignore"):
+                if local - logdet[i] >= 0.5:
+                    cand_idx.add(i)
+    dk = ks[1] - ks[0]
+    return np.array([ks[i] if i else 0.5 * dk for i in sorted(cand_idx)])
+
+
+class _Stop(Exception):
+    pass
+
+
+def scan_starts(monkeypatch, graph, mc, k_max, dk, svals=None):
+    """(ks, singular values, Newton starts) of one coarse grid of the
+    scan, stopped before Newton; svals replaces the grid's own."""
+    seen = {}
+    singulars = oracle._singulars
+
+    def coarse(graph, mc, ks):
+        seen["ks"] = ks
+        seen["svals"] = singulars(graph, mc, ks) if svals is None else svals
+        return seen["svals"]
+
+    def newton(graph, mc, starts, dk):
+        seen["starts"] = starts
+        raise _Stop
+    with monkeypatch.context() as m:
+        m.setattr(oracle, "_singulars", coarse)
+        m.setattr(oracle, "_newton", newton)
+        try:
+            oracle._scan_once(graph, mc, k_max, dk)
+        except (_Stop, oracle._WeylAnomaly):
+            pass
+    return seen["ks"], seen["svals"], seen.get("starts", np.empty(0))
+
+
+def test_dip_detectors_match_the_loops(monkeypatch):
+    # the coarse grids of the benchmark's bump chain and delta star and of
+    # a flux circle, then synthetic grids: ties and plateaus (integer
+    # values), a flat grid, exact zeros (log|det| = -inf), dips at either
+    # end, and a shallow grid below one, whose window maxima are negative
+    bump = {**BUMP, "height": 0.3}
+    for (graph, mc), k_max in ((make_chain(bump=bump), 215.0),
+                               (make_star(1.0), 215.0),
+                               (make_circle(1.0, A=0.5), 33.0)):
+        dk = math.pi / (16.0 * graph.total_length())
+        ks, svals, starts = scan_starts(monkeypatch, graph, mc, k_max, dk)
+        assert len(starts) > 0
+        assert np.array_equal(starts, reference_starts(ks, svals))
+
+    graph, mc = make_interval(1.0)
+    rng = np.random.default_rng(7)
+    m = 200
+    synthetic = [rng.integers(1, 5, (m, 2)).astype(float),
+                 rng.integers(1, 3, (m, 2)).astype(float),
+                 np.ones((m, 2)),
+                 np.repeat(rng.uniform(0.5, 2.0, (m // 4, 2)), 4, axis=0)]
+    zeros = rng.uniform(0.5, 2.0, (m, 2))
+    zeros[[0, 3, 4, 50, 51, 52, 120, m - 1], 1] = 0.0
+    synthetic.append(zeros)
+    ends = rng.uniform(1.0, 2.0, (m, 2))
+    ends[[0, 1, m - 2, m - 1], 1] = 1e-3, 1e-2, 1e-2, 1e-3
+    synthetic.append(ends)
+    synthetic.append(rng.uniform(0.2, 0.22, (m, 2)))
+    for svals in synthetic:
+        svals = np.sort(svals, axis=1)[:, ::-1].copy()
+        ks, _, starts = scan_starts(monkeypatch, graph, mc, m - 1.0, 1.0,
+                                    svals)
+        assert np.array_equal(starts, reference_starts(ks, svals))
 
 
 def test_scan_rejects_non_finite_k_max():

@@ -14,8 +14,8 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from conftest import from_doc
-from graphzeta import (build_vertex_conditions, casimir_force, vacuum_energy,
-                       zeta_total)
+from graphzeta import (build_vertex_conditions, casimir_force, scan_spectrum,
+                       vacuum_energy, zeta_total)
 
 # A failing example makes the hypothesis pytest plugin import its patch
 # writer, whose libcst dependency warns with a DeprecationWarning that this
@@ -216,3 +216,51 @@ def test_reversing_a_bond_changes_nothing(case, data, point):
     if flipped != bond_id or "potential" not in doc["bonds"][bond_id - 1]:
         ref = force(doc, bond_id)
         assert abs(casimir_force(*got, bond_id).force - ref) < 2 * FORCE_TOL
+
+
+# the scan's window: every graph drawn has at most 8 units of length, so
+# at most about 64 roots
+SCAN_K_MAX = 25.0
+# Newton stops once a step is below oracle.NEWTON_TOL = 1e-10
+ROOT_TOL = 1e-9
+
+
+def assert_same_roots(got, ref):
+    """got and ref, each a graph and its matching conditions, have the
+    same roots in (0, SCAN_K_MAX] with the same multiplicities."""
+    got = scan_spectrum(*got, SCAN_K_MAX).roots
+    ref = scan_spectrum(*ref, SCAN_K_MAX).roots
+    assert [m for _, m in got] == [m for _, m in ref]
+    assert all(abs(a - b) < ROOT_TOL for (a, _), (b, _) in zip(got, ref))
+
+
+@SETTINGS
+@given(graph_docs(), st.data())
+def test_scan_ignores_labels(case, data):
+    doc, _ = case
+    n = len(doc["bonds"])
+    vertex_perm = data.draw(st.permutations(range(n + 1)))
+    bond_perm = data.draw(st.permutations(range(n)))
+    assert_same_roots(from_doc(relabelled(doc, vertex_perm, bond_perm)),
+                      from_doc(doc))
+
+
+@SETTINGS
+@given(graph_docs(), st.data())
+def test_scan_ignores_bond_orientation(case, data):
+    doc, _ = case
+    flipped = data.draw(st.integers(1, len(doc["bonds"])))
+    assert_same_roots(reversed_bond(doc, flipped), from_doc(doc))
+
+
+@SETTINGS
+@given(graph_docs(), st.data(), st.floats(0.1, 3.0), st.booleans())
+def test_flux_on_a_tree_is_a_gauge(case, data, a, negative):
+    # every drawn graph is a tree, where a flux on a bond is removed by a
+    # phase on the subtree beyond it: the complex128 scan of the graph
+    # with the flux finds the float64 scan's roots
+    doc, _ = case
+    bond_id = data.draw(st.integers(1, len(doc["bonds"])))
+    bonds = [{**bd, "vector_potential": -a if negative else a}
+             if bd["id"] == bond_id else bd for bd in doc["bonds"]]
+    assert_same_roots(from_doc({**doc, "bonds": bonds}), from_doc(doc))

@@ -67,10 +67,47 @@ def test_real_matrix_derivative_assembly():
     assert np.max(np.abs(dS - diff)) < 1e-7 * np.max(np.abs(dS))
 
 
+def test_real_matrices_are_float64_unless_a_flux_or_complex_matching():
+    # one predicate picks the dtype on both axes: without a flux and with
+    # real matching S and dS/dk are float64 and the scan runs real LAPACK;
+    # a flux on any one bond, or complex matching, keeps complex128
+    ks = np.linspace(0.0, 40.0, 5)
+
+    def dtypes(graph, mc):
+        S = secular_matrices_real(graph, mc, ks)
+        pair = secular_matrices_real(graph, mc, ks, derivative=True,
+                                     richardson=True)
+        return {S.dtype, pair[0].dtype, pair[1].dtype}
+
+    for graph, mc in (make_chain(bump=BUMP), make_star(1.0),
+                      make_interval(1.0, kinds=("neumann", "dirichlet"))):
+        assert dtypes(graph, mc) == {np.dtype(np.float64)}
+    for b in range(3):
+        doc = {"vertices": 4,
+               "bonds": [{"id": i + 1, "origin": i + 1, "terminus": i + 2,
+                          "length": 1.0, "potential": BUMP,
+                          "vector_potential": 0.7 if i == b else 0.0}
+                         for i in range(3)],
+               "matching": {"mode": "per_vertex", "vertices": [
+                   {"vertex": 1, "kind": "dirichlet"},
+                   {"vertex": 2, "kind": "delta", "lambda": 0.5},
+                   {"vertex": 3, "kind": "delta", "lambda": 0.0},
+                   {"vertex": 4, "kind": "dirichlet"}]}}
+        assert dtypes(*from_doc(doc)) == {np.dtype(np.complex128)}
+    # Dirichlet ends, one of them written with the factor i
+    graph, mc = from_doc({
+        "vertices": 2,
+        "bonds": [{"id": 1, "origin": 1, "terminus": 2, "length": 1.0}],
+        "matching": {"mode": "global", "A": [[1, 0], [0, [0, 1]]],
+                     "B": [[0, 0], [0, 0]]}})
+    assert dtypes(graph, mc) == {np.dtype(np.complex128)}
+    assert dtypes(*make_circle(1.0, A=1.0)) == {np.dtype(np.complex128)}
+
+
 def test_real_matrices_memory_does_not_grow_with_segment_count():
     # one coarse-grid call of the bump chain's scan to k = 215; the maps
-    # are held a block of segments at a time, so height 100 (n = 1,200)
-    # needs no more than height 0.3 (n = 200)
+    # are held a block of segments at a time, so height 100 (300 coarse
+    # segments) needs no more than height 0.3 (50)
     ks = np.linspace(0.0, 215.0, 3286)
     peaks = []
     for height in (0.3, 100.0):
