@@ -397,6 +397,7 @@ def serialize_graph(graph: MetricGraph, mc: MatchingConditions) -> str:
 
 def replace_bond_length(graph: MetricGraph, bond_id,
                         new_length: float) -> MetricGraph:
+    new_length = _as_float(new_length, "bond length")
     if new_length <= 0.0:
         raise GraphFormatError("bond length must stay positive")
     target = graph.bond_by_id(bond_id).id

@@ -17,13 +17,14 @@ pairwise, a fixed-length block at a time, and keeps all growth in log
 form, so large t L never overflows.
 
 Real axis: batched 2x2 transfer matrices for the magnetic-gauge-removed
-equation, used by the spectral scan.  A bump bond is cut into midpoint
-segments of constant potential, each mapped exactly by cos and sin
-(cosh and sinh below the potential) at every k, so the error does not
-grow with k; the maps are multiplied pairwise a block at a time, the
-k-derivative is a complex step through the same maps, the scan's Newton
-steps read the Richardson pair of counts n and 2n as three rows of n
-segments, and its coarse grid one row of about n/4 (COARSE_PER_WIDTH).
+equation, used by the spectral scan.  A bump bond is cut into the
+segments of the same layout, mapped by the same two-Gauss-point Magnus
+exponent, here by cos and sin (cosh and sinh below the potential) at
+every k, so the error does not grow with k; the maps are multiplied
+pairwise a block at a time, and the k-derivative is a complex step
+through the same maps.  One count rule serves both axes: PER_WIDTH for
+the imaginary sweep and the scan's Newton steps and root checks,
+COARSE_PER_WIDTH for the scan's coarse grid.
 """
 
 from __future__ import annotations
@@ -41,7 +42,8 @@ CSTEP = 1e-30            # complex step for the t-derivatives
 KSTEP = 2.0 ** -600      # complex step for the real-axis k-derivative
 SWEEP_BLOCK = 128        # segments whose maps a sweep holds at once
 REAL_BLOCK = 16          # the same on the real axis, whose batches are larger
-COARSE_PER_WIDTH = 50    # real-axis segments per width of the plain pass
+PER_WIDTH = 300          # bump segments per width, both axes
+COARSE_PER_WIDTH = 50    # the same on the scan's coarse grid
 
 
 class BondSolution(NamedTuple):
@@ -285,15 +287,15 @@ def _segment_count(bond, per_width: int):
                      math.ceil(per_width * (b - a) * math.sqrt(vmax)))
 
 
-def _gauss_layout(bond, reverse: bool):
+def _gauss_layout(bond, reverse: bool, per_width: int):
     """Widths w and Gauss-point potentials V1, V2 of the segments of a
     bump bond, in the order a sweep from x = L meets them, or from x = 0
     with reverse=True: one exact segment for each free stretch, and
-    between them the n = _segment_count(bond, 300) segments of the
+    between them the n = _segment_count(bond, per_width) segments of the
     support, whose Gauss points lie w/(2 sqrt 3) either side of the
     middle."""
     L = bond.length
-    a, b, n = _segment_count(bond, 300)
+    a, b, n = _segment_count(bond, per_width)
     h = (b - a) / n
     first, last = (a, L - b) if reverse else (L - b, a)
     w = np.concatenate(([first], np.full(n, h), [last]))
@@ -312,7 +314,7 @@ def _cpm(bond, t, reverse: bool, derivative: bool) -> BondSolution:
     By the Wronskian the Dirichlet solution has u(L) = f(0) = m0 f'(0).
     """
     L = bond.length
-    R, s = _sweep(t, *_gauss_layout(bond, reverse), derivative)
+    R, s = _sweep(t, *_gauss_layout(bond, reverse, PER_WIDTH), derivative)
     m0 = -R[0, 1] / R[1, 1]
     s0 = s + _log_step(R[1, 1])
     lost = ~(m0.real < 0.0)
@@ -386,24 +388,31 @@ def dirichlet_subtracted_derivative(bond, t, sol=None):
 # real axis
 
 
-def _real_segments(ks, w, V, derivative: bool):
-    """The maps of segments of widths w and constant potentials V, rows
-    of segments against the array ks, as one (2, 2, rows, k, segments)
-    stack; with derivative=True at the complex step k + i KSTEP.
+def _real_segments(ks, w, V1, V2, derivative: bool):
+    """The maps on (f, f') of segments of widths w whose potentials are V1
+    and V2 at their two Gauss points, from x = 0, against the array ks,
+    as one (2, 2, k, segments) stack; with derivative=True at the
+    complex step k + i KSTEP.
 
-    With x = k^2 - V, C = cos(sqrt(x) w) and S = sin(sqrt(x) w)/sqrt(x),
-    one segment maps (f, f') by [[C, S], [-x S, C]].  cos and sin are
-    evaluated over the whole block; the cosh and sinh of x < 0 and the
-    series in z = x w^2 below |z| = 1e-3, which keeps S and its
-    derivative free of cancellation near x = 0, only on the elements
-    their masks select.  A segment of width zero is the identity.  The
-    k-derivatives, dC/dx = -w S/2 and dS/dx = (w C - S)/(2 x), are
-    formed in real arithmetic and enter as imaginary parts, so the real
-    parts are bitwise those of the plain maps.
+    One segment maps by exp([[beta, w], [w p, -beta]]), the exponent of
+    _sweep on this axis, with p = (V1 + V2)/2 - k^2 and beta =
+    (sqrt 3/12) w^2 (V1 - V2).  With g = beta/w, x = -p - g^2,
+    C = cos(sqrt(x) w) and S = sin(sqrt(x) w)/sqrt(x), that is
+    [[C + g S, S], [p S, C - g S]], exact at every k for a constant
+    potential, where g = 0.  cos and sin are evaluated over the
+    whole block; the cosh and sinh of x < 0 and the series in z = x w^2
+    below |z| = 1e-3, which keeps S and its derivative free of
+    cancellation near x = 0, only on the elements their masks select.  A
+    segment of width zero is the identity.  The k-derivatives, with
+    dx/dk = 2k, dC/dx = -w S/2 and dS/dx = (w C - S)/(2 x), are formed
+    in real arithmetic and enter as imaginary parts, so the real parts
+    are bitwise those of the plain maps.
     """
     k = ks[:, None]
-    w = np.broadcast_to(w[:, None, :], (len(w), len(ks), w.shape[1]))
-    x = k * k - V[:, None, :]
+    p = 0.5 * (V1 + V2) - k * k
+    g = (math.sqrt(3.0) / 12.0) * w * (V1 - V2)
+    x = -g * g - p
+    w = np.broadcast_to(w, x.shape)
     M = np.empty((2, 2) + x.shape, complex if derivative else float)
     Mr = M.real
     C, S = Mr[0, 0], Mr[0, 1]
@@ -429,72 +438,55 @@ def _real_segments(ks, w, V, derivative: bool):
                              + zs * (-1.0 / 5040.0 + zs / 362880.0))))
         if derivative:
             dS = (w * C - S) * k / x
-    Mr[1, 1] = C
-    np.multiply(-x, S, out=Mr[1, 0])
+    gS = g * S
+    np.subtract(C, gS, out=Mr[1, 1])
+    C += gS
+    np.multiply(p, S, out=Mr[1, 0])
     if derivative:
         if series:
             ks_small = np.broadcast_to(k, x.shape)[small]
             dS[small] = 2.0 * ks_small * ws * ws * ws * (
                 -1.0 / 6.0 + zs * (1.0 / 60.0 + zs * (-1.0 / 1680.0
                                                      + zs / 90720.0)))
+        dC = -k * w * S
+        gdS = g * dS
         Mi = M.imag
-        Mi[0, 0] = Mi[1, 1] = -KSTEP * k * w * S
+        Mi[0, 0] = KSTEP * (dC + gdS)
+        Mi[1, 1] = KSTEP * (dC - gdS)
         Mi[0, 1] = KSTEP * dS
-        Mi[1, 0] = -KSTEP * (2.0 * k * S + x * dS)
+        Mi[1, 0] = KSTEP * (p * dS - 2.0 * k * S)
     return M
 
 
-def _real_sweep(ks, w, V, derivative: bool):
-    """The transfer matrices across each row of segments of widths w and
-    potentials V at every k, as one (2, 2, rows, k) stack: the maps of
-    REAL_BLOCK segments at a time, a constant so that no k's result
-    depends on the batch, multiplied pairwise (_product), each block
-    product joining one running product per row.  A map grows only where
-    k^2 < V, like cosh(sqrt(V - k^2) w), so the product is not rescaled.
+def _real_sweep(ks, w, V1, V2, derivative: bool):
+    """The transfer matrix across the segments of widths w and
+    Gauss-point potentials V1, V2 at every k, as one (2, 2, k) stack:
+    the maps of REAL_BLOCK segments at a time, a constant so that no k's
+    result depends on the batch, multiplied pairwise (_product), each
+    block product joining one running product.  A map grows only where
+    k^2 is below the potential, like cosh(sqrt(V - k^2) w), so the
+    product is not rescaled.
     """
     R = None
-    for lo in range(0, w.shape[1], REAL_BLOCK):
+    for lo in range(0, len(w), REAL_BLOCK):
         block = slice(lo, lo + REAL_BLOCK)
-        M = _product(_real_segments(ks, w[:, block], V[:, block], derivative))
+        M = _product(_real_segments(ks, w[block], V1[block], V2[block],
+                                    derivative))
         R = M if R is None else _matmul(M, R)
     return R
 
 
-def _midpoint_layout(bond, per_width: int):
-    """Widths and potentials (w, V) of the segments of a bump bond from
-    x = 0, as three rows of n + 2: the cut of the support into n =
-    _segment_count(bond, per_width) midpoint segments, and the two halves
-    of the 2n-segment cut; the plain pass takes the first row only.  Each
-    free stretch is one exact segment, and on the far side of a half the
-    identity, a segment of width zero."""
-    L = bond.length
-    a, b, n = _segment_count(bond, per_width)
-    w = np.zeros((3, n + 2))
-    V = np.zeros((3, n + 2))
-    w[:, 0] = a, a, 0.0
-    w[:, -1] = L - b, 0.0, L - b
-    for rows, k in ((slice(0, 1), n), (slice(1, 3), 2 * n)):
-        h = (b - a) / k
-        w[rows, 1:-1] = h
-        V[rows, 1:-1] = bond.potential.value(
-            a + (np.arange(k) + 0.5) * h).reshape(-1, n)
-    return w, V
-
-
 def transfer_matrices_real(bond, ks, *, derivative: bool = False,
-                           richardson: bool = False):
+                           coarse: bool = False):
     """Batched transfer matrices (f, f')(0) -> (f, f')(L) over an array of
     k, shape (k, 2, 2).
 
-    The bond is cut into the segments of _midpoint_layout: one segment
-    for each free stretch and for a constant bond, and the n midpoint
-    segments of the support, n independent of k.  Every segment is exact
-    at every k, so the error of the n-segment product does not grow with
-    k.  The plain pass, the scan's coarse grid, has n at COARSE_PER_WIDTH.
-    With richardson=True, for its Newton steps and root checks, it is
-    (4 T(2n) - T(n))/3 at per_width 200, the n-segment pass and the two
-    halves of the 2n-segment pass running as three rows of n segments; a
-    closed-form bond returns its plain T.
+    A constant bond is one segment; a bump bond is cut into the segments
+    of _gauss_layout, swept from x = 0, at PER_WIDTH per width of the
+    support for the scan's Newton steps and root checks, or at
+    COARSE_PER_WIDTH with coarse=True for its coarse grid.  The count is
+    independent of k and every segment map is exact for a constant
+    potential at every k, so the error does not grow with k.
     With derivative=True returns (T, dT/dk) from the same pass at the
     complex k + i KSTEP (Squire and Trapp, SIAM Rev. 40, 1998): KSTEP^2
     underflows, so T is bitwise that of the real pass and dT/dk carries
@@ -503,20 +495,12 @@ def transfer_matrices_real(bond, ks, *, derivative: bool = False,
     ks = np.asarray(ks, dtype=float)
     pot = bond.potential
     if pot.kind == "constant":
-        w = np.array([[bond.length]])
-        V = np.array([[pot.c]])
-        T = _real_sweep(ks, w, V, derivative)[:, :, 0]
+        V = np.array([pot.c])
+        layout = np.array([bond.length]), V, V
     else:
-        w, V = _midpoint_layout(bond, 200 if richardson else COARSE_PER_WIDTH)
-        if richardson:
-            R = _real_sweep(ks, w, V, derivative)
-            T2 = _matmul(R[:, :, 2], R[:, :, 1])
-            # times 1/3: numpy divides a complex array by 3.0 as by a
-            # complex number, which would move the last bit of the real part
-            T = (4.0 * T2 - R[:, :, 0]) * (1.0 / 3.0)
-        else:
-            T = _real_sweep(ks, w[:1], V[:1], derivative)[:, :, 0]
-    T = np.moveaxis(T, (0, 1), (-2, -1))
+        layout = _gauss_layout(bond, True,
+                               COARSE_PER_WIDTH if coarse else PER_WIDTH)
+    T = np.moveaxis(_real_sweep(ks, *layout, derivative), (0, 1), (-2, -1))
     if not derivative:
         return T
     return T.real, T.imag / KSTEP

@@ -2,7 +2,7 @@
 
 Eigenvalues are located on the real k axis through the pole-free secular
 matrix S(k), entirely separate from the imaginary-axis machinery the zeta
-engine uses: a coarse grid of singular values, at a quarter of the
+engine uses: a coarse grid of singular values, at a sixth of the
 Newton steps' bump segments, flags a dip near every root, Newton steps
 on the pencil (S(k), -dS/dk) converge from each dip to the roots of
 det S, and the singular values of S at each converged root confirm it
@@ -50,15 +50,14 @@ class _WeylAnomaly(Exception):
 
 
 def _matrices(graph, mc, ks):
-    """(S, dS/dk) with the transfer matrices' segment error extrapolated
-    away: one pass of (4 T(2n) - T(n))/3 on every bump bond."""
-    return secular_matrices_real(graph, mc, ks, derivative=True,
-                                 richardson=True)
+    """(S, dS/dk) at the Newton count of bump segments, one pass."""
+    return secular_matrices_real(graph, mc, ks, derivative=True)
 
 
 def _singulars(graph, mc, ks):
-    """Coarse grid's singular values of S: n/4 segments, float64 if real."""
-    S = secular_matrices_real(graph, mc, ks)
+    """Coarse grid's singular values of S: a sixth of the Newton count of
+    bump segments, float64 if real."""
+    S = secular_matrices_real(graph, mc, ks, coarse=True)
     return np.linalg.svd(S, compute_uv=False)
 
 
@@ -183,19 +182,19 @@ def _scan_once(graph, mc, k_max, dk):
 def scan_spectrum(graph, mc, k_max: float, *, threads: int = 1) -> SpectrumWindow:
     """All roots in (0, k_max] with multiplicities.
 
-    A coarse grid of spacing dk ~ pi / (16 total length) flags dips of
-    the smallest singular value and of log|det S|, a bump bond cut into
-    n/4 constant-potential segments.  From each dip, Newton steps on the
-    pencil (S(k), -dS/dk) converge to the roots of det S within one grid
-    cell, with dS/dk exact through the transfer matrices and both
-    Richardson-extrapolated from n to 2n segments, n fixed by the bond.
-    The singular values of that S at each converged root confirm it and
-    give its multiplicity.  S is float64 without flux or complex
-    matching.  A Weyl-count anomaly triggers one rescan at dk/4 before
-    giving up.  The scan runs on the calling thread: `threads` must be
-    at least 1 but reaches no computation, and is removed in the
-    benchmark-only change of ROADMAP item 2 (benchmark upkeep) that
-    drops the benchmark's threads = 2 operation.
+    A coarse grid of spacing dk ~ pi / (16 total length) flags dips of the
+    smallest singular value and of log|det S|, a bump bond cut into
+    COARSE_PER_WIDTH Magnus segments per width of its support.  From each
+    dip, Newton steps on the pencil (S(k), -dS/dk) converge to the roots of
+    det S within one grid cell, with dS/dk exact through the transfer
+    matrices, both at PER_WIDTH segments per width, the count of the
+    imaginary axis.  The singular values of that S at each converged root
+    confirm it and give its multiplicity.  S is float64 without flux or
+    complex matching.  A Weyl-count anomaly triggers one rescan at dk/4
+    before giving up.  The scan runs on the calling thread: `threads` must
+    be at least 1 but reaches no computation, and is removed in the
+    benchmark-only change of ROADMAP item 2 (benchmark upkeep) that drops
+    the benchmark's threads = 2 operation.
     """
     if not math.isfinite(k_max):
         raise UnsupportedError("k_max must be finite")

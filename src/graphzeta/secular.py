@@ -14,7 +14,8 @@ at one t, as a record.
 Real axis: a pole-free parameterisation through bond transfer matrices,
 suitable for scanning; its smallest singular value vanishes exactly at
 eigenvalues, with multiplicity equal to the null-space dimension.  S is
-float64 unless _secular_is_complex; its coarse pass takes n/4 segments.
+float64 unless _secular_is_complex; its coarse pass takes a sixth of the
+bump segments.
 """
 
 from __future__ import annotations
@@ -159,18 +160,16 @@ def _assemble_real(graph, mc, transfer_blocks, nk, unit=1.0):
 
 
 def secular_matrices_real(graph, mc, ks, *, derivative: bool = False,
-                          richardson: bool = False):
+                          coarse: bool = False):
     """Real-axis secular matrices S(k) over an array of k; with
     derivative=True the pair (S, dS/dk), both from one pass of the
-    transfer matrices.  With richardson=True the transfer matrices of
-    the bump bonds are Richardson-extrapolated from n to 2n segments of
-    constant potential in that one pass (see transfer_matrices_real); S
-    is affine in them, so that extrapolates S and dS/dk alike; the plain
-    pass takes the coarse grid's count.  float64 unless _secular_is_complex.
+    transfer matrices.  A bump bond takes the Newton count of segments,
+    or the coarse grid's with coarse=True (see transfer_matrices_real).
+    float64 unless _secular_is_complex.
     """
     ks = np.asarray(ks, dtype=float)
     blocks = [transfer_matrices_real(bond, ks, derivative=derivative,
-                                     richardson=richardson)
+                                     coarse=coarse)
               for bond in graph.bonds]
     if not derivative:
         return _assemble_real(graph, mc, blocks, len(ks))

@@ -41,37 +41,27 @@ def wkb_coefficients(bond, *, reverse: bool = False, j_max: int = J_MAX):
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def u_log_expansion(bond, depth: int = 4):
-    """Coefficients {j: e_j} of the large-t expansion of log u(L;t).
+def u_log_expansion(bond):
+    """Coefficients {j: e_j}, j = 1..4, of the large-t expansion of
+    log u(L;t).
 
     e_1 is the half integral of V; the higher orders mix the integral of
     V^2 with endpoint derivatives and the normalisation correction from
     the Wronskian of the two WKB branches.
     """
-    if depth > 4:
-        raise UnsupportedError("log u expansion only goes to order 4")
     pot = bond.potential
     L = bond.length
-    out = {}
-    if depth >= 1:
-        out[1] = 0.5 * pot.integral(L)
-    if depth < 2:
-        return out
     va0 = pot.value(0.0, 0)
     vaL = pot.value(L, 0)
-    out[2] = -(va0 + vaL) / 4.0
-    if depth < 3:
-        return out
     vb0 = pot.value(0.0, 1)
     vbL = pot.value(L, 1)
-    out[3] = -pot.square_integral(L) / 8.0 + (vbL - vb0) / 8.0
-    if depth < 4:
-        return out
     vc0 = pot.value(0.0, 2)
     vcL = pot.value(L, 2)
-    out[4] = ((vaL * vaL - va0 * va0) / 8.0 - (vcL - vc0) / 16.0
-              + (va0 * va0 - vc0) / 8.0 + va0 * va0 / 8.0)
-    return out
+    return {1: 0.5 * pot.integral(L),
+            2: -(va0 + vaL) / 4.0,
+            3: -pot.square_integral(L) / 8.0 + (vbL - vb0) / 8.0,
+            4: ((vaL * vaL - va0 * va0) / 8.0 - (vcL - vc0) / 16.0
+                + (va0 * va0 - vc0) / 8.0 + va0 * va0 / 8.0)}
 
 
 def d_constant(bond) -> float:

@@ -497,7 +497,7 @@ def _dir_closed(bond, s: complex, gamma: float) -> complex:
     else:
         closed = (L * _gamma(s - 0.5) * _rgamma(s)
                   * _gamma_power(gamma, 0.5 - s) / (2.0 * SQRT_PI))
-    return closed + _restored(s, gamma, -1, u_log_expansion(bond, DEPTH).items())
+    return closed + _restored(s, gamma, -1, u_log_expansion(bond).items())
 
 
 def _secular_setup(graph, mc, s: complex, gamma: float):
@@ -651,7 +651,7 @@ def minus_half_data(graph, mc, *, tol: float = 1e-10) -> MinusHalfData:
     power = _power(graph, asym)
     coeffs = asym.log_coeffs
     log_c = math.log(abs(asym.c_lead))
-    expansions = [u_log_expansion(bond, DEPTH) for bond in graph.bonds]
+    expansions = [u_log_expansion(bond) for bond in graph.bonds]
 
     def g(t):
         sols = bond_solutions(graph, t, derivative=False)

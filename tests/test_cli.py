@@ -1,12 +1,16 @@
 import io
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from graphzeta.cli import build_parser, main, run
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 INTERVAL = {
     "vertices": 2,
@@ -231,8 +235,12 @@ def test_parser_requires_command_arguments():
 def test_main_entry_point(tmp_path):
     path = write(tmp_path, INTERVAL)
     assert main(["validate", "--graph", path]) == 0
+    # the child finds the package with or without PYTHONPATH set
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "graphzeta", "energy", "--graph", path],
-        capture_output=True, text=True, timeout=120)
+        capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0
     assert proc.stdout.startswith("fp_half,")

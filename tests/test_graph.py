@@ -226,3 +226,12 @@ def test_replace_bond_length():
         replace_bond_length(graph, 9, 1.0)
     with pytest.raises(GraphFormatError):
         replace_bond_length(graph, 1, -1.0)
+
+
+def test_replace_bond_length_refuses_nan_and_inf():
+    # NaN passes a bare "<= 0" test and failed only deep in the integrand;
+    # the length is refused at the input, as parse_graph refuses it
+    graph, _ = make_interval(1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(GraphFormatError, match="finite"):
+            replace_bond_length(graph, 1, bad)

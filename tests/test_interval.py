@@ -9,7 +9,7 @@ from scipy.integrate import solve_ivp
 from conftest import BUMP, make_bump_interval, make_chain, make_interval
 from graphzeta import NumericalError, interval, oracle, scan_spectrum
 from graphzeta.interval import (CSTEP, SWEEP_BLOCK, BondSolution,
-                                _block_product, _real_sweep, _segments,
+                                _block_product, _segments,
                                 bond_solution, dirichlet_subtracted_derivative,
                                 transfer_matrices_real)
 from graphzeta.secular import _assemble_real, bond_solutions, logF_slope_imag
@@ -102,39 +102,42 @@ def rk4_converged(bond, ks):
             - rk4_reference(bond, ks, 9600)) / 15.0
 
 
-def segment_row(bond, n):
-    """Widths and potentials of the n-segment cut of a bump bond, left to
-    right, with one segment for each free stretch."""
-    pot = bond.potential
-    a, b = pot.support(bond.length)
-    h = (b - a) / n
-    w = np.concatenate(([a], np.full(n, h), [bond.length - b]))
-    V = np.concatenate(([0.0], pot.value(a + (np.arange(n) + 0.5) * h),
-                        [0.0]))
-    return w, V
-
-
-def segment_count(bond, per_width=200):
+def segment_count(bond, per_width):
     """n = max(m, m (b - a) sqrt(max |V|)) segments of the support, with
-    m = 200 for the real axis's Richardson pair, 50 for its plain pass
-    (the scan's coarse grid) and m = 300 on the imaginary axis."""
+    m = PER_WIDTH = 300 on the imaginary axis and for the scan's Newton
+    steps, and m = COARSE_PER_WIDTH = 50 on its coarse grid."""
     pot = bond.potential
     a, b = pot.support(bond.length)
     vmax = max(-pot.minimum(bond.length), pot.maximum(bond.length))
     return max(per_width, math.ceil(per_width * (b - a) * math.sqrt(vmax)))
 
 
-def segment_product_reference(bond, ks, per_width):
-    """Transfer matrices over ks as the product of the n segment maps
-    [[C, S], [-x S, C]], x = k^2 - V, taken one segment at a time from
-    x = 0, each map from cos and sinc at the complex square root of x."""
+def magnus_product_reference(bond, ks, per_width):
+    """Transfer matrices over ks as the product of the segment maps
+    exp(Omega), Omega = [[beta, w], [w (Vbar - k^2), -beta]], taken one
+    segment at a time from x = 0 across the n-segment cut of the support
+    at its two Gauss points, with one segment for each free stretch.
+    Omega^2 = theta^2 with theta^2 = beta^2 + w^2 (Vbar - k^2), so
+    exp(Omega) = cos(y) + (sin(y)/y) Omega at the complex square root
+    y = sqrt(-theta^2)."""
+    pot = bond.potential
+    L = bond.length
+    a, b = pot.support(L)
+    n = segment_count(bond, per_width)
+    h = (b - a) / n
+    g = 0.5 / math.sqrt(3.0)
+    mid = a + (np.arange(n) + 0.5) * h
+    w = np.concatenate(([a], np.full(n, h), [L - b]))
+    V1, V2 = (np.concatenate(([0.0], pot.value(mid + d * h), [0.0]))
+              for d in (-g, g))
     T = np.broadcast_to(np.eye(2), (len(ks), 2, 2))
-    for w, V in zip(*segment_row(bond, segment_count(bond, per_width))):
-        x = ks * ks - V
-        y = np.sqrt(x + 0j) * w
+    for wi, v1, v2 in zip(w, V1, V2):
+        beta = (math.sqrt(3.0) / 12.0) * wi * wi * (v1 - v2)
+        lower = wi * (0.5 * (v1 + v2) - ks * ks)
+        y = np.sqrt(-(beta * beta + wi * lower) + 0j)
         C = np.cos(y).real
-        S = w * np.sinc(y / math.pi).real
-        T = stack_2x2(C, S, -x * S, C) @ T
+        S = np.sinc(y / math.pi).real
+        T = stack_2x2(C + S * beta, S * wi, S * lower, C - S * beta) @ T
     return T
 
 
@@ -157,7 +160,7 @@ def sweep_reference(bond, t, reverse=False):
     if reverse and pot.symmetric(L):
         reverse = False
     a, b = pot.support(L)
-    n = segment_count(bond, 300)
+    n = segment_count(bond, interval.PER_WIDTH)
     first, last = (a, L - b) if reverse else (L - b, a)
     h = (b - a) / n
     w = np.concatenate(([first], np.full(n, h), [last]))
@@ -446,7 +449,7 @@ def test_reverse_solve_on_asymmetric_potential():
 
 def test_subtracted_log_u_tracks_expansion():
     bond = make_bump_interval()[0].bonds[0]
-    ej = u_log_expansion(bond, 4)
+    ej = u_log_expansion(bond)
     ts = np.array([20.0, 40.0, 80.0])
     excess = bond_solution(bond, ts).log_u_excess
     last = math.inf
@@ -504,7 +507,7 @@ def test_transfer_matrix_unit_determinant_with_potential():
         assert det == pytest.approx(1.0, abs=1e-9)
 
 
-# the bumps of the real-axis tests; height 100 takes n = 1,200 segments
+# the bumps of the real-axis tests; height 100 takes n = 1,801 segments
 REAL_CASES = [dict(height=0.3), dict(height=3.0),
               dict(center=0.35, half_width=0.2, height=4.0),
               dict(height=-3.0), dict(height=100.0)]
@@ -513,28 +516,35 @@ REAL_CASES = [dict(height=0.3), dict(height=3.0),
 @pytest.mark.parametrize("kw", REAL_CASES, ids=lambda kw: str(kw["height"]))
 def test_transfer_matrices_match_sequential_segment_product(kw):
     # the masked branches and the pairwise products of blocks reorder the
-    # arithmetic of the one-segment-at-a-time product and nothing else;
-    # the plain pass cuts the support at the coarse grid's count
+    # arithmetic of the one-segment-at-a-time product and nothing else,
+    # at the Newton count and at the coarse grid's; a constant bond is one
+    # exact segment at both
     ks = np.linspace(0.0, 215.0, 64)
     bond = make_bump_interval(**kw)[0].bonds[0]
-    got = transfer_matrices_real(bond, ks)
-    ref = segment_product_reference(bond, ks, interval.COARSE_PER_WIDTH)
-    assert np.all(d_scaled_error(got, ref, ks) <= 1e-11)
+    for coarse, per_width in ((False, interval.PER_WIDTH),
+                              (True, interval.COARSE_PER_WIDTH)):
+        got = transfer_matrices_real(bond, ks, coarse=coarse)
+        ref = magnus_product_reference(bond, ks, per_width)
+        assert np.all(d_scaled_error(got, ref, ks) <= 1e-11), coarse
+    bond = make_interval(1.0, potential={"kind": "constant",
+                                         "value": 3.0})[0].bonds[0]
+    assert np.array_equal(transfer_matrices_real(bond, ks),
+                          transfer_matrices_real(bond, ks, coarse=True))
 
 
 @pytest.mark.parametrize("kw", REAL_CASES, ids=lambda kw: str(kw["height"]))
 def test_transfer_matrices_converge_to_rk4_reference(kw):
-    # the segment error does not grow with k: the Richardson pair holds
-    # the converged RK4 loop up to k = 215, where the RK4 pair of 1,200
-    # and 2,400 steps was off by about 4e-7.  The plain pass at a quarter
-    # of the count, which only ranks neighbouring k on the scan's coarse
-    # grid, stays within 1e-4 of the same reference
+    # the segment error does not grow with k: the Newton count holds the
+    # converged RK4 loop up to k = 215, where the RK4 pair of 1,200 and
+    # 2,400 steps was off by about 4e-7.  The coarse grid's count, which
+    # only ranks neighbouring k on the scan's coarse grid, stays within
+    # 1e-4 of the same reference
     ks = np.linspace(0.0, 215.0, 64)
     bond = make_bump_interval(**kw)[0].bonds[0]
     ref = rk4_converged(bond, ks)
-    got = transfer_matrices_real(bond, ks, richardson=True)
+    got = transfer_matrices_real(bond, ks)
     assert np.all(d_scaled_error(got, ref, ks) <= 1e-10)
-    coarse = transfer_matrices_real(bond, ks)
+    coarse = transfer_matrices_real(bond, ks, coarse=True)
     assert np.all(d_scaled_error(coarse, ref, ks) <= 1e-4)
 
 
@@ -559,33 +569,9 @@ def test_transfer_matrix_derivative_matches_difference():
         assert np.all(np.abs(dT - diff).max(axis=(1, 2)) <= 1e-9 * scale)
 
 
-def test_transfer_matrix_richardson_rows_match_two_passes():
-    # the pair as three rows of n segments (the n-segment pass and the two
-    # halves of the 2n-segment pass) against two plain passes extrapolated
-    # afterwards
-    ks = np.concatenate([[0.0, 1e-6, 1e-3], np.linspace(0.01, 215.0, 96)])
-    for kw in REAL_CASES:
-        bond = make_bump_interval(**kw)[0].bonds[0]
-        n = segment_count(bond)
-        got = transfer_matrices_real(bond, ks, richardson=True)
-        T1, T2 = (np.moveaxis(_real_sweep(ks, *(a[None] for a in
-                                                segment_row(bond, m)),
-                                          False)[:, :, 0], (0, 1), (-2, -1))
-                  for m in (n, 2 * n))
-        ref = (4.0 * T2 - T1) / 3.0
-        assert np.all(d_scaled_error(got, ref, ks) <= 1e-12)
-        T, _ = transfer_matrices_real(bond, ks, derivative=True,
-                                      richardson=True)
-        assert np.array_equal(T, got)
-    bond = make_interval(1.0, potential={"kind": "constant",
-                                         "value": 3.0})[0].bonds[0]
-    assert np.array_equal(transfer_matrices_real(bond, ks, richardson=True),
-                          transfer_matrices_real(bond, ks))
-
-
 def test_coarse_count_moves_no_newton_start(monkeypatch):
     # the coarse grid only ranks sigma_min and log|det S| between
-    # neighbouring k: at a quarter of the Newton count it hands _newton
+    # neighbouring k: at a sixth of the Newton count it hands _newton
     # bitwise the starts, and the scan returns the roots, of the grid at
     # the full count
     graphs = [make_bump_interval(**kw) for kw in REAL_CASES]
@@ -606,7 +592,7 @@ def test_coarse_count_moves_no_newton_start(monkeypatch):
     for graph, mc in graphs:
         starts, roots = scan(graph, mc)
         with monkeypatch.context() as m:
-            m.setattr(interval, "COARSE_PER_WIDTH", 200)
+            m.setattr(interval, "COARSE_PER_WIDTH", interval.PER_WIDTH)
             starts_full, roots_full = scan(graph, mc)
         assert len(starts) == len(starts_full)
         assert all(np.array_equal(a, b) for a, b in zip(starts, starts_full))

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from conftest import from_doc
 from graphzeta import (build_vertex_conditions, casimir_force, scan_spectrum,
-                       vacuum_energy, zeta_total)
+                       vacuum_energy, zeta_direct, zeta_total)
 
 # A failing example makes the hypothesis pytest plugin import its patch
 # writer, whose libcst dependency warns with a DeprecationWarning that this
@@ -264,3 +264,21 @@ def test_flux_on_a_tree_is_a_gauge(case, data, a, negative):
     bonds = [{**bd, "vector_potential": -a if negative else a}
              if bd["id"] == bond_id else bd for bd in doc["bonds"]]
     assert_same_roots(from_doc({**doc, "bonds": bonds}), from_doc(doc))
+
+
+# the window of the direct sum: at least 0.5 units of length put five
+# roots above its middle, which zeta_direct needs
+DIRECT_K_MAX = 60.0
+
+
+@SETTINGS
+@given(graph_docs(), zeta_points)
+def test_zeta_matches_the_direct_sum_of_the_scanned_roots(case, point):
+    # the two axes agree: zeta_total integrates log F(it), zeta_direct
+    # sums the roots of the real-axis scan with a Weyl tail
+    doc, _ = case
+    graph_mc = from_doc(doc)
+    s, gamma = point
+    direct, bound = zeta_direct(scan_spectrum(*graph_mc, DIRECT_K_MAX),
+                                s, gamma)
+    assert abs(zeta(graph_mc, point) - direct) < bound + ZETA_TOL

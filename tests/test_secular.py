@@ -56,13 +56,11 @@ def test_real_matrix_derivative_assembly():
             {"vertex": 3, "kind": "delta", "lambda": 0.0},
             {"vertex": 4, "kind": "neumann"}]}})
     ks = np.linspace(0.0, 40.0, 7)
-    S, dS = secular_matrices_real(graph, mc, ks, derivative=True,
-                                  richardson=True)
-    assert np.array_equal(S, secular_matrices_real(graph, mc, ks,
-                                                   richardson=True))
+    S, dS = secular_matrices_real(graph, mc, ks, derivative=True)
+    assert np.array_equal(S, secular_matrices_real(graph, mc, ks))
     h = 1e-4
-    diff = (secular_matrices_real(graph, mc, ks + h, richardson=True)
-            - secular_matrices_real(graph, mc, ks - h, richardson=True))
+    diff = (secular_matrices_real(graph, mc, ks + h)
+            - secular_matrices_real(graph, mc, ks - h))
     diff /= 2 * h
     assert np.max(np.abs(dS - diff)) < 1e-7 * np.max(np.abs(dS))
 
@@ -74,9 +72,8 @@ def test_real_matrices_are_float64_unless_a_flux_or_complex_matching():
     ks = np.linspace(0.0, 40.0, 5)
 
     def dtypes(graph, mc):
-        S = secular_matrices_real(graph, mc, ks)
-        pair = secular_matrices_real(graph, mc, ks, derivative=True,
-                                     richardson=True)
+        S = secular_matrices_real(graph, mc, ks, coarse=True)
+        pair = secular_matrices_real(graph, mc, ks, derivative=True)
         return {S.dtype, pair[0].dtype, pair[1].dtype}
 
     for graph, mc in (make_chain(bump=BUMP), make_star(1.0),
@@ -114,7 +111,7 @@ def test_real_matrices_memory_does_not_grow_with_segment_count():
         graph, mc = make_bump_interval(height=height)
         tracemalloc.start()
         try:
-            secular_matrices_real(graph, mc, ks)
+            secular_matrices_real(graph, mc, ks, coarse=True)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()

@@ -86,7 +86,7 @@ def test_bump_has_vanishing_endpoint_data():
 
 def test_u_log_expansion_leading_term_is_d_constant():
     bond = make_bump_interval(height=3.0)[0].bonds[0]
-    ej = u_log_expansion(bond, 4)
+    ej = u_log_expansion(bond)
     assert ej[1] == pytest.approx(d_constant(bond), abs=1e-14)
     # interior bump leaves no endpoint contributions
     assert ej[2] == 0.0
@@ -96,7 +96,7 @@ def test_u_log_expansion_leading_term_is_d_constant():
 
 def test_u_log_expansion_constant_potential():
     bond = make_interval(2.0, potential={"kind": "constant", "value": 3.0})[0].bonds[0]
-    ej = u_log_expansion(bond, 3)
+    ej = u_log_expansion(bond)
     assert ej[1] == pytest.approx(3.0, abs=1e-14)          # c L / 2
     assert ej[2] == pytest.approx(-1.5, abs=1e-14)         # -(V(0)+V(L))/4
     assert ej[3] == pytest.approx(-9.0 * 2.0 / 8.0, abs=1e-14)
