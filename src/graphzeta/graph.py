@@ -231,6 +231,12 @@ def _complex_matrix(rows, n: int, what: str):
     return out
 
 
+def _require_compact_bump(bid, pot, length: float) -> None:
+    if pot.kind == "bump" and not pot.compact(length):
+        raise GraphFormatError(
+            f"bond {bid}: bump support must lie strictly inside (0, L)")
+
+
 def parse_graph(text: str, validate: bool = True):
     """Parse a JSON graph document into (MetricGraph, MatchingConditions)."""
     try:
@@ -284,9 +290,7 @@ def parse_graph(text: str, validate: bool = True):
             raise GraphFormatError(f"bond {bid}: length must be positive")
         pot = (potential_from_dict(bd["potential"]) if "potential" in bd
                else ConstantPotential(0.0))
-        if pot.kind == "bump" and not pot.compact(length):
-            raise GraphFormatError(
-                f"bond {bid}: bump support must lie strictly inside (0, L)")
+        _require_compact_bump(bid, pot, length)
         vp = _as_float(bd.get("vector_potential", 0.0),
                        f"bond {bid} vector_potential")
         bonds.append(Bond(id=bid, origin=origin - 1, terminus=terminus - 1,
@@ -400,7 +404,8 @@ def replace_bond_length(graph: MetricGraph, bond_id,
     new_length = _as_float(new_length, "bond length")
     if new_length <= 0.0:
         raise GraphFormatError("bond length must stay positive")
-    target = graph.bond_by_id(bond_id).id
-    new_bonds = tuple(replace(b, length=new_length) if b.id == target else b
+    bond = graph.bond_by_id(bond_id)
+    _require_compact_bump(bond.id, bond.potential, new_length)
+    new_bonds = tuple(replace(b, length=new_length) if b.id == bond.id else b
                       for b in graph.bonds)
     return MetricGraph(vertex_count=graph.vertex_count, bonds=new_bonds)

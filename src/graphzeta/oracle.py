@@ -10,15 +10,10 @@ and give its multiplicity.  S is float64 unless a flux or complex
 matching makes it complex.  Zeta values are then checked by direct
 summation with a Weyl-density tail, and the force by finite
 differences of the energy.
-
-The scan needs numpy alone.  scipy serves only the direct summation,
-which imports it inside its helpers, so the rest of the package runs
-without it.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -27,6 +22,7 @@ import numpy as np
 from .casimir import mu_sensitivity
 from .errors import NumericalError, UnsupportedError
 from .graph import replace_bond_length
+from .potentials import _gauss_legendre
 from .secular import secular_matrices_real
 from .zeta import minus_half_data
 
@@ -217,31 +213,50 @@ def scan_spectrum(graph, mc, k_max: float, *, threads: int = 1) -> SpectrumWindo
 # direct zeta summation
 
 
+def _gauss(f, lo, hi):
+    """integral of f over [lo, hi] by the Gauss-Legendre rule, and its
+    change between the whole interval and its two halves as the error.
+
+    lo and hi may be arrays of pieces; f maps nodes of shape
+    lo.shape + (GL_NODES,) to values with the nodes on the last axis."""
+    x, w = _gauss_legendre()
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+
+    def rule(a, b):
+        h = 0.5 * (b - a)
+        return f((a + h)[..., None] + h[..., None] * x) @ w * h
+
+    mid = 0.5 * (lo + hi)
+    halves = rule(lo, mid) + rule(mid, hi)
+    return halves[()], np.abs(halves - rule(lo, hi))[()]
+
+
 def _tail_int(K, s, gamma, extra: int = 0):
-    """integral_K^inf (gamma + k^2)^(-s) k^(-extra) dk via k = K/x on (0, 1]."""
-    from scipy.integrate import quad
+    """(value, error) of integral_K^inf (gamma + k^2)^(-s) k^(-extra) dk.
 
+    Beyond J = max(K, 2 sqrt(gamma)) the binomial series of
+    (1 + gamma/k^2)^(-s) integrates term by term, in powers of
+    r = gamma/J^2 <= 1/4; the stretch [K, J] goes to the Gauss-Legendre
+    rule.
+    """
     s = complex(s)
-    ratio = gamma / (K * K)
-    alpha = 2.0 * s.real - 2.0 + extra
-    beta = 2.0 * s.imag
-
-    def smooth(x):
-        val = (1.0 + ratio * x * x) ** (-s)
-        if beta:
-            # x^(i beta) has modulus one but no limit at x = 0
-            val *= cmath.exp(complex(0.0, beta * math.log(x))) if x > 0.0 else 0.0
-        return val
-
-    re, er = quad(lambda x: smooth(x).real, 0.0, 1.0, weight="alg",
-                  wvar=(alpha, 0.0), epsabs=1e-13, epsrel=1e-11, limit=200)
-    if s.imag == 0.0:
-        im, ei = 0.0, 0.0
-    else:
-        im, ei = quad(lambda x: smooth(x).imag, 0.0, 1.0, weight="alg",
-                      wvar=(alpha, 0.0), epsabs=1e-13, epsrel=1e-11, limit=200)
-    scale = K ** (1.0 - extra - 2.0 * s)
-    return complex(re, im) * scale, (er + ei) * abs(scale)
+    J = max(K, 2.0 * math.sqrt(gamma))
+    r = gamma / (J * J)
+    term, total, n = 1.0, 0.0, 0
+    while True:
+        piece = term / (2.0 * s - 1.0 + extra + 2 * n)
+        total += piece
+        if not abs(piece) > 1e-17 * abs(total):  # negligible, or nan
+            break
+        term *= -(s + n) / (n + 1) * r
+        n += 1
+    scale = J ** (1.0 - extra - 2.0 * s)
+    value, err = total * scale, abs(piece * scale)
+    if J > K:
+        near, near_err = _gauss(
+            lambda k: (gamma + k * k) ** (-s) * k ** (-extra), K, J)
+        value, err = value + near, err + near_err
+    return value, err
 
 
 def _counting_fit(ks, ms, density, A, B):
@@ -252,32 +267,23 @@ def _counting_fit(ks, ms, density, A, B):
     of the Weyl line; the smooth weight keeps the step-function
     oscillation out of the fitted moments.  Returns (c, a).
     """
-    from scipy.special import sici
-
     om = 2.0 * np.pi / (B - A)
-    si_A, ci_A = sici(om * A)
-
-    def cos_over_k(x):
-        si_x, ci_x = sici(om * x)
-        return np.cos(om * A) * (ci_x - ci_A) + np.sin(om * A) * (si_x - si_A)
-
-    def sin_over_k(x):
-        si_x, ci_x = sici(om * x)
-        return np.cos(om * A) * (si_x - si_A) - np.sin(om * A) * (ci_x - ci_A)
 
     def int_w(x):
         return 0.5 * ((x - A) - np.sin(om * (x - A)) / om)
 
-    def int_w_over_k(x):
-        return 0.5 * np.log(x / A) - 0.5 * cos_over_k(x)
+    def w_over_k(k):
+        w = 0.5 * (1.0 - np.cos(om * (k - A)))
+        return np.stack([w / k, w / (k * k)])
 
-    g11 = float(int_w(B))
-    g12 = float(int_w_over_k(B))
-    g22 = float(0.5 * om * sin_over_k(B))
-
+    # integral_lo^B of w/k and w/k^2, on [A, B] and beyond each root
     kc = np.clip(ks, A, B)
+    moments, _ = _gauss(w_over_k, np.r_[A, kc], B)
+    g11 = float(int_w(B))
+    g12, g22 = moments[:, 0]
+
     b1 = float(np.sum(ms * (g11 - int_w(kc)))) - density * (B * B - A * A) / 4.0
-    b2 = float(np.sum(ms * (g12 - int_w_over_k(kc)))) - density * (B - A) / 2.0
+    b2 = float(np.sum(ms * moments[0, 1:])) - density * (B - A) / 2.0
 
     c, a = np.linalg.solve(np.array([[g11, g12], [g12, g22]]),
                            np.array([b1, b2]))
@@ -296,8 +302,6 @@ def zeta_direct(spectrum: SpectrumWindow, s, gamma: float = 0.0):
     the roots themselves and fed into the tail measure.  The spread
     across taper placements goes into the error bound.
     """
-    from scipy.integrate import quad
-
     s = complex(s)
     if s.real <= 0.5:
         raise UnsupportedError("direct summation needs Re s > 1/2")
@@ -339,22 +343,14 @@ def zeta_direct(spectrum: SpectrumWindow, s, gamma: float = 0.0):
 
         head = np.sum(ms * (gamma + ks * ks) ** (-s) * taper(ks))
 
-        def ramp(k, extra=0):
-            return (1.0 - taper(k)) * (gamma + k * k) ** (-s) * k ** (-extra)
+        def ramp(extra):
+            return lambda k: ((1.0 - taper(k)) * (gamma + k * k) ** (-s)
+                              * k ** (-extra))
 
-        def band(extra):
-            re, er = quad(lambda k: ramp(k, extra).real, lo, hi,
-                          epsabs=1e-13, epsrel=1e-12, limit=200)
-            if s.imag == 0.0:
-                return complex(re, 0.0), er
-            im, ei = quad(lambda k: ramp(k, extra).imag, lo, hi,
-                          epsabs=1e-13, epsrel=1e-12, limit=200)
-            return complex(re, im), er + ei
-
-        mid, emid = band(0)
+        mid, emid = _gauss(ramp(0), lo, hi)
         tail, etail = _tail_int(hi, s, gamma)
         # dN = (density - drift/k^2) dk beyond the exact sum
-        mid2, emid2 = band(2)
+        mid2, emid2 = _gauss(ramp(2), lo, hi)
         tail2, etail2 = _tail_int(hi, s, gamma, extra=2)
         zs.append(head + density * (mid + tail) - drift * (mid2 + tail2))
         quad_err = max(quad_err,
@@ -370,7 +366,7 @@ def zeta_direct(spectrum: SpectrumWindow, s, gamma: float = 0.0):
                    / (2.0 * s.real + 2.0))
     bound = (4.0 * spread + quad_err + 3.0 * drift_err * drift_scale
              + model_resid + 1e-13 * abs(value))
-    return value, bound
+    return value, float(bound)
 
 
 # ---------------------------------------------------------------------------
@@ -380,16 +376,17 @@ def zeta_direct(spectrum: SpectrumWindow, s, gamma: float = 0.0):
 def energy_finite_difference(graph, mc, bond_id: str, h: float = 1e-4) -> float:
     """-(fp_half(L+h) - fp_half(L-h)) / (2h), the reference for casimir_force."""
     bond = graph.bond_by_id(bond_id)
-    if not bond.potential.compact(bond.length):
+    L = bond.length
+    if not (bond.potential.compact(L) and bond.potential.compact(L - h)):
         raise UnsupportedError(
-            f"energy difference on bond '{bond_id}' needs a compactly "
-            "supported potential")
-    drift = mu_sensitivity(graph, mc, bond_id)
+            f"energy difference on bond '{bond_id}' needs a potential "
+            f"compactly supported at lengths {L - h:g} to {L + h:g}")
+    # the same step h: mu_sensitivity's is its h times L
+    drift = mu_sensitivity(graph, mc, bond_id, h / L)
     if abs(drift) > 1e-8:
         raise UnsupportedError(
             f"residue at -1/2 moves with the length of '{bond_id}' "
             f"(rate {drift:.2e}); the force is scale-ambiguous")
-    L = bond.length
     plus = minus_half_data(replace_bond_length(graph, bond_id, L + h), mc)
     minus = minus_half_data(replace_bond_length(graph, bond_id, L - h), mc)
     return -(plus.fp_total - minus.fp_total) / (4.0 * h)

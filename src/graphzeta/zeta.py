@@ -36,7 +36,6 @@ from .secular import (F_imag, _secular_is_complex, _vanished,
                       logF_slope_imag)
 from .wkb import d_constant, u_log_expansion
 
-DEPTH = 4
 SQRT_PI = math.sqrt(math.pi)
 MAX_INTERVALS = 200
 
@@ -523,9 +522,9 @@ def _power(graph, asym) -> int:
 
 
 def _subtract_powers(slope, t, power, coeffs):
-    """slope - power/t + sum_j j a_j t^(-j-1) over the first DEPTH a_j."""
+    """slope - power/t + sum_j j a_j t^(-j-1) over the four a_j."""
     out = slope - power / t
-    for j, aj in enumerate(coeffs[:DEPTH], start=1):
+    for j, aj in enumerate(coeffs, start=1):
         if aj:
             out = out + j * aj * t ** (-j - 1)
     return out
@@ -569,7 +568,7 @@ def _zeta_parts(s: complex, gamma: float, tol: float, bonds, secular=None):
     closed = [_dir_closed(bond, s, gamma) for bond in bonds]
     if secular is not None:
         closed.insert(0, _restored(s, gamma, power,
-                                   enumerate(asym.log_coeffs[:DEPTH], start=1)))
+                                   enumerate(asym.log_coeffs, start=1)))
     return K * i + np.array(closed), abs(K) * err, nodes
 
 
@@ -586,7 +585,7 @@ def zeta_dir_bond(bond, s, gamma: float = 0.0, *,
 
 
 def subtracted_logF_derivative(graph, mc, t, *, asym=None):
-    """d/dt log F with the power-law asymptotics removed to depth DEPTH,
+    """d/dt log F with the power-law asymptotics of the four a_j removed,
     over an array of t, or at one t."""
     if asym is None:
         asym = asymptotic_F_coefficients(graph, mc, check=False)

@@ -110,6 +110,17 @@ def test_energy_fd_refuses_noncompact():
         energy_finite_difference(graph, mc, 1)
 
 
+def test_energy_fd_refuses_a_bump_that_leaves_the_bond_at_l_minus_h():
+    # support 0.2..0.8: compact at L = 0.80005, not at L - h = 0.79995
+    graph, mc = make_bump_interval(0.80005)
+    with pytest.raises(UnsupportedError, match="compactly supported"):
+        energy_finite_difference(graph, mc, 1, h=1e-4)
+    # inside at L - h, though not at L - 1.5 h: every length moves by h
+    graph, mc = make_bump_interval(1.5, center=1.2, half_width=0.29987)
+    fd = energy_finite_difference(graph, mc, 1, h=1e-4)
+    assert abs(fd - casimir_force(graph, mc, 1).force) < 1e-4
+
+
 def test_force_error_estimate_reported():
     res = casimir_force(*make_chain((1.0, 1.0, 1.0)), 2)
     assert res.error_estimate < 1e-6

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import from_doc, make_chain, make_circle, make_interval, make_star
+from conftest import (from_doc, make_bump_interval, make_chain, make_circle,
+                      make_interval, make_star)
 from graphzeta import (GraphFormatError, ValidationError, casimir_force,
                        parse_graph, replace_bond_length, serialize_graph,
                        validate_matching, zeta_total)
@@ -226,6 +227,15 @@ def test_replace_bond_length():
         replace_bond_length(graph, 9, 1.0)
     with pytest.raises(GraphFormatError):
         replace_bond_length(graph, 1, -1.0)
+
+
+def test_replace_bond_length_keeps_a_bump_inside_the_bond():
+    # the bump's support is 0.2..0.8; at length 0.7 it crosses the far end,
+    # which parse_graph refuses, and the energy failed only in the integral
+    graph, _ = make_bump_interval()
+    with pytest.raises(GraphFormatError, match="strictly inside"):
+        replace_bond_length(graph, 1, 0.7)
+    assert replace_bond_length(graph, 1, 0.81).bond_by_id(1).length == 0.81
 
 
 def test_replace_bond_length_refuses_nan_and_inf():

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from conftest import BUMP, make_chain, make_circle, make_interval, make_star
@@ -259,6 +260,51 @@ def test_zeta_direct_needs_window():
     with pytest.raises(UnsupportedError):
         zeta_direct(SpectrumWindow(k_max=10.0, roots=(),
                                    count_estimate=3.0), 0.75)
+
+
+def quad_tail(K, s, gamma, extra):
+    """integral_K^inf (gamma + k^2)^(-s) k^(-extra) dk by QUADPACK: k = K/x
+    on (0, 1], with the power x^(2 Re s - 2 + extra) as the algebraic
+    weight."""
+    ratio = gamma / (K * K)
+
+    def smooth(x):
+        # x^(2i Im s) has modulus one but no limit at x = 0
+        phase = x ** complex(0.0, 2.0 * s.imag) if x > 0.0 else 0.0
+        return (1.0 + ratio * x * x) ** (-s) * phase
+
+    re, im = (quad(lambda x: part(smooth(x)), 0.0, 1.0, weight="alg",
+                   wvar=(2.0 * s.real - 2.0 + extra, 0.0), epsabs=0.0,
+                   epsrel=1e-12, limit=200)[0]
+              for part in (lambda z: z.real, lambda z: z.imag))
+    return complex(re, im) * K ** (1.0 - extra - 2.0 * s)
+
+
+def test_tail_series_matches_quad():
+    # r = gamma/K^2 above 1/4 puts a stretch [K, 2 sqrt(gamma)] on the
+    # Gauss-Legendre rule ahead of the series
+    for K in (10.0, 30.0, 58.0, 190.0):
+        for s in (0.6, 0.75, 0.9, 0.75 + 0.5j, 0.9 - 0.3j, 0.9 + 3j):
+            s = complex(s)
+            for r in (0.0, 1e-3, 0.2, 0.5, 4.0, 100.0):
+                for extra in (0, 2):
+                    got, _ = oracle._tail_int(K, s, r * K * K, extra)
+                    ref = quad_tail(K, s, r * K * K, extra)
+                    assert abs(got - ref) <= 1e-10 * abs(ref), (K, s, r, extra)
+
+
+def test_counting_fit_recovers_the_drift():
+    # a ladder whose counting function is rho k + a/k + c, rounded down:
+    # its roots are where that line crosses the integers
+    rho, c, k_max = 3.0 / math.pi, 0.3, 215.0
+    for a in (-1.5, 0.0, 0.7, 3.0):
+        n = np.arange(math.ceil(rho * 0.2 * k_max + a / (0.2 * k_max) + c),
+                      math.floor(rho * k_max + a / k_max + c) + 1)
+        ks = ((n - c) + np.sqrt((n - c) ** 2 - 4.0 * rho * a)) / (2.0 * rho)
+        for lo in (0.30, 0.45):
+            _, drift = oracle._counting_fit(ks, np.ones_like(ks), rho,
+                                            lo * k_max, k_max)
+            assert abs(drift - a) < 1e-3, (a, lo)
 
 
 def test_reference_zeta_R_known_values():

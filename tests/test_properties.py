@@ -14,8 +14,9 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from conftest import from_doc
-from graphzeta import (build_vertex_conditions, casimir_force, scan_spectrum,
-                       vacuum_energy, zeta_direct, zeta_total)
+from graphzeta import (build_vertex_conditions, casimir_force,
+                       energy_finite_difference, scan_spectrum, vacuum_energy,
+                       zeta_direct, zeta_total)
 
 # A failing example makes the hypothesis pytest plugin import its patch
 # writer, whose libcst dependency warns with a DeprecationWarning that this
@@ -162,6 +163,17 @@ def test_force_scales_as_inverse_square_length(case, c):
     assert math.isfinite(f)
     # within the force's quadrature tolerance: the nodes move with c
     assert abs(force(scaled(doc, c), bond_id) * c * c - f) < 1e-10
+
+
+@SETTINGS
+@given(graph_docs())
+def test_force_is_minus_the_energy_derivative(case):
+    # criterion 4's tolerance; every drawn bump stays clear of the bond's
+    # ends by more than the step h = 1e-4 of the central difference
+    doc, bond_id = case
+    graph_mc = from_doc(doc)
+    fd = energy_finite_difference(*graph_mc, bond_id)
+    assert abs(casimir_force(*graph_mc, bond_id).force - fd) < 1e-4
 
 
 @SETTINGS
