@@ -12,9 +12,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import UnsupportedError
-
-J_MAX = 4
 # Bonds compare by value, and every rescaled or length-perturbed graph
 # brings new ones: an unbounded cache would grow for the life of the
 # process.  One operation needs a few entries per bond.
@@ -22,10 +19,8 @@ CACHE_SIZE = 128
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def wkb_coefficients(bond, *, reverse: bool = False, j_max: int = J_MAX):
-    """(s_1, ..., s_jmax) at the entry vertex of the given direction."""
-    if j_max > J_MAX:
-        raise UnsupportedError(f"WKB table only goes to order {J_MAX}")
+def wkb_coefficients(bond, *, reverse: bool = False):
+    """(s_1, ..., s_4) at the entry vertex of the given direction."""
     pot = bond.potential
     x0 = bond.length if reverse else 0.0
     sign = -1.0 if reverse else 1.0
@@ -33,11 +28,10 @@ def wkb_coefficients(bond, *, reverse: bool = False, j_max: int = J_MAX):
     v1 = sign * pot.value(x0, 1)
     v2 = pot.value(x0, 2)
     v3 = sign * pot.value(x0, 3)
-    s = (-v0 / 2.0,
-         -v1 / 4.0,
-         (v0 * v0 - v2) / 8.0,
-         v0 * v1 / 4.0 - v3 / 16.0)
-    return s[:j_max]
+    return (-v0 / 2.0,
+            -v1 / 4.0,
+            (v0 * v0 - v2) / 8.0,
+            v0 * v1 / 4.0 - v3 / 16.0)
 
 
 @lru_cache(maxsize=CACHE_SIZE)

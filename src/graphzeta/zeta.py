@@ -6,10 +6,11 @@ conditions.  Both are computed as
 
     sin(pi s)/pi * integral_sqrt(gamma)^inf (t^2-gamma)^(-s) h'(t) dt
 
-with the large-t asymptotics of h removed and restored through closed
-Gamma-function terms (_restored), which extends the strip of validity to
-the left of Re s = 1/2.  The t-derivatives come from the solvers, never
-from numerical differencing.
+with the large-t powers of h' removed beyond t^2 = gamma + J^2,
+J = max(1, sqrt(2 gamma)), and restored in closed form by a binomial
+series in gamma / J^2 (_restored), which extends the strip of validity
+to the left of Re s = 1/2.  The t-derivatives come from the solvers,
+never from numerical differencing.
 
 With tau = sqrt(t^2 - gamma) that is integral_0^inf tau^(1-2s) g(tau)
 dtau, g = h'(t)/t, and so are the s = -1/2 integrals of minus_half_data
@@ -36,7 +37,6 @@ from .secular import (F_imag, _secular_is_complex, _vanished,
                       logF_slope_imag)
 from .wkb import d_constant, u_log_expansion
 
-SQRT_PI = math.sqrt(math.pi)
 MAX_INTERVALS = 200
 
 # 21-point Gauss-Kronrod rule on [-1, 1] (QUADPACK qk21, Piessens et al.
@@ -334,7 +334,6 @@ def _k_frac(s, j):
     For even j the zero of the sine cancels the pole; the series branch
     keeps the value finite when s sits on (or within rounding of) -j/2.
     """
-    s = complex(s)
     if j % 2 == 0:
         d = s + j / 2.0
         sign = -1.0 if (j // 2) % 2 else 1.0
@@ -345,85 +344,45 @@ def _k_frac(s, j):
     return cmath.sin(math.pi * s) / (math.pi * (2.0 * s + j))
 
 
-# Lanczos's approximation with g = 7 and nine terms (Lanczos, SIAM J.
-# Numer. Anal. B 1, 1964), used on Re z >= 1/2
-_LANCZOS_G = 7.0
-_LANCZOS = (0.99999999999980993, 676.5203681218851, -1259.1392167224028,
-            771.32342877765313, -176.61502916214059, 12.507343278686905,
-            -0.13857109526572012, 9.9843695780195716e-6,
-            1.5056327351493116e-7)
+# binom(-m/2, n) for m = 1..6 (rows) and n = 1..64 (columns), and the
+# order m - 2 + 2n of the _k_frac each multiplies in _restored; at
+# r <= 1/2 the terms past n = 64 add less than 1e-17 of the sum
+_N = np.arange(1, 65)
+_M = np.arange(1, 7)[:, None]
+_BINOM = np.cumprod((-0.5 * _M - _N + 1.0) / _N, axis=1)
+_ORDER = _M - 2.0 + 2.0 * _N
 
 
-def _lanczos(z: complex) -> complex:
-    z -= 1.0
-    series = _LANCZOS[0]
-    for i, c in enumerate(_LANCZOS[1:], start=1):
-        series += c / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * cmath.exp((z + 0.5) * cmath.log(t)
-                                                 - t) * series
+def _restored(s, gamma, J, parts):
+    """Closed forms, one per part, of the large-t terms c t^(-m) of h'(t)/t
+    that _zeta_parts subtracts beyond tau = J, for each part's pairs (m, c),
+    1 <= m <= 6.  With t^2 = gamma + tau^2 and r = gamma / J^2 <= 1/2, the
+    binomial series of (1 + gamma/tau^2)^(-m/2) integrates term by term:
 
+        sin(pi s)/pi integral_J^inf tau^(1-2s) c t^(-m) dtau
+            = c J^(2-2s-m) sum_n binom(-m/2, n) r^n _k_frac(s, m - 2 + 2n).
 
-def _sin_pi(z: complex) -> complex:
-    """sin(pi z), reduced by the nearest integer so that it is exactly 0
-    at the integers."""
-    n = round(z.real)
-    return (-1.0) ** n * cmath.sin(math.pi * (z - n))
-
-
-def _gamma(z) -> complex:
-    """Gamma(z) at complex z away from the poles; reflection below
-    Re z = 1/2."""
-    z = complex(z)
-    if z.real < 0.5:
-        return math.pi / (_sin_pi(z) * _lanczos(1.0 - z))
-    return _lanczos(z)
-
-
-def _rgamma(z) -> complex:
-    """1 / Gamma(z), exactly 0 at z = 0, -1, -2, ..."""
-    z = complex(z)
-    if z.real < 0.5:
-        return _sin_pi(z) * _lanczos(1.0 - z) / math.pi
-    return 1.0 / _lanczos(z)
-
-
-def _gamma_power(gamma_val, expo):
-    return cmath.exp(expo * math.log(gamma_val))
-
-
-def _gamma_ratio(s, j):
-    """Gamma(s + j/2) / Gamma(s); a plain polynomial when j is even."""
-    s = complex(s)
-    if j % 2 == 0:
-        out = complex(1.0)
-        for i in range(j // 2):
-            out *= s + i
-        return out
-    return _gamma(s + j / 2.0) * _rgamma(s)
-
-
-def _restored(s, gamma, power, coeffs):
-    """Closed form of the large-t terms power/t - sum_j j c_j t^(-j-1)
-    subtracted from h'(t), coeffs yielding the pairs (j, c_j).
-
-    At gamma = 0 they are subtracted beyond t = 1 only and come back
-    through _k_frac; for gamma > 0 they are subtracted along the whole
-    ray and come back as Gamma-function series terms.
+    At gamma = 0 only n = 0 remains; the volume term m = 1, last in each
+    Dirichlet part, is formed as (K c)/(2s - 1), K = sin(pi s)/pi, which
+    fixes the rounding of the gamma = 0 values.  For n >= 1 the sine is
+    reduced by the nearest integer q, accurate near the removable poles
+    s = q <= -1 of the even orders; on one a term is its limit (-1)^q/2.
     """
-    if gamma == 0.0:
-        out = power * _k_frac(s, 0)
-        for j, c in coeffs:
-            if c:
-                out -= j * c * _k_frac(s, j)
-        return out
-    out = power * _gamma_power(gamma, -s) / 2.0
-    for j, c in coeffs:
-        if c:
-            # (j c / 2) gamma^(-s-j/2) Gamma(s+j/2) / (Gamma(s) Gamma(1+j/2))
-            out -= (c * (j / 2.0) * _gamma_power(gamma, -s - j / 2.0)
-                    * _gamma_ratio(s, j) / math.gamma(1.0 + j / 2.0))
-    return out
+    q = round(s.real)
+    den = 2.0 * s + _ORDER
+    pole = den == 0.0
+    den[pole] = math.inf
+    k = (-1.0) ** q * cmath.sin(math.pi * (s - q)) / math.pi / den
+    k[pole] = 0.5 * (-1.0) ** q
+    tails = (_BINOM * k) @ (gamma / (J * J)) ** _N
+    K = _sin_over_pi(s)
+
+    def term(m, c):
+        head = K * c / (2.0 * s - 1.0) if m == 1 else c * _k_frac(s, m - 2)
+        return (head + c * tails[m - 1]) * J ** (2.0 - 2.0 * s - m)
+
+    return np.array([sum(term(m, c) for m, c in terms if c)
+                     for terms in parts])
 
 
 def residues_at_minus_half(graph, asym):
@@ -489,16 +448,6 @@ def _check_dir(bond, s: complex, gamma: float) -> None:
                  f"bond '{bond.id}'")
 
 
-def _dir_closed(bond, s: complex, gamma: float) -> complex:
-    L = bond.length
-    if gamma == 0.0:
-        closed = _sin_over_pi(s) * L / (2.0 * s - 1.0)
-    else:
-        closed = (L * _gamma(s - 0.5) * _rgamma(s)
-                  * _gamma_power(gamma, 0.5 - s) / (2.0 * SQRT_PI))
-    return closed + _restored(s, gamma, -1, u_log_expansion(bond).items())
-
-
 def _secular_setup(graph, mc, s: complex, gamma: float):
     """The checks of the secular part; returns its asymptotic data."""
     _require_local(mc, "zeta_im")
@@ -535,16 +484,21 @@ def _zeta_parts(s: complex, gamma: float, tol: float, bonds, secular=None):
     when secular = (graph, mc, asym) is given, then the Dirichlet part of
     each bond; one integral with one column per part.
 
-    Each column is h'(t)/t, unsubtracted below tau = 1 on the gamma = 0
-    ray and subtracted above it (everywhere when gamma > 0).
+    Each column is h'(t)/t, unsubtracted below tau = J = max(1,
+    sqrt(2 gamma)) and subtracted above it, where _restored gives back
+    what was subtracted.  The integral runs in sigma = tau / J, so that
+    the switch sits on the driver's head/tail split at sigma = 1, and is
+    scaled back by J^(2-2s); the tolerance is divided by that scale.
     """
     if secular is not None:
         graph, mc, asym = secular
         power = _power(graph, asym)
+    J = max(1.0, math.sqrt(2.0 * gamma))
 
-    def g(tau):
+    def g(sigma):
+        tau = J * sigma
         t = np.sqrt(gamma + tau * tau) if gamma else tau
-        sub = tau >= 1.0 if gamma == 0.0 else np.ones(len(tau), bool)
+        sub = sigma >= 1.0
         ts = t[sub]
         cols = []
         if secular is not None:
@@ -563,13 +517,19 @@ def _zeta_parts(s: complex, gamma: float, tol: float, bonds, secular=None):
 
     complex_path = s.imag != 0.0 or (secular is not None
                                      and _secular_is_complex(graph, mc))
-    i, err, nodes = integral(g, s, tol, complex_path)
-    K = _sin_over_pi(s)
-    closed = [_dir_closed(bond, s, gamma) for bond in bonds]
+    scale = J ** (2.0 - 2.0 * s)
+    i, err, nodes = integral(g, s, tol / abs(scale), complex_path)
+    # h'/t ~ L/t - 1/t^2 - sum_j j e_j t^(-j-2) for log u, and
+    # power/t^2 - sum_j j a_j t^(-j-2) for log F
+    parts = [[(2, -1.0)] + [(j + 2, -j * e)
+                            for j, e in u_log_expansion(bond).items()]
+             + [(1, bond.length)] for bond in bonds]
     if secular is not None:
-        closed.insert(0, _restored(s, gamma, power,
-                                   enumerate(asym.log_coeffs, start=1)))
-    return K * i + np.array(closed), abs(K) * err, nodes
+        parts.insert(0, [(2, power)] + [(j + 2, -j * a) for j, a in
+                                        enumerate(asym.log_coeffs, start=1)])
+    K = _sin_over_pi(s)
+    return (K * (scale * i) + _restored(s, gamma, J, parts),
+            abs(K) * abs(scale) * err, nodes)
 
 
 def zeta_dir_bond(bond, s, gamma: float = 0.0, *,

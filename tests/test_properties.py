@@ -133,10 +133,12 @@ def force(doc, bond_id):
 ZETA_TOL = 1e-9
 ENERGY_TOL = 1e-10
 FORCE_TOL = 1e-10
-# gamma takes the values of the benchmark's zeta points: below about
-# gamma = 1e-2 the subtracted integrand of a bump bond cancels against its
-# closed form, and the error runs past tol
+# gamma takes the values of the benchmark's zeta points, and any value in
+# [0, 1] in the scaling property.  The other properties keep the three
+# values: a wider draw of the cross-axis property reaches a Kirchhoff star
+# whose root the scan misses (ROADMAP item 3), which no zeta change mends.
 zeta_points = st.tuples(st.floats(0.6, 0.9), st.sampled_from((0.0, 0.5, 1.0)))
+scaling_points = st.tuples(st.floats(0.6, 0.9), st.floats(0.0, 1.0))
 
 
 def zeta(graph_mc, point):
@@ -195,7 +197,7 @@ def test_force_ignores_labels(case, data):
 
 
 @SETTINGS
-@given(graph_docs(), st.floats(0.8, 1.25), zeta_points)
+@given(graph_docs(), st.floats(0.8, 1.25), scaling_points)
 def test_zeta_scales_with_length(case, c, point):
     doc, _ = case
     s, gamma = point
