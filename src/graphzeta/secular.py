@@ -5,7 +5,9 @@ bond solutions; zeros of F on the real k axis are the eigenvalues.  The
 determinant is carried as (log|F|, phase) so products of exponentially
 large bond factors stay representable.  The kernels take an array of t:
 the bond solutions of all nodes (bond_solutions, shareable between
-kernels and with the Dirichlet parts), then M, dM/dt or dM/dL as one
+kernels and with the Dirichlet parts; bonds of one (length, potential)
+share one solve, and the vector potential enters only as the phase of
+the off-diagonal entries), then M, dM/dt or dM/dL as one
 (t, 2B, 2B) stack, then one stacked slogdet (logF_imag) or one stacked
 solve and trace (logF_slope_imag, dlogF_dL_imag).  An exactly singular
 A + B M fails with NumericalError naming its t.  F_imag is logF_imag
@@ -15,7 +17,8 @@ Real axis: a pole-free parameterisation through bond transfer matrices,
 suitable for scanning; its smallest singular value vanishes exactly at
 eigenvalues, with multiplicity equal to the null-space dimension.  S is
 float64 unless _secular_is_complex; its coarse pass takes a sixth of the
-bump segments.
+bump segments.  Its transfer matrices are shared the same way, the flux
+phase again entering only in assembly.
 """
 
 from __future__ import annotations
@@ -40,18 +43,32 @@ class SecularValue:
     phase: float
 
 
+def per_distinct_bond(bonds, solve):
+    """[solve(bond) for bond in bonds], calling solve once per distinct
+    (length, potential), the key of everything a bond solve reads; bonds
+    that share the key share the result.  The vector potential is not
+    part of it: its phase enters only in assembly."""
+    done = {}
+    for bond in bonds:
+        key = (bond.length, bond.potential)
+        if key not in done:
+            done[key] = solve(bond)
+    return [done[(bond.length, bond.potential)] for bond in bonds]
+
+
 def bond_solutions(graph, t, *, derivative: bool = True):
-    """(forward, reverse) BondSolution of every bond at the nodes t; a
-    bond that reversal leaves unchanged shares one solve.  derivative as
-    in bond_solution."""
-    out = []
-    for bond in graph.bonds:
+    """(forward, reverse) BondSolution of every bond at the nodes t, one
+    solve per distinct (length, potential) (per_distinct_bond); a bond
+    that reversal leaves unchanged shares one solve between its two
+    orientations.  derivative as in bond_solution."""
+    def solve(bond):
         fwd = bond_solution(bond, t, derivative=derivative)
         rev = (fwd if bond.potential.symmetric(bond.length)
                else bond_solution(bond, t, reverse=True,
                                   derivative=derivative))
-        out.append((fwd, rev))
-    return out
+        return fwd, rev
+
+    return per_distinct_bond(graph.bonds, solve)
 
 
 def _secular_system(graph, mc, sols):
@@ -165,12 +182,14 @@ def secular_matrices_real(graph, mc, ks, *, derivative: bool = False,
     derivative=True the pair (S, dS/dk), both from one pass of the
     transfer matrices.  A bump bond takes the Newton count of segments,
     or the coarse grid's with coarse=True (see transfer_matrices_real).
+    Bonds of one (length, potential) share their transfer matrices
+    (per_distinct_bond); the flux phase is applied in assembly.
     float64 unless _secular_is_complex.
     """
     ks = np.asarray(ks, dtype=float)
-    blocks = [transfer_matrices_real(bond, ks, derivative=derivative,
-                                     coarse=coarse)
-              for bond in graph.bonds]
+    blocks = per_distinct_bond(
+        graph.bonds, lambda bond: transfer_matrices_real(
+            bond, ks, derivative=derivative, coarse=coarse))
     if not derivative:
         return _assemble_real(graph, mc, blocks, len(ks))
     T, dT = zip(*blocks)
@@ -206,7 +225,11 @@ class AsymptoticData:
 def _fft_poly_coefficients(graph, mc, tables):
     n = 2 * graph.bond_count
     degree = n * (1 if all(not any(tab) for tab in tables) else 5)
-    m = 256
+    # det(tau A + B (P(tau) - 1)) is a polynomial of at most this degree,
+    # each of its n columns having degree 5 in tau, or 1 when every WKB
+    # table vanishes; the smallest power of two above it samples it on
+    # the unit circle without aliasing, so more samples add nothing
+    m = 1
     while m < degree + 1:
         m *= 2
     taus = np.exp(2j * math.pi * np.arange(m) / m)

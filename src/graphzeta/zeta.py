@@ -34,7 +34,7 @@ from .interval import bond_solution, dirichlet_subtracted_derivative
 from .potentials import spectral_floor
 from .secular import (F_imag, _secular_is_complex, _vanished,
                       asymptotic_F_coefficients, bond_solutions, logF_imag,
-                      logF_slope_imag)
+                      logF_slope_imag, per_distinct_bond)
 from .wkb import d_constant, u_log_expansion
 
 MAX_INTERVALS = 200
@@ -135,7 +135,12 @@ def integral(g, s, tol, complex_path=False):
     1e-12 max(1, |value at tau = 1|); the remainder beyond, estimated as
     that sample times 2^k, is charged to the error.  The samples are
     taken twelve at a time until the cuts show, the first twelve in the
-    call that evaluates the first nodes of a real-s head.
+    call that evaluates the first nodes of a real-s head.  The cut tail
+    enters the first round as its two halves when k >= 4, as one
+    interval otherwise: a tail that spans four or more octaves needs
+    its halves anyway, and a single interval over it would be evaluated
+    only to be bisected, while a short tail, that of a long bond, often
+    meets its target whole.
 
     The pieces are intervals of one adaptive 21-point Gauss-Kronrod
     rule with the QUADPACK error estimate (Piessens et al., 1983).  Each
@@ -262,10 +267,13 @@ def integral(g, s, tol, complex_path=False):
         val, err, rfloor = _gk21(
             weighted(nodes_of(a, b), head_vals).reshape(1, 21, -1),
             np.array([0.5]))
-    # the first intervals in y wait for the first round
+    # the first intervals in y wait for the first round: the cut tail as
+    # its two halves from k = 4 on, as one interval below
     if k:
-        lo.append(1.0)
-        hi.append(1.0 + k * math.log(2.0))
+        top = 1.0 + k * math.log(2.0)
+        edges = [1.0, 0.5 * (1.0 + top), top] if k >= 4 else [1.0, top]
+        lo.extend(edges[:-1])
+        hi.extend(edges[1:])
     pending = (np.array(lo), np.array(hi))
     progress = []
     while True:
@@ -488,12 +496,26 @@ def _zeta_parts(s: complex, gamma: float, tol: float, bonds, secular=None):
     sqrt(2 gamma)) and subtracted above it, where _restored gives back
     what was subtracted.  The integral runs in sigma = tau / J, so that
     the switch sits on the driver's head/tail split at sigma = 1, and is
-    scaled back by J^(2-2s); the tolerance is divided by that scale.
+    scaled back by J^(2-2s); the tolerance is divided by that scale, and
+    a gamma that puts the scale or the tolerance beyond floating point
+    raises NumericalError.  Bonds of one (length, potential) share their
+    Dirichlet column (per_distinct_bond); bonds is either graph.bonds or
+    holds the one bond of a secular-free call.
     """
     if secular is not None:
         graph, mc, asym = secular
         power = _power(graph, asym)
     J = max(1.0, math.sqrt(2.0 * gamma))
+    try:
+        scale = J ** (2.0 - 2.0 * s)
+    except OverflowError:
+        scale = math.inf
+    # integral refuses a tol outside (0, inf) itself
+    if 0.0 < tol < math.inf and not tol / abs(scale) > 0.0:
+        raise NumericalError(
+            f"gamma={gamma:g} is too large at s={s:g}: the scale "
+            "J^(2-2s), J = sqrt(2 gamma), of the rotated-axis integral "
+            "and its tolerance are not representable in floating point")
 
     def g(sigma):
         tau = J * sigma
@@ -503,21 +525,22 @@ def _zeta_parts(s: complex, gamma: float, tol: float, bonds, secular=None):
         cols = []
         if secular is not None:
             sols = bond_solutions(graph, t)
-            fwd = [f for f, _ in sols]
+            fwd = dict(zip(graph.bonds, (f for f, _ in sols)))
             col = logF_slope_imag(graph, mc, t, sols)
             col[sub] = _subtract_powers(col[sub], ts, power, asym.log_coeffs)
             cols.append(col / t)
-        else:
-            fwd = [bond_solution(bond, t) for bond in bonds]
-        for bond, sol in zip(bonds, fwd):
+
+        def dirichlet(bond):
+            sol = fwd[bond] if secular is not None else bond_solution(bond, t)
             col = sol.dlog_u_dt.copy()
             col[sub] = dirichlet_subtracted_derivative(bond, ts, sol.take(sub))
-            cols.append(col / t)
+            return col / t
+
+        cols += per_distinct_bond(bonds, dirichlet)
         return np.stack(cols, axis=-1)
 
     complex_path = s.imag != 0.0 or (secular is not None
                                      and _secular_is_complex(graph, mc))
-    scale = J ** (2.0 - 2.0 * s)
     i, err, nodes = integral(g, s, tol / abs(scale), complex_path)
     # h'/t ~ L/t - 1/t^2 - sum_j j e_j t^(-j-2) for log u, and
     # power/t^2 - sum_j j a_j t^(-j-2) for log F

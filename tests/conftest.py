@@ -30,10 +30,16 @@ def make_bump_interval(L=1.0, center=0.5, half_width=0.3, height=3.0):
                                        "height": height})
 
 
-def make_star(lam=0.0, lengths=(1.0, 1.0, 1.0), leaf="dirichlet"):
+def make_star(lam=0.0, lengths=(1.0, 1.0, 1.0), leaf="dirichlet",
+              potentials=(), fluxes=()):
+    """potentials and fluxes are (bond index, value) pairs."""
     n = len(lengths)
     bonds = [{"id": i + 1, "origin": 1, "terminus": i + 2, "length": L}
              for i, L in enumerate(lengths)]
+    for i, pot in potentials:
+        bonds[i]["potential"] = pot
+    for i, a in fluxes:
+        bonds[i]["vector_potential"] = a
     verts = [{"vertex": 1, "kind": "delta", "lambda": lam}]
     verts += [{"vertex": i + 2, "kind": leaf} for i in range(n)]
     return from_doc({"vertices": n + 1, "bonds": bonds,

@@ -180,6 +180,15 @@ def test_exit_codes(tmp_path):
     assert rc == 4
 
 
+def test_zeta_at_unrepresentable_gamma_exits_3(tmp_path, capsys):
+    # J^(2-2s), J = sqrt(2 gamma), overflows at s = -0.9: a typed
+    # NumericalError naming gamma, not a traceback
+    rc = main(["zeta", "--graph", write(tmp_path, INTERVAL), "--s=-0.9",
+               "--gamma", "1e200"])
+    assert rc == 3
+    assert "gamma=1e+200" in capsys.readouterr().err
+
+
 def test_commands_refuse_options_they_do_not_read(tmp_path):
     path = write(tmp_path, INTERVAL)
     for argv in (["energy", "--tol", "nan"],

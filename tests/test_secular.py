@@ -7,11 +7,15 @@ import pytest
 
 from conftest import (BUMP, from_doc, make_bump_interval, make_chain,
                       make_circle, make_interval, make_star)
+import graphzeta.secular as secular
+import graphzeta.zeta as zeta_module
 from graphzeta import (F_imag, NumericalError, asymptotic_F_coefficients,
-                       replace_bond_length)
-from graphzeta.interval import bond_solution, dirichlet_subtracted_derivative
-from graphzeta.secular import (bond_solutions, dlogF_dL_imag, logF_imag,
-                               logF_slope_imag, secular_matrices_real)
+                       replace_bond_length, zeta_total)
+from graphzeta.interval import (bond_solution, dirichlet_subtracted_derivative,
+                                transfer_matrices_real)
+from graphzeta.secular import (_assemble_real, bond_solutions, dlogF_dL_imag,
+                               logF_imag, logF_slope_imag,
+                               secular_matrices_real)
 
 
 def test_interval_singular_exactly_at_eigenvalues():
@@ -270,3 +274,62 @@ def test_batched_kernels_match_single_nodes():
                      dirichlet_subtracted_derivative(bond, node, sol), i)
                 same(bond_solution(bond, t).log_u_excess,
                      sol.log_u_excess, i)
+
+
+def spy(monkeypatch, module, name):
+    """The bond ids of every call of module.name, a solve per bond."""
+    ids = []
+    real = getattr(module, name)
+
+    def spied(bond, *args, **kwargs):
+        ids.append(bond.id)
+        return real(bond, *args, **kwargs)
+
+    monkeypatch.setattr(module, name, spied)
+    return ids
+
+
+@pytest.mark.parametrize("star, solves", [
+    ({}, 1),
+    ({"lengths": (1.0, 1.3, 0.8)}, 3),
+    ({"potentials": [(1, BUMP)]}, 2),
+    ({"fluxes": [(2, 0.7)]}, 1),
+], ids=["equal", "unequal", "bump_on_one", "flux_on_one"])
+def test_one_solve_per_distinct_bond(monkeypatch, star, solves):
+    # bonds that share (length, potential) share one solve on both axes;
+    # the flux enters only in assembly.  The shared results are bitwise
+    # those of a bond-by-bond solve.
+    graph, mc = make_star(1.0, **star)
+    t = np.array([0.01, 0.7, 3.0, 40.0, 2000.0])
+    ks = np.linspace(0.1, 30.0, 9)
+    solved = spy(monkeypatch, secular, "bond_solution")
+    swept = spy(monkeypatch, secular, "transfer_matrices_real")
+    for derivative in (True, False):
+        del solved[:]
+        sols = bond_solutions(graph, t, derivative=derivative)
+        assert len(solved) == solves
+        for bond, (fwd, rev) in zip(graph.bonds, sols):
+            one = bond_solution(bond, t, derivative=derivative)
+            one_rev = bond_solution(bond, t, reverse=True,
+                                    derivative=derivative)
+            for got, want in zip(fwd + rev, one + one_rev):
+                assert (got is None and want is None
+                        or np.array_equal(got, want))
+    S, dS = secular_matrices_real(graph, mc, ks, derivative=True)
+    assert len(swept) == solves
+    T, dT = zip(*(transfer_matrices_real(bond, ks, derivative=True)
+                  for bond in graph.bonds))
+    assert np.array_equal(S, _assemble_real(graph, mc, T, len(ks)))
+    assert np.array_equal(dS, _assemble_real(graph, mc, dT, len(ks),
+                                             unit=0.0))
+
+
+def test_zeta_integrand_solves_and_subtracts_an_equal_star_once(monkeypatch):
+    # every bond solve and Dirichlet column of zeta_total on the
+    # equal-length star goes to its first bond
+    graph, mc = make_star(1.0)
+    solved = spy(monkeypatch, secular, "bond_solution")
+    columns = spy(monkeypatch, zeta_module, "dirichlet_subtracted_derivative")
+    ev = zeta_total(graph, mc, 0.75, 0.5)
+    assert set(solved) == set(columns) == {1}
+    assert ev.nodes > 0

@@ -1,6 +1,7 @@
 import cmath
 import json
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -12,6 +13,7 @@ from conftest import (BUMP, make_bump_interval, make_chain, make_circle,
 from graphzeta import (NumericalError, UnsupportedError, casimir_force,
                        minus_half_data, vacuum_energy, zeta_dir_bond, zeta_im,
                        zeta_total)
+import graphzeta.zeta as zeta_module
 from graphzeta.cli import main
 from graphzeta.zeta import _restored, integral
 from oracles import reference_zeta_R
@@ -382,7 +384,7 @@ def test_equal_length_neumann_star_zeta_fails_typed(tmp_path):
 # Nodes of zeta_total at s = 0.75, gamma = 0.5 on the benchmark's delta(1)
 # star and flux circle, as recorded in CHANGES.md; a driver that loses the
 # batching or the shared columns needs many more.
-NODE_COUNTS = {"star_delta": 96, "circle_flux": 96}
+NODE_COUNTS = {"star_delta": 75, "circle_flux": 75}
 
 
 @pytest.mark.parametrize("name", sorted(NODE_COUNTS))
@@ -391,3 +393,40 @@ def test_zeta_total_node_count(name):
                  "circle_flux": lambda: make_circle(1.0, 0.5)}[name]()
     ev = zeta_total(graph, mc, 0.75, 0.5)
     assert 0 < ev.nodes <= 1.1 * NODE_COUNTS[name]
+
+
+def spy_integrand(monkeypatch):
+    """The node counts of each call of the integrand of zeta.integral."""
+    calls = []
+
+    def spied(g, *args):
+        def counted(tau):
+            calls.append(len(tau))
+            return g(tau)
+        return integral(counted, *args)
+
+    monkeypatch.setattr(zeta_module, "integral", spied)
+    return calls
+
+
+def test_cut_tail_enters_as_two_halves_from_four_octaves(monkeypatch):
+    # the unit interval's tail is cut at k >= 4: one call for the probes
+    # and the head's first nodes (12 + 21), then one for both halves of
+    # the tail, which meet the target without a further round
+    calls = spy_integrand(monkeypatch)
+    ev = zeta_total(*make_interval(1.0), 0.75)
+    assert calls == [33, 42] and ev.nodes == 75
+    # a long bond's tail is cut at k <= 3 and enters as one interval
+    del calls[:]
+    ev = zeta_total(*make_interval(10.0), 0.75)
+    assert sum(calls) == ev.nodes == 96
+
+
+@pytest.mark.parametrize("gamma", [1e200, 1e300])
+def test_zeta_at_unrepresentable_gamma_fails_typed(gamma):
+    # J^(2-2s) with J = sqrt(2 gamma) overflows at s = -0.9
+    graph, mc = make_interval(1.0)
+    with pytest.raises(NumericalError, match=re.escape(f"gamma={gamma:g}")):
+        zeta_total(graph, mc, -0.9, gamma)
+    with pytest.raises(NumericalError, match=re.escape(f"gamma={gamma:g}")):
+        zeta_dir_bond(graph.bonds[0], -0.9, gamma)
