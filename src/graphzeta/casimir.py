@@ -73,7 +73,7 @@ def casimir_force(graph, mc, bond_id: str) -> ForceResult:
 
     Negative values pull the end inward.  Split into the detached-bond
     Dirichlet part, whose length derivative is the logarithmic derivative
-    u'(L)/u(L) (obtained from the reversed-orientation solve), and the
+    u'(L)/u(L) (the L-end field of the bond solution), and the
     interaction part, the exact length derivative of log F from
     dlogF_dL_imag; both are t-integrals along the imaginary axis, taken
     as the two columns of one integral, and the error estimate is their
@@ -98,9 +98,8 @@ def casimir_force(graph, mc, bond_id: str) -> ForceResult:
 
     def g(t):
         sols = bond_solutions(graph, t, derivative=False)
-        # d/dL [log u(L) - t L] = u'(L)/u(L) - t; the reversed decaying
-        # solution gives u'(L)/u(L) = -f'_rev(0).
-        dirichlet = -(sols[b][1].f_prime_at_0 + t)
+        # d/dL [log u(L) - t L] = u'(L)/u(L) - t = -(f_prime_at_L + t)
+        dirichlet = -(sols[b].f_prime_at_L + t)
         return np.stack((dirichlet,
                          dlogF_dL_imag(graph, mc, bond_id, t, sols).real),
                         axis=-1)
@@ -115,13 +114,17 @@ def casimir_force(graph, mc, bond_id: str) -> ForceResult:
 
 
 def mu_sensitivity(graph, mc, bond_id: str, h: float = 1e-4) -> float:
-    """d(res_half)/dL for one bond, by central differences.
+    """d(res_half)/dL for one bond, by central differences with the step
+    h L, h relative.
 
     Measures how much the scale-ambiguous part of the energy moves when
     the bond end moves; a compactly supported potential must give zero,
     so a nonzero value flags a force computation that cannot be trusted.
     """
     _require_local(mc, "mu_sensitivity")
+    if not 0.0 < h < 1.0:
+        raise UnsupportedError(
+            "mu_sensitivity needs a finite relative step h with 0 < h < 1")
     L = graph.bond_by_id(bond_id).length
     step = h * L
 

@@ -1,20 +1,22 @@
 """Single-bond solutions of -f'' + V f = k^2 f on both spectral axes.
 
 Imaginary axis (k = i t): bond_solution returns, over an array of t, the
-boundary data entering the secular matrix, the derivative f'(0) of the
-solution decaying towards x = L, the logarithm of the Dirichlet solution
-u(L), and their t-derivatives.  The t-derivatives come from a complex
-step and are formed only on request: zeta's h'(t)/t integrand reads
-them, while the vacuum energy, the Casimir force and the secular
-determinant on its own read only log F and log u and take a float64
-pass at half to three quarters of the cost.
+boundary data entering the secular matrix at both ends of the bond, the
+logarithmic derivatives f'/f of the solutions decaying away from each
+end, the logarithm of the Dirichlet solution u(L), and their
+t-derivatives.  The t-derivatives come from a complex step and are
+formed only on request: zeta's h'(t)/t integrand reads them, while the
+vacuum energy, the Casimir force and the secular determinant on its own
+read only log F and log u and take a float64 pass at half to three
+quarters of the cost.
 Zero and constant potentials have closed forms, with their small- and
 large-x branches selected per node; every other potential goes through
-one sweep of fourth-order Magnus segment maps, which are exact for a
-constant potential at every t, so one segment count serves all t and
-all nodes sweep together.  The sweep multiplies the 2x2 segment maps
-pairwise, a fixed-length block at a time, and keeps all growth in log
-form, so large t L never overflows.
+one sweep from x = 0 of fourth-order Magnus segment maps, which are
+exact for a constant potential at every t, so one segment count serves
+all t and all nodes sweep together.  The sweep multiplies the 2x2
+segment maps pairwise, a fixed-length block at a time, and keeps all
+growth in log form, so large t L never overflows; both ends of the bond
+are read from the one transfer matrix it forms.
 
 Real axis: batched 2x2 transfer matrices for the magnetic-gauge-removed
 equation, used by the spectral scan.  A bump bond is cut into the
@@ -48,13 +50,17 @@ COARSE_PER_WIDTH = 50    # the same on the scan's coarse grid
 
 class BondSolution(NamedTuple):
     """Boundary data of one bond as arrays over the nodes t: f'(0) of the
-    solution decaying towards x = L, normalised to f(0) = 1; log u(L) of
-    the Dirichlet solution, u(0) = 0 and u'(0) = 1; their t-derivatives,
+    solution decaying towards x = L, normalised to f(0) = 1; the inward
+    derivative -f'(L) of the solution decaying towards x = 0, normalised
+    to f(L) = 1, which is f'(0) of the mirrored bond; log u(L) of the
+    Dirichlet solution, u(0) = 0 and u'(0) = 1; their t-derivatives,
     None when the solve skipped them; and log u - t L computed without
     the cancellation of the difference."""
 
     f_prime_at_0: np.ndarray
     df_prime_at_0_dt: np.ndarray
+    f_prime_at_L: np.ndarray
+    df_prime_at_L_dt: np.ndarray
     log_u: np.ndarray
     dlog_u_dt: np.ndarray
     log_u_excess: np.ndarray
@@ -103,12 +109,13 @@ def _analytic(bond, t, derivative: bool) -> BondSolution:
     excess = np.where(tiny, math.log(L) + x * x / 6.0 - t * L,
                       L * c / (ks + t) - np.log(2.0 * ks)
                       + np.log(-np.expm1(-2.0 * xs)))
+    # a constant bond is its own mirror image: both ends share the arrays
     if not derivative:
-        return BondSolution(fp, None, log_u, None, excess)
+        return BondSolution(fp, None, fp, None, log_u, None, excess)
+    dfp = np.where(tiny, -2.0 * t * L / 3.0,
+                   (t / ks) * _xcsch2_minus_coth(xs))
     return BondSolution(
-        fp,
-        np.where(tiny, -2.0 * t * L / 3.0, (t / ks) * _xcsch2_minus_coth(xs)),
-        log_u,
+        fp, dfp, fp, dfp, log_u,
         np.where(tiny, t * L * L / 3.0, (t * L / ks) * _coth_minus_inv(xs)),
         excess)
 
@@ -217,15 +224,16 @@ def _product(M):
 
 
 def _sweep(t, w, V1, V2, derivative: bool):
-    """Sweep from x = L, where f = 0 and f' = -1, across segments of widths
-    w whose potentials are V1 and V2 at their two Gauss points, in the
-    order the sweep meets them, at every node of t at once; at the
-    complex step t + i CSTEP with derivative=True, in float64 otherwise
-    (the callers of each are listed at bond_solution).  Returns (R, s)
-    with one column per node: R, a (2, 2, nodes) stack, is the product
-    of the segment maps in the basis (f, -f'), and s the log of the
-    scale divided out of it plus the log cosh(theta) - t w of every
-    segment.  So (f, -f') at the far end is e^s (R01, R11).
+    """Sweep from x = 0 across segments of widths w whose potentials are
+    V1 and V2 at their two Gauss points, in the order of x, at every node
+    of t at once; at the complex step t + i CSTEP with derivative=True,
+    in float64 otherwise (the callers of each are listed at
+    bond_solution).  Returns (R, s) with one column per node: R, a
+    (2, 2, nodes) stack, is the product of the segment maps on (f, f'),
+    and s the log of the scale divided out of it plus the log cosh(theta)
+    - t w of every segment.  So the transfer matrix
+    (f, f')(0) -> (f, f')(L) is e^s R, and both ends of the bond are read
+    from it (_cpm).
 
     Keeping s of order one instead of t L keeps the absolute error of
     log u at rounding level, which the subtracted large-t integrands rely
@@ -233,7 +241,7 @@ def _sweep(t, w, V1, V2, derivative: bool):
 
     With q = t^2 + (V1 + V2)/2, beta = (sqrt 3/12) w^2 (V1 - V2),
     theta^2 = beta^2 + w^2 q and c = tanh(theta)/theta, one segment maps
-    (f, -f') by cosh(theta) [[1 + beta c, w c], [w q c, 1 - beta c]], the
+    (f, f') by cosh(theta) [[1 + beta c, w c], [w q c, 1 - beta c]], the
     exponential of the two-Gauss-point Magnus exponent (Iserles and
     Norsett, Proc. R. Soc. A 455, 1999; Blanes, Casas, Oteo and Ros,
     Phys. Rep. 470, 2009): fourth order in w, and exact for a constant
@@ -243,11 +251,9 @@ def _sweep(t, w, V1, V2, derivative: bool):
     so that no node's result depends on the batch, are multiplied
     pairwise (_block_product); each block product then joins the running
     product, divided by its R11 after every block, the log of the
-    divisor going to s.  No count of segments overflows, and the column
-    (R01, R11) = (-m, 1) holds m = f/f', which contracts towards a fixed
-    point: the rounding of one block's product is forgotten, where in an
-    unscaled product the t-derivative in Im R would gather it from every
-    segment.
+    divisor going to s.  No count of segments overflows, and the entries
+    stay of the order of the ratios the callers read, so their
+    t-derivatives in Im R carry no rounding of the e^(t L) growth.
     """
     s = np.zeros(len(t), complex if derivative else float)
     R = None
@@ -287,51 +293,53 @@ def _segment_count(bond, per_width: int):
                      math.ceil(per_width * (b - a) * math.sqrt(vmax)))
 
 
-def _gauss_layout(bond, reverse: bool, per_width: int):
+def _gauss_layout(bond, per_width: int):
     """Widths w and Gauss-point potentials V1, V2 of the segments of a
-    bump bond, in the order a sweep from x = L meets them, or from x = 0
-    with reverse=True: one exact segment for each free stretch, and
-    between them the n = _segment_count(bond, per_width) segments of the
-    support, whose Gauss points lie w/(2 sqrt 3) either side of the
-    middle."""
+    bump bond, in the order of x from x = 0: one exact segment for each
+    free stretch, and between them the n = _segment_count(bond,
+    per_width) segments of the support, whose Gauss points lie
+    w/(2 sqrt 3) either side of the middle."""
     L = bond.length
     a, b, n = _segment_count(bond, per_width)
     h = (b - a) / n
-    first, last = (a, L - b) if reverse else (L - b, a)
-    w = np.concatenate(([first], np.full(n, h), [last]))
+    w = np.concatenate(([a], np.full(n, h), [L - b]))
     g = 0.5 / math.sqrt(3.0)
-    V1, V2 = (np.concatenate(([0.0], bond.potential.value(
-        a + d if reverse else b - d), [0.0]))
-        for d in ((np.arange(n) + 0.5 - g) * h, (np.arange(n) + 0.5 + g) * h))
+    V1, V2 = (np.concatenate(([0.0], bond.potential.value(a + d), [0.0]))
+              for d in ((np.arange(n) + 0.5 - g) * h,
+                        (np.arange(n) + 0.5 + g) * h))
     return w, V1, V2
 
 
-def _cpm(bond, t, reverse: bool, derivative: bool) -> BondSolution:
-    """Sweep of the solution decaying towards x = L across the segments
-    of _gauss_layout.  With derivative=True the t-derivatives come from
-    a complex step through the same sweep; otherwise the sweep is real
-    and they are None, as bond_solution's energy and force callers ask.
-    By the Wronskian the Dirichlet solution has u(L) = f(0) = m0 f'(0).
+def _cpm(bond, t, derivative: bool) -> BondSolution:
+    """Both ends of a bump bond from one sweep across the segments of
+    _gauss_layout.  With T = e^s R the transfer matrix (det T = 1), the
+    solution with f(L) = 0 has f/f' = -T01/T00 at x = 0, the Dirichlet
+    solution u has u(L) = T01 and u/u' = T01/T11 at x = L, and the
+    inward derivative there is -u'(L).  With derivative=True the
+    t-derivatives come from a complex step through the same sweep;
+    otherwise the sweep is real and they are None, as bond_solution's
+    energy and force callers ask.
     """
     L = bond.length
-    R, s = _sweep(t, *_gauss_layout(bond, reverse, PER_WIDTH), derivative)
-    m0 = -R[0, 1] / R[1, 1]
-    s0 = s + _log_step(R[1, 1])
-    lost = ~(m0.real < 0.0)
+    R, s = _sweep(t, *_gauss_layout(bond, PER_WIDTH), derivative)
+    m0 = -R[0, 1] / R[0, 0]
+    mL = -R[0, 1] / R[1, 1]
+    lost = ~((m0.real < 0.0) & (mL.real < 0.0))
     if lost.any():
         raise NumericalError(
             f"bond '{bond.id}': solution lost decay at t={t[lost][0]}")
-    fp = 1.0 / m0
-    lu = s0 + np.log(-m0)
+    fp0, fpL = 1.0 / m0, 1.0 / mL
+    lu = s + _log_step(R[0, 1])
     if not derivative:
-        return BondSolution(fp, None, t * L + lu, None, lu)
-    return BondSolution(fp.real, fp.imag / CSTEP, t * L + lu.real,
-                        lu.imag / CSTEP, lu.real)
+        return BondSolution(fp0, None, fpL, None, t * L + lu, None, lu)
+    return BondSolution(fp0.real, fp0.imag / CSTEP, fpL.real,
+                        fpL.imag / CSTEP, t * L + lu.real, lu.imag / CSTEP,
+                        lu.real)
 
 
-def bond_solution(bond, t, *, reverse: bool = False,
-                  derivative: bool = True) -> BondSolution:
-    """Boundary data of one bond at every node of the 1-d array t.
+def bond_solution(bond, t, *, derivative: bool = True) -> BondSolution:
+    """Boundary data of one bond, at both of its ends, at every node of
+    the 1-d array t.
 
     With derivative=False the t-derivative fields are None and a bump
     bond is swept in float64, at half to three quarters of the cost of
@@ -354,9 +362,7 @@ def bond_solution(bond, t, *, reverse: bool = False,
             f"{floor:.6g}")
     if pot.kind == "constant":
         return _analytic(bond, t, derivative)
-    if reverse and pot.symmetric(L):
-        reverse = False
-    return _cpm(bond, t, reverse, derivative)
+    return _cpm(bond, t, derivative)
 
 
 def dirichlet_subtracted_derivative(bond, t, sol=None):
@@ -498,7 +504,7 @@ def transfer_matrices_real(bond, ks, *, derivative: bool = False,
         V = np.array([pot.c])
         layout = np.array([bond.length]), V, V
     else:
-        layout = _gauss_layout(bond, True,
+        layout = _gauss_layout(bond,
                                COARSE_PER_WIDTH if coarse else PER_WIDTH)
     T = np.moveaxis(_real_sweep(ks, *layout, derivative), (0, 1), (-2, -1))
     if not derivative:

@@ -80,9 +80,6 @@ class ConstantPotential:
     def maximum(self, length: float) -> float:
         return self.c
 
-    def symmetric(self, length: float) -> bool:
-        return True
-
     def compact(self, length: float) -> bool:
         return self.c == 0.0
 
@@ -167,9 +164,6 @@ class BumpPotential:
 
     def maximum(self, length: float) -> float:
         return max(0.0, self.height)
-
-    def symmetric(self, length: float) -> bool:
-        return abs(self.center - 0.5 * length) <= 1e-12 * max(1.0, length)
 
     def compact(self, length: float) -> bool:
         return (self.center - self.half_width > 0.0

@@ -57,18 +57,11 @@ def per_distinct_bond(bonds, solve):
 
 
 def bond_solutions(graph, t, *, derivative: bool = True):
-    """(forward, reverse) BondSolution of every bond at the nodes t, one
-    solve per distinct (length, potential) (per_distinct_bond); a bond
-    that reversal leaves unchanged shares one solve between its two
-    orientations.  derivative as in bond_solution."""
-    def solve(bond):
-        fwd = bond_solution(bond, t, derivative=derivative)
-        rev = (fwd if bond.potential.symmetric(bond.length)
-               else bond_solution(bond, t, reverse=True,
-                                  derivative=derivative))
-        return fwd, rev
-
-    return per_distinct_bond(graph.bonds, solve)
+    """The BondSolution of every bond at the nodes t, both ends from one
+    solve per distinct (length, potential) (per_distinct_bond).
+    derivative as in bond_solution."""
+    return per_distinct_bond(graph.bonds, lambda bond: bond_solution(
+        bond, t, derivative=derivative))
 
 
 def _secular_system(graph, mc, sols):
@@ -76,25 +69,25 @@ def _secular_system(graph, mc, sols):
     None when the solutions carry no t-derivatives."""
     B = graph.bond_count
     n = 2 * B
-    nt = len(sols[0][0].log_u)
+    nt = len(sols[0].log_u)
     M = np.zeros((nt, n, n), dtype=complex)
-    derivative = sols[0][0].df_prime_at_0_dt is not None
+    derivative = sols[0].df_prime_at_0_dt is not None
     dM = np.zeros((nt, n, n), dtype=complex) if derivative else None
-    for b, (bond, (fwd, rev)) in enumerate(zip(graph.bonds, sols)):
-        M[:, b, b] = fwd.f_prime_at_0
-        M[:, B + b, B + b] = rev.f_prime_at_0
+    for b, (bond, sol) in enumerate(zip(graph.bonds, sols)):
+        M[:, b, b] = sol.f_prime_at_0
+        M[:, B + b, B + b] = sol.f_prime_at_L
         # the off-diagonal exp(-log u) exp(+-i A L), dropped once it underflows
-        keep = fwd.log_u < UNDERFLOW_LOG
-        decay = np.where(keep, np.exp(-np.minimum(fwd.log_u, UNDERFLOW_LOG)),
+        keep = sol.log_u < UNDERFLOW_LOG
+        decay = np.where(keep, np.exp(-np.minimum(sol.log_u, UNDERFLOW_LOG)),
                          0.0)
         phase = cmath.exp(1j * bond.vector_potential * bond.length)
         M[:, B + b, b] = decay * phase
         M[:, b, B + b] = decay * phase.conjugate()
         if derivative:
-            dM[:, b, b] = fwd.df_prime_at_0_dt
-            dM[:, B + b, B + b] = rev.df_prime_at_0_dt
-            dM[:, B + b, b] = -fwd.dlog_u_dt * M[:, B + b, b]
-            dM[:, b, B + b] = -fwd.dlog_u_dt * M[:, b, B + b]
+            dM[:, b, b] = sol.df_prime_at_0_dt
+            dM[:, B + b, B + b] = sol.df_prime_at_L_dt
+            dM[:, B + b, b] = -sol.dlog_u_dt * M[:, B + b, b]
+            dM[:, b, B + b] = -sol.dlog_u_dt * M[:, b, B + b]
     return mc.A + mc.B @ M, M, dM
 
 
@@ -326,9 +319,9 @@ def dlogF_dL_imag(graph, mc, bond_id, t, sols=None):
     its terminus.
 
     tr[(A + B M)^-1 B dM/dL].  With u the Dirichlet solution (u(0) = 0,
-    u'(0) = 1) and m = -u'(L)/u(L) the reversed-orientation entry of M,
-    the bond's block of dM/dL is 1/u(L)^2 on the forward diagonal,
-    -(t^2 + V(L) - m^2) on the reverse diagonal, and m + i A and m - i A
+    u'(0) = 1) and m = -u'(L)/u(L) the L-end entry of M, the bond's
+    block of dM/dL is 1/u(L)^2 on the 0-end diagonal,
+    -(t^2 + V(L) - m^2) on the L-end diagonal, and m + i A and m - i A
     times the off-diagonal entries exp(+i A L)/u(L) and exp(-i A L)/u(L).
     The solves it reads are the ones M was built from, so no bond is
     solved twice, and they need not carry t-derivatives.
@@ -339,14 +332,12 @@ def dlogF_dL_imag(graph, mc, bond_id, t, sols=None):
     if sols is None:
         sols = bond_solutions(graph, t, derivative=False)
     K, M, _ = _secular_system(graph, mc, sols)
-    fwd = sols[b][0]
-    m_rev = M[:, B + b, B + b]
+    m = sols[b].f_prime_at_L
     phase = 1j * bond.vector_potential
     dM = np.zeros_like(M)
-    dM[:, b, b] = np.exp(-2.0 * fwd.log_u)
-    dM[:, B + b, B + b] = -(t * t + bond.potential.value(bond.length)
-                            - m_rev * m_rev)
-    dM[:, B + b, b] = (m_rev + phase) * M[:, B + b, b]
-    dM[:, b, B + b] = (m_rev - phase) * M[:, b, B + b]
+    dM[:, b, b] = np.exp(-2.0 * sols[b].log_u)
+    dM[:, B + b, B + b] = -(t * t + bond.potential.value(bond.length) - m * m)
+    dM[:, B + b, b] = (m + phase) * M[:, B + b, b]
+    dM[:, b, B + b] = (m - phase) * M[:, b, B + b]
     return np.trace(_solve(K, mc.B @ dM, t), axis1=1, axis2=2)
 

@@ -336,28 +336,14 @@ def _sin_over_pi(s):
     return cmath.sin(math.pi * s) / math.pi
 
 
-def _k_frac(s, j):
-    """sin(pi s) / (pi (2s + j)).
-
-    For even j the zero of the sine cancels the pole; the series branch
-    keeps the value finite when s sits on (or within rounding of) -j/2.
-    """
-    if j % 2 == 0:
-        d = s + j / 2.0
-        sign = -1.0 if (j // 2) % 2 else 1.0
-        if abs(d) < 1e-6:
-            pd = math.pi * d
-            return sign * (0.5 - pd * pd / 12.0)
-        return sign * cmath.sin(math.pi * d) / (2.0 * math.pi * d)
-    return cmath.sin(math.pi * s) / (math.pi * (2.0 * s + j))
-
-
-# binom(-m/2, n) for m = 1..6 (rows) and n = 1..64 (columns), and the
-# order m - 2 + 2n of the _k_frac each multiplies in _restored; at
-# r <= 1/2 the terms past n = 64 add less than 1e-17 of the sum
-_N = np.arange(1, 65)
+# binom(-m/2, n) for m = 1..6 (rows) and n = 0..64 (columns), and the
+# order m - 2 + 2n of the sin(pi s)/(pi (2s + order)) each multiplies in
+# _restored; at r <= 1/2 the terms past n = 64 add less than 1e-17 of the
+# sum
+_N = np.arange(65)
 _M = np.arange(1, 7)[:, None]
-_BINOM = np.cumprod((-0.5 * _M - _N + 1.0) / _N, axis=1)
+_BINOM = np.cumprod(np.hstack((np.ones((6, 1)),
+                               (-0.5 * _M - _N[1:] + 1.0) / _N[1:])), axis=1)
 _ORDER = _M - 2.0 + 2.0 * _N
 
 
@@ -368,29 +354,22 @@ def _restored(s, gamma, J, parts):
     binomial series of (1 + gamma/tau^2)^(-m/2) integrates term by term:
 
         sin(pi s)/pi integral_J^inf tau^(1-2s) c t^(-m) dtau
-            = c J^(2-2s-m) sum_n binom(-m/2, n) r^n _k_frac(s, m - 2 + 2n).
+            = c J^(2-2s-m) sum_n binom(-m/2, n) r^n
+              sin(pi s)/(pi (2s + m - 2 + 2n)).
 
-    At gamma = 0 only n = 0 remains; the volume term m = 1, last in each
-    Dirichlet part, is formed as (K c)/(2s - 1), K = sin(pi s)/pi, which
-    fixes the rounding of the gamma = 0 values.  For n >= 1 the sine is
-    reduced by the nearest integer q, accurate near the removable poles
-    s = q <= -1 of the even orders; on one a term is its limit (-1)^q/2.
+    At gamma = 0 only n = 0 remains.  The sine is reduced by the nearest
+    integer q, accurate near the removable poles s = q <= 0 of the even
+    orders; on one a term is its limit (-1)^q/2.
     """
     q = round(s.real)
     den = 2.0 * s + _ORDER
-    pole = den == 0.0
+    pole = (den == 0.0) & (_ORDER % 2 == 0)
     den[pole] = math.inf
     k = (-1.0) ** q * cmath.sin(math.pi * (s - q)) / math.pi / den
     k[pole] = 0.5 * (-1.0) ** q
-    tails = (_BINOM * k) @ (gamma / (J * J)) ** _N
-    K = _sin_over_pi(s)
-
-    def term(m, c):
-        head = K * c / (2.0 * s - 1.0) if m == 1 else c * _k_frac(s, m - 2)
-        return (head + c * tails[m - 1]) * J ** (2.0 - 2.0 * s - m)
-
-    return np.array([sum(term(m, c) for m, c in terms if c)
-                     for terms in parts])
+    terms = (_BINOM * k) @ (gamma / (J * J)) ** _N
+    return np.array([sum(c * terms[m - 1] * J ** (2.0 - 2.0 * s - m)
+                         for m, c in part if c) for part in parts])
 
 
 def residues_at_minus_half(graph, asym):
@@ -525,13 +504,14 @@ def _zeta_parts(s: complex, gamma: float, tol: float, bonds, secular=None):
         cols = []
         if secular is not None:
             sols = bond_solutions(graph, t)
-            fwd = dict(zip(graph.bonds, (f for f, _ in sols)))
+            solved = dict(zip(graph.bonds, sols))
             col = logF_slope_imag(graph, mc, t, sols)
             col[sub] = _subtract_powers(col[sub], ts, power, asym.log_coeffs)
             cols.append(col / t)
 
         def dirichlet(bond):
-            sol = fwd[bond] if secular is not None else bond_solution(bond, t)
+            sol = (solved[bond] if secular is not None
+                   else bond_solution(bond, t))
             col = sol.dlog_u_dt.copy()
             col[sub] = dirichlet_subtracted_derivative(bond, ts, sol.take(sub))
             return col / t
@@ -647,9 +627,9 @@ def minus_half_data(graph, mc, *, tol: float = 1e-10) -> MinusHalfData:
             if aj:
                 col[sub] -= (aj * ts ** (-j)).real
         cols = [col]
-        for bond, ej, (fwd, _) in zip(graph.bonds, expansions, sols):
-            col = fwd.log_u.copy()
-            col[sub] = fwd.log_u_excess[sub] + np.log(2.0 * ts)
+        for bond, ej, sol in zip(graph.bonds, expansions, sols):
+            col = sol.log_u.copy()
+            col[sub] = sol.log_u_excess[sub] + np.log(2.0 * ts)
             for j, e in ej.items():
                 if e:
                     col[sub] -= e * ts ** (-j)

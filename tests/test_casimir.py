@@ -103,6 +103,37 @@ def test_mu_sensitivity_nonzero_for_delta_star():
     assert abs(mu_sensitivity(graph, mc, 1)) < 1e-9
 
 
+def test_mu_sensitivity_is_exactly_zero_on_compact_bonds():
+    # compact at L and L - h, a bond's residues at L +- h come from the
+    # same inputs: WKB end tables of zero and the same clipped integral of
+    # V, so the difference is exactly 0.0, at the step energy differences
+    # take as well as at the default
+    cases = [make_bump_interval(center=c, half_width=0.2)
+             for c in (0.35, 0.5, 0.65)]
+    cases += [make_interval(1.3), make_star(1.0),
+              make_star(0.0, lengths=(1.0, 1.3, 0.8)),
+              make_chain(bump=BUMP), make_chain(bump=BUMP, bump_bond=0)]
+    for graph, mc in cases:
+        for bond in graph.bonds:
+            if bond.potential.compact(bond.length):
+                for h in (1e-4, 1e-4 / bond.length):
+                    assert mu_sensitivity(graph, mc, bond.id, h) == 0.0
+
+
+def test_mu_sensitivity_refuses_a_step_outside_zero_to_one():
+    graph, mc = make_star(1.0)
+    for h in (0.0, -1e-4, 1.0, 2.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(UnsupportedError, match="0 < h < 1"):
+            mu_sensitivity(graph, mc, 1, h)
+
+
+def test_energy_fd_refuses_a_step_outside_zero_to_l():
+    graph, mc = make_star(1.0, lengths=(1.0, 0.5, 0.8))
+    for h in (0.0, -1e-4, 0.5, 0.7, math.nan, math.inf, -math.inf):
+        with pytest.raises(UnsupportedError, match="0 < h < L"):
+            energy_finite_difference(graph, mc, 2, h)
+
+
 def test_energy_fd_refuses_noncompact():
     graph, mc = make_interval(1.0, potential={"kind": "constant",
                                               "value": 1.0})

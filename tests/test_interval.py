@@ -26,16 +26,18 @@ def free_reference(t, L=1.0):
     return fp, dfp, log_u, dlog_u
 
 
-def dop853_reference(bond, t, reverse=False):
+def dop853_reference(bond, t, mirrored=False):
     """(f'(0), d/dt f'(0), log u(L), d/dt log u(L)) by forward DOP853
     integration of u, v and their t-derivatives, with segment rescaling
-    so exponential growth stays inside double range."""
+    so exponential growth stays inside double range; with mirrored=True
+    of the bond whose potential is V(L - x), whose f'(0) is the bond's
+    f_prime_at_L."""
     L = bond.length
     pot = bond.potential
     tt = t * t
 
     def rhs(x, y):
-        q = tt + pot.value(L - x if reverse else x)
+        q = tt + pot.value(L - x if mirrored else x)
         return (y[1], q * y[0], y[3], q * y[2],
                 y[5], q * y[4] + 2.0 * t * y[0],
                 y[7], q * y[6] + 2.0 * t * y[2])
@@ -150,23 +152,31 @@ def d_scaled_error(got, ref, ks):
             / (np.abs(ref) * scale).max(axis=(1, 2)))
 
 
-def sweep_reference(bond, t, reverse=False):
-    """BondSolution by the per-segment Moebius recurrence
+def one_end(sol, end):
+    """The fields of a BondSolution seen from one end of the bond, "0" or
+    "L": that end's f'/f and its t-derivative, then log u, its
+    t-derivative and log u - t L."""
+    fp = sol[:2] if end == "0" else sol[2:4]
+    return tuple(fp) + tuple(sol[4:])
+
+
+def sweep_reference(bond, t, end="0"):
+    """one_end of the BondSolution by the per-segment Moebius recurrence
     m <- ((1 + D) m - T)/(1 - D - m P) over the fourth-order Magnus maps
-    of the n-segment cut, one segment at a time, with the two Gauss
-    points of each segment in the order the sweep meets them."""
+    of the n-segment cut, one segment at a time from the far end, x = L
+    for end "0" and x = 0 for end "L", with the two Gauss points of each
+    segment in the order the recurrence meets them."""
     L = bond.length
     pot = bond.potential
-    if reverse and pot.symmetric(L):
-        reverse = False
+    from_0 = end == "L"
     a, b = pot.support(L)
     n = segment_count(bond, interval.PER_WIDTH)
-    first, last = (a, L - b) if reverse else (L - b, a)
+    first, last = (a, L - b) if from_0 else (L - b, a)
     h = (b - a) / n
     w = np.concatenate(([first], np.full(n, h), [last]))
     # the Gauss points' distances from the end the sweep starts at
     g = 0.5 / math.sqrt(3.0)
-    V1, V2 = (np.concatenate(([0.0], pot.value(a + x if reverse else b - x),
+    V1, V2 = (np.concatenate(([0.0], pot.value(a + x if from_0 else b - x),
                               [0.0]))
               for x in ((np.arange(n) + 0.5 - g) * h,
                         (np.arange(n) + 0.5 + g) * h))
@@ -181,8 +191,8 @@ def sweep_reference(bond, t, reverse=False):
          + 1j * (CSTEP * dlog_cosh + d.imag / d.real).sum(axis=-1))
     fp = 1.0 / m
     lu = s + np.log(-m)
-    return BondSolution(fp.real, fp.imag / CSTEP, t * L + lu.real,
-                        lu.imag / CSTEP, lu.real)
+    return (fp.real, fp.imag / CSTEP, t * L + lu.real, lu.imag / CSTEP,
+            lu.real)
 
 
 # height 100 takes n = 1,801 segments, past the range of an unscaled
@@ -199,14 +209,16 @@ def above_floor(bond, count):
 
 @pytest.mark.parametrize("kw", SWEEP_CASES, ids=lambda kw: str(kw["height"]))
 def test_sweep_matches_sequential_recurrence(kw):
+    # both ends of the one sweep from x = 0, each against the recurrence
+    # that starts at the other end
     bond = make_bump_interval(**kw)[0].bonds[0]
     t = above_floor(bond, 41)
-    for reverse in (False, True):
-        got = bond_solution(bond, t, reverse=reverse)
-        ref = sweep_reference(bond, t, reverse)
-        for field, g, r in zip(BondSolution._fields, got, ref):
+    got = bond_solution(bond, t)
+    for end in ("0", "L"):
+        ref = sweep_reference(bond, t, end)
+        for i, (g, r) in enumerate(zip(one_end(got, end), ref)):
             bound = 1e-13 * np.maximum(1.0, np.abs(r))
-            assert np.all(np.abs(g - r) <= bound), (field, reverse)
+            assert np.all(np.abs(g - r) <= bound), (i, end)
 
 
 @pytest.mark.parametrize("kw", SWEEP_CASES, ids=lambda kw: str(kw["height"]))
@@ -215,8 +227,7 @@ def test_sweep_converges_in_segment_count(kw, monkeypatch):
     # times as many segments, which is converged to rounding
     bond = make_bump_interval(**kw)[0].bonds[0]
     t = above_floor(bond, 41)
-    got = [bond_solution(bond, t, reverse=reverse)
-           for reverse in (False, True)]
+    got = bond_solution(bond, t)
     count = interval._segment_count
 
     def refined(bond, per_width):
@@ -224,11 +235,10 @@ def test_sweep_converges_in_segment_count(kw, monkeypatch):
         return a, b, 16 * n
 
     monkeypatch.setattr(interval, "_segment_count", refined)
-    for reverse, g_sol in zip((False, True), got):
-        ref = bond_solution(bond, t, reverse=reverse)
-        for field, g, r in zip(BondSolution._fields, g_sol, ref):
-            bound = 5e-12 * np.maximum(1.0, np.abs(r))
-            assert np.all(np.abs(g - r) <= bound), (field, reverse)
+    ref = bond_solution(bond, t)
+    for field, g, r in zip(BondSolution._fields, got, ref):
+        bound = 5e-12 * np.maximum(1.0, np.abs(r))
+        assert np.all(np.abs(g - r) <= bound), field
 
 
 def test_sweep_memory_does_not_grow_with_segment_count():
@@ -255,12 +265,10 @@ def test_sweep_is_batch_invariant(kw):
     # a node's result must not depend on the nodes batched with it
     bond = make_bump_interval(**kw)[0].bonds[0]
     t = above_floor(bond, 33)
-    for reverse in (False, True):
-        got = bond_solution(bond, t, reverse=reverse)
-        one = [bond_solution(bond, t[i:i + 1], reverse=reverse)
-               for i in range(len(t))]
-        for g, *single in zip(got, *one):
-            assert np.array_equal(g, np.concatenate(single))
+    got = bond_solution(bond, t)
+    one = [bond_solution(bond, t[i:i + 1]) for i in range(len(t))]
+    for g, *single in zip(got, *one):
+        assert np.array_equal(g, np.concatenate(single))
 
 
 @pytest.mark.parametrize("kw", SWEEP_CASES, ids=lambda kw: str(kw["height"]))
@@ -269,15 +277,15 @@ def test_real_pass_matches_complex_step(kw):
     # the same values up to complex against real rounding
     bond = make_bump_interval(**kw)[0].bonds[0]
     t = above_floor(bond, 41)
-    for reverse in (False, True):
-        ref = bond_solution(bond, t, reverse=reverse)
-        got = bond_solution(bond, t, reverse=reverse, derivative=False)
-        assert got.df_prime_at_0_dt is None and got.dlog_u_dt is None
-        for field in ("f_prime_at_0", "log_u", "log_u_excess"):
-            g, r = getattr(got, field), getattr(ref, field)
-            assert g.dtype == np.float64, field
-            bound = 1e-15 * np.maximum(1.0, np.abs(r))
-            assert np.all(np.abs(g - r) <= bound), (field, reverse)
+    ref = bond_solution(bond, t)
+    got = bond_solution(bond, t, derivative=False)
+    assert got.df_prime_at_0_dt is None and got.df_prime_at_L_dt is None
+    assert got.dlog_u_dt is None
+    for field in ("f_prime_at_0", "f_prime_at_L", "log_u", "log_u_excess"):
+        g, r = getattr(got, field), getattr(ref, field)
+        assert g.dtype == np.float64, field
+        bound = 1e-15 * np.maximum(1.0, np.abs(r))
+        assert np.all(np.abs(g - r) <= bound), field
 
 
 def test_derivative_free_solutions_refuse_derivative_kernels():
@@ -286,11 +294,13 @@ def test_derivative_free_solutions_refuse_derivative_kernels():
         bond = make_interval(1.0, potential=potential)[0].bonds[0]
         got = bond_solution(bond, t, derivative=False)
         assert got.df_prime_at_0_dt is None and got.dlog_u_dt is None
+        assert got.df_prime_at_L_dt is None
         assert got.take(t > 1.0).dlog_u_dt is None
         if potential is None or potential["kind"] == "constant":
             # the closed forms are the same expressions either way
             ref = bond_solution(bond, t)
-            for field in ("f_prime_at_0", "log_u", "log_u_excess"):
+            for field in ("f_prime_at_0", "f_prime_at_L", "log_u",
+                          "log_u_excess"):
                 assert np.array_equal(getattr(got, field),
                                       getattr(ref, field)), field
     graph, mc = make_chain(bump=BUMP)
@@ -298,7 +308,7 @@ def test_derivative_free_solutions_refuse_derivative_kernels():
     with pytest.raises(ValueError, match="t-derivatives"):
         logF_slope_imag(graph, mc, t, sols)
     with pytest.raises(AttributeError):
-        dirichlet_subtracted_derivative(graph.bonds[1], t, sols[1][0])
+        dirichlet_subtracted_derivative(graph.bonds[1], t, sols[1])
 
 
 def test_block_product_against_sequential_product():
@@ -334,8 +344,10 @@ def test_free_bond_closed_forms(regime, t_lo, t_hi):
     sol = bond_solution(bond, ts)
     for i, t in enumerate(ts):
         ref = free_reference(t)
-        for g, r in zip(sol[:4], ref):
-            assert abs(g[i] - r) <= 1e-10 * max(1.0, abs(r))
+        # a free bond is its own mirror image: both ends take the same form
+        for end in ("0", "L"):
+            for g, r in zip(one_end(sol, end), ref):
+                assert abs(g[i] - r) <= 1e-10 * max(1.0, abs(r)), end
 
 
 def test_analytic_path_small_and_large_t():
@@ -371,11 +383,10 @@ def test_only_bump_bonds_enter_the_sweep(monkeypatch):
     for potential, swept in cases:
         bond = make_interval(1.0, potential=potential)[0].bonds[0]
         for derivative in (True, False):
-            for reverse in (False, True):
-                seen.clear()
-                bond_solution(bond, t, reverse=reverse, derivative=derivative)
-                assert seen == ([derivative] if swept else []), (
-                    potential, derivative, reverse)
+            seen.clear()
+            bond_solution(bond, t, derivative=derivative)
+            assert seen == ([derivative] if swept else []), (
+                potential, derivative)
 
 
 def test_constant_potential_shifts_the_frequency():
@@ -395,16 +406,16 @@ def test_methods_agree_on_bump():
              (make_bump_interval(center=0.35, half_width=0.2, height=4.0),
               2e-9),
              (make_bump_interval(height=100.0), 2e-11)]
+    ts = np.array([0.3, 2.0, 8.0, 25.0, 40.0])
     for graph_mc, rel in cases:
         bond = graph_mc[0].bonds[0]
-        for reverse in (False, True):
-            ts = np.array([0.3, 2.0, 8.0, 25.0, 40.0])
-            sol = bond_solution(bond, ts, reverse=reverse)
+        sol = bond_solution(bond, ts)
+        for end in ("0", "L"):
             for i, t in enumerate(ts):
-                ref = dop853_reference(bond, t, reverse)
-                for g, r in zip(sol[:4], ref):
+                ref = dop853_reference(bond, t, mirrored=end == "L")
+                for g, r in zip(one_end(sol, end), ref):
                     err = abs(g[i] - r)
-                    assert err <= rel * max(1.0, abs(r))
+                    assert err <= rel * max(1.0, abs(r)), end
 
 
 def test_t_derivatives_near_zero():
@@ -438,13 +449,49 @@ def test_t_derivatives_match_finite_differences():
 
 
 def test_reverse_solve_on_asymmetric_potential():
+    # the two ends of an off-centre bump differ, and the L end is the 0 end
+    # of the mirrored bond
     bond = make_bump_interval(center=0.35, half_width=0.2, height=4.0)[0].bonds[0]
+    mirror = make_bump_interval(center=0.65, half_width=0.2,
+                                height=4.0)[0].bonds[0]
     t = np.array([2.0])
-    fwd = bond_solution(bond, t)
-    rev = bond_solution(bond, t, reverse=True)
-    assert fwd.f_prime_at_0[0] != pytest.approx(rev.f_prime_at_0[0], rel=1e-6)
+    sol = bond_solution(bond, t)
+    rev = bond_solution(mirror, t)
+    assert sol.f_prime_at_0[0] != pytest.approx(sol.f_prime_at_L[0], rel=1e-6)
+    assert sol.f_prime_at_L[0] == pytest.approx(rev.f_prime_at_0[0],
+                                                rel=1e-12)
     # log u is direction independent: same Dirichlet data both ways
-    assert fwd.log_u[0] == pytest.approx(rev.log_u[0], rel=1e-10)
+    assert sol.log_u[0] == pytest.approx(rev.log_u[0], rel=1e-10)
+
+
+@pytest.mark.parametrize("height", [0.3, 3.0, 100.0, -3.0, 5.0])
+def test_ends_match_the_mirrored_bond(height):
+    # each end of an off-centre bump, on both passes and from t = 1e-4
+    # (or the spectral floor) to 1e7, is the other end of the bond with
+    # the bump mirrored, centre -> L - centre; log u is the same for both
+    bump = dict(half_width=0.2, height=height)
+    bond = make_bump_interval(center=0.35, **bump)[0].bonds[0]
+    mirror = make_bump_interval(center=0.65, **bump)[0].bonds[0]
+    floor = math.sqrt(max(0.0, -height)) + 1e-6
+    t = np.geomspace(max(1e-4, floor), 1e7, 120)
+    pairs = [("f_prime_at_L", "f_prime_at_0"),
+             ("f_prime_at_0", "f_prime_at_L"),
+             ("df_prime_at_L_dt", "df_prime_at_0_dt"),
+             ("df_prime_at_0_dt", "df_prime_at_L_dt")]
+    for derivative in (True, False):
+        got = bond_solution(bond, t, derivative=derivative)
+        ref = bond_solution(mirror, t, derivative=derivative)
+        for field, mirrored in pairs[:4 if derivative else 2]:
+            g, r = getattr(got, field), getattr(ref, mirrored)
+            assert np.all(np.abs(g - r) <= 1e-13 * np.abs(r)), (
+                field, derivative)
+        for field in ("log_u", "dlog_u_dt", "log_u_excess"):
+            g, r = getattr(got, field), getattr(ref, field)
+            if r is None:
+                assert g is None and not derivative
+                continue
+            bound = 1e-13 * np.maximum(1.0, np.abs(r))
+            assert np.all(np.abs(g - r) <= bound), (field, derivative)
 
 
 def test_subtracted_log_u_tracks_expansion():

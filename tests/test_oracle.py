@@ -262,6 +262,16 @@ def test_zeta_direct_needs_window():
                                    count_estimate=3.0), 0.75)
 
 
+def test_zeta_direct_refuses_non_finite_s_and_gamma():
+    graph, mc = make_interval(1.0)
+    window = scan_spectrum(graph, mc, 60.0)
+    nan, inf = math.nan, math.inf
+    for s, gamma in ((nan, 0.0), (inf, 0.0), (complex(0.75, inf), 0.0),
+                     (complex(nan, 0.0), 0.5), (0.75, nan), (0.75, inf)):
+        with pytest.raises(UnsupportedError, match="finite"):
+            zeta_direct(window, s, gamma)
+
+
 def quad_tail(K, s, gamma, extra):
     """integral_K^inf (gamma + k^2)^(-s) k^(-extra) dk by QUADPACK: k = K/x
     on (0, 1], with the power x^(2 Re s - 2 + extra) as the algebraic

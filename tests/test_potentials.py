@@ -37,8 +37,6 @@ def test_bump_shape():
     assert p.compact(1.0)
     assert not p.compact(0.7)
     assert p.support(1.0) == (0.2, 0.8)
-    assert p.symmetric(1.0)
-    assert not p.symmetric(0.9)
     xs = np.linspace(0.0, 1.0, 7)
     vals = p.value(xs)
     assert vals.shape == xs.shape

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import (BUMP, from_doc, make_bump_interval, make_chain,
                       make_circle, make_interval, make_star)
+import graphzeta.interval as interval
 import graphzeta.secular as secular
 import graphzeta.zeta as zeta_module
 from graphzeta import (F_imag, NumericalError, asymptotic_F_coefficients,
@@ -16,6 +17,8 @@ from graphzeta.interval import (bond_solution, dirichlet_subtracted_derivative,
 from graphzeta.secular import (_assemble_real, bond_solutions, dlogF_dL_imag,
                                logF_imag, logF_slope_imag,
                                secular_matrices_real)
+
+OFF_CENTRE = {**BUMP, "center": 0.35, "half_width": 0.2}
 
 
 def test_interval_singular_exactly_at_eigenvalues():
@@ -200,16 +203,15 @@ def test_length_derivative_of_log_F():
     # the derivative must vanish identically there; elsewhere the closed
     # form must reproduce a central difference of log F itself: the
     # unequal star moves a bond unlike its neighbours, the off-centre bump
-    # needs the reversed solve and the flux circle the phase terms
+    # needs the L-end field and the flux circle the phase terms
     graph, mc = make_interval(1.0)
     got = dlogF_dL_imag(graph, mc, 1, np.array([0.8, 2.5, 12.0]))
     assert np.all(np.abs(got) <= 1e-12)
 
     h = 1e-6
-    off_centre = {**BUMP, "center": 0.35, "half_width": 0.2}
     cases = ((make_star(1.0), 2),
              (make_star(1.0, lengths=(1.0, 1.7, 0.6)), 2),
-             (make_chain(bump=off_centre), 2),
+             (make_chain(bump=OFF_CENTRE), 2),
              (make_circle(1.0, 0.5), 1))
     for (graph, mc), bond in cases:
         L = graph.bond_by_id(bond).length
@@ -228,13 +230,13 @@ def test_batched_kernels_match_single_nodes():
     # One t-array across every masked branch: x = t L below 1e-8, below
     # 0.15 and above 350 on the free and constant bonds, log u >= 690
     # where M drops the off-diagonal entries, and the series and closed
-    # branches of the sweep on an off-centre bump, which is also solved
-    # reversed; bond 2 carries a flux.  Every node of the batch must equal
+    # branches of the sweep on an off-centre bump, whose two ends differ;
+    # bond 2 carries a flux.  Every node of the batch must equal
     # the call on that node alone, without a RuntimeWarning.
     graph, mc = from_doc({
         "vertices": 4,
         "bonds": [{"id": 1, "origin": 1, "terminus": 2, "length": 1.0,
-                   "potential": {**BUMP, "center": 0.35, "half_width": 0.2}},
+                   "potential": OFF_CENTRE},
                   {"id": 2, "origin": 2, "terminus": 3, "length": 1.3,
                    "vector_potential": 0.7},
                   {"id": 3, "origin": 3, "terminus": 4, "length": 0.8,
@@ -253,7 +255,7 @@ def test_batched_kernels_match_single_nodes():
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         sols = bond_solutions(graph, t)
-        assert sols[0][1] is not sols[0][0]
+        assert not np.array_equal(sols[0].f_prime_at_0, sols[0].f_prime_at_L)
         kernels = [lambda x, s: logF_imag(graph, mc, x, s)[0],
                    lambda x, s: logF_imag(graph, mc, x, s)[1],
                    lambda x, s: logF_slope_imag(graph, mc, x, s)]
@@ -263,8 +265,8 @@ def test_batched_kernels_match_single_nodes():
         for i in range(len(t)):
             node = t[i:i + 1]
             one = bond_solutions(graph, node)
-            for (fwd, rev), (fwd1, rev1) in zip(sols, one):
-                for field, field1 in zip(fwd + rev, fwd1 + rev1):
+            for sol, sol1 in zip(sols, one):
+                for field, field1 in zip(sol, sol1):
                     same(field, field1, i)
             for k, full in zip(kernels, batched):
                 same(full, k(node, one), i)
@@ -293,10 +295,13 @@ def spy(monkeypatch, module, name):
     ({}, 1),
     ({"lengths": (1.0, 1.3, 0.8)}, 3),
     ({"potentials": [(1, BUMP)]}, 2),
+    ({"potentials": [(1, OFF_CENTRE)]}, 2),
     ({"fluxes": [(2, 0.7)]}, 1),
-], ids=["equal", "unequal", "bump_on_one", "flux_on_one"])
+], ids=["equal", "unequal", "bump_on_one", "off_centre_bump_on_one",
+        "flux_on_one"])
 def test_one_solve_per_distinct_bond(monkeypatch, star, solves):
-    # bonds that share (length, potential) share one solve on both axes;
+    # bonds that share (length, potential) share one solve on both axes,
+    # which gives both ends of the bond, an off-centre bump's included;
     # the flux enters only in assembly.  The shared results are bitwise
     # those of a bond-by-bond solve.
     graph, mc = make_star(1.0, **star)
@@ -308,11 +313,9 @@ def test_one_solve_per_distinct_bond(monkeypatch, star, solves):
         del solved[:]
         sols = bond_solutions(graph, t, derivative=derivative)
         assert len(solved) == solves
-        for bond, (fwd, rev) in zip(graph.bonds, sols):
+        for bond, sol in zip(graph.bonds, sols):
             one = bond_solution(bond, t, derivative=derivative)
-            one_rev = bond_solution(bond, t, reverse=True,
-                                    derivative=derivative)
-            for got, want in zip(fwd + rev, one + one_rev):
+            for got, want in zip(sol, one):
                 assert (got is None and want is None
                         or np.array_equal(got, want))
     S, dS = secular_matrices_real(graph, mc, ks, derivative=True)
@@ -322,6 +325,25 @@ def test_one_solve_per_distinct_bond(monkeypatch, star, solves):
     assert np.array_equal(S, _assemble_real(graph, mc, T, len(ks)))
     assert np.array_equal(dS, _assemble_real(graph, mc, dT, len(ks),
                                              unit=0.0))
+
+
+def test_off_centre_bump_is_swept_once(monkeypatch):
+    # one sweep from x = 0 gives both ends of an off-centre bump bond, on
+    # both passes; the free bonds of the chain take the closed forms
+    graph, _ = make_chain(bump=OFF_CENTRE)
+    sweeps = []
+    sweep = interval._sweep
+
+    def spied(t, w, V1, V2, derivative):
+        sweeps.append(derivative)
+        return sweep(t, w, V1, V2, derivative)
+
+    monkeypatch.setattr(interval, "_sweep", spied)
+    t = np.array([0.01, 0.7, 3.0, 40.0, 2000.0])
+    for derivative in (True, False):
+        del sweeps[:]
+        bond_solutions(graph, t, derivative=derivative)
+        assert sweeps == [derivative]
 
 
 def test_zeta_integrand_solves_and_subtracts_an_equal_star_once(monkeypatch):
