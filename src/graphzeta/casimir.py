@@ -125,8 +125,13 @@ def mu_sensitivity(graph, mc, bond_id: str, h: float = 1e-4) -> float:
     if not 0.0 < h < 1.0:
         raise UnsupportedError(
             "mu_sensitivity needs a finite relative step h with 0 < h < 1")
-    L = graph.bond_by_id(bond_id).length
+    bond = graph.bond_by_id(bond_id)
+    L = bond.length
     step = h * L
+    if bond.potential.kind == "bump" and not bond.potential.compact(L - step):
+        raise UnsupportedError(
+            f"mu_sensitivity on bond '{bond_id}' needs the bump inside the "
+            f"bond at lengths {L - step:g} and {L + step:g}")
 
     def res_half(g):
         res_im, res_dir = residues_at_minus_half(

@@ -1,32 +1,28 @@
-"""Single-bond solutions of -f'' + V f = k^2 f on both spectral axes.
+"""Single-bond solutions of -f'' + V f = E f on both spectral axes.
+
+Both axes read the transfer matrix of a bond on (f, f'), the product of
+fourth-order Magnus segment maps (_segments) at E = -t^2 for the
+rotated-axis integrals and at E = k^2 for the spectral scan, formed by
+one sweep from x = 0 (_sweep).  The maps are exact for a constant
+potential at every E, so one segment count serves every E and all
+entries sweep together: PER_WIDTH on the imaginary axis and for the
+scan's Newton steps and root checks, COARSE_PER_WIDTH on its coarse grid.
 
 Imaginary axis (k = i t): bond_solution returns, over an array of t, the
 boundary data entering the secular matrix at both ends of the bond, the
 logarithmic derivatives f'/f of the solutions decaying away from each
 end, the logarithm of the Dirichlet solution u(L), and their
-t-derivatives.  The t-derivatives come from a complex step and are
+t-derivatives.  The sweep keeps all growth in log form, so large t L
+never overflows.  The t-derivatives come from a complex step and are
 formed only on request: zeta's h'(t)/t integrand reads them, while the
 vacuum energy, the Casimir force and the secular determinant on its own
 read only log F and log u and take a float64 pass at half to three
-quarters of the cost.
-Zero and constant potentials have closed forms, with their small- and
-large-x branches selected per node; every other potential goes through
-one sweep from x = 0 of fourth-order Magnus segment maps, which are
-exact for a constant potential at every t, so one segment count serves
-all t and all nodes sweep together.  The sweep multiplies the 2x2
-segment maps pairwise, a fixed-length block at a time, and keeps all
-growth in log form, so large t L never overflows; both ends of the bond
-are read from the one transfer matrix it forms.
+quarters of the cost.  Zero and constant potentials take closed forms
+instead, with their small- and large-x branches selected per node.
 
-Real axis: batched 2x2 transfer matrices for the magnetic-gauge-removed
-equation, used by the spectral scan.  A bump bond is cut into the
-segments of the same layout, mapped by the same two-Gauss-point Magnus
-exponent, here by cos and sin (cosh and sinh below the potential) at
-every k, so the error does not grow with k; the maps are multiplied
-pairwise a block at a time, and the k-derivative is a complex step
-through the same maps.  One count rule serves both axes: PER_WIDTH for
-the imaginary sweep and the scan's Newton steps and root checks,
-COARSE_PER_WIDTH for the scan's coarse grid.
+Real axis: transfer_matrices_real returns the batched transfer matrices
+of the magnetic-gauge-removed equation for the scan, and their
+k-derivative from a complex step through the same maps.
 """
 
 from __future__ import annotations
@@ -120,48 +116,110 @@ def _analytic(bond, t, derivative: bool) -> BondSolution:
         excess)
 
 
-def _segments(t, w, V1, V2, derivative: bool):
-    """The segment maps of _sweep at the nodes t: D, T, P and
-    log cosh(theta) - t w, and with derivative=True the t-derivative of
-    the last.
+def _segments(e, de, w, V1, V2, step):
+    """The maps on (f, f') of segments of widths w whose potentials are V1
+    and V2 at their two Gauss points, at every entry of the column e = -E
+    (t^2 on the imaginary axis, -k^2 on the real one), as
+    e^ell [[a + D, T], [P, a - D]]: (a, D, T, P, ell, dell) over (entries,
+    segments), with ell None where a block oscillates and dell None
+    without a complex step.
 
-    With derivative=False, the pass of bond_solution's energy and force
-    callers, all four are float64.  With derivative=True D, T and P are
-    at the complex step t + i CSTEP, their t-derivatives formed in real
-    arithmetic and entering as imaginary parts; below theta = 1e-2 the
-    series in z = theta^2 keep the derivative exact.  A segment of width
-    zero is the identity.
+    A segment maps by exp([[beta, w], [w q, -beta]]), q = e + (V1 + V2)/2,
+    beta = (sqrt 3/12) w^2 (V1 - V2): the two-Gauss-point Magnus
+    exponential (Iserles and Norsett, Proc. R. Soc. A 455, 1999; Blanes,
+    Casas, Oteo and Ros, Phys. Rep. 470, 2009), fourth order in w and
+    exact for a constant potential at every e.  With z = beta^2 + w^2 q:
+
+    - A block with no q < 0, as every block of the imaginary axis, takes
+      a = 1, D = beta c, T = w c and P = q T with c = tanh(sqrt z)/sqrt z
+      (its series below z = 1e-4).  Every entry is positive, so products
+      of the maps are accurate in any association.  Where every e >= 0,
+      so e = t^2 with t = de/2, ell is log cosh(sqrt z) - t w, with its
+      sqrt z - t w as (beta^2 + w^2 (V1 + V2)/2)/(sqrt z + t w), free of
+      the cancellation; otherwise it is log cosh(sqrt z).
+    - Any other block takes, with g = beta/w, r = sqrt|g^2 + q| (k exactly
+      on a free stretch) and y = r w, a = cos(y), T = sin(y)/r, D = g T
+      and P = q T: cosh(y) and sinh(y)/r only where g^2 + q > 0, and the
+      series in z only where |z| < 1e-3, which keep T and its derivative
+      free of cancellation.  Beyond the series only a constant bond, one
+      segment, grows, so its cosh is not divided out.
+
+    A segment of width zero is the identity.  With a complex step (t + i
+    step or k + i step) the derivatives in the caller's variable, through
+    de, are formed in real arithmetic and enter as imaginary parts; dell
+    is that of the log cosh alone.  KSTEP^2 underflows, so the real parts
+    at KSTEP are bitwise the float64 maps of step None.
     """
-    t = t[:, None]
     beta = (math.sqrt(3.0) / 12.0) * w * w * (V1 - V2)
     Vbar = 0.5 * (V1 + V2)
-    q = t * t + Vbar
-    z = beta * beta + q * w * w
-    small = z < 1e-4
-    y = np.sqrt(np.where(small, 1.0, z))
-    e = np.exp(-2.0 * y)
-    th = -np.expm1(-2.0 * y) / (1.0 + e)
-    tanhc = np.where(small, 1.0 + z * (-1.0 / 3.0 + z * (2.0 / 15.0
+    q = e + Vbar
+    # rounding is monotone: some q < 0 exactly when min e + min Vbar < 0
+    emin = e.min(initial=math.inf)
+    if not emin + Vbar.min() < 0.0:
+        z = beta * beta + q * w * w
+        small = z < 1e-4
+        y = np.sqrt(np.where(small, 1.0, z))
+        ex = np.exp(-2.0 * y)
+        th = -np.expm1(-2.0 * y) / (1.0 + ex)
+        c = np.where(small, 1.0 + z * (-1.0 / 3.0 + z * (2.0 / 15.0
                      - z * 17.0 / 315.0)), th / y)
-    # log cosh(theta) - t w; theta - t w = (theta^2 - t^2 w^2)/(theta + t w)
-    # spares it the cancellation
-    log_cosh = np.where(
-        small, z * (0.5 + z * (-1.0 / 12.0 + z / 45.0)) - t * w,
-        (beta * beta + w * w * Vbar) / (y + t * w) + np.log1p(e)
-        - math.log(2.0))
-    if not derivative:
-        T = w * tanhc
-        return beta * tanhc, T, q * T, log_cosh, None
-    dq = 2.0 * t
-    dz = dq * w * w
-    dy = t * w * w / y
-    dtanhc = np.where(small, dz * (-1.0 / 3.0 + z * (4.0 / 15.0
-                      - z * 51.0 / 315.0)), (1.0 - th * th - tanhc) * dy / y)
-    dlog_cosh = np.where(small, dz * (0.5 + z * (-1.0 / 6.0 + z / 15.0)),
-                         th * dy)
-    tanhc = tanhc + 1j * CSTEP * dtanhc
-    T = w * tanhc
-    return beta * tanhc, T, (q + 1j * CSTEP * dq) * T, log_cosh, dlog_cosh
+        t, num = ((0.0, z) if emin < 0.0
+                  else (0.5 * de, beta * beta + w * w * Vbar))
+        ell = np.where(
+            small, z * (0.5 + z * (-1.0 / 12.0 + z / 45.0)) - t * w,
+            num / (y + t * w) + np.log1p(ex) - math.log(2.0))
+        dell = None
+        if step is not None:
+            dz = de * w * w
+            dy = 0.5 * de * w * w / y
+            dc = np.where(small, dz * (-1.0 / 3.0 + z * (4.0 / 15.0
+                          - z * 51.0 / 315.0)), (1.0 - th * th - c) * dy / y)
+            dell = np.where(small, dz * (0.5 + z * (-1.0 / 6.0 + z / 15.0)),
+                            th * dy)
+            c = c + 1j * step * dc
+        T = w * c
+        return (1.0, beta * c, T,
+                q * T if step is None else (q + 1j * step * de) * T, ell, dell)
+    g = (math.sqrt(3.0) / 12.0) * w * (V1 - V2)
+    x = g * g + q
+    r = np.sqrt(np.abs(x))
+    y = r * w
+    z = x * w * w
+    small = np.abs(z) < 1e-3
+    a = np.cos(y)
+    # the closed forms fail only where z = 0, on the series branch
+    with np.errstate(divide="ignore", invalid="ignore"):
+        T = np.sin(y) / r
+        grow = x > 0.0
+        if grow.any():
+            a[grow] = np.cosh(y[grow])
+            T[grow] = np.sinh(y[grow]) / r[grow]
+        if step is not None:
+            dT = (w * a - T) * (0.5 * de) / x
+    if small.any():
+        zs, ws = z[small], np.broadcast_to(w, z.shape)[small]
+        a[small] = 1.0 + zs * (1.0 / 2.0 + zs * (1.0 / 24.0 + zs * (
+            1.0 / 720.0 + zs / 40320.0)))
+        T[small] = ws * (1.0 + zs * (1.0 / 6.0 + zs * (1.0 / 120.0 + zs * (
+            1.0 / 5040.0 + zs / 362880.0))))
+        if step is not None:
+            dT[small] = (np.broadcast_to(de, z.shape)[small] * ws * ws * ws
+                         * (1.0 / 6.0 + zs * (1.0 / 60.0 + zs * (
+                             1.0 / 1680.0 + zs / 90720.0))))
+    P = q * T
+    if step is not None:
+        a = _stepped(a, step, 0.5 * de * w * T)
+        P = _stepped(P, step, q * dT + de * T)
+        T = _stepped(T, step, dT)
+    return a, g * T, T, P, None, None
+
+
+def _stepped(x, step, dx):
+    """x + i step dx, formed without complex arithmetic."""
+    out = np.empty(x.shape, complex)
+    out.real = x
+    np.multiply(dx, step, out=out.imag)
+    return out
 
 
 def _log_step(z):
@@ -178,22 +236,22 @@ def _matmul(B, A):
     return BA[:, 0] + BA[:, 1]
 
 
-def _block_product(D, T, P):
-    """The product of the segment maps [[1 + D, T], [P, 1 - D]] along the
+def _block_product(a, D, T, P):
+    """The product of the segment maps [[a + D, T], [P, a - D]] along the
     last axis, later segments on the left, as one (2, 2, ...) stack."""
     # the first round's stack passes to _product alone, which frees it
     # after the next round
-    return _product(_first_round(D, T, P))
+    return _product(_first_round(a, D, T, P))
 
 
-def _first_round(D, T, P):
-    """The first round of _product on the maps [[1 + D, T], [P, 1 - D]],
-    written from D, T and P directly."""
+def _first_round(a, D, T, P):
+    """The first round of _product on the maps [[a + D, T], [P, a - D]],
+    written from a, D, T and P directly."""
     k = T.shape[-1]
     h = k // 2
     M = np.empty((2, 2) + T.shape[:-1] + (h + k % 2,), T.dtype)
     (m00, m01), (m10, m11) = M[..., :h]
-    A, B = 1.0 + D, 1.0 - D
+    A, B = a + D, a - D
     # the map of segment 2i + 1 times that of segment 2i
     Ae, Be, Te, Pe = (X[..., 0:2 * h:2] for X in (A, B, T, P))
     Ao, Bo, To, Po = (X[..., 1:2 * h:2] for X in (A, B, T, P))
@@ -223,61 +281,54 @@ def _product(M):
     return M[..., 0]
 
 
-def _sweep(t, w, V1, V2, derivative: bool):
-    """Sweep from x = 0 across segments of widths w whose potentials are
-    V1 and V2 at their two Gauss points, in the order of x, at every node
-    of t at once; at the complex step t + i CSTEP with derivative=True,
-    in float64 otherwise (the callers of each are listed at
-    bond_solution).  Returns (R, s) with one column per node: R, a
-    (2, 2, nodes) stack, is the product of the segment maps on (f, f'),
-    and s the log of the scale divided out of it plus the log cosh(theta)
-    - t w of every segment.  So the transfer matrix
-    (f, f')(0) -> (f, f')(L) is e^s R, and both ends of the bond are read
-    from it (_cpm).
+def _sweep(e, de, w, V1, V2, step, block, rescale):
+    """Sweep from x = 0 across segments of widths w and Gauss-point
+    potentials V1, V2, in the order of x, at every entry of the column
+    e = -E at once, with the derivative de and the complex step of
+    _segments.  Returns (R, s): R, a (2, 2, entries) stack, is the product
+    of the maps without their factors e^ell, and s the sum of the ell, so
+    the transfer matrix (f, f')(0) -> (f, f')(L) is e^s R.  The maps of
+    `block` segments at a time, a constant so that no entry's result
+    depends on the batch, are multiplied pairwise (_block_product), and
+    each block product joins one running product.
 
-    Keeping s of order one instead of t L keeps the absolute error of
-    log u at rounding level, which the subtracted large-t integrands rely
-    on.
-
-    With q = t^2 + (V1 + V2)/2, beta = (sqrt 3/12) w^2 (V1 - V2),
-    theta^2 = beta^2 + w^2 q and c = tanh(theta)/theta, one segment maps
-    (f, f') by cosh(theta) [[1 + beta c, w c], [w q c, 1 - beta c]], the
-    exponential of the two-Gauss-point Magnus exponent (Iserles and
-    Norsett, Proc. R. Soc. A 455, 1999; Blanes, Casas, Oteo and Ros,
-    Phys. Rep. 470, 2009): fourth order in w, and exact for a constant
-    potential at every t.  |beta c| <= tanh(theta), so every entry is
-    positive and the products of the maps are accurate in any order of
-    association.  The maps of SWEEP_BLOCK segments at a time, a constant
-    so that no node's result depends on the batch, are multiplied
-    pairwise (_block_product); each block product then joins the running
-    product, divided by its R11 after every block, the log of the
-    divisor going to s.  No count of segments overflows, and the entries
-    stay of the order of the ratios the callers read, so their
-    t-derivatives in Im R carry no rounding of the e^(t L) growth.
+    - _cpm, on the imaginary axis, where every block carries ell, takes
+      SWEEP_BLOCK segments per block and rescale=True: R, all of whose
+      entries are positive, is divided by its R11 after every block, and
+      the log of the divisor goes to s.  No count of segments overflows,
+      Im R carries no rounding of the e^(t L) growth into the
+      t-derivatives, and s stays of order one instead of t L, which keeps
+      the absolute error of log u at rounding level, as the subtracted
+      large-t integrands need.
+    - transfer_matrices_real takes REAL_BLOCK segments per block, as its
+      batches are larger, and no rescaling.
     """
-    s = np.zeros(len(t), complex if derivative else float)
+    s = np.zeros(len(e), float if step is None else complex)
     R = None
-    for lo in range(0, len(w), SWEEP_BLOCK):
-        block = slice(lo, lo + SWEEP_BLOCK)
-        D, T, P, log_cosh, dlog_cosh = _segments(
-            t, w[block], V1[block], V2[block], derivative)
-        M = _block_product(D, T, P)
+    for lo in range(0, len(w), block):
+        cut = slice(lo, lo + block)
+        a, D, T, P, ell, dell = _segments(e, de, w[cut], V1[cut], V2[cut],
+                                          step)
+        M = _block_product(a, D, T, P)
         R = M if R is None else _matmul(M, R)
-        scale = R[1, 1].copy()
-        if derivative:
-            R /= scale
-        else:
-            # numpy divides by a complex array as times its reciprocal, so
-            # the real pass rounds like the real part of the complex one
-            R *= 1.0 / scale
-        # summed per block first: at large t both terms are near -+log 2
-        # per segment
-        step = log_cosh.sum(axis=-1)
-        if derivative:
-            step = step + 1j * CSTEP * dlog_cosh.sum(axis=-1)
-        s += step + _log_step(scale)
+        if rescale:
+            scale = R[1, 1].copy()
+            if step is None:
+                # numpy divides by a complex array as times its reciprocal,
+                # so the real pass rounds like the real part of the complex
+                # one
+                R *= 1.0 / scale
+            else:
+                R /= scale
+        if ell is not None:
+            # summed per block first: at large t both terms are near -+log 2
+            # per segment
+            ds = ell.sum(axis=-1)
+            if step is not None:
+                ds = ds + 1j * step * dell.sum(axis=-1)
+            s += ds + _log_step(scale) if rescale else ds
         # freed before the next block's maps are formed
-        del D, T, P, log_cosh, dlog_cosh
+        del a, D, T, P, ell, dell
     return R, s
 
 
@@ -321,7 +372,9 @@ def _cpm(bond, t, derivative: bool) -> BondSolution:
     energy and force callers ask.
     """
     L = bond.length
-    R, s = _sweep(t, *_gauss_layout(bond, PER_WIDTH), derivative)
+    R, s = _sweep((t * t)[:, None], (2.0 * t)[:, None],
+                  *_gauss_layout(bond, PER_WIDTH),
+                  CSTEP if derivative else None, SWEEP_BLOCK, True)
     m0 = -R[0, 1] / R[0, 0]
     mL = -R[0, 1] / R[1, 1]
     lost = ~((m0.real < 0.0) & (mL.real < 0.0))
@@ -390,115 +443,23 @@ def dirichlet_subtracted_derivative(bond, t, sol=None):
     return (sol.dlog_u_dt.reshape(t.shape) - L + 1.0 / t + corr)[()]
 
 
-# ---------------------------------------------------------------------------
-# real axis
-
-
-def _real_segments(ks, w, V1, V2, derivative: bool):
-    """The maps on (f, f') of segments of widths w whose potentials are V1
-    and V2 at their two Gauss points, from x = 0, against the array ks,
-    as one (2, 2, k, segments) stack; with derivative=True at the
-    complex step k + i KSTEP.
-
-    One segment maps by exp([[beta, w], [w p, -beta]]), the exponent of
-    _sweep on this axis, with p = (V1 + V2)/2 - k^2 and beta =
-    (sqrt 3/12) w^2 (V1 - V2).  With g = beta/w, x = -p - g^2,
-    C = cos(sqrt(x) w) and S = sin(sqrt(x) w)/sqrt(x), that is
-    [[C + g S, S], [p S, C - g S]], exact at every k for a constant
-    potential, where g = 0.  cos and sin are evaluated over the
-    whole block; the cosh and sinh of x < 0 and the series in z = x w^2
-    below |z| = 1e-3, which keeps S and its derivative free of
-    cancellation near x = 0, only on the elements their masks select.  A
-    segment of width zero is the identity.  The k-derivatives, with
-    dx/dk = 2k, dC/dx = -w S/2 and dS/dx = (w C - S)/(2 x), are formed
-    in real arithmetic and enter as imaginary parts, so the real parts
-    are bitwise those of the plain maps.
-    """
-    k = ks[:, None]
-    p = 0.5 * (V1 + V2) - k * k
-    g = (math.sqrt(3.0) / 12.0) * w * (V1 - V2)
-    x = -g * g - p
-    w = np.broadcast_to(w, x.shape)
-    M = np.empty((2, 2) + x.shape, complex if derivative else float)
-    Mr = M.real
-    C, S = Mr[0, 0], Mr[0, 1]
-    z = x * w * w
-    small = np.abs(z) < 1e-3
-    series = small.any()
-    # the closed forms fail only where x = 0, on the series branch
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r = np.sqrt(np.abs(x))
-        y = r * w
-        np.cos(y, out=C)
-        np.sin(y, out=S)
-        S /= r
-        neg = x < 0.0
-        if neg.any():
-            C[neg] = np.cosh(y[neg])
-            S[neg] = np.sinh(y[neg]) / r[neg]
-        if series:
-            zs, ws = z[small], w[small]
-            C[small] = 1.0 + zs * (-1.0 / 2.0 + zs * (1.0 / 24.0 + zs * (
-                -1.0 / 720.0 + zs / 40320.0)))
-            S[small] = ws * (1.0 + zs * (-1.0 / 6.0 + zs * (1.0 / 120.0
-                             + zs * (-1.0 / 5040.0 + zs / 362880.0))))
-        if derivative:
-            dS = (w * C - S) * k / x
-    gS = g * S
-    np.subtract(C, gS, out=Mr[1, 1])
-    C += gS
-    np.multiply(p, S, out=Mr[1, 0])
-    if derivative:
-        if series:
-            ks_small = np.broadcast_to(k, x.shape)[small]
-            dS[small] = 2.0 * ks_small * ws * ws * ws * (
-                -1.0 / 6.0 + zs * (1.0 / 60.0 + zs * (-1.0 / 1680.0
-                                                     + zs / 90720.0)))
-        dC = -k * w * S
-        gdS = g * dS
-        Mi = M.imag
-        Mi[0, 0] = KSTEP * (dC + gdS)
-        Mi[1, 1] = KSTEP * (dC - gdS)
-        Mi[0, 1] = KSTEP * dS
-        Mi[1, 0] = KSTEP * (p * dS - 2.0 * k * S)
-    return M
-
-
-def _real_sweep(ks, w, V1, V2, derivative: bool):
-    """The transfer matrix across the segments of widths w and
-    Gauss-point potentials V1, V2 at every k, as one (2, 2, k) stack:
-    the maps of REAL_BLOCK segments at a time, a constant so that no k's
-    result depends on the batch, multiplied pairwise (_product), each
-    block product joining one running product.  A map grows only where
-    k^2 is below the potential, like cosh(sqrt(V - k^2) w), so the
-    product is not rescaled.
-    """
-    R = None
-    for lo in range(0, len(w), REAL_BLOCK):
-        block = slice(lo, lo + REAL_BLOCK)
-        M = _product(_real_segments(ks, w[block], V1[block], V2[block],
-                                    derivative))
-        R = M if R is None else _matmul(M, R)
-    return R
-
-
 def transfer_matrices_real(bond, ks, *, derivative: bool = False,
                            coarse: bool = False):
     """Batched transfer matrices (f, f')(0) -> (f, f')(L) over an array of
     k, shape (k, 2, 2).
 
     A constant bond is one segment; a bump bond is cut into the segments
-    of _gauss_layout, swept from x = 0, at PER_WIDTH per width of the
-    support for the scan's Newton steps and root checks, or at
-    COARSE_PER_WIDTH with coarse=True for its coarse grid.  The count is
-    independent of k and every segment map is exact for a constant
-    potential at every k, so the error does not grow with k.
+    of _gauss_layout, at PER_WIDTH per width of the support for the
+    scan's Newton steps and root checks, or at COARSE_PER_WIDTH with
+    coarse=True for its coarse grid.  The count is independent of k and
+    every segment map is exact for a constant potential at every k, so
+    the error does not grow with k.  One _sweep at e = -k^2, REAL_BLOCK
+    segments per block and no rescaling, gives T = e^s R.
     With derivative=True returns (T, dT/dk) from the same pass at the
-    complex k + i KSTEP (Squire and Trapp, SIAM Rev. 40, 1998): KSTEP^2
-    underflows, so T is bitwise that of the real pass and dT/dk carries
-    no cancellation.
+    complex k + i KSTEP (Squire and Trapp, SIAM Rev. 40, 1998), with T
+    formed as R e^(Re s) (1 + i Im s): KSTEP^2 underflows, so T is
+    bitwise that of the real pass and dT/dk carries no cancellation.
     """
-    ks = np.asarray(ks, dtype=float)
     pot = bond.potential
     if pot.kind == "constant":
         V = np.array([pot.c])
@@ -506,7 +467,10 @@ def transfer_matrices_real(bond, ks, *, derivative: bool = False,
     else:
         layout = _gauss_layout(bond,
                                COARSE_PER_WIDTH if coarse else PER_WIDTH)
-    T = np.moveaxis(_real_sweep(ks, *layout, derivative), (0, 1), (-2, -1))
+    k = np.asarray(ks, dtype=float)[:, None]
+    R, s = _sweep(-(k * k), -2.0 * k, *layout, KSTEP if derivative else None,
+                  REAL_BLOCK, False)
     if not derivative:
-        return T
+        return np.moveaxis(R * np.exp(s), -1, 0)
+    T = np.moveaxis(R * np.exp(s.real) * (1.0 + 1j * s.imag), -1, 0)
     return T.real, T.imag / KSTEP

@@ -127,6 +127,18 @@ def test_mu_sensitivity_refuses_a_step_outside_zero_to_one():
             mu_sensitivity(graph, mc, 1, h)
 
 
+def test_steps_that_move_the_bond_end_into_the_bump_exit_4():
+    # the support 0.2..0.8 of the height-3 bump leaves the bond at
+    # L - 0.3 L = 0.7: both differences refuse the step as unsupported,
+    # before any length is replaced
+    graph, mc = make_bump_interval()
+    for call in (mu_sensitivity, energy_finite_difference):
+        with pytest.raises(UnsupportedError) as err:
+            call(graph, mc, 1, 0.3)
+        assert err.value.exit_code == 4
+        assert "0.7" in str(err.value), call.__name__
+
+
 def test_energy_fd_refuses_a_step_outside_zero_to_l():
     graph, mc = make_star(1.0, lengths=(1.0, 0.5, 0.8))
     for h in (0.0, -1e-4, 0.5, 0.7, math.nan, math.inf, -math.inf):
@@ -166,9 +178,9 @@ def test_energy_and_force_run_no_complex_step(monkeypatch):
     seen = []
     sweep = interval._sweep
 
-    def spy(t, w, V1, V2, derivative):
-        seen.append(derivative)
-        return sweep(t, w, V1, V2, derivative)
+    def spy(e, de, w, V1, V2, step, block, rescale):
+        seen.append(step is not None)
+        return sweep(e, de, w, V1, V2, step, block, rescale)
 
     monkeypatch.setattr(interval, "_sweep", spy)
     bump = {**BUMP, "height": 0.3}

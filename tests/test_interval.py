@@ -118,20 +118,24 @@ def magnus_product_reference(bond, ks, per_width):
     """Transfer matrices over ks as the product of the segment maps
     exp(Omega), Omega = [[beta, w], [w (Vbar - k^2), -beta]], taken one
     segment at a time from x = 0 across the n-segment cut of the support
-    at its two Gauss points, with one segment for each free stretch.
+    at its two Gauss points, with one segment for each free stretch; a
+    constant bond is one segment.
     Omega^2 = theta^2 with theta^2 = beta^2 + w^2 (Vbar - k^2), so
     exp(Omega) = cos(y) + (sin(y)/y) Omega at the complex square root
     y = sqrt(-theta^2)."""
     pot = bond.potential
     L = bond.length
-    a, b = pot.support(L)
-    n = segment_count(bond, per_width)
-    h = (b - a) / n
-    g = 0.5 / math.sqrt(3.0)
-    mid = a + (np.arange(n) + 0.5) * h
-    w = np.concatenate(([a], np.full(n, h), [L - b]))
-    V1, V2 = (np.concatenate(([0.0], pot.value(mid + d * h), [0.0]))
-              for d in (-g, g))
+    if pot.kind == "constant":
+        w, V1, V2 = np.array([L]), np.array([pot.c]), np.array([pot.c])
+    else:
+        a, b = pot.support(L)
+        n = segment_count(bond, per_width)
+        h = (b - a) / n
+        g = 0.5 / math.sqrt(3.0)
+        mid = a + (np.arange(n) + 0.5) * h
+        w = np.concatenate(([a], np.full(n, h), [L - b]))
+        V1, V2 = (np.concatenate(([0.0], pot.value(mid + d * h), [0.0]))
+                  for d in (-g, g))
     T = np.broadcast_to(np.eye(2), (len(ks), 2, 2))
     for wi, v1, v2 in zip(w, V1, V2):
         beta = (math.sqrt(3.0) / 12.0) * wi * wi * (v1 - v2)
@@ -180,7 +184,8 @@ def sweep_reference(bond, t, end="0"):
                               [0.0]))
               for x in ((np.arange(n) + 0.5 - g) * h,
                         (np.arange(n) + 0.5 + g) * h))
-    D, T, P, log_cosh, dlog_cosh = _segments(t, w, V1, V2, True)
+    _, D, T, P, log_cosh, dlog_cosh = _segments(
+        (t * t)[:, None], (2.0 * t)[:, None], w, V1, V2, CSTEP)
     m = np.zeros(len(t), complex)
     d = np.empty_like(T)
     for i in range(n + 2):
@@ -324,7 +329,7 @@ def test_block_product_against_sequential_product():
             M = np.array([[1.0 + D[..., i], T[..., i]],
                           [P[..., i], 1.0 - D[..., i]]])
             ref = np.moveaxis(M, (0, 1), (-2, -1)) @ ref
-        got = np.moveaxis(_block_product(D, T, P), (0, 1), (-2, -1))
+        got = np.moveaxis(_block_product(1.0, D, T, P), (0, 1), (-2, -1))
         assert np.all(np.abs(got.real - ref.real) <= 1e-14 * ref.real), k
         assert np.all(np.abs(got.imag - ref.imag)
                       <= 1e-14 * np.abs(ref.imag).max()), k
@@ -371,9 +376,9 @@ def test_only_bump_bonds_enter_the_sweep(monkeypatch):
     seen = []
     sweep = interval._sweep
 
-    def spy(t, w, V1, V2, derivative):
-        seen.append(derivative)
-        return sweep(t, w, V1, V2, derivative)
+    def spy(e, de, w, V1, V2, step, block, rescale):
+        seen.append(step is not None)
+        return sweep(e, de, w, V1, V2, step, block, rescale)
 
     monkeypatch.setattr(interval, "_sweep", spy)
     t = np.array([0.5, 3.0, 40.0])
@@ -593,6 +598,60 @@ def test_transfer_matrices_converge_to_rk4_reference(kw):
     assert np.all(d_scaled_error(got, ref, ks) <= 1e-10)
     coarse = transfer_matrices_real(bond, ks, coarse=True)
     assert np.all(d_scaled_error(coarse, ref, ks) <= 1e-4)
+
+
+def test_both_axes_meet_at_zero_energy():
+    # at E = 0 the imaginary axis (t = 0) and the real axis (k = 0)
+    # describe one operator: f'(0) is -T00/T01, the inward f'(L) is
+    # -T11/T01 and log u(L) is log T01
+    bonds = [make_bump_interval(**kw)[0].bonds[0] for kw in REAL_CASES
+             if kw["height"] >= 0.0]
+    bonds.append(make_interval(1.0, potential={"kind": "constant",
+                                               "value": 3.0})[0].bonds[0])
+    zero = np.array([0.0])
+    for bond in bonds:
+        sol = bond_solution(bond, zero)
+        T = transfer_matrices_real(bond, zero)[0]
+        for got, ref in ((sol.f_prime_at_0, -T[0, 0] / T[0, 1]),
+                         (sol.f_prime_at_L, -T[1, 1] / T[0, 1]),
+                         (sol.log_u, math.log(T[0, 1]))):
+            assert abs(got[0] - ref) <= 1e-13 * abs(ref), bond.potential
+
+
+def test_real_batches_without_oscillation(monkeypatch):
+    # a batch with no oscillating map takes the cosh formulas over every
+    # block, with their growth kept in e^s: k = 0 alone on the bumps of
+    # height >= 0, and each k < sqrt(3) alone on the c = 3 bond, against
+    # the one-segment-at-a-time product and the five-point difference
+    cosh_only = []
+    segments = interval._segments
+
+    def spy(*args):
+        out = segments(*args)
+        cosh_only.append(np.isscalar(out[0]))
+        return out
+
+    monkeypatch.setattr(interval, "_segments", spy)
+    cases = [(make_bump_interval(**kw)[0].bonds[0], 0.0) for kw in REAL_CASES
+             if kw["height"] >= 0.0]
+    const = make_interval(1.0, potential={"kind": "constant",
+                                          "value": 3.0})[0].bonds[0]
+    cases += [(const, k) for k in (0.0, 0.8, 1.7)]
+    h = 1e-3
+    for bond, k in cases:
+        ks = np.array([k])
+        cosh_only.clear()
+        T, dT = transfer_matrices_real(bond, ks, derivative=True)
+        assert cosh_only and all(cosh_only), (bond.potential, k)
+        ref = magnus_product_reference(bond, ks, interval.PER_WIDTH)
+        assert np.all(d_scaled_error(T, ref, ks) <= 1e-11), (bond.potential, k)
+
+        def at(d):
+            return transfer_matrices_real(bond, ks + d)
+        diff = (8.0 * (at(h) - at(-h)) - (at(2 * h) - at(-2 * h))) / (12 * h)
+        scale = np.maximum(np.abs(diff).max(axis=(1, 2)), 1.0)
+        assert np.all(np.abs(dT - diff).max(axis=(1, 2)) <= 1e-9 * scale), (
+            bond.potential, k)
 
 
 def test_transfer_matrix_derivative_matches_difference():

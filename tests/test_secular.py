@@ -334,9 +334,9 @@ def test_off_centre_bump_is_swept_once(monkeypatch):
     sweeps = []
     sweep = interval._sweep
 
-    def spied(t, w, V1, V2, derivative):
-        sweeps.append(derivative)
-        return sweep(t, w, V1, V2, derivative)
+    def spied(e, de, w, V1, V2, step, block, rescale):
+        sweeps.append(step is not None)
+        return sweep(e, de, w, V1, V2, step, block, rescale)
 
     monkeypatch.setattr(interval, "_sweep", spied)
     t = np.array([0.01, 0.7, 3.0, 40.0, 2000.0])
