@@ -13,8 +13,8 @@ from .graph import (Bond, MatchingConditions, MetricGraph, VertexSpec,
                     build_vertex_conditions, load_graph, parse_graph,
                     replace_bond_length, require_valid,
                     serialize_graph, validate_matching)
-from .oracle import (SpectrumWindow, energy_finite_difference,
-                     scan_spectrum, zeta_direct)
+from .oracle import (SpectrumWindow, eigenvalue_count,
+                     energy_finite_difference, scan_spectrum, zeta_direct)
 from .potentials import BumpPotential, ConstantPotential, potential_from_dict
 from .secular import AsymptoticData, F_imag, asymptotic_F_coefficients
 from .wkb import d_constant, u_log_expansion, wkb_coefficients
@@ -30,7 +30,8 @@ __all__ = [
     "NumericalError", "SpectrumWindow", "UnsupportedError",
     "ValidationError", "VertexSpec", "ZetaEvaluation",
     "asymptotic_F_coefficients", "build_vertex_conditions", "casimir_force",
-    "d_constant", "energy_finite_difference", "load_graph",
+    "d_constant", "eigenvalue_count", "energy_finite_difference",
+    "load_graph",
     "minus_half_data", "mu_sensitivity", "parse_graph",
     "potential_from_dict", "replace_bond_length", "require_valid",
     "scan_spectrum", "serialize_graph", "u_log_expansion",

@@ -4,25 +4,20 @@ Both axes read the transfer matrix of a bond on (f, f'), the product of
 fourth-order Magnus segment maps (_segments) at E = -t^2 for the
 rotated-axis integrals and at E = k^2 for the spectral scan, formed by
 one sweep from x = 0 (_sweep).  The maps are exact for a constant
-potential at every E, so one segment count serves every E and all
-entries sweep together: PER_WIDTH on the imaginary axis and for the
-scan's Newton steps and root checks, COARSE_PER_WIDTH on its coarse grid.
+potential at every E, so one count, PER_WIDTH segments per width of a
+bump, serves every E and all entries sweep together.
 
 Imaginary axis (k = i t): bond_solution returns, over an array of t, the
-boundary data entering the secular matrix at both ends of the bond, the
-logarithmic derivatives f'/f of the solutions decaying away from each
-end, the logarithm of the Dirichlet solution u(L), and their
-t-derivatives.  The sweep keeps all growth in log form, so large t L
-never overflows.  The t-derivatives come from a complex step and are
-formed only on request: zeta's h'(t)/t integrand reads them, while the
-vacuum energy, the Casimir force and the secular determinant on its own
-read only log F and log u and take a float64 pass at half to three
-quarters of the cost.  Zero and constant potentials take closed forms
-instead, with their small- and large-x branches selected per node.
+logarithmic derivatives f'/f at both ends of the solutions decaying away
+from them, the log of the Dirichlet solution u(L), and their
+t-derivatives, with all growth in log form.  The t-derivatives come from
+a complex step, formed only for zeta's h'(t)/t integrand; log F and log
+u alone take a float64 pass at half to three quarters of the cost.
+Constant potentials take closed forms instead.
 
-Real axis: transfer_matrices_real returns the batched transfer matrices
-of the magnetic-gauge-removed equation for the scan, and their
-k-derivative from a complex step through the same maps.
+Real axis, in E: transfer_matrices_real gives the scan the transfer
+matrices of the magnetic-gauge-removed equation and their E-derivative;
+the float64 sweep also carries the Dirichlet solution's Pruefer angle.
 """
 
 from __future__ import annotations
@@ -37,11 +32,10 @@ from .potentials import spectral_floor
 from .wkb import u_log_expansion
 
 CSTEP = 1e-30            # complex step for the t-derivatives
-KSTEP = 2.0 ** -600      # complex step for the real-axis k-derivative
+KSTEP = 2.0 ** -600      # complex step for the real-axis E-derivative
 SWEEP_BLOCK = 128        # segments whose maps a sweep holds at once
 REAL_BLOCK = 16          # the same on the real axis, whose batches are larger
 PER_WIDTH = 300          # bump segments per width, both axes
-COARSE_PER_WIDTH = 50    # the same on the scan's coarse grid
 
 
 class BondSolution(NamedTuple):
@@ -116,13 +110,12 @@ def _analytic(bond, t, derivative: bool) -> BondSolution:
         excess)
 
 
-def _segments(e, de, w, V1, V2, step):
-    """The maps on (f, f') of segments of widths w whose potentials are V1
-    and V2 at their two Gauss points, at every entry of the column e = -E
-    (t^2 on the imaginary axis, -k^2 on the real one), as
-    e^ell [[a + D, T], [P, a - D]]: (a, D, T, P, ell, dell) over (entries,
-    segments), with ell None where a block oscillates and dell None
-    without a complex step.
+def _segments(e, de, w, V1, V2, step, t):
+    """The maps on (f, f') of segments of widths w with potentials V1, V2
+    at their two Gauss points, at every entry of the column e = -E (t^2 on
+    the imaginary axis), as e^ell [[a + D, T], [P, a - D]]: (a, D, T, P,
+    ell, dell) over (entries, segments), ell None where a block
+    oscillates, dell None without a complex step.
 
     A segment maps by exp([[beta, w], [w q, -beta]]), q = e + (V1 + V2)/2,
     beta = (sqrt 3/12) w^2 (V1 - V2): the two-Gauss-point Magnus
@@ -131,31 +124,29 @@ def _segments(e, de, w, V1, V2, step):
     exact for a constant potential at every e.  With z = beta^2 + w^2 q:
 
     - A block with no q < 0, as every block of the imaginary axis, takes
-      a = 1, D = beta c, T = w c and P = q T with c = tanh(sqrt z)/sqrt z
-      (its series below z = 1e-4).  Every entry is positive, so products
-      of the maps are accurate in any association.  Where every e >= 0,
-      so e = t^2 with t = de/2, ell is log cosh(sqrt z) - t w, with its
-      sqrt z - t w as (beta^2 + w^2 (V1 + V2)/2)/(sqrt z + t w), free of
-      the cancellation; otherwise it is log cosh(sqrt z).
-    - Any other block takes, with g = beta/w, r = sqrt|g^2 + q| (k exactly
-      on a free stretch) and y = r w, a = cos(y), T = sin(y)/r, D = g T
-      and P = q T: cosh(y) and sinh(y)/r only where g^2 + q > 0, and the
-      series in z only where |z| < 1e-3, which keep T and its derivative
-      free of cancellation.  Beyond the series only a constant bond, one
-      segment, grows, so its cosh is not divided out.
+      a = 1, D = beta c, T = w c and P = q T, c = tanh(sqrt z)/sqrt z (its
+      series below z = 1e-4): all positive, so products are accurate in
+      any association.  ell = log cosh(sqrt z) - t w, at the imaginary
+      axis's nodes t with its sqrt z - t w as (beta^2 + w^2 (V1 + V2)/2)/
+      (sqrt z + t w), and at t = 0 where t is None.
+    - Any other block takes, with g = beta/w, r = sqrt|g^2 + q| and y = r
+      w, a = cos(y), T = sin(y)/r, D = g T and P = q T: cosh(y) and
+      sinh(y)/r only where g^2 + q > 0, the series in z only where |z| <
+      1e-3, which keep T and its derivative free of cancellation.  Beyond
+      the series only a constant bond, one segment, grows, so its cosh is
+      not divided out.
 
-    A segment of width zero is the identity.  With a complex step (t + i
-    step or k + i step) the derivatives in the caller's variable, through
-    de, are formed in real arithmetic and enter as imaginary parts; dell
-    is that of the log cosh alone.  KSTEP^2 underflows, so the real parts
-    at KSTEP are bitwise the float64 maps of step None.
+    A segment of width zero is the identity.  With a complex step the
+    derivatives in the caller's variable, through de, are formed in real
+    arithmetic and enter as imaginary parts; dell is that of the log cosh
+    alone.  KSTEP^2 underflows, so the real parts at KSTEP are bitwise
+    the float64 maps of step None.
     """
     beta = (math.sqrt(3.0) / 12.0) * w * w * (V1 - V2)
     Vbar = 0.5 * (V1 + V2)
     q = e + Vbar
     # rounding is monotone: some q < 0 exactly when min e + min Vbar < 0
-    emin = e.min(initial=math.inf)
-    if not emin + Vbar.min() < 0.0:
+    if not e.min(initial=math.inf) + Vbar.min() < 0.0:
         z = beta * beta + q * w * w
         small = z < 1e-4
         y = np.sqrt(np.where(small, 1.0, z))
@@ -163,8 +154,7 @@ def _segments(e, de, w, V1, V2, step):
         th = -np.expm1(-2.0 * y) / (1.0 + ex)
         c = np.where(small, 1.0 + z * (-1.0 / 3.0 + z * (2.0 / 15.0
                      - z * 17.0 / 315.0)), th / y)
-        t, num = ((0.0, z) if emin < 0.0
-                  else (0.5 * de, beta * beta + w * w * Vbar))
+        t, num = (0.0, z) if t is None else (t, beta * beta + w * w * Vbar)
         ell = np.where(
             small, z * (0.5 + z * (-1.0 / 12.0 + z / 45.0)) - t * w,
             num / (y + t * w) + np.log1p(ex) - math.log(2.0))
@@ -236,12 +226,16 @@ def _matmul(B, A):
     return BA[:, 0] + BA[:, 1]
 
 
-def _block_product(a, D, T, P):
+def _block_product(a, D, T, P, F=None):
     """The product of the segment maps [[a + D, T], [P, a - D]] along the
-    last axis, later segments on the left, as one (2, 2, ...) stack."""
-    # the first round's stack passes to _product alone, which frees it
-    # after the next round
-    return _product(_first_round(a, D, T, P))
+    last axis, later segments on the left, as one (2, 2, ...) stack; with
+    their Pruefer angles F, the pair (stack, its angle)."""
+    if F is None:
+        # the first round's stack passes to _product alone, which frees it
+        # after the next round
+        return _product(_first_round(a, D, T, P))
+    M = _first_round(a, D, T, P)
+    return _product(M, _paired(M, F))
 
 
 def _first_round(a, D, T, P):
@@ -268,50 +262,75 @@ def _first_round(a, D, T, P):
     return M
 
 
-def _product(M):
+def _product(M, F=None):
     """The product along the last axis of a (2, 2, ...) stack of maps,
-    later maps on the left.  Neighbouring maps are multiplied pairwise,
-    so k maps take about log2(k) whole-stack rounds; an odd map out is
-    carried to the next round."""
+    later maps on the left, multiplied pairwise in about log2(k) rounds,
+    an odd map out carried; with their angles F, (product, its angle)."""
     while M.shape[-1] > 1:
         h = M.shape[-1] // 2
         paired = _matmul(M[..., 1:2 * h:2], M[..., 0:2 * h:2])
         M = (np.concatenate((paired, M[..., -1:]), axis=-1)
              if M.shape[-1] % 2 else paired)
-    return M[..., 0]
+        if F is not None:
+            F = _paired(M, F)
+    return M[..., 0] if F is None else (M[..., 0], F[..., 0])
 
 
-def _sweep(e, de, w, V1, V2, step, block, rescale):
+def _lift(u, du, first, then):
+    """The Pruefer angle of (u, du) ~ (sin, cos), the image of (0, 1) by
+    maps turning it by `first`, then `then`: the later takes [j, j + 1) pi,
+    j = floor(first/pi), to then + [j, j + 1) pi; atan2 nearest its middle."""
+    a = np.arctan2(u, du)
+    mid = np.floor(first / math.pi) * math.pi + then + 0.5 * math.pi
+    return a + 2.0 * math.pi * np.round((mid - a) / (2.0 * math.pi))
+
+
+def _paired(M, F):
+    """The angles of a round of pairwise products M of maps of angles F."""
+    h = F.shape[-1] // 2
+    return np.concatenate((_lift(M[0, 1, ..., :h], M[1, 1, ..., :h],
+                                 F[..., 0:2 * h:2], F[..., 1:2 * h:2]),
+                           F[..., 2 * h:]), axis=-1)
+
+
+def _sweep(e, de, w, V1, V2, step, block, t):
     """Sweep from x = 0 across segments of widths w and Gauss-point
-    potentials V1, V2, in the order of x, at every entry of the column
-    e = -E at once, with the derivative de and the complex step of
-    _segments.  Returns (R, s): R, a (2, 2, entries) stack, is the product
-    of the maps without their factors e^ell, and s the sum of the ell, so
-    the transfer matrix (f, f')(0) -> (f, f')(L) is e^s R.  The maps of
-    `block` segments at a time, a constant so that no entry's result
-    depends on the batch, are multiplied pairwise (_block_product), and
-    each block product joins one running product.
+    potentials V1, V2 at every entry of the column e = -E at once, with de,
+    step and t as in _segments.  Returns (R, s, theta), the transfer matrix
+    (f, f')(0) -> (f, f')(L) being e^s R.  Each `block` of segments, a
+    constant so that no entry's result depends on the batch, is multiplied
+    pairwise (_block_product) and joins one running product.
 
-    - _cpm, on the imaginary axis, where every block carries ell, takes
-      SWEEP_BLOCK segments per block and rescale=True: R, all of whose
-      entries are positive, is divided by its R11 after every block, and
-      the log of the divisor goes to s.  No count of segments overflows,
-      Im R carries no rounding of the e^(t L) growth into the
+    - _cpm, on the imaginary axis, takes SWEEP_BLOCK and passes its t: R,
+      all of whose entries are positive, is divided by its R11 after every
+      block, the log of the divisor going to s.  No count of segments
+      overflows, Im R carries no rounding of the e^(t L) growth into the
       t-derivatives, and s stays of order one instead of t L, which keeps
-      the absolute error of log u at rounding level, as the subtracted
-      large-t integrands need.
-    - transfer_matrices_real takes REAL_BLOCK segments per block, as its
-      batches are larger, and no rescaling.
+      the absolute error of log u at rounding level.
+    - The real axis takes REAL_BLOCK, as its batches are larger, and t
+      None: no rescaling.  Without a complex step theta is the Pruefer
+      angle at L of the Dirichlet solution, u(0) = 0 and u'(0) = 1, whose
+      zeros in (0, L), about theta/pi, are the bond's Dirichlet count
+      (Sturm); None otherwise.  A segment turns (0, 1) by less than pi, or
+      by y = w sqrt(E - V - g^2) in the coordinates of its exponent where
+      that is real; products join their angles by _lift.
     """
     s = np.zeros(len(e), float if step is None else complex)
-    R = None
+    R = theta = None
     for lo in range(0, len(w), block):
-        cut = slice(lo, lo + block)
-        a, D, T, P, ell, dell = _segments(e, de, w[cut], V1[cut], V2[cut],
-                                          step)
-        M = _block_product(a, D, T, P)
+        wc, V1c, V2c = w[lo:lo + block], V1[lo:lo + block], V2[lo:lo + block]
+        a, D, T, P, ell, dell = _segments(e, de, wc, V1c, V2c, step, t)
+        if t is None and step is None:
+            g = (math.sqrt(3.0) / 12.0) * wc * (V1c - V2c)
+            y = wc * np.sqrt(np.maximum(-(g * g + e + 0.5 * (V1c + V2c)), 0.0))
+            M, F = _block_product(a, D, T, P, _lift(
+                T, a - D, 0.0, np.floor(y / math.pi) * math.pi))
+        else:
+            M = _block_product(a, D, T, P)
         R = M if R is None else _matmul(M, R)
-        if rescale:
+        if t is None and step is None:
+            theta = F if theta is None else _lift(R[0, 1], R[1, 1], theta, F)
+        if t is not None:
             scale = R[1, 1].copy()
             if step is None:
                 # numpy divides by a complex array as times its reciprocal,
@@ -326,10 +345,10 @@ def _sweep(e, de, w, V1, V2, step, block, rescale):
             ds = ell.sum(axis=-1)
             if step is not None:
                 ds = ds + 1j * step * dell.sum(axis=-1)
-            s += ds + _log_step(scale) if rescale else ds
+            s += ds + _log_step(scale) if t is not None else ds
         # freed before the next block's maps are formed
         del a, D, T, P, ell, dell
-    return R, s
+    return R, s, theta
 
 
 def _segment_count(bond, per_width: int):
@@ -346,11 +365,13 @@ def _segment_count(bond, per_width: int):
 
 def _gauss_layout(bond, per_width: int):
     """Widths w and Gauss-point potentials V1, V2 of the segments of a
-    bump bond, in the order of x from x = 0: one exact segment for each
-    free stretch, and between them the n = _segment_count(bond,
-    per_width) segments of the support, whose Gauss points lie
-    w/(2 sqrt 3) either side of the middle."""
+    bond from x = 0: one exact segment for a constant bond; for a bump bond
+    one for each free stretch and, between them, _segment_count(bond,
+    per_width) of the support, with Gauss points w/(2 sqrt 3) off centre."""
     L = bond.length
+    if bond.potential.kind == "constant":
+        V = np.array([bond.potential.c])
+        return np.array([L]), V, V
     a, b, n = _segment_count(bond, per_width)
     h = (b - a) / n
     w = np.concatenate(([a], np.full(n, h), [L - b]))
@@ -362,19 +383,16 @@ def _gauss_layout(bond, per_width: int):
 
 
 def _cpm(bond, t, derivative: bool) -> BondSolution:
-    """Both ends of a bump bond from one sweep across the segments of
-    _gauss_layout.  With T = e^s R the transfer matrix (det T = 1), the
-    solution with f(L) = 0 has f/f' = -T01/T00 at x = 0, the Dirichlet
-    solution u has u(L) = T01 and u/u' = T01/T11 at x = L, and the
-    inward derivative there is -u'(L).  With derivative=True the
-    t-derivatives come from a complex step through the same sweep;
-    otherwise the sweep is real and they are None, as bond_solution's
-    energy and force callers ask.
-    """
+    """Both ends of a bump bond from one sweep across _gauss_layout.  With
+    T = e^s R the transfer matrix (det T = 1), the solution with f(L) = 0
+    has f/f' = -T01/T00 at x = 0, and the Dirichlet solution u has u(L) =
+    T01 and u/u' = T01/T11 at x = L, where the inward derivative is
+    -u'(L).  The t-derivatives come from a complex step through the same
+    sweep with derivative=True, and are None otherwise."""
     L = bond.length
-    R, s = _sweep((t * t)[:, None], (2.0 * t)[:, None],
-                  *_gauss_layout(bond, PER_WIDTH),
-                  CSTEP if derivative else None, SWEEP_BLOCK, True)
+    R, s, _ = _sweep((t * t)[:, None], (2.0 * t)[:, None],
+                     *_gauss_layout(bond, PER_WIDTH),
+                     CSTEP if derivative else None, SWEEP_BLOCK, t[:, None])
     m0 = -R[0, 1] / R[0, 0]
     mL = -R[0, 1] / R[1, 1]
     lost = ~((m0.real < 0.0) & (mL.real < 0.0))
@@ -392,17 +410,11 @@ def _cpm(bond, t, derivative: bool) -> BondSolution:
 
 def bond_solution(bond, t, *, derivative: bool = True) -> BondSolution:
     """Boundary data of one bond, at both of its ends, at every node of
-    the 1-d array t.
-
-    With derivative=False the t-derivative fields are None and a bump
-    bond is swept in float64, at half to three quarters of the cost of
-    the complex step.  The integrands of the vacuum energy
-    (minus_half_data) and of the Casimir force read only log F and log
-    u, and take that pass, as do logF_imag and dlogF_dL_imag when they
-    solve for themselves, which covers F_imag, the zero probe and the
-    large-t asymptotics check.
-    zeta's integrand and logF_slope_imag keep the complex step.
-    """
+    the 1-d array t.  With derivative=False the t-derivative fields are
+    None and a bump bond is swept in float64, at half to three quarters of
+    the cost of the complex step: every caller that reads only log F and
+    log u, which leaves the complex step to zeta's integrand and
+    logF_slope_imag."""
     pot = bond.potential
     L = bond.length
     t = np.asarray(t, dtype=float)
@@ -443,34 +455,22 @@ def dirichlet_subtracted_derivative(bond, t, sol=None):
     return (sol.dlog_u_dt.reshape(t.shape) - L + 1.0 / t + corr)[()]
 
 
-def transfer_matrices_real(bond, ks, *, derivative: bool = False,
-                           coarse: bool = False):
-    """Batched transfer matrices (f, f')(0) -> (f, f')(L) over an array of
-    k, shape (k, 2, 2).
-
-    A constant bond is one segment; a bump bond is cut into the segments
-    of _gauss_layout, at PER_WIDTH per width of the support for the
-    scan's Newton steps and root checks, or at COARSE_PER_WIDTH with
-    coarse=True for its coarse grid.  The count is independent of k and
-    every segment map is exact for a constant potential at every k, so
-    the error does not grow with k.  One _sweep at e = -k^2, REAL_BLOCK
-    segments per block and no rescaling, gives T = e^s R.
-    With derivative=True returns (T, dT/dk) from the same pass at the
-    complex k + i KSTEP (Squire and Trapp, SIAM Rev. 40, 1998), with T
-    formed as R e^(Re s) (1 + i Im s): KSTEP^2 underflows, so T is
-    bitwise that of the real pass and dT/dk carries no cancellation.
-    """
-    pot = bond.potential
-    if pot.kind == "constant":
-        V = np.array([pot.c])
-        layout = np.array([bond.length]), V, V
-    else:
-        layout = _gauss_layout(bond,
-                               COARSE_PER_WIDTH if coarse else PER_WIDTH)
-    k = np.asarray(ks, dtype=float)[:, None]
-    R, s = _sweep(-(k * k), -2.0 * k, *layout, KSTEP if derivative else None,
-                  REAL_BLOCK, False)
-    if not derivative:
-        return np.moveaxis(R * np.exp(s), -1, 0)
-    T = np.moveaxis(R * np.exp(s.real) * (1.0 + 1j * s.imag), -1, 0)
-    return T.real, T.imag / KSTEP
+def transfer_matrices_real(bond, Es, *, derivative: bool = False):
+    """Transfer matrices (f, f')(0) -> (f, f')(L) over an array of
+    energies E = k^2, shape (E, 2, 2), from one _sweep of _gauss_layout at
+    PER_WIDTH, whose maps are exact for a constant potential at every E.
+    With derivative=True, (T, dT/dE) from the same pass at E + i KSTEP
+    (Squire and Trapp, SIAM Rev. 40, 1998), T formed as R e^(Re s) (1 + i
+    Im s): KSTEP^2 underflows, so T is bitwise that of the real pass and
+    dT/dE carries no cancellation.  T not finite raises NumericalError."""
+    E = np.asarray(Es, dtype=float)[:, None]
+    R, s, _ = _sweep(-E, -1.0, *_gauss_layout(bond, PER_WIDTH),
+                     KSTEP if derivative else None, REAL_BLOCK, None)
+    with np.errstate(over="ignore", invalid="ignore"):
+        T = np.moveaxis(R * np.exp(s.real) * (1.0 + 1j * s.imag)
+                        if derivative else R * np.exp(s), -1, 0)
+    if not np.all(np.isfinite(T)):
+        bad = E[np.argmin(np.isfinite(T).all(axis=(1, 2))), 0]
+        raise NumericalError(f"bond '{bond.id}': transfer matrix not "
+                             f"finite at E={bad:g}")
+    return (T.real, T.imag / KSTEP) if derivative else T

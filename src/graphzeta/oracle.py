@@ -1,15 +1,11 @@
 """Independent verification paths.
 
-Eigenvalues are located on the real k axis through the pole-free secular
-matrix S(k), entirely separate from the imaginary-axis machinery the zeta
-engine uses: a coarse grid of singular values, at a sixth of the
-Newton steps' bump segments, flags a dip near every root, Newton steps
-on the pencil (S(k), -dS/dk) converge from each dip to the roots of
-det S, and the singular values of S at each converged root confirm it
-and give its multiplicity.  S is float64 unless a flux or complex
-matching makes it complex.  Zeta values are then checked by direct
-summation with a Weyl-density tail, and the force by finite
-differences of the energy.
+Eigenvalues are located on the real axis, in E = k^2, apart from the
+zeta engine's imaginary axis: the exact eigenvalue count marks the grid
+cells that hold roots, Newton steps on the pencil of the secular matrix
+S(E) converge from them, and count differences give multiplicities.
+Zeta values are then checked by direct summation with a Weyl-density
+tail, and the force by finite differences of the energy.
 """
 
 from __future__ import annotations
@@ -22,12 +18,16 @@ import numpy as np
 
 from .errors import NumericalError, UnsupportedError
 from .graph import replace_bond_length
+from .interval import PER_WIDTH, REAL_BLOCK, _gauss_layout, _sweep
 from .potentials import _gauss_legendre
-from .secular import secular_matrices_real
+from .secular import per_distinct_bond, secular_matrices_real
 from .zeta import minus_half_data
 
 NEWTON_STEPS = 12
 NEWTON_TOL = 1e-10
+# half-width over E of the interval whose count is a root's multiplicity,
+# where the count holds though -DtN cancels to O(dE^2) at a Dirichlet root
+SPLIT = 1e-6
 
 
 @dataclass(frozen=True)
@@ -41,172 +41,178 @@ class SpectrumWindow:
         return sum(m for _, m in self.roots)
 
 
-class _WeylAnomaly(Exception):
-    pass
+def eigenvalue_count(graph, mc, E):
+    """The number of eigenvalues below each energy of the array E, exact
+    off the eigenvalues and the bonds' Dirichlet eigenvalues: N(E) =
+    sum_b N_D,b(E) + n_-(Q(E)) (Friedlander, Arch. Rational Mech. Anal.
+    116, 1991; Berkolaiko and Kuchment, Introduction to Quantum Graphs,
+    2013).  N_D,b counts the zeros of bond b's Dirichlet solution (the
+    Pruefer angle of interval._sweep).  Q = U*(-DtN + Lam)U on psi = U c, U
+    an orthonormal basis of ran B*, <psi, psihat> = c* Lam c, Lam = -U* B^+
+    A U, for every kind of matching; each bond adds [[T00, -e^(-iAL)],
+    [-e^(iAL), T11]] / T01 to -DtN."""
+    E = np.asarray(E, dtype=float)
+    sweeps = per_distinct_bond(graph.bonds, lambda bond: _sweep(
+        -E[:, None], -1.0, *_gauss_layout(bond, PER_WIDTH), None,
+        REAL_BLOCK, None))
+    W, sv, Vh = np.linalg.svd(mc.B)
+    r = int(np.count_nonzero(sv > sv.max() * len(sv) * np.finfo(float).eps))
+    U, n = Vh[:r].conj().T, graph.bond_count
+    dtn = np.zeros((len(E), 2 * n, 2 * n), complex)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for b, (bond, (R, s, _)) in enumerate(zip(graph.bonds, sweeps)):
+            off = -np.exp(-s) / R[0, 1] * cmath.exp(
+                -1j * bond.vector_potential * bond.length)
+            dtn[:, b, b] = R[0, 0] / R[0, 1]
+            dtn[:, n + b, n + b] = R[1, 1] / R[0, 1]
+            dtn[:, b, n + b], dtn[:, n + b, b] = off, off.conj()
+        lam = -(W[:, :r].conj().T @ mc.A @ U) / sv[:r, None]
+        Q = U.conj().T @ dtn @ U + 0.5 * (lam + lam.conj().T)
+    # u(L) = e^s R01 fixes the parity of the zeros, which theta loses at j pi
+    j = [(np.round(th / math.pi), R[0, 1] > 0) for R, _, th in sweeps]
+    count = sum(n - (n % 2 == positive) for n, positive in j)
+    finite = np.isfinite(count) & np.isfinite(Q).all(axis=(1, 2))
+    if not np.all(finite):
+        raise NumericalError(f"count not finite at E={E[np.argmin(finite)]:g}")
+    return (count + np.count_nonzero(np.linalg.eigvalsh(Q) < 0.0, axis=-1)
+            ).astype(int)
 
 
-def _matrices(graph, mc, ks):
-    """(S, dS/dk) at the Newton count of bump segments, one pass."""
-    return secular_matrices_real(graph, mc, ks, derivative=True)
+def _matrices(graph, mc, Es):
+    """(S, dS/dE) at the Newton count of bump segments, one pass."""
+    return secular_matrices_real(graph, mc, Es, derivative=True)
 
 
-def _singulars(graph, mc, ks):
-    """Coarse grid's singular values of S: a sixth of the Newton count of
-    bump segments, float64 if real."""
-    S = secular_matrices_real(graph, mc, ks, coarse=True)
-    return np.linalg.svd(S, compute_uv=False)
+def _resolution(E):
+    """The step in E that a step of NEWTON_TOL in k = sqrt(E) makes."""
+    return 2.0 * NEWTON_TOL * np.sqrt(np.maximum(E, 0.0))
 
 
 def _pencil_steps(S, dS, shift):
-    """Eigenvalues delta of the pencils S + delta dS, shape (nk, n).
-
-    With mu the eigenvalues of (S + shift dS)^-1 dS, delta = shift -
-    1/mu.  The shift keeps the solve away from S itself, which is
-    exactly singular in floating point at a root Newton has converged
-    to.  dS has rank at most B, so at least half of the deltas are
-    infinite or huge.
-    """
-    mu = np.linalg.eigvals(np.linalg.solve(S + shift * dS, dS))
-    return shift - np.divide(1.0, mu, out=np.full_like(mu, np.inf),
-                             where=mu != 0.0)
+    """Eigenvalues delta of the pencils S + delta dS, shape (nE, n), as
+    shift - 1/mu, mu those of (S + shift dS)^-1 dS: the shift keeps the
+    solve off S, singular at a converged root.  dS has rank at most B, so
+    at least half of the deltas are infinite or huge."""
+    mu = np.linalg.eigvals(np.linalg.solve(S + shift[:, None, None] * dS, dS))
+    return shift[:, None] - np.divide(1.0, mu, out=np.full_like(mu, np.inf),
+                                      where=mu != 0.0)
 
 
-def _newton(graph, mc, starts, dk):
-    """Roots of det S(k) by Newton steps k <- k + delta on the secular
-    pencil, from every start at once (successive linear problems; Ruhe,
-    SIAM J. Numer. Anal. 10, 1973).
-
-    The first step branches into every pencil eigenvalue with |delta| <
-    dk, so two roots in one coarse cell each get an iterate; later steps
-    take the eigenvalue nearest zero.  An iterate has converged once
-    |delta| < NEWTON_TOL.  It is dropped when a step reaches dk, or when
-    it is still going after NEWTON_STEPS steps (the k = 0 mode of a
-    graph, a double root of the even function det S(k), converges only
-    linearly).  Returns k + delta for each converged iterate, sorted, and
-    S at k.
-    """
+def _newton(graph, mc, cells):
+    """Roots of det S(E), sorted and merged within _resolution, by Newton
+    steps E <- E + delta on the secular pencil from the middle of every
+    cell (lo, hi) at once (Ruhe, SIAM J. Numer. Anal. 10, 1973).  The first
+    step branches into every pencil eigenvalue with |delta| below the
+    cell's width, later steps take the one nearest zero.  An iterate
+    converges once |delta| is below _resolution, and is dropped when a
+    step reaches the width or after NEWTON_STEPS steps."""
+    widths = cells[:, 1] - cells[:, 0]
+    starts = cells[:, 0] + 0.5 * widths
     S, dS = _matrices(graph, mc, starts)
     # any shift inside the cell serves; see _pencil_steps
-    deltas = _pencil_steps(S, dS, 0.5 * dk)
-    row, col = np.nonzero(np.abs(deltas) < dk)
-    ks = starts[row] + deltas[row, col].real
-    roots, mats = [np.empty(0)], [S[:0]]
+    deltas = _pencil_steps(S, dS, 0.5 * widths)
+    row, col = np.nonzero(np.abs(deltas) < widths[:, None])
+    Es, widths = starts[row] + deltas[row, col].real, widths[row]
+    roots = [np.empty(0)]
     for _ in range(NEWTON_STEPS):
-        if not len(ks):
+        if not len(Es):
             break
-        S, dS = _matrices(graph, mc, ks)
-        deltas = _pencil_steps(S, dS, 0.5 * dk)
-        delta = deltas[np.arange(len(ks)), np.argmin(np.abs(deltas), axis=1)]
-        done = np.abs(delta) < NEWTON_TOL
-        roots.append(ks[done] + delta[done].real)
-        mats.append(S[done])
-        going = ~done & (np.abs(delta) < dk)
-        ks = ks[going] + delta[going].real
-    roots = np.concatenate(roots)
-    order = np.argsort(roots, kind="stable")
-    return roots[order], np.concatenate(mats)[order]
+        S, dS = _matrices(graph, mc, Es)
+        deltas = _pencil_steps(S, dS, 0.5 * widths)
+        delta = deltas[np.arange(len(Es)), np.argmin(np.abs(deltas), axis=1)]
+        done = np.abs(delta) < _resolution(Es)
+        roots.append(Es[done] + delta[done].real)
+        going = ~done & (np.abs(delta) < widths)
+        Es, widths = Es[going] + delta[going].real, widths[going]
+    roots = np.sort(np.concatenate(roots))
+    return roots[np.r_[True, np.diff(roots) >= _resolution(roots[1:])]]
 
 
-def _dips(y, half):
-    """Local minima of y, +inf beyond its ends, and the maximum of y over
-    i - half .. i + half, clipped at the ends."""
-    low = (y <= np.r_[math.inf, y[:-1]]) & (y <= np.r_[y[1:], math.inf])
-    pad = np.full(half, -math.inf)
-    return low, np.lib.stride_tricks.sliding_window_view(
-        np.r_[pad, y, pad], 2 * half + 1).max(axis=1)
+def _off_dirichlet(graph, E, dk):
+    """E moved to dk/4 in k above each constant bond's Dirichlet energy
+    c + (j pi/L)^2, where T01 = 0, that lies closer: up, so that the top
+    point stays at or above k_max^2."""
+    for bond in graph.bonds:
+        if bond.potential.kind == "constant":
+            c, L = bond.potential.c, bond.length
+            y, d = L * np.sqrt(np.maximum(E - c, 0.0)), 0.25 * L * dk
+            j = np.round(y / math.pi) * math.pi
+            E = np.where((j > 0.0) & (np.abs(y - j) < d),
+                         c + ((j + d) / L) ** 2, E)
+    return E
 
 
 def _scan_once(graph, mc, k_max, dk):
-    m = int(math.ceil(k_max / dk)) + 1
-    ks = np.linspace(0.0, k_max, m)
+    """scan_spectrum on cells of width dk in k."""
+    ks = np.linspace(0.0, k_max, int(math.ceil(k_max / dk)) + 1)
     dk = ks[1] - ks[0]
-    svals = _singulars(graph, mc, ks)
-    sigma = svals[:, -1]
-    with np.errstate(divide="ignore"):
-        logdet = np.sum(np.log(svals), axis=-1)
-    background = float(np.median(sigma))
-    if background <= 0.0:
-        raise NumericalError("secular matrix is singular on the whole grid")
-
-    # Two complementary dip detectors.  sigma_min drops to zero in a
-    # neighbourhood that can be very narrow when an almost-singular
-    # direction saturates it (a delta coupling at large k shrinks the well
-    # like 1/k), while log|det| picks up the wide logarithmic funnel every
-    # root carries regardless of that saturation.  k = 0 has no left
-    # neighbour, so a root below dk/2 shows as a one-sided dip there.
-    low, local = _dips(sigma, 3)
-    cand = low & ((sigma < 0.8 * background) | (sigma < 0.55 * local))
-    low, local = _dips(logdet, 4)
-    with np.errstate(invalid="ignore"):  # -inf - -inf where S is singular
-        cand |= low & (local - logdet >= 0.5)
-    # S is even in k, so dS/dk vanishes at 0: start that dip mid-cell
-    starts = np.where(ks > 0.0, ks, 0.5 * dk)[cand]
-
+    E = _off_dirichlet(graph, ks * ks, dk)
+    # below NEWTON_TOL dk, the resolution of E at k = dk/2, a root is E = 0
+    grid = np.concatenate(([-E[1], NEWTON_TOL * dk], E[1:]))
+    n = eigenvalue_count(graph, mc, grid)
+    work = [(grid[i], grid[i + 1], n[i], n[i + 1])
+            for i in np.nonzero(np.diff(n))[0] if i > 0]
     roots = []
-    total = 0
-    if len(starts):
-        found, mats = _newton(graph, mc, starts, dk)
-        # iterates that converged onto one root, from neighbouring dips or
-        # from the two pencil eigenvalues of a double root, agree to
-        # within NEWTON_TOL
-        keep = np.ones(len(found), dtype=bool)
-        keep[1:] = np.diff(found) >= NEWTON_TOL
-        keep &= (found > 0.0) & (found <= k_max)
-        if np.any(keep):
-            svals = np.linalg.svd(mats[keep], compute_uv=False)
-            for k, sv in zip(found[keep].tolist(), svals):
-                if sv[-1] >= 1e-5 * background:
-                    continue
-                # sv[0] itself collapses when the matrix loses full rank,
-                # so anchor the multiplicity scale to the grid background
-                scale = max(sv[0], background)
-                mult = int(np.count_nonzero(sv < 1e-6 * scale))
-                roots.append((k, max(mult, 1)))
-                total += max(mult, 1)
-    roots = tuple(roots)
-
-    estimate = graph.total_length() * k_max / math.pi
-    bound = 2 * graph.bond_count + 2
-    if abs(total - estimate) > bound:
-        raise _WeylAnomaly(
-            f"found {total} roots up to k={k_max:g} where the Weyl estimate "
-            f"is {estimate:.2f} +- {bound}; a root was probably missed")
-    return SpectrumWindow(k_max=float(k_max), roots=roots,
-                          count_estimate=estimate)
+    while work:
+        found = _newton(graph, mc, np.array([w[:2] for w in work]))
+        cuts, todo = [], []
+        for lo, hi, n_lo, n_hi in work:
+            inside = found[(found >= lo) & (found < hi)]
+            if len(inside) == n_hi - n_lo:
+                roots += [(r, 1) for r in inside]
+                continue
+            if hi - lo <= _resolution(hi):
+                raise NumericalError(f"could not resolve {n_hi - n_lo} roots "
+                                     f"near k={math.sqrt(hi):.12g}")
+            # bisect a cell without roots; a root's count is its multiplicity
+            gaps = np.diff(np.concatenate(([lo], inside, [hi])))
+            half = np.minimum(0.25 * np.minimum(gaps[:-1], gaps[1:]),
+                              SPLIT * inside)
+            cut = (np.column_stack((inside - half, inside + half)).ravel()
+                   if len(inside) else [0.5 * (lo + hi)])
+            todo.append((lo, hi, n_lo, n_hi, inside, len(cut)))
+            cuts.extend(cut)
+        n_cut = eigenvalue_count(graph, mc, cuts).tolist() if cuts else []
+        work = []
+        for lo, hi, n_lo, n_hi, inside, m in todo:
+            edges = [lo, *cuts[:m], hi]
+            counts = [n_lo, *n_cut[:m], n_hi]
+            cuts, n_cut = cuts[m:], n_cut[m:]
+            for i in np.nonzero(np.diff(counts) > 0)[0]:
+                if len(inside) and i % 2:
+                    roots.append((inside[i // 2], counts[i + 1] - counts[i]))
+                else:
+                    work.append((edges[i], edges[i + 1], counts[i],
+                                 counts[i + 1]))
+    roots.sort()
+    if sum(m for _, m in roots) != n[-1] - n[1]:
+        raise NumericalError(f"found {sum(m for _, m in roots)} roots up to "
+                             f"k={k_max:g} where the count is {n[-1] - n[1]}")
+    return SpectrumWindow(
+        k_max=float(k_max), roots=tuple((math.sqrt(r), m) for r, m in roots
+                                        if r <= k_max * k_max),
+        count_estimate=graph.total_length() * k_max / math.pi)
 
 
 def scan_spectrum(graph, mc, k_max: float, *, threads: int = 1) -> SpectrumWindow:
-    """All roots in (0, k_max] with multiplicities.
-
-    A coarse grid of spacing dk ~ pi / (16 total length) flags dips of the
-    smallest singular value and of log|det S|, a bump bond cut into
-    COARSE_PER_WIDTH Magnus segments per width of its support.  From each
-    dip, Newton steps on the pencil (S(k), -dS/dk) converge to the roots of
-    det S within one grid cell, with dS/dk exact through the transfer
-    matrices, both at PER_WIDTH segments per width, the count of the
-    imaginary axis.  The singular values of that S at each converged root
-    confirm it and give its multiplicity.  S is float64 without flux or
-    complex matching.  A Weyl-count anomaly triggers one rescan at dk/4
-    before giving up.  The scan runs on the calling thread: `threads` must
-    be at least 1 but reaches no computation, and is removed in the
-    benchmark-only change of ROADMAP item 2 (benchmark upkeep) that drops
-    the benchmark's threads = 2 operation.
-    """
+    """All roots in (0, k_max] with multiplicities, found and counted in
+    E = k^2.  eigenvalue_count on cells of width dk = pi / (4 total length)
+    in k, from below E = 0 and off the constant bonds' Dirichlet energies,
+    marks the cells that hold roots; Newton steps on the pencil (S(E),
+    dS/dE) start in each.  A cell whose roots do not account for its count
+    is bisected by counts; the count across a root is its multiplicity.
+    Roots below E = NEWTON_TOL dk, zero modes, count but are not reported.
+    A total short of the count raises NumericalError.  `threads` reaches no
+    computation; ROADMAP item 2 removes it with the benchmark's threads = 2
+    operation."""
     if not math.isfinite(k_max):
         raise UnsupportedError("k_max must be finite")
     if k_max <= 0.0:
         raise UnsupportedError("k_max must be positive")
     if threads < 1:
         raise UnsupportedError("threads must be at least 1")
-    dk = math.pi / (16.0 * graph.total_length())
-    try:
-        return _scan_once(graph, mc, k_max, dk)
-    except _WeylAnomaly:
-        pass
-    try:
-        return _scan_once(graph, mc, k_max, dk / 4.0)
-    except _WeylAnomaly as exc:
-        raise NumericalError(str(exc)) from None
+    return _scan_once(graph, mc, k_max,
+                      math.pi / (4.0 * graph.total_length()))
 
 
 # ---------------------------------------------------------------------------

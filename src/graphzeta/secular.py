@@ -13,12 +13,11 @@ solve and trace (logF_slope_imag, dlogF_dL_imag).  An exactly singular
 A + B M fails with NumericalError naming its t.  F_imag is logF_imag
 at one t, as a record.
 
-Real axis: a pole-free parameterisation through bond transfer matrices,
-suitable for scanning; its smallest singular value vanishes exactly at
-eigenvalues, with multiplicity equal to the null-space dimension.  S is
-float64 unless _secular_is_complex; its coarse pass takes a sixth of the
-bump segments.  Its transfer matrices are shared the same way, the flux
-phase again entering only in assembly.
+Real axis: a pole-free parameterisation S(E) through bond transfer
+matrices at energies E = k^2, singular exactly at eigenvalues, with the
+null-space dimension as multiplicity.  S and dS/dE are float64 unless
+_secular_is_complex.  Its transfer matrices are shared the same way, the
+flux phase again entering only in assembly.
 """
 
 from __future__ import annotations
@@ -146,8 +145,8 @@ def _secular_is_complex(graph, mc) -> bool:
 
 def _assemble_real(graph, mc, transfer_blocks, nk, unit=1.0):
     """A phi + B dhat from the bond transfer blocks; unit = 0 assembles
-    the k-derivative from the derivative blocks, since the remaining
-    entries of phi and dhat do not depend on k."""
+    the E-derivative from the derivative blocks, since the remaining
+    entries of phi and dhat do not depend on E."""
     B = graph.bond_count
     n = 2 * B
     cplx = _secular_is_complex(graph, mc)
@@ -169,25 +168,19 @@ def _assemble_real(graph, mc, transfer_blocks, nk, unit=1.0):
     return S
 
 
-def secular_matrices_real(graph, mc, ks, *, derivative: bool = False,
-                          coarse: bool = False):
-    """Real-axis secular matrices S(k) over an array of k; with
-    derivative=True the pair (S, dS/dk), both from one pass of the
-    transfer matrices.  A bump bond takes the Newton count of segments,
-    or the coarse grid's with coarse=True (see transfer_matrices_real).
-    Bonds of one (length, potential) share their transfer matrices
-    (per_distinct_bond); the flux phase is applied in assembly.
-    float64 unless _secular_is_complex.
-    """
-    ks = np.asarray(ks, dtype=float)
-    blocks = per_distinct_bond(
-        graph.bonds, lambda bond: transfer_matrices_real(
-            bond, ks, derivative=derivative, coarse=coarse))
+def secular_matrices_real(graph, mc, Es, *, derivative: bool = False):
+    """Real-axis secular matrices S(E) over an array of energies, or with
+    derivative=True (S, dS/dE), from one pass of transfer_matrices_real
+    per distinct (length, potential) (per_distinct_bond); the flux phase
+    enters in assembly.  float64 unless _secular_is_complex."""
+    Es = np.asarray(Es, dtype=float)
+    blocks = per_distinct_bond(graph.bonds, lambda b: transfer_matrices_real(
+        b, Es, derivative=derivative))
     if not derivative:
-        return _assemble_real(graph, mc, blocks, len(ks))
+        return _assemble_real(graph, mc, blocks, len(Es))
     T, dT = zip(*blocks)
-    return (_assemble_real(graph, mc, T, len(ks)),
-            _assemble_real(graph, mc, dT, len(ks), unit=0.0))
+    return (_assemble_real(graph, mc, T, len(Es)),
+            _assemble_real(graph, mc, dT, len(Es), unit=0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -253,3 +253,18 @@ def test_main_entry_point(tmp_path):
         capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0
     assert proc.stdout.startswith("fp_half,")
+
+
+@pytest.mark.parametrize("c", [4e5, 1e6])
+def test_spectrum_under_a_large_constant_potential(tmp_path, capsys, c):
+    # the lowest root of the unit Dirichlet interval is near k = sqrt(c):
+    # the window up to k = 10 is empty (exit 0) or a typed numerical
+    # error (exit 3), never an untyped failure (exit 1)
+    doc = {**INTERVAL, "bonds": [{**INTERVAL["bonds"][0], "potential": {
+        "kind": "constant", "value": c}}]}
+    path = write(tmp_path, doc)
+    rc = main(["spectrum", "--graph", path, "--k-max", "10"])
+    assert rc in (0, 3)
+    if rc == 0:
+        assert capsys.readouterr().out.strip().splitlines() == [
+            "index,k,energy,multiplicity"]

@@ -7,9 +7,9 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from conftest import BUMP, make_bump_interval, make_chain, make_interval
-from graphzeta import NumericalError, interval, oracle, scan_spectrum
+from graphzeta import NumericalError, interval, scan_spectrum
 from graphzeta.interval import (CSTEP, SWEEP_BLOCK, BondSolution,
-                                _block_product, _segments,
+                                _block_product, _segments, _sweep,
                                 bond_solution, dirichlet_subtracted_derivative,
                                 transfer_matrices_real)
 from graphzeta.secular import _assemble_real, bond_solutions, logF_slope_imag
@@ -106,8 +106,7 @@ def rk4_converged(bond, ks):
 
 def segment_count(bond, per_width):
     """n = max(m, m (b - a) sqrt(max |V|)) segments of the support, with
-    m = PER_WIDTH = 300 on the imaginary axis and for the scan's Newton
-    steps, and m = COARSE_PER_WIDTH = 50 on its coarse grid."""
+    m = PER_WIDTH = 300 on both axes."""
     pot = bond.potential
     a, b = pot.support(bond.length)
     vmax = max(-pot.minimum(bond.length), pot.maximum(bond.length))
@@ -185,7 +184,7 @@ def sweep_reference(bond, t, end="0"):
               for x in ((np.arange(n) + 0.5 - g) * h,
                         (np.arange(n) + 0.5 + g) * h))
     _, D, T, P, log_cosh, dlog_cosh = _segments(
-        (t * t)[:, None], (2.0 * t)[:, None], w, V1, V2, CSTEP)
+        (t * t)[:, None], (2.0 * t)[:, None], w, V1, V2, CSTEP, t[:, None])
     m = np.zeros(len(t), complex)
     d = np.empty_like(T)
     for i in range(n + 2):
@@ -545,16 +544,32 @@ def test_negative_potential_refused_below_floor():
 def test_transfer_matrix_free_case():
     bond = make_interval(1.0)[0].bonds[0]
     for k in (0.5, 2.0, 7.0):
-        T = transfer_matrices_real(bond, np.array([k]))[0]
+        T = transfer_matrices_real(bond, np.array([k * k]))[0]
         expect = np.array([[math.cos(k), math.sin(k) / k],
                            [-k * math.sin(k), math.cos(k)]])
         assert np.allclose(T, expect, atol=1e-10)
 
 
+def test_transfer_matrix_below_zero_energy():
+    # a batch whose every E <= 0 takes the cosh formulas with their growth
+    # in e^s, on the real axis with no t w taken off: cosh and sinh of
+    # kappa = sqrt(-E), with det T = 1
+    bond = make_interval(1.0)[0].bonds[0]
+    for E in (-4.0, -1e-3, 0.0):
+        T = transfer_matrices_real(bond, np.array([E]))[0]
+        kappa = math.sqrt(-E)
+        shk = math.sinh(kappa) / kappa if kappa else 1.0
+        expect = np.array([[math.cosh(kappa), shk],
+                           [kappa * kappa * shk, math.cosh(kappa)]])
+        assert np.allclose(T, expect, rtol=1e-14, atol=1e-15), E
+        det = T[0, 0] * T[1, 1] - T[0, 1] * T[1, 0]
+        assert det == pytest.approx(1.0, abs=1e-14), E
+
+
 def test_transfer_matrix_unit_determinant_with_potential():
     bond = make_bump_interval(height=5.0)[0].bonds[0]
     for k in (0.7, 3.3, 11.0):
-        T = transfer_matrices_real(bond, np.array([k]))[0]
+        T = transfer_matrices_real(bond, np.array([k * k]))[0]
         det = T[0, 0] * T[1, 1] - T[0, 1] * T[1, 0]
         assert det == pytest.approx(1.0, abs=1e-9)
 
@@ -568,61 +583,56 @@ REAL_CASES = [dict(height=0.3), dict(height=3.0),
 @pytest.mark.parametrize("kw", REAL_CASES, ids=lambda kw: str(kw["height"]))
 def test_transfer_matrices_match_sequential_segment_product(kw):
     # the masked branches and the pairwise products of blocks reorder the
-    # arithmetic of the one-segment-at-a-time product and nothing else,
-    # at the Newton count and at the coarse grid's; a constant bond is one
-    # exact segment at both
+    # arithmetic of the one-segment-at-a-time product and nothing else;
+    # the eigenvalue count's float64 sweep, which carries the Pruefer
+    # angle, multiplies bitwise the same products
     ks = np.linspace(0.0, 215.0, 64)
     bond = make_bump_interval(**kw)[0].bonds[0]
-    for coarse, per_width in ((False, interval.PER_WIDTH),
-                              (True, interval.COARSE_PER_WIDTH)):
-        got = transfer_matrices_real(bond, ks, coarse=coarse)
-        ref = magnus_product_reference(bond, ks, per_width)
-        assert np.all(d_scaled_error(got, ref, ks) <= 1e-11), coarse
-    bond = make_interval(1.0, potential={"kind": "constant",
-                                         "value": 3.0})[0].bonds[0]
-    assert np.array_equal(transfer_matrices_real(bond, ks),
-                          transfer_matrices_real(bond, ks, coarse=True))
+    got = transfer_matrices_real(bond, ks * ks)
+    ref = magnus_product_reference(bond, ks, interval.PER_WIDTH)
+    assert np.all(d_scaled_error(got, ref, ks) <= 1e-11)
+    R, s, _ = _sweep(-(ks * ks)[:, None], -1.0,
+                     *interval._gauss_layout(bond, interval.PER_WIDTH), None,
+                     interval.REAL_BLOCK, None)
+    assert np.array_equal(got, np.moveaxis(R * np.exp(s), -1, 0))
 
 
 @pytest.mark.parametrize("kw", REAL_CASES, ids=lambda kw: str(kw["height"]))
 def test_transfer_matrices_converge_to_rk4_reference(kw):
-    # the segment error does not grow with k: the Newton count holds the
+    # the segment error does not grow with k: the segment count holds the
     # converged RK4 loop up to k = 215, where the RK4 pair of 1,200 and
-    # 2,400 steps was off by about 4e-7.  The coarse grid's count, which
-    # only ranks neighbouring k on the scan's coarse grid, stays within
-    # 1e-4 of the same reference
+    # 2,400 steps was off by about 4e-7
     ks = np.linspace(0.0, 215.0, 64)
     bond = make_bump_interval(**kw)[0].bonds[0]
     ref = rk4_converged(bond, ks)
-    got = transfer_matrices_real(bond, ks)
+    got = transfer_matrices_real(bond, ks * ks)
     assert np.all(d_scaled_error(got, ref, ks) <= 1e-10)
-    coarse = transfer_matrices_real(bond, ks, coarse=True)
-    assert np.all(d_scaled_error(coarse, ref, ks) <= 1e-4)
 
 
 def test_both_axes_meet_at_zero_energy():
-    # at E = 0 the imaginary axis (t = 0) and the real axis (k = 0)
+    # at E = -t^2 <= 0 the imaginary axis (t) and the real axis (E)
     # describe one operator: f'(0) is -T00/T01, the inward f'(L) is
     # -T11/T01 and log u(L) is log T01
     bonds = [make_bump_interval(**kw)[0].bonds[0] for kw in REAL_CASES
              if kw["height"] >= 0.0]
     bonds.append(make_interval(1.0, potential={"kind": "constant",
                                                "value": 3.0})[0].bonds[0])
-    zero = np.array([0.0])
+    t = np.array([0.0, 0.03, 1.0, 2.0])
     for bond in bonds:
-        sol = bond_solution(bond, zero)
-        T = transfer_matrices_real(bond, zero)[0]
-        for got, ref in ((sol.f_prime_at_0, -T[0, 0] / T[0, 1]),
-                         (sol.f_prime_at_L, -T[1, 1] / T[0, 1]),
-                         (sol.log_u, math.log(T[0, 1]))):
-            assert abs(got[0] - ref) <= 1e-13 * abs(ref), bond.potential
+        sol = bond_solution(bond, t)
+        T = transfer_matrices_real(bond, -t * t)
+        for got, ref in ((sol.f_prime_at_0, -T[:, 0, 0] / T[:, 0, 1]),
+                         (sol.f_prime_at_L, -T[:, 1, 1] / T[:, 0, 1]),
+                         (sol.log_u, np.log(T[:, 0, 1]))):
+            assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref)), (
+                bond.potential)
 
 
 def test_real_batches_without_oscillation(monkeypatch):
     # a batch with no oscillating map takes the cosh formulas over every
-    # block, with their growth kept in e^s: k = 0 alone on the bumps of
-    # height >= 0, and each k < sqrt(3) alone on the c = 3 bond, against
-    # the one-segment-at-a-time product and the five-point difference
+    # block, with their growth kept in e^s: E = 0 alone on the bumps of
+    # height >= 0, and each E < 3 alone on the c = 3 bond, against the
+    # one-segment-at-a-time product and the five-point difference in E
     cosh_only = []
     segments = interval._segments
 
@@ -641,13 +651,13 @@ def test_real_batches_without_oscillation(monkeypatch):
     for bond, k in cases:
         ks = np.array([k])
         cosh_only.clear()
-        T, dT = transfer_matrices_real(bond, ks, derivative=True)
+        T, dT = transfer_matrices_real(bond, ks * ks, derivative=True)
         assert cosh_only and all(cosh_only), (bond.potential, k)
         ref = magnus_product_reference(bond, ks, interval.PER_WIDTH)
         assert np.all(d_scaled_error(T, ref, ks) <= 1e-11), (bond.potential, k)
 
         def at(d):
-            return transfer_matrices_real(bond, ks + d)
+            return transfer_matrices_real(bond, ks * ks + d)
         diff = (8.0 * (at(h) - at(-h)) - (at(2 * h) - at(-2 * h))) / (12 * h)
         scale = np.maximum(np.abs(diff).max(axis=(1, 2)), 1.0)
         assert np.all(np.abs(dT - diff).max(axis=(1, 2)) <= 1e-9 * scale), (
@@ -655,54 +665,27 @@ def test_real_batches_without_oscillation(monkeypatch):
 
 
 def test_transfer_matrix_derivative_matches_difference():
-    # the exact k-derivative of the segment maps against a five-point
-    # difference of the same maps; k = sqrt(3) puts the constant bond on
-    # the series branch of its closed form
-    ks = np.array([0.0, 1e-3, 0.8, math.sqrt(3.0), 3.3, 40.0, 215.0])
-    h = 1e-3
+    # the exact E-derivative of the segment maps against a five-point
+    # difference of the same maps, in steps of 1e-3 in k; E = 3 puts the
+    # constant bond on the series branch of its closed form.  At E = 0
+    # the free bond's is [[-L^2/2, -L^3/6], [-L, -L^2/2]]
+    Es = np.array([0.0, 1e-6, 0.64, 3.0, 10.89, 1600.0, 46225.0])
+    h = (2e-3 * np.maximum(np.sqrt(Es), 0.5))[:, None, None]
     for graph_mc in (make_interval(1.0), make_bump_interval(),
                      make_interval(1.0, potential={"kind": "constant",
                                                    "value": 3.0})):
         bond = graph_mc[0].bonds[0]
-        T, dT = transfer_matrices_real(bond, ks, derivative=True)
-        assert np.array_equal(T, transfer_matrices_real(bond, ks))
-        assert np.all(dT[0] == 0.0)
+        T, dT = transfer_matrices_real(bond, Es, derivative=True)
+        assert np.array_equal(T, transfer_matrices_real(bond, Es))
 
         def at(d):
-            return transfer_matrices_real(bond, ks + d)
-        diff = (8.0 * (at(h) - at(-h)) - (at(2 * h) - at(-2 * h))) / (12 * h)
+            return transfer_matrices_real(bond, Es + d * h[:, 0, 0])
+        diff = (8.0 * (at(1) - at(-1)) - (at(2) - at(-2))) / (12 * h)
         scale = np.maximum(np.abs(diff).max(axis=(1, 2)), 1.0)
         assert np.all(np.abs(dT - diff).max(axis=(1, 2)) <= 1e-9 * scale)
-
-
-def test_coarse_count_moves_no_newton_start(monkeypatch):
-    # the coarse grid only ranks sigma_min and log|det S| between
-    # neighbouring k: at a sixth of the Newton count it hands _newton
-    # bitwise the starts, and the scan returns the roots, of the grid at
-    # the full count
-    graphs = [make_bump_interval(**kw) for kw in REAL_CASES]
-    graphs.append(make_chain((1.0, 1.0, 1.0), bump=BUMP))
-    newton = oracle._newton
-
-    def scan(graph, mc):
-        seen = []
-
-        def spy(graph, mc, starts, dk):
-            seen.append(starts)
-            return newton(graph, mc, starts, dk)
-        with monkeypatch.context() as m:
-            m.setattr(oracle, "_newton", spy)
-            roots = scan_spectrum(graph, mc, 215.0).roots
-        return seen, roots
-
-    for graph, mc in graphs:
-        starts, roots = scan(graph, mc)
-        with monkeypatch.context() as m:
-            m.setattr(interval, "COARSE_PER_WIDTH", interval.PER_WIDTH)
-            starts_full, roots_full = scan(graph, mc)
-        assert len(starts) == len(starts_full)
-        assert all(np.array_equal(a, b) for a, b in zip(starts, starts_full))
-        assert roots == roots_full
+    dT = transfer_matrices_real(make_interval(1.0)[0].bonds[0], Es[:1],
+                                derivative=True)[1][0]
+    assert np.allclose(dT, [[-0.5, -1.0 / 6.0], [-1.0, -0.5]], rtol=1e-14)
 
 
 def test_scan_top_roots_match_rk4_reference():
@@ -721,22 +704,23 @@ def test_scan_top_roots_match_rk4_reference():
 
 
 def closed_form_dT(k, c, L=1.0):
-    """dT/dk across a stretch of constant potential c, in 40 digits."""
+    """dT/dE across a stretch of constant potential c, E = k^2, in 40
+    digits."""
     with mpmath.workdps(40):
         k = mpmath.mpf(k)
         z2 = k * k - c
         z = mpmath.sqrt(mpmath.mpc(z2))
         cos = mpmath.cos(z * L)
         sov = mpmath.sin(z * L) / z
-        dcos = -k * L * sov
-        dsov = k * (L * cos - sov) / z2
-        return np.array([[dcos, dsov], [-2 * k * sov - z2 * dsov, dcos]],
+        dcos = -L * sov / 2
+        dsov = (L * cos - sov) / (2 * z2)
+        return np.array([[dcos, dsov], [-sov - z2 * dsov, dcos]],
                         dtype=complex).real
 
 
 def test_transfer_matrix_derivative_where_it_is_small():
-    # entry by entry where dT/dk is far below one: a free bond near k = 0
-    # and the c = 3 bond near k = sqrt(c), where sin(z L)/z cancels
+    # entry by entry where dT/dE has cancellations: a free bond near E = 0
+    # and the c = 3 bond near E = c, where sin(z L)/z cancels
     cases = [(0.0, np.array([1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1]))]
     j = np.arange(3, 9)
     cases.append((3.0, math.sqrt(3.0) * np.concatenate(
@@ -744,7 +728,7 @@ def test_transfer_matrix_derivative_where_it_is_small():
     for c, ks in cases:
         bond = make_interval(1.0, potential={"kind": "constant",
                                              "value": c})[0].bonds[0]
-        _, dT = transfer_matrices_real(bond, ks, derivative=True)
+        _, dT = transfer_matrices_real(bond, ks * ks, derivative=True)
         for k, got in zip(ks, dT):
             ref = closed_form_dT(k, c)
             assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref)), k

@@ -28,6 +28,18 @@ BUMP_INTERVAL = {
         {"vertex": 2, "kind": "dirichlet"}]},
 }
 
+# the delta(1) star of three unit bonds, in global matching form: the
+# rows of the centre (slots 1-3) and of the Dirichlet leaves (slots 4-6)
+_GLOBAL_A = [[1, -1, 0, 0, 0, 0], [0, 1, -1, 0, 0, 0], [-1, 0, 0, 0, 0, 0],
+             [0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 1, 0], [0, 0, 0, 0, 0, 1]]
+GLOBAL_STAR = {
+    "vertices": 4,
+    "bonds": [{"id": i + 1, "origin": 1, "terminus": i + 2, "length": 1.0}
+              for i in range(3)],
+    "matching": {"mode": "global", "A": _GLOBAL_A,
+                 "B": [[0] * 6, [0] * 6, [1, 1, 1, 0, 0, 0]] + [[0] * 6] * 3},
+}
+
 # set before graphzeta is imported: an import of scipy, or of any of its
 # submodules, then raises ImportError
 NO_SCIPY = 'import sys\nsys.modules["scipy"] = None\n'
@@ -45,6 +57,10 @@ window = gz.scan_spectrum(graph, mc, 60.0)
 gz.zeta_direct(window, 0.75)
 gz.zeta_direct(window, complex(0.75, 0.5), 0.5)
 gz.energy_finite_difference(graph, mc, 1)
+assert list(gz.eigenvalue_count(graph, mc, [-1.0, 400.0])) == [0, 6]
+star, star_mc = gz.parse_graph(sys.argv[2])
+assert (gz.scan_spectrum(star, star_mc, 20.0).count
+        == gz.eigenvalue_count(star, star_mc, [400.0])[0] == 18)
 """
 
 CLI = NO_SCIPY + """
@@ -72,7 +88,7 @@ def graph_path(tmp_path):
 
 
 def test_library_operations_load_no_scipy(graph_path):
-    run_fresh(LIBRARY, graph_path)
+    run_fresh(LIBRARY, graph_path, json.dumps(GLOBAL_STAR))
 
 
 @pytest.mark.parametrize("argv", [

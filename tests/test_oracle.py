@@ -5,9 +5,11 @@ import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from conftest import BUMP, make_chain, make_circle, make_interval, make_star
-from graphzeta import (UnsupportedError, oracle, scan_spectrum, zeta_direct,
-                       zeta_total)
+from conftest import (BUMP, from_doc, make_chain, make_circle, make_interval,
+                      make_star)
+from graphzeta import (NumericalError, UnsupportedError, eigenvalue_count,
+                       oracle, scan_spectrum, zeta_direct, zeta_total)
+from graphzeta.interval import transfer_matrices_real
 from oracles import discretized_eigenvalues, reference_zeta_R
 
 
@@ -70,8 +72,8 @@ def test_scan_circle_flux():
 
 
 def test_scan_circle_small_flux():
-    # the lowest root k = A sits below half a coarse cell, where the only
-    # dip is the one-sided one at k = 0
+    # the lowest root k = A sits in the grid's first cell in k, above the
+    # energies that count as E <= 0
     for A in (0.05, 0.01):
         graph, mc = make_circle(1.0, A)
         window = scan_spectrum(graph, mc, 20.0)
@@ -103,96 +105,171 @@ def test_scan_roots_meet_closed_forms():
         assert abs(k - k_ref) <= 1e-11
 
 
-def reference_starts(ks, svals):
-    """The Newton starts of the coarse grid ks with singular values svals,
-    from the scan's two dip detectors written as one Python loop each
-    over the grid: the reference for the array form in the scan."""
-    m = len(ks)
-    sigma = svals[:, -1]
-    with np.errstate(divide="ignore"):
-        logdet = np.sum(np.log(svals), axis=-1)
-    background = float(np.median(sigma))
-    cand_idx = set()
-    for i in range(m):
-        left = sigma[i - 1] if i > 0 else math.inf
-        right = sigma[i + 1] if i + 1 < m else math.inf
-        if sigma[i] <= left and sigma[i] <= right:
-            local = float(np.max(sigma[max(i - 3, 0):i + 4]))
-            if sigma[i] < 0.8 * background or sigma[i] < 0.55 * local:
-                cand_idx.add(i)
-    for i in range(m):
-        left = logdet[i - 1] if i > 0 else math.inf
-        right = logdet[i + 1] if i + 1 < m else math.inf
-        if logdet[i] <= left and logdet[i] <= right:
-            local = float(np.max(logdet[max(i - 4, 0):i + 5]))
-            with np.errstate(invalid="ignore"):
-                if local - logdet[i] >= 0.5:
-                    cand_idx.add(i)
-    dk = ks[1] - ks[0]
-    return np.array([ks[i] if i else 0.5 * dk for i in sorted(cand_idx)])
+def test_count_closed_forms():
+    # energies between the roots, each away from a bond's Dirichlet energy
+    rng = np.random.default_rng(3)
+    ks = np.sort(rng.uniform(0.0, 60.0, 200))
+    Es = np.concatenate(([-4.0, -1e-3], ks * ks))
+    k = np.sqrt(np.maximum(Es, 0.0))
+    # Dirichlet interval: floor(k L / pi)
+    graph, mc = make_interval(1.3)
+    assert np.array_equal(eigenvalue_count(graph, mc, Es),
+                          np.floor(k * 1.3 / math.pi))
+    # flux circle: the roots |2 pi j + A|
+    graph, mc = make_circle(1.0, A=0.3)
+    roots = np.abs(2.0 * math.pi * np.arange(-12, 13) + 0.3)
+    assert np.array_equal(eigenvalue_count(graph, mc, Es),
+                          np.count_nonzero(roots < k[:, None], axis=1)
+                          * (Es > 0.0))
+    # Kirchhoff star, Dirichlet leaves: sum floor(k L_b / pi), plus one
+    # where sum cot(k L_b) < 0
+    lengths = np.array([1.0, 1.3, 0.8])
+    graph, mc = make_star(0.0, lengths=tuple(lengths))
+    kL = k[2:, None] * lengths
+    expect = (np.floor(kL / math.pi).sum(axis=1)
+              + (np.sum(1.0 / np.tan(kL), axis=1) < 0.0))
+    assert np.array_equal(eigenvalue_count(graph, mc, Es),
+                          np.concatenate(([0, 0], expect)))
 
 
-class _Stop(Exception):
-    pass
+def test_count_on_the_dirichlet_energies_of_a_loop():
+    # at E = (j pi/L)^2, j odd, u(L) = T01 is of the order of rounding and
+    # the Pruefer angle rounds onto j pi; the sign of T01 fixes the parity
+    # of the Dirichlet count.  The Kirchhoff loop's roots are 0 and the
+    # doubles at (2 pi m/L)^2
+    L = 0.8834434871717249
+    graph, mc = make_circle(L)
+    Es = (np.array([1.0, 3.0, 5.0, 7.0]) * math.pi / L) ** 2
+    assert list(eigenvalue_count(graph, mc, Es)) == [1, 3, 5, 7]
 
 
-def scan_starts(monkeypatch, graph, mc, k_max, dk, svals=None):
-    """(ks, singular values, Newton starts) of one coarse grid of the
-    scan, stopped before Newton; svals replaces the grid's own."""
-    seen = {}
-    singulars = oracle._singulars
-
-    def coarse(graph, mc, ks):
-        seen["ks"] = ks
-        seen["svals"] = singulars(graph, mc, ks) if svals is None else svals
-        return seen["svals"]
-
-    def newton(graph, mc, starts, dk):
-        seen["starts"] = starts
-        raise _Stop
-    with monkeypatch.context() as m:
-        m.setattr(oracle, "_singulars", coarse)
-        m.setattr(oracle, "_newton", newton)
-        try:
-            oracle._scan_once(graph, mc, k_max, dk)
-        except (_Stop, oracle._WeylAnomaly):
-            pass
-    return seen["ks"], seen["svals"], seen.get("starts", np.empty(0))
+def test_count_below_the_first_root_of_a_neumann_leaf_star():
+    # sum_b k tan(k L_b) = lambda on the delta star with Neumann leaves:
+    # lambda > 0 repels, so its lowest root is positive, and lambda < 0
+    # puts one below zero, -kappa with sum_b kappa tanh(kappa L_b) = -lambda.
+    # Only probes below the first root tell the sign of lambda in Q
+    lengths = (1.0, 1.3, 0.8)
+    for lam in (1.0, -1.0):
+        graph, mc = make_star(lam, lengths=lengths, leaf="neumann")
+        if lam > 0.0:
+            first = brentq(lambda k: sum(k * math.tan(k * L)
+                                         for L in lengths) - lam,
+                           1e-6, 1.0) ** 2
+        else:
+            first = -brentq(lambda q: sum(q * math.tanh(q * L)
+                                          for L in lengths) + lam,
+                            1e-6, 3.0) ** 2
+        probes = np.array([first - 0.1, first - 1e-6, first + 1e-6])
+        assert list(eigenvalue_count(graph, mc, probes)) == [0, 0, 1], lam
 
 
-def test_dip_detectors_match_the_loops(monkeypatch):
-    # the coarse grids of the benchmark's bump chain and delta star and of
-    # a flux circle, then synthetic grids: ties and plateaus (integer
-    # values), a flat grid, exact zeros (log|det| = -inf), dips at either
-    # end, and a shallow grid below one, whose window maxima are negative
-    bump = {**BUMP, "height": 0.3}
-    for (graph, mc), k_max in ((make_chain(bump=bump), 215.0),
-                               (make_star(1.0), 215.0),
-                               (make_circle(1.0, A=0.5), 33.0)):
-        dk = math.pi / (16.0 * graph.total_length())
-        ks, svals, starts = scan_starts(monkeypatch, graph, mc, k_max, dk)
-        assert len(starts) > 0
-        assert np.array_equal(starts, reference_starts(ks, svals))
+def copies_of_the_delta_star():
+    """The delta(1) star with lengths (1, 1.3, 0.8) in per-vertex form, in
+    global form with its conditions mixed across vertices by an invertible
+    C, and with its centre as a custom vertex."""
+    lengths = (1.0, 1.3, 0.8)
+    graph, mc = make_star(1.0, lengths=lengths)
+    C = np.eye(6) + 0.3 * np.random.default_rng(5).standard_normal((6, 6))
+    bonds = [{"id": i + 1, "origin": 1, "terminus": i + 2, "length": L}
+             for i, L in enumerate(lengths)]
 
-    graph, mc = make_interval(1.0)
-    rng = np.random.default_rng(7)
-    m = 200
-    synthetic = [rng.integers(1, 5, (m, 2)).astype(float),
-                 rng.integers(1, 3, (m, 2)).astype(float),
-                 np.ones((m, 2)),
-                 np.repeat(rng.uniform(0.5, 2.0, (m // 4, 2)), 4, axis=0)]
-    zeros = rng.uniform(0.5, 2.0, (m, 2))
-    zeros[[0, 3, 4, 50, 51, 52, 120, m - 1], 1] = 0.0
-    synthetic.append(zeros)
-    ends = rng.uniform(1.0, 2.0, (m, 2))
-    ends[[0, 1, m - 2, m - 1], 1] = 1e-3, 1e-2, 1e-2, 1e-3
-    synthetic.append(ends)
-    synthetic.append(rng.uniform(0.2, 0.22, (m, 2)))
-    for svals in synthetic:
-        svals = np.sort(svals, axis=1)[:, ::-1].copy()
-        ks, _, starts = scan_starts(monkeypatch, graph, mc, m - 1.0, 1.0,
-                                    svals)
-        assert np.array_equal(starts, reference_starts(ks, svals))
+    def rows(M):
+        return [[float(x) for x in row] for row in M]
+    mixed = from_doc({"vertices": 4, "bonds": bonds, "matching": {
+        "mode": "global", "A": rows(C @ mc.A.real),
+        "B": rows(C @ mc.B.real)}})
+    leaves = [{"vertex": i + 2, "kind": "dirichlet"} for i in range(3)]
+    custom = from_doc({"vertices": 4, "bonds": bonds, "matching": {
+        "mode": "per_vertex", "vertices": [
+            {"vertex": 1, "kind": "custom",
+             "A": [[1, -1, 0], [0, 1, -1], [-1, 0, 0]],
+             "B": [[0, 0, 0], [0, 0, 0], [1, 1, 1]]}] + leaves}})
+    return (graph, mc), mixed, custom
+
+
+def test_global_and_custom_matching_count_like_per_vertex():
+    (graph, mc), *copies = copies_of_the_delta_star()
+    Es = np.linspace(-3.0, 900.0, 397)
+    count = eigenvalue_count(graph, mc, Es)
+    window = scan_spectrum(graph, mc, 30.0)
+    for copy in copies:
+        assert np.array_equal(eigenvalue_count(*copy, Es), count)
+        roots = scan_spectrum(*copy, 30.0).roots
+        assert [m for _, m in roots] == [m for _, m in window.roots]
+        assert all(abs(a - b) <= 1e-11
+                   for (a, _), (b, _) in zip(roots, window.roots))
+
+
+def test_scan_counts_the_close_pair_and_the_lowest_root_of_a_weak_flux():
+    # the A = 1e-4 circle: k = 1e-4 and the pairs 2 pi n -+ 1e-4, 2e-4
+    # apart, all simple
+    graph, mc = make_circle(1.0, A=1e-4)
+    window = scan_spectrum(graph, mc, 60.0)
+    expected = sorted(abs(2.0 * math.pi * j + 1e-4) for j in range(-9, 10))
+    assert window.count == len(window.roots) == 19
+    for (k, m), ref in zip(window.roots, expected):
+        assert m == 1 and abs(k - ref) <= 1e-10
+
+
+def test_scan_counts_the_kirchhoff_star_root_between_close_ladders():
+    # Dirichlet leaves of lengths (1, 1, 1.5625, 1.5625): the root at
+    # k = 28.1977, between 14 pi / 1.5625 and 9 pi, where sum cot(k L_b)
+    # changes sign
+    lengths = (1.0, 1.0, 1.5625, 1.5625)
+    graph, mc = make_star(0.0, lengths=lengths)
+    window = scan_spectrum(graph, mc, 60.0)
+    assert window.count == 96
+    assert window.count == eigenvalue_count(graph, mc, [3600.0])[0]
+    root = brentq(lambda k: sum(1.0 / math.tan(k * L) for L in lengths),
+                  28.15, 28.27, xtol=1e-14)
+    assert min(abs(k - root) for k, _ in window.roots) <= 1e-10
+
+
+def test_scan_keeps_close_simple_pairs_of_a_bump_star_apart():
+    # the delta(1) star with a height-3 bump on its length-1.3 bond: near
+    # k = 10 j pi two simple roots sit 0.003 to 0.0008 apart
+    bump = {"kind": "bump", "center": 0.65, "half_width": 0.39,
+            "height": 3.0}
+    graph, mc = make_star(1.0, lengths=(1.0, 1.3, 0.8),
+                          potentials=[(1, bump)])
+    window = scan_spectrum(graph, mc, 500.0)
+    assert window.count == eigenvalue_count(graph, mc, [250000.0])[0]
+    assert all(m == 1 for _, m in window.roots)
+
+
+def test_scan_counts_up_to_k_max_next_to_dirichlet_energies():
+    # k_max^2 lies within a quarter cell of Dirichlet energies of two
+    # bonds, below them: the top of the grid moves up, off both, and the
+    # root between it and k_max^2 is still found
+    graph, mc = from_doc({
+        "vertices": 3,
+        "bonds": [{"id": 1, "origin": 1, "terminus": 2,
+                   "length": 0.9680303682724722},
+                  {"id": 2, "origin": 2, "terminus": 3,
+                   "length": 0.7566574959143659,
+                   "potential": {"kind": "constant",
+                                 "value": -0.4648116135541873}},
+                  {"id": 3, "origin": 1, "terminus": 3,
+                   "length": 0.9115542339761047}],
+        "matching": {"mode": "per_vertex", "vertices": [
+            {"vertex": 1, "kind": "dirichlet"},
+            {"vertex": 2, "kind": "dirichlet"},
+            {"vertex": 3, "kind": "delta", "lambda": 2.194101593807736}]}})
+    k_max = 20.747718124917718
+    window = scan_spectrum(graph, mc, k_max)
+    assert window.count == eigenvalue_count(graph, mc, [k_max ** 2])[0] == 17
+
+
+def test_scan_of_a_window_without_roots_under_a_large_potential():
+    # c L^2 = 4e5 and 1e6 put the lowest root near k = 632 and 1000: the
+    # count up to k = 10 is 0, so no Newton step runs, and a sweep whose
+    # transfer matrix overflows raises NumericalError
+    for c in (4e5, 1e6):
+        graph, mc = make_interval(1.0, potential={"kind": "constant",
+                                                  "value": c})
+        assert scan_spectrum(graph, mc, 10.0).roots == ()
+    with pytest.raises(NumericalError, match="not finite"):
+        transfer_matrices_real(graph.bonds[0], np.array([0.0]))
 
 
 def test_scan_rejects_non_finite_k_max():
@@ -200,13 +277,6 @@ def test_scan_rejects_non_finite_k_max():
     for k_max in (math.nan, math.inf):
         with pytest.raises(UnsupportedError):
             scan_spectrum(graph, mc, k_max)
-
-
-def test_scan_respects_weyl_count():
-    graph, mc = make_chain((1.0, 0.7, 1.3), bump=BUMP, bump_bond=0)
-    window = scan_spectrum(graph, mc, 30.0)
-    weyl = graph.total_length() * 30.0 / math.pi
-    assert abs(window.count - weyl) < 4.0
 
 
 def test_scan_rejects_thread_count_below_one():

@@ -11,7 +11,7 @@ import graphzeta.interval as interval
 import graphzeta.secular as secular
 import graphzeta.zeta as zeta_module
 from graphzeta import (F_imag, NumericalError, asymptotic_F_coefficients,
-                       replace_bond_length, zeta_total)
+                       eigenvalue_count, replace_bond_length, zeta_total)
 from graphzeta.interval import (bond_solution, dirichlet_subtracted_derivative,
                                 transfer_matrices_real)
 from graphzeta.secular import (_assemble_real, bond_solutions, dlogF_dL_imag,
@@ -24,7 +24,7 @@ OFF_CENTRE = {**BUMP, "center": 0.35, "half_width": 0.2}
 def test_interval_singular_exactly_at_eigenvalues():
     graph, mc = make_interval(1.0)
     ks = np.array([math.pi, 2 * math.pi, 2.5 * math.pi, 3 * math.pi])
-    S = secular_matrices_real(graph, mc, ks)
+    S = secular_matrices_real(graph, mc, ks * ks)
     sv = np.linalg.svd(S, compute_uv=False)[:, -1]
     assert sv[0] < 1e-10 and sv[1] < 1e-10 and sv[3] < 1e-10
     assert sv[2] > 0.05
@@ -33,7 +33,7 @@ def test_interval_singular_exactly_at_eigenvalues():
 def test_circle_flux_shifts_the_spectrum():
     graph, mc = make_circle(1.0, A=1.0)
     S = secular_matrices_real(graph, mc,
-                              np.array([1.0, 2.0, 2 * math.pi - 1.0]))
+                              np.array([1.0, 2.0, 2 * math.pi - 1.0]) ** 2)
     sv = np.linalg.svd(S, compute_uv=False)[:, -1]
     assert sv[0] < 1e-9 and sv[2] < 1e-9
     assert sv[1] > 1e-2
@@ -41,7 +41,7 @@ def test_circle_flux_shifts_the_spectrum():
 
 def test_secular_matrix_shape_and_locality():
     graph, mc = make_star(1.0)
-    S = secular_matrices_real(graph, mc, np.array([1.3]))
+    S = secular_matrices_real(graph, mc, np.array([1.69]))
     assert S.shape == (1, 6, 6)
 
 
@@ -62,25 +62,25 @@ def test_real_matrix_derivative_assembly():
             {"vertex": 2, "kind": "delta", "lambda": 0.5},
             {"vertex": 3, "kind": "delta", "lambda": 0.0},
             {"vertex": 4, "kind": "neumann"}]}})
-    ks = np.linspace(0.0, 40.0, 7)
-    S, dS = secular_matrices_real(graph, mc, ks, derivative=True)
-    assert np.array_equal(S, secular_matrices_real(graph, mc, ks))
+    Es = np.linspace(0.0, 40.0, 7) ** 2
+    S, dS = secular_matrices_real(graph, mc, Es, derivative=True)
+    assert np.array_equal(S, secular_matrices_real(graph, mc, Es))
     h = 1e-4
-    diff = (secular_matrices_real(graph, mc, ks + h)
-            - secular_matrices_real(graph, mc, ks - h))
+    diff = (secular_matrices_real(graph, mc, Es + h)
+            - secular_matrices_real(graph, mc, Es - h))
     diff /= 2 * h
     assert np.max(np.abs(dS - diff)) < 1e-7 * np.max(np.abs(dS))
 
 
 def test_real_matrices_are_float64_unless_a_flux_or_complex_matching():
     # one predicate picks the dtype on both axes: without a flux and with
-    # real matching S and dS/dk are float64 and the scan runs real LAPACK;
+    # real matching S and dS/dE are float64 and the scan runs real LAPACK;
     # a flux on any one bond, or complex matching, keeps complex128
-    ks = np.linspace(0.0, 40.0, 5)
+    Es = np.linspace(0.0, 40.0, 5) ** 2
 
     def dtypes(graph, mc):
-        S = secular_matrices_real(graph, mc, ks, coarse=True)
-        pair = secular_matrices_real(graph, mc, ks, derivative=True)
+        S = secular_matrices_real(graph, mc, Es)
+        pair = secular_matrices_real(graph, mc, Es, derivative=True)
         return {S.dtype, pair[0].dtype, pair[1].dtype}
 
     for graph, mc in (make_chain(bump=BUMP), make_star(1.0),
@@ -109,16 +109,17 @@ def test_real_matrices_are_float64_unless_a_flux_or_complex_matching():
 
 
 def test_real_matrices_memory_does_not_grow_with_segment_count():
-    # one coarse-grid call of the bump chain's scan to k = 215; the maps
-    # are held a block of segments at a time, so height 100 (300 coarse
-    # segments) needs no more than height 0.3 (50)
-    ks = np.linspace(0.0, 215.0, 3286)
+    # the eigenvalue count on the grid of the bump chain's scan to
+    # k = 215; the maps and their Pruefer angles are held a block of
+    # segments at a time, so height 100 (1,800 segments) needs no more
+    # than height 0.3 (300)
+    Es = np.linspace(0.0, 215.0, 822) ** 2
     peaks = []
     for height in (0.3, 100.0):
         graph, mc = make_bump_interval(height=height)
         tracemalloc.start()
         try:
-            secular_matrices_real(graph, mc, ks, coarse=True)
+            eigenvalue_count(graph, mc, Es)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -306,7 +307,7 @@ def test_one_solve_per_distinct_bond(monkeypatch, star, solves):
     # those of a bond-by-bond solve.
     graph, mc = make_star(1.0, **star)
     t = np.array([0.01, 0.7, 3.0, 40.0, 2000.0])
-    ks = np.linspace(0.1, 30.0, 9)
+    Es = np.linspace(0.1, 30.0, 9) ** 2
     solved = spy(monkeypatch, secular, "bond_solution")
     swept = spy(monkeypatch, secular, "transfer_matrices_real")
     for derivative in (True, False):
@@ -318,12 +319,12 @@ def test_one_solve_per_distinct_bond(monkeypatch, star, solves):
             for got, want in zip(sol, one):
                 assert (got is None and want is None
                         or np.array_equal(got, want))
-    S, dS = secular_matrices_real(graph, mc, ks, derivative=True)
+    S, dS = secular_matrices_real(graph, mc, Es, derivative=True)
     assert len(swept) == solves
-    T, dT = zip(*(transfer_matrices_real(bond, ks, derivative=True)
+    T, dT = zip(*(transfer_matrices_real(bond, Es, derivative=True)
                   for bond in graph.bonds))
-    assert np.array_equal(S, _assemble_real(graph, mc, T, len(ks)))
-    assert np.array_equal(dS, _assemble_real(graph, mc, dT, len(ks),
+    assert np.array_equal(S, _assemble_real(graph, mc, T, len(Es)))
+    assert np.array_equal(dS, _assemble_real(graph, mc, dT, len(Es),
                                              unit=0.0))
 
 
@@ -334,9 +335,9 @@ def test_off_centre_bump_is_swept_once(monkeypatch):
     sweeps = []
     sweep = interval._sweep
 
-    def spied(e, de, w, V1, V2, step, block, rescale):
+    def spied(e, de, w, V1, V2, step, block, t):
         sweeps.append(step is not None)
-        return sweep(e, de, w, V1, V2, step, block, rescale)
+        return sweep(e, de, w, V1, V2, step, block, t)
 
     monkeypatch.setattr(interval, "_sweep", spied)
     t = np.array([0.01, 0.7, 3.0, 40.0, 2000.0])
