@@ -1,11 +1,15 @@
 """Single-bond solutions of -f'' + V f = E f on both spectral axes.
 
 Both axes read the transfer matrix of a bond on (f, f'), the product of
-fourth-order Magnus segment maps (_segments) at E = -t^2 for the
-rotated-axis integrals and at E = k^2 for the spectral scan, formed by
-one sweep from x = 0 (_sweep).  The maps are exact for a constant
-potential at every E, so one count, PER_WIDTH segments per width of a
-bump, serves every E and all entries sweep together.
+sixth-order three-Gauss-point Magnus segment maps (_segments) at E = -t^2
+for the rotated-axis integrals and at E = k^2 for the spectral scan,
+formed by one sweep from x = 0 (_sweep).  The maps are exact for a
+constant potential at every E, so one count, PER_WIDTH segments per width
+of a bump, serves every E and all entries sweep together.  On the
+imaginary axis the exponent's corrections that grow with t are damped
+past t h = 1, h the width of a segment, which keeps the maps uniform in t;
+the real axis is validated up to k h = 2 (real_k_limit) and refuses
+beyond.
 
 Imaginary axis (k = i t): bond_solution returns, over an array of t, the
 logarithmic derivatives f'/f at both ends of the solutions decaying away
@@ -35,7 +39,7 @@ CSTEP = 1e-30            # complex step for the t-derivatives
 KSTEP = 2.0 ** -600      # complex step for the real-axis E-derivative
 SWEEP_BLOCK = 128        # segments whose maps a sweep holds at once
 REAL_BLOCK = 16          # the same on the real axis, whose batches are larger
-PER_WIDTH = 300          # bump segments per width, both axes
+PER_WIDTH = 150          # bump segments per width, both axes (_segment_count)
 
 
 class BondSolution(NamedTuple):
@@ -110,98 +114,129 @@ def _analytic(bond, t, derivative: bool) -> BondSolution:
         excess)
 
 
-def _segments(e, de, w, V1, V2, step, t):
-    """The maps on (f, f') of segments of widths w with potentials V1, V2
-    at their two Gauss points, at every entry of the column e = -E (t^2 on
-    the imaginary axis), as e^ell [[a + D, T], [P, a - D]]: (a, D, T, P,
-    ell, dell) over (entries, segments), ell None where a block
-    oscillates, dell None without a complex step.
+def _segments(e, de, K, rho, drho, step, t):
+    """The maps on (f, f') of segments with coefficients K (_gauss_layout)
+    at every entry of the column e = -E (t^2 on the imaginary axis), as
+    e^ell [[a + D, T], [P, a - D]]: (a, D, T, P, ell, dell, z) over
+    (entries, segments), ell None where a block oscillates and no entry
+    of it grows, dell None without a complex step, z = theta^2 below.
 
-    A segment maps by exp([[beta, w], [w q, -beta]]), q = e + (V1 + V2)/2,
-    beta = (sqrt 3/12) w^2 (V1 - V2): the two-Gauss-point Magnus
-    exponential (Iserles and Norsett, Proc. R. Soc. A 455, 1999; Blanes,
-    Casas, Oteo and Ros, Phys. Rep. 470, 2009), fourth order in w and
-    exact for a constant potential at every e.  With z = beta^2 + w^2 q:
+    A segment of width w maps by exp(Omega), Omega = [[beta, b], [c,
+    -beta]], the three-Gauss-point Magnus exponent (Iserles and Norsett,
+    Proc. R. Soc. A 455, 1999; Blanes, Casas and Ros, BIT 40, 2000), sixth
+    order in w and exact for a constant potential at every e.  With the
+    potentials V1, V2, V3 at its Gauss points, a2 = (sqrt 15/3) w (V3 -
+    V1), a3 = (10/3) w (V3 - 2 V2 + V1) and q = V2 + e:
 
-    - A block with no q < 0, as every block of the imaginary axis, takes
-      a = 1, D = beta c, T = w c and P = q T, c = tanh(sqrt z)/sqrt z (its
-      series below z = 1e-4): all positive, so products are accurate in
-      any association.  ell = log cosh(sqrt z) - t w, at the imaginary
-      axis's nodes t with its sqrt z - t w as (beta^2 + w^2 (V1 + V2)/2)/
-      (sqrt z + t w), and at t = 0 where t is None.
-    - Any other block takes, with g = beta/w, r = sqrt|g^2 + q| and y = r
-      w, a = cos(y), T = sin(y)/r, D = g T and P = q T: cosh(y) and
-      sinh(y)/r only where g^2 + q > 0, the series in z only where |z| <
-      1e-3, which keep T and its derivative free of cancellation.  Beyond
-      the series only a constant bond, one segment, grows, so its cosh is
-      not divided out.
+        beta = -w a2/12 + w^3 a2 q/180 + w^2 a2 a3/7200,
+        b = w + db,  db = w^3 a2^2/3600 - w^2 a3/180,
+        c = (w + dc) q + a3/12 + w a3^2/3600 - w a2^2/120,
+        dc = w^2 a3/180 + w^3 a2^2/3600.
+
+    The terms w^3 a2 e/180, dc e and db are multiplied by rho, which is
+    1/(1 + (t h)^4) on the imaginary axis, h the width of the support's
+    segments, and 1 on the real axis: they grow like t^3 in log u at t h
+    >> 1, and rho = 1 + O((t h)^4) keeps the order at every fixed t.
+    drho is d rho/dt.  Omega^2 = z = beta^2 + b c, so exp(Omega) =
+    cosh(y) + (sinh(y)/y) Omega, y = sqrt z, divided below by cosh(y)
+    wherever it grows:
+
+    - A block with no c < 0, as every block of the imaginary axis, takes
+      a = 1 and D, T, P = beta, b, c times tanh(y)/y (its series below z
+      = 1e-4, which also takes a z rounded below zero).  ell = log cosh(y)
+      - t w, at the imaginary axis's nodes t with its y - t w formed from
+      beta^2 + b c|_(e=0) + e rho (w db + b dc), and at t = 0 where t is
+      None.
+    - Any other block takes, with y = sqrt|z|, a = cos(y) and D, T, P =
+      beta, b, c times sin(y)/y; where z >= 1e-3, a = 1 and tanh(y)/y with
+      log cosh(y) in ell, as the block above; and where |z| < 1e-3 the
+      series in z, which keep T and its derivative free of cancellation.
 
     A segment of width zero is the identity.  With a complex step the
-    derivatives in the caller's variable, through de, are formed in real
-    arithmetic and enter as imaginary parts; dell is that of the log cosh
-    alone.  KSTEP^2 underflows, so the real parts at KSTEP are bitwise
-    the float64 maps of step None.
+    derivatives in the caller's variable, through de and drho, are formed
+    in real arithmetic and enter as imaginary parts; dell is that of the
+    log cosh alone.  KSTEP^2 underflows, so the real parts at KSTEP are
+    bitwise the float64 maps of step None.
     """
-    beta = (math.sqrt(3.0) / 12.0) * w * w * (V1 - V2)
-    Vbar = 0.5 * (V1 + V2)
-    q = e + Vbar
-    # rounding is monotone: some q < 0 exactly when min e + min Vbar < 0
-    if not e.min(initial=math.inf) + Vbar.min() < 0.0:
-        z = beta * beta + q * w * w
+    w, b0, b1, db, c0, dc = K
+    re = rho * e
+    beta = b0 + re * b1
+    b = w + rho * db
+    c = c0 + e * (w + rho * dc)
+    bb = beta * beta
+    z = bb + b * c
+    if step is not None:
+        dre = rho * de + e * drho
+        dbeta, dbb, dcc = dre * b1, drho * db, de * w + dre * dc
+        dz = 2.0 * beta * dbeta + dbb * c + b * dcc
+    if t is not None or not c.min() < 0.0:
         small = z < 1e-4
         y = np.sqrt(np.where(small, 1.0, z))
-        ex = np.exp(-2.0 * y)
-        th = -np.expm1(-2.0 * y) / (1.0 + ex)
-        c = np.where(small, 1.0 + z * (-1.0 / 3.0 + z * (2.0 / 15.0
+        th, lc = _tanh_log_cosh(y)
+        C = np.where(small, 1.0 + z * (-1.0 / 3.0 + z * (2.0 / 15.0
                      - z * 17.0 / 315.0)), th / y)
-        t, num = (0.0, z) if t is None else (t, beta * beta + w * w * Vbar)
+        t, num = ((0.0, z) if t is None else
+                  (t, bb + b * c0 + re * (w * db + b * dc)))
         ell = np.where(
             small, z * (0.5 + z * (-1.0 / 12.0 + z / 45.0)) - t * w,
-            num / (y + t * w) + np.log1p(ex) - math.log(2.0))
-        dell = None
+            num / (y + t * w) + lc)
+        a, dell = 1.0, None
         if step is not None:
-            dz = de * w * w
-            dy = 0.5 * de * w * w / y
-            dc = np.where(small, dz * (-1.0 / 3.0 + z * (4.0 / 15.0
-                          - z * 51.0 / 315.0)), (1.0 - th * th - c) * dy / y)
+            dy = 0.5 * dz / y
+            dC = np.where(small, dz * (-1.0 / 3.0 + z * (4.0 / 15.0
+                          - z * 51.0 / 315.0)), (1.0 - th * th - C) * dy / y)
             dell = np.where(small, dz * (0.5 + z * (-1.0 / 6.0 + z / 15.0)),
                             th * dy)
-            c = c + 1j * step * dc
-        T = w * c
-        return (1.0, beta * c, T,
-                q * T if step is None else (q + 1j * step * de) * T, ell, dell)
-    g = (math.sqrt(3.0) / 12.0) * w * (V1 - V2)
-    x = g * g + q
-    r = np.sqrt(np.abs(x))
-    y = r * w
-    z = x * w * w
-    small = np.abs(z) < 1e-3
-    a = np.cos(y)
-    # the closed forms fail only where z = 0, on the series branch
-    with np.errstate(divide="ignore", invalid="ignore"):
-        T = np.sin(y) / r
-        grow = x > 0.0
+    else:
+        y = np.abs(z)
+        small = y < 1e-3
+        y = np.sqrt(y)
+        grow = z >= 1e-3
+        ell = dell = None
+        # the closed forms fail only where z = 0, on the series branch
+        with np.errstate(divide="ignore", invalid="ignore"):
+            a = np.cos(y)
+            C = np.sin(y) / y
+            if step is not None:
+                da = 0.5 * C * dz
+                dC = (a - C) * (0.5 * dz) / z
         if grow.any():
-            a[grow] = np.cosh(y[grow])
-            T[grow] = np.sinh(y[grow]) / r[grow]
+            yg = y[grow]
+            th, lc = _tanh_log_cosh(yg)
+            a[grow], C[grow] = 1.0, th / yg
+            ell = np.zeros(z.shape)
+            ell[grow] = yg + lc
+            if step is not None:
+                dyg = 0.5 * dz[grow] / yg
+                da[grow] = 0.0
+                dC[grow] = (1.0 - th * th - C[grow]) * dyg / yg
+                dell = np.zeros(z.shape)
+                dell[grow] = th * dyg
+        if small.any():
+            zs = z[small]
+            a[small] = 1.0 + zs * (1.0 / 2.0 + zs * (1.0 / 24.0 + zs * (
+                1.0 / 720.0 + zs / 40320.0)))
+            C[small] = 1.0 + zs * (1.0 / 6.0 + zs * (1.0 / 120.0 + zs * (
+                1.0 / 5040.0 + zs / 362880.0)))
+            if step is not None:
+                dzs = dz[small]
+                da[small] = 0.5 * C[small] * dzs
+                dC[small] = dzs * (1.0 / 6.0 + zs * (1.0 / 60.0 + zs * (
+                    1.0 / 1680.0 + zs / 90720.0)))
         if step is not None:
-            dT = (w * a - T) * (0.5 * de) / x
-    if small.any():
-        zs, ws = z[small], np.broadcast_to(w, z.shape)[small]
-        a[small] = 1.0 + zs * (1.0 / 2.0 + zs * (1.0 / 24.0 + zs * (
-            1.0 / 720.0 + zs / 40320.0)))
-        T[small] = ws * (1.0 + zs * (1.0 / 6.0 + zs * (1.0 / 120.0 + zs * (
-            1.0 / 5040.0 + zs / 362880.0))))
-        if step is not None:
-            dT[small] = (np.broadcast_to(de, z.shape)[small] * ws * ws * ws
-                         * (1.0 / 6.0 + zs * (1.0 / 60.0 + zs * (
-                             1.0 / 1680.0 + zs / 90720.0))))
-    P = q * T
+            a = _stepped(a, step, da)
+    D, T, P = beta * C, b * C, c * C
     if step is not None:
-        a = _stepped(a, step, 0.5 * de * w * T)
-        P = _stepped(P, step, q * dT + de * T)
-        T = _stepped(T, step, dT)
-    return a, g * T, T, P, None, None
+        D = _stepped(D, step, dbeta * C + beta * dC)
+        T = _stepped(T, step, dbb * C + b * dC)
+        P = _stepped(P, step, dcc * C + c * dC)
+    return a, D, T, P, ell, dell, z
+
+
+def _tanh_log_cosh(y):
+    """tanh(y) and log cosh(y) - y for y >= 0, neither overflowing."""
+    ex = np.exp(-2.0 * y)
+    return -np.expm1(-2.0 * y) / (1.0 + ex), np.log1p(ex) - math.log(2.0)
 
 
 def _stepped(x, step, dx):
@@ -293,36 +328,41 @@ def _paired(M, F):
                            F[..., 2 * h:]), axis=-1)
 
 
-def _sweep(e, de, w, V1, V2, step, block, t):
-    """Sweep from x = 0 across segments of widths w and Gauss-point
-    potentials V1, V2 at every entry of the column e = -E at once, with de,
-    step and t as in _segments.  Returns (R, s, theta), the transfer matrix
-    (f, f')(0) -> (f, f')(L) being e^s R.  Each `block` of segments, a
-    constant so that no entry's result depends on the batch, is multiplied
-    pairwise (_block_product) and joins one running product.
+def _sweep(e, de, h, K, step, block, t):
+    """Sweep from x = 0 across segments of coefficients K, the support's
+    segments of width h (_gauss_layout), at every entry of the column e =
+    -E at once, with de, step and t as in _segments.  Returns (R, s,
+    theta), the transfer matrix (f, f')(0) -> (f, f')(L) being e^s R.
+    Each `block` of segments, a constant so that no entry's result depends
+    on the batch, is multiplied pairwise (_block_product) and joins one
+    running product.
 
-    - _cpm, on the imaginary axis, takes SWEEP_BLOCK and passes its t: R,
-      all of whose entries are positive, is divided by its R11 after every
-      block, the log of the divisor going to s.  No count of segments
-      overflows, Im R carries no rounding of the e^(t L) growth into the
-      t-derivatives, and s stays of order one instead of t L, which keeps
-      the absolute error of log u at rounding level.
-    - The real axis takes REAL_BLOCK, as its batches are larger, and t
-      None: no rescaling.  Without a complex step theta is the Pruefer
-      angle at L of the Dirichlet solution, u(0) = 0 and u'(0) = 1, whose
-      zeros in (0, L), about theta/pi, are the bond's Dirichlet count
-      (Sturm); None otherwise.  A segment turns (0, 1) by less than pi, or
-      by y = w sqrt(E - V - g^2) in the coordinates of its exponent where
-      that is real; products join their angles by _lift.
+    - _cpm, on the imaginary axis, takes SWEEP_BLOCK and passes its t,
+      from which rho = 1/(1 + (t h)^4) of _segments and its t-derivative
+      are formed once: R, all of whose entries are positive, is divided by
+      its R11 after every block, the log of the divisor going to s.  No
+      count of segments overflows, Im R carries no rounding of the e^(t L)
+      growth into the t-derivatives, and s stays of order one instead of t
+      L, which keeps the absolute error of log u at rounding level.
+    - The real axis takes REAL_BLOCK, as its batches are larger, t None
+      and rho = 1: no rescaling.  Without a complex step theta is the
+      Pruefer angle at L of the Dirichlet solution, u(0) = 0 and u'(0) =
+      1, whose zeros in (0, L), about theta/pi, are the bond's Dirichlet
+      count (Sturm); None otherwise.  A segment turns (0, 1) by less than
+      pi, or by y = sqrt(-z) of _segments where that is real; products
+      join their angles by _lift.
     """
     s = np.zeros(len(e), float if step is None else complex)
+    rho, drho = 1.0, 0.0
+    if t is not None:
+        rho = 1.0 / (1.0 + (t * h) ** 4)
+        drho = -4.0 * h ** 4 * t ** 3 * rho * rho
     R = theta = None
-    for lo in range(0, len(w), block):
-        wc, V1c, V2c = w[lo:lo + block], V1[lo:lo + block], V2[lo:lo + block]
-        a, D, T, P, ell, dell = _segments(e, de, wc, V1c, V2c, step, t)
+    for lo in range(0, K.shape[-1], block):
+        a, D, T, P, ell, dell, z = _segments(e, de, K[:, lo:lo + block],
+                                             rho, drho, step, t)
         if t is None and step is None:
-            g = (math.sqrt(3.0) / 12.0) * wc * (V1c - V2c)
-            y = wc * np.sqrt(np.maximum(-(g * g + e + 0.5 * (V1c + V2c)), 0.0))
+            y = np.sqrt(np.maximum(-z, 0.0))
             M, F = _block_product(a, D, T, P, _lift(
                 T, a - D, 0.0, np.floor(y / math.pi) * math.pi))
         else:
@@ -347,7 +387,7 @@ def _sweep(e, de, w, V1, V2, step, block, t):
                 ds = ds + 1j * step * dell.sum(axis=-1)
             s += ds + _log_step(scale) if t is not None else ds
         # freed before the next block's maps are formed
-        del a, D, T, P, ell, dell
+        del a, D, T, P, ell, dell, z
     return R, s, theta
 
 
@@ -364,22 +404,37 @@ def _segment_count(bond, per_width: int):
 
 
 def _gauss_layout(bond, per_width: int):
-    """Widths w and Gauss-point potentials V1, V2 of the segments of a
-    bond from x = 0: one exact segment for a constant bond; for a bump bond
-    one for each free stretch and, between them, _segment_count(bond,
-    per_width) of the support, with Gauss points w/(2 sqrt 3) off centre."""
+    """(h, K): the width h of the support's segments and the coefficients
+    K = (w, b0, b1, db, c0, dc), shape (6, segments), of the segments of a
+    bond from x = 0, whose exponent of _segments is beta = b0 + rho e b1,
+    b = w + rho db and c = c0 + e w + rho e dc.  One exact segment for a
+    constant bond, h = L; for a bump bond one for each free stretch, whose
+    corrections are zero, and, between them, _segment_count(bond,
+    per_width) of the support, with Gauss points (sqrt 15/10) h off
+    centre."""
     L = bond.length
-    if bond.potential.kind == "constant":
-        V = np.array([bond.potential.c])
-        return np.array([L]), V, V
+    pot = bond.potential
+    if pot.kind == "constant":
+        return L, np.array([[L], [0.0], [0.0], [0.0], [L * pot.c], [0.0]])
     a, b, n = _segment_count(bond, per_width)
     h = (b - a) / n
-    w = np.concatenate(([a], np.full(n, h), [L - b]))
-    g = 0.5 / math.sqrt(3.0)
-    V1, V2 = (np.concatenate(([0.0], bond.potential.value(a + d), [0.0]))
-              for d in ((np.arange(n) + 0.5 - g) * h,
-                        (np.arange(n) + 0.5 + g) * h))
-    return w, V1, V2
+    g = 0.1 * math.sqrt(15.0)
+    V1, V2, V3 = pot.value(a + (np.arange(n) + np.array([[0.5 - g], [0.5],
+                                                         [0.5 + g]])) * h)
+    a2 = (math.sqrt(15.0) / 3.0) * h * (V3 - V1)
+    a3 = (10.0 / 3.0) * h * (V3 - 2.0 * V2 + V1)
+    h2a3, h3a22 = h * h * a3 / 180.0, h ** 3 * a2 * a2 / 3600.0
+    dc = h2a3 + h3a22
+    K = np.zeros((6, n + 2))
+    K[0] = np.concatenate(([a], np.full(n, h), [L - b]))
+    K[1:, 1:-1] = (-h * a2 / 12.0 + h ** 3 * a2 * V2 / 180.0
+                   + h * h * a2 * a3 / 7200.0,
+                   h ** 3 * a2 / 180.0,
+                   h3a22 - h2a3,
+                   (h + dc) * V2 + a3 / 12.0 + h * a3 * a3 / 3600.0
+                   - h * a2 * a2 / 120.0,
+                   dc)
+    return h, K
 
 
 def _cpm(bond, t, derivative: bool) -> BondSolution:
@@ -455,17 +510,43 @@ def dirichlet_subtracted_derivative(bond, t, sol=None):
     return (sol.dlog_u_dt.reshape(t.shape) - L + 1.0 / t + corr)[()]
 
 
+def real_k_limit(bond) -> float:
+    """The largest k = sqrt|E| at which the real-axis maps of a bond are
+    validated: k h = 2 on a bump bond, h the width of its support's
+    segments, as the error of a map grows where k h nears pi, widened by
+    1e-12 so that the rounding of h refuses no k h = 2; infinite on a
+    constant bond, whose one map is exact."""
+    if bond.potential.kind == "constant":
+        return math.inf
+    a, b, n = _segment_count(bond, PER_WIDTH)
+    return 2.0 * (1.0 + 1e-12) * n / (b - a)
+
+
+def _real_sweep(bond, E, step):
+    """_sweep of _gauss_layout at PER_WIDTH over the column of energies E
+    on the real axis, REAL_BLOCK segments at a time; an |E| past
+    real_k_limit(bond)^2 raises UnsupportedError."""
+    k_max = real_k_limit(bond)
+    if E.size and np.abs(E).max() > k_max * k_max:
+        bad = E.flat[np.argmax(np.abs(E))]
+        raise UnsupportedError(
+            f"bond '{bond.id}': E={bad:g} is past the validated real-axis "
+            f"range |E| <= {k_max * k_max:.6g}, k <= {k_max:.6g}")
+    return _sweep(-E, -1.0, *_gauss_layout(bond, PER_WIDTH), step,
+                  REAL_BLOCK, None)
+
+
 def transfer_matrices_real(bond, Es, *, derivative: bool = False):
     """Transfer matrices (f, f')(0) -> (f, f')(L) over an array of
-    energies E = k^2, shape (E, 2, 2), from one _sweep of _gauss_layout at
-    PER_WIDTH, whose maps are exact for a constant potential at every E.
-    With derivative=True, (T, dT/dE) from the same pass at E + i KSTEP
-    (Squire and Trapp, SIAM Rev. 40, 1998), T formed as R e^(Re s) (1 + i
-    Im s): KSTEP^2 underflows, so T is bitwise that of the real pass and
-    dT/dE carries no cancellation.  T not finite raises NumericalError."""
+    energies E = k^2, shape (E, 2, 2), from one _real_sweep, whose maps
+    are exact for a constant potential at every E and refuse a bump bond
+    past real_k_limit.  With derivative=True, (T, dT/dE) from the same
+    pass at E + i KSTEP (Squire and Trapp, SIAM Rev. 40, 1998), T formed
+    as R e^(Re s) (1 + i Im s): KSTEP^2 underflows, so T is bitwise that
+    of the real pass and dT/dE carries no cancellation.  T not finite
+    raises NumericalError."""
     E = np.asarray(Es, dtype=float)[:, None]
-    R, s, _ = _sweep(-E, -1.0, *_gauss_layout(bond, PER_WIDTH),
-                     KSTEP if derivative else None, REAL_BLOCK, None)
+    R, s, _ = _real_sweep(bond, E, KSTEP if derivative else None)
     with np.errstate(over="ignore", invalid="ignore"):
         T = np.moveaxis(R * np.exp(s.real) * (1.0 + 1j * s.imag)
                         if derivative else R * np.exp(s), -1, 0)

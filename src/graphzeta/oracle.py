@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import NumericalError, UnsupportedError
 from .graph import replace_bond_length
-from .interval import PER_WIDTH, REAL_BLOCK, _gauss_layout, _sweep
+from .interval import _real_sweep, real_k_limit
 from .potentials import _gauss_legendre
 from .secular import per_distinct_bond, secular_matrices_real
 from .zeta import minus_half_data
@@ -52,9 +52,8 @@ def eigenvalue_count(graph, mc, E):
     A U, for every kind of matching; each bond adds [[T00, -e^(-iAL)],
     [-e^(iAL), T11]] / T01 to -DtN."""
     E = np.asarray(E, dtype=float)
-    sweeps = per_distinct_bond(graph.bonds, lambda bond: _sweep(
-        -E[:, None], -1.0, *_gauss_layout(bond, PER_WIDTH), None,
-        REAL_BLOCK, None))
+    sweeps = per_distinct_bond(graph.bonds, lambda bond: _real_sweep(
+        bond, E[:, None], None))
     W, sv, Vh = np.linalg.svd(mc.B)
     r = int(np.count_nonzero(sv > sv.max() * len(sv) * np.finfo(float).eps))
     U, n = Vh[:r].conj().T, graph.bond_count
@@ -202,15 +201,22 @@ def scan_spectrum(graph, mc, k_max: float, *, threads: int = 1) -> SpectrumWindo
     dS/dE) start in each.  A cell whose roots do not account for its count
     is bisected by counts; the count across a root is its multiplicity.
     Roots below E = NEWTON_TOL dk, zero modes, count but are not reported.
-    A total short of the count raises NumericalError.  `threads` reaches no
-    computation; ROADMAP item 2 removes it with the benchmark's threads = 2
-    operation."""
+    A total short of the count raises NumericalError.  A k_max past the
+    bump bonds' real_k_limit raises UnsupportedError naming the largest
+    supported k.  `threads` reaches no computation; ROADMAP item 2 removes
+    it with the benchmark's threads = 2 operation."""
     if not math.isfinite(k_max):
         raise UnsupportedError("k_max must be finite")
     if k_max <= 0.0:
         raise UnsupportedError("k_max must be positive")
     if threads < 1:
         raise UnsupportedError("threads must be at least 1")
+    k_top = min((real_k_limit(bond) for bond in graph.bonds),
+                default=math.inf)
+    if k_max > k_top:
+        raise UnsupportedError(
+            f"k_max={k_max:g} is past the validated real-axis range of the "
+            f"bump bonds; the largest supported k is {k_top:.6g}")
     return _scan_once(graph, mc, k_max,
                       math.pi / (4.0 * graph.total_length()))
 

@@ -3,7 +3,8 @@
 A finite-difference discretization of the operator gives a third, fully
 matrix-based reference for the eigenvalue scan, and an accelerated
 alternating series gives zeta_R at real s > 0, s != 1, independently of scipy and
-of mpmath.
+of mpmath.  refined_segments cuts every bump bond finer, the reference of
+the segment-count convergence tests.
 """
 
 import math
@@ -12,7 +13,24 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import eigs
 
-from graphzeta import NumericalError, UnsupportedError
+from graphzeta import NumericalError, UnsupportedError, interval
+
+
+# ---------------------------------------------------------------------------
+# bond sweeps at a finer cut
+
+
+def refined_segments(monkeypatch, factor: int) -> None:
+    """Cut the support of every bump bond into factor times its segments
+    on both axes, for the rest of the test, by patching
+    interval._segment_count."""
+    count = interval._segment_count
+
+    def refined(bond, per_width):
+        a, b, n = count(bond, per_width)
+        return a, b, factor * n
+
+    monkeypatch.setattr(interval, "_segment_count", refined)
 
 
 # ---------------------------------------------------------------------------

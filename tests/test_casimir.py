@@ -178,9 +178,9 @@ def test_energy_and_force_run_no_complex_step(monkeypatch):
     seen = []
     sweep = interval._sweep
 
-    def spy(e, de, w, V1, V2, step, block, rescale):
+    def spy(e, de, h, K, step, block, t):
         seen.append(step is not None)
-        return sweep(e, de, w, V1, V2, step, block, rescale)
+        return sweep(e, de, h, K, step, block, t)
 
     monkeypatch.setattr(interval, "_sweep", spy)
     bump = {**BUMP, "height": 0.3}

@@ -268,3 +268,28 @@ def test_spectrum_under_a_large_constant_potential(tmp_path, capsys, c):
     if rc == 0:
         assert capsys.readouterr().out.strip().splitlines() == [
             "index,k,energy,multiplicity"]
+
+
+def test_spectrum_across_a_large_constant_potential(tmp_path):
+    # the window to k = 1010 of the unit Dirichlet interval under c = 1e6
+    # holds 45 roots; no overflow reaches stderr, even as an error
+    doc = {**INTERVAL, "bonds": [{**INTERVAL["bonds"][0], "potential": {
+        "kind": "constant", "value": 1e6}}]}
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "graphzeta",
+         "spectrum", "--graph", write(tmp_path, doc), "--k-max", "1010"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert len(proc.stdout.strip().splitlines()) == 46
+
+
+def test_spectrum_past_the_bump_range_exits_4(tmp_path, capsys):
+    # k h = 2 on the height-0.3 bump at k = 500
+    doc = {**INTERVAL, "bonds": [{**INTERVAL["bonds"][0], "potential": {
+        "kind": "bump", "center": 0.5, "half_width": 0.3, "height": 0.3}}]}
+    path = write(tmp_path, doc)
+    assert main(["spectrum", "--graph", path, "--k-max", "600"]) == 4
+    assert "largest supported k is 500" in capsys.readouterr().err

@@ -7,13 +7,15 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from conftest import BUMP, make_bump_interval, make_chain, make_interval
-from graphzeta import NumericalError, interval, scan_spectrum
+from graphzeta import (NumericalError, UnsupportedError, eigenvalue_count,
+                       interval, scan_spectrum)
 from graphzeta.interval import (CSTEP, SWEEP_BLOCK, BondSolution,
-                                _block_product, _segments, _sweep,
+                                _block_product, _sweep,
                                 bond_solution, dirichlet_subtracted_derivative,
-                                transfer_matrices_real)
+                                real_k_limit, transfer_matrices_real)
 from graphzeta.secular import _assemble_real, bond_solutions, logF_slope_imag
 from graphzeta.wkb import u_log_expansion
+from oracles import refined_segments
 
 
 def free_reference(t, L=1.0):
@@ -106,43 +108,75 @@ def rk4_converged(bond, ks):
 
 def segment_count(bond, per_width):
     """n = max(m, m (b - a) sqrt(max |V|)) segments of the support, with
-    m = PER_WIDTH = 300 on both axes."""
+    m = PER_WIDTH = 150 on both axes."""
     pot = bond.potential
     a, b = pot.support(bond.length)
     vmax = max(-pot.minimum(bond.length), pot.maximum(bond.length))
     return max(per_width, math.ceil(per_width * (b - a) * math.sqrt(vmax)))
 
 
-def magnus_product_reference(bond, ks, per_width):
-    """Transfer matrices over ks as the product of the segment maps
-    exp(Omega), Omega = [[beta, w], [w (Vbar - k^2), -beta]], taken one
-    segment at a time from x = 0 across the n-segment cut of the support
-    at its two Gauss points, with one segment for each free stretch; a
-    constant bond is one segment.
-    Omega^2 = theta^2 with theta^2 = beta^2 + w^2 (Vbar - k^2), so
-    exp(Omega) = cos(y) + (sin(y)/y) Omega at the complex square root
-    y = sqrt(-theta^2)."""
+def magnus_exponents(value, x0, w, e):
+    """Omega of the segments [x0, x0 + w] of y' = [[0, 1], [V + e, 0]] y
+    over (entries of the column e, segments), shape (..., 2, 2), from the
+    commutators of the three-Gauss-point sixth-order Magnus exponent
+    (Blanes, Casas and Ros, BIT 40, 2000): with A_i at x0 + (1/2 + (i -
+    2) sqrt 15/10) w, a1 = w A_2, a2 = (sqrt 15/3) w (A_3 - A_1), a3 =
+    (10/3) w (A_3 - 2 A_2 + A_1), C1 = [a1, a2], C2 = -[a1, 2 a3 + C1]/60
+    and Omega = a1 + a3/12 + [-20 a1 - a3 + C1, a2 + C2]/240."""
+    g = math.sqrt(15.0) / 10.0
+    A1, A2, A3 = (np.stack(np.broadcast_arrays(
+        0.0 * e, 1.0 + 0.0 * e, value(x0 + (0.5 + d) * w) + e, 0.0 * e),
+        -1).reshape(np.broadcast(e, x0).shape + (2, 2))
+        for d in (-g, 0.0, g))
+    w = w[..., None, None]
+    a1 = w * A2
+    a2 = (math.sqrt(15.0) / 3.0) * w * (A3 - A1)
+    a3 = (10.0 / 3.0) * w * (A3 - 2.0 * A2 + A1)
+
+    def comm(X, Y):
+        return X @ Y - Y @ X
+
+    C1 = comm(a1, a2)
+    C2 = -comm(a1, 2.0 * a3 + C1) / 60.0
+    return a1 + a3 / 12.0 + comm(-20.0 * a1 - a3 + C1, a2 + C2) / 240.0
+
+
+def reference_layout(bond, per_width, mirrored=False):
+    """(V, x0, w, h): the potential, the left ends and widths of the
+    segments from x = 0 of the bond, or of the bond with V(L - x) with
+    mirrored=True, and the width h of the support's segments: one segment
+    for a constant bond, else one for each free stretch and the n-segment
+    cut of the support."""
     pot = bond.potential
     L = bond.length
+    value = (lambda x: pot.value(L - x)) if mirrored else pot.value
     if pot.kind == "constant":
-        w, V1, V2 = np.array([L]), np.array([pot.c]), np.array([pot.c])
-    else:
-        a, b = pot.support(L)
-        n = segment_count(bond, per_width)
-        h = (b - a) / n
-        g = 0.5 / math.sqrt(3.0)
-        mid = a + (np.arange(n) + 0.5) * h
-        w = np.concatenate(([a], np.full(n, h), [L - b]))
-        V1, V2 = (np.concatenate(([0.0], pot.value(mid + d * h), [0.0]))
-                  for d in (-g, g))
+        return (lambda x: pot.c + 0.0 * x), np.array([0.0]), np.array([L]), L
+    a, b = pot.support(L)
+    if mirrored:
+        a, b = L - b, L - a
+    n = segment_count(bond, per_width)
+    h = (b - a) / n
+    x0 = np.concatenate(([0.0], a + np.arange(n) * h, [b]))
+    w = np.concatenate(([a], np.full(n, h), [L - b]))
+    return value, x0, w, h
+
+
+def magnus_product_reference(bond, ks, per_width):
+    """Transfer matrices over ks as the product of the segment maps
+    exp(Omega) of magnus_exponents at e = -k^2, taken one segment at a
+    time from x = 0 across reference_layout.  Omega^2 = theta^2 with
+    theta^2 = -det Omega, so exp(Omega) = cos(y) + (sin(y)/y) Omega at the
+    complex square root y = sqrt(-theta^2)."""
+    value, x0, w, _ = reference_layout(bond, per_width)
+    Om = magnus_exponents(value, x0, w, -(ks * ks)[:, None])
+    theta2 = -np.linalg.det(Om)
     T = np.broadcast_to(np.eye(2), (len(ks), 2, 2))
-    for wi, v1, v2 in zip(w, V1, V2):
-        beta = (math.sqrt(3.0) / 12.0) * wi * wi * (v1 - v2)
-        lower = wi * (0.5 * (v1 + v2) - ks * ks)
-        y = np.sqrt(-(beta * beta + wi * lower) + 0j)
-        C = np.cos(y).real
-        S = np.sinc(y / math.pi).real
-        T = stack_2x2(C + S * beta, S * wi, S * lower, C - S * beta) @ T
+    for i in range(len(w)):
+        y = np.sqrt(-theta2[:, i] + 0j)
+        C = np.cos(y).real[:, None, None]
+        S = np.sinc(y / math.pi).real[:, None, None]
+        T = (C * np.eye(2) + S * Om[:, i]) @ T
     return T
 
 
@@ -165,43 +199,58 @@ def one_end(sol, end):
 
 def sweep_reference(bond, t, end="0"):
     """one_end of the BondSolution by the per-segment Moebius recurrence
-    m <- ((1 + D) m - T)/(1 - D - m P) over the fourth-order Magnus maps
-    of the n-segment cut, one segment at a time from the far end, x = L
-    for end "0" and x = 0 for end "L", with the two Gauss points of each
-    segment in the order the recurrence meets them."""
+    m <- ((1 + D) m - T)/(1 - D - m P) over the maps of magnus_exponents,
+    one segment at a time from the far end, x = L for end "0" and x = 0
+    for end "L", in complex arithmetic at t + i CSTEP.  Omega is linear in
+    e = t^2; its parts beyond the free exponent [[0, w], [e w, 0]] that
+    carry e, and its b - w, are multiplied by rho = 1/(1 + (t h)^4).  Each
+    map is normalised to a = 1 by cosh(theta), whose log enters s less t
+    w, with theta - t w formed from theta^2 - (t w)^2."""
     L = bond.length
-    pot = bond.potential
-    from_0 = end == "L"
-    a, b = pot.support(L)
-    n = segment_count(bond, interval.PER_WIDTH)
-    first, last = (a, L - b) if from_0 else (L - b, a)
-    h = (b - a) / n
-    w = np.concatenate(([first], np.full(n, h), [last]))
-    # the Gauss points' distances from the end the sweep starts at
-    g = 0.5 / math.sqrt(3.0)
-    V1, V2 = (np.concatenate(([0.0], pot.value(a + x if from_0 else b - x),
-                              [0.0]))
-              for x in ((np.arange(n) + 0.5 - g) * h,
-                        (np.arange(n) + 0.5 + g) * h))
-    _, D, T, P, log_cosh, dlog_cosh = _segments(
-        (t * t)[:, None], (2.0 * t)[:, None], w, V1, V2, CSTEP, t[:, None])
+    value, x0, w, h = reference_layout(bond, interval.PER_WIDTH,
+                                       mirrored=end == "0")
+    # Omega is linear in e: its slope by a complex step in e
+    Om = magnus_exponents(value, x0, w, 1e-30j * np.ones((1, 1)))[0]
+    (b0, bb0), (c0, _) = Om.real.transpose(1, 2, 0)
+    (b1, _), (c1, _) = (Om.imag * 1e30).transpose(1, 2, 0)
+    tc = (t + 1j * CSTEP)[:, None]
+    e = tc * tc
+    rho = 1.0 / (1.0 + (tc * h) ** 4)
+    beta = b0 + rho * e * b1
+    db, dc = bb0 - w, c1 - w
+    b = w + rho * db
+    c = c0 + e * w + rho * e * dc
+    z = beta * beta + b * c
+    theta = np.sqrt(z)
+    excess = (beta * beta + b * c0 + rho * e * (w * db + b * dc)
+              + (tc - t[:, None]) * (tc + t[:, None]) * w * w)
+    # the series below |z| = 1e-4, where the closed forms cancel in Im
+    small = np.abs(z) < 1e-4
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_cosh = np.where(
+            small, z * (0.5 + z * (-1.0 / 12.0 + z / 45.0)) - t[:, None] * w,
+            excess / (theta + t[:, None] * w)
+            + np.log1p(np.exp(-2.0 * theta)) - math.log(2.0))
+        C = np.where(small, 1.0 + z * (-1.0 / 3.0 + z * (
+            2.0 / 15.0 - z * 17.0 / 315.0)), np.tanh(theta) / theta)
+    D, T, P = beta * C, b * C, c * C
     m = np.zeros(len(t), complex)
     d = np.empty_like(T)
-    for i in range(n + 2):
+    for i in range(len(w)):
         d[:, i] = 1.0 - D[:, i] - m * P[:, i]
         m = ((1.0 + D[:, i]) * m - T[:, i]) / d[:, i]
     # summed per segment first: at large t both terms are near -+log 2
-    s = ((log_cosh + np.log(d.real)).sum(axis=-1)
-         + 1j * (CSTEP * dlog_cosh + d.imag / d.real).sum(axis=-1))
+    s = ((log_cosh.real + np.log(d.real)).sum(axis=-1)
+         + 1j * (log_cosh.imag + d.imag / d.real).sum(axis=-1))
     fp = 1.0 / m
     lu = s + np.log(-m)
     return (fp.real, fp.imag / CSTEP, t * L + lu.real, lu.imag / CSTEP,
             lu.real)
 
 
-# height 100 takes n = 1,801 segments, past the range of an unscaled
-# product of the maps; heights 5 and 100 take an odd n, so their last
-# block of maps carries an odd map out
+# height 100 takes n = 901 segments, past the range of an unscaled
+# product of the maps, and an odd n, so its last block of maps carries an
+# odd map out
 SWEEP_CASES = [dict(height=0.3), dict(center=0.35, half_width=0.2, height=4.0),
                dict(height=100.0), dict(height=-3.0), dict(height=5.0)]
 
@@ -232,22 +281,61 @@ def test_sweep_converges_in_segment_count(kw, monkeypatch):
     bond = make_bump_interval(**kw)[0].bonds[0]
     t = above_floor(bond, 41)
     got = bond_solution(bond, t)
-    count = interval._segment_count
-
-    def refined(bond, per_width):
-        a, b, n = count(bond, per_width)
-        return a, b, 16 * n
-
-    monkeypatch.setattr(interval, "_segment_count", refined)
+    refined_segments(monkeypatch, 16)
     ref = bond_solution(bond, t)
     for field, g, r in zip(BondSolution._fields, got, ref):
         bound = 5e-12 * np.maximum(1.0, np.abs(r))
         assert np.all(np.abs(g - r) <= bound), field
 
 
+@pytest.mark.parametrize("kw", SWEEP_CASES, ids=lambda kw: str(kw["height"]))
+def test_sweep_converges_up_to_large_t(kw, monkeypatch):
+    # out to t = 1e7, t h up to 4e4, against 16 times the segments: the
+    # damping rho keeps out of the maps the exponent's e-terms, which grow
+    # like t^3 in log u and read 6.7e-5 off at t = 1e6 undamped
+    bond = make_bump_interval(**kw)[0].bonds[0]
+    t = np.geomspace(1e4, 1e7, 25)
+    got = bond_solution(bond, t)
+    refined_segments(monkeypatch, 16)
+    ref = bond_solution(bond, t)
+    for field, g, r in zip(BondSolution._fields, got, ref):
+        bound = 5e-11 * np.maximum(1.0, np.abs(r))
+        assert np.all(np.abs(g - r) <= bound), field
+
+
+@pytest.mark.parametrize("kw", SWEEP_CASES, ids=lambda kw: str(kw["height"]))
+def test_t_derivatives_match_five_point_differences(kw):
+    # the complex step, d rho/dt included, against the five-point
+    # difference of the float64 pass in steps of t/1000, where rho has
+    # left 1; log u enters as log u - t L, whose slope is small
+    bond = make_bump_interval(**kw)[0].bonds[0]
+    t = np.array([100.0, 300.0, 1000.0, 3000.0])
+    got = bond_solution(bond, t)
+    sols = {d: bond_solution(bond, t * (1.0 + 1e-3 * d), derivative=False)
+            for d in (-2, -1, 1, 2)}
+    for field, dfield, slope in (("f_prime_at_0", "df_prime_at_0_dt", 0.0),
+                                 ("f_prime_at_L", "df_prime_at_L_dt", 0.0),
+                                 ("log_u_excess", "dlog_u_dt", bond.length)):
+        f = {d: getattr(sol, field) for d, sol in sols.items()}
+        diff = (8.0 * (f[1] - f[-1]) - (f[2] - f[-2])) / (0.012 * t) + slope
+        g = getattr(got, dfield)
+        assert np.all(np.abs(g - diff) <= 1e-11 * np.maximum(
+            1.0, np.abs(diff))), dfield
+
+
+def test_segment_counts():
+    # the benchmark's height-0.3 bump and the tests' height-100 one, whose
+    # 150 (b - a) sqrt(100) rounds to just above 900
+    for height, n in ((0.3, 150), (100.0, 901)):
+        bond = make_bump_interval(height=height)[0].bonds[0]
+        assert interval._segment_count(bond, interval.PER_WIDTH)[2] == n
+        assert interval._gauss_layout(bond, interval.PER_WIDTH)[1].shape == (
+            6, n + 2)
+
+
 def test_sweep_memory_does_not_grow_with_segment_count():
     # the maps are held a block of segments at a time, so height 100
-    # (n = 1,801) needs no more than height 0.3 (n = 300), with or
+    # (n = 901) needs no more than height 0.3 (n = 150), with or
     # without t-derivatives
     t = np.geomspace(0.05, 1e4, 400)
     for derivative in (True, False):
@@ -375,9 +463,9 @@ def test_only_bump_bonds_enter_the_sweep(monkeypatch):
     seen = []
     sweep = interval._sweep
 
-    def spy(e, de, w, V1, V2, step, block, rescale):
+    def spy(e, de, h, K, step, block, t):
         seen.append(step is not None)
-        return sweep(e, de, w, V1, V2, step, block, rescale)
+        return sweep(e, de, h, K, step, block, t)
 
     monkeypatch.setattr(interval, "_sweep", spy)
     t = np.array([0.5, 3.0, 40.0])
@@ -574,7 +662,7 @@ def test_transfer_matrix_unit_determinant_with_potential():
         assert det == pytest.approx(1.0, abs=1e-9)
 
 
-# the bumps of the real-axis tests; height 100 takes n = 1,801 segments
+# the bumps of the real-axis tests; height 100 takes n = 901 segments
 REAL_CASES = [dict(height=0.3), dict(height=3.0),
               dict(center=0.35, half_width=0.2, height=4.0),
               dict(height=-3.0), dict(height=100.0)]
@@ -607,6 +695,41 @@ def test_transfer_matrices_converge_to_rk4_reference(kw):
     ref = rk4_converged(bond, ks)
     got = transfer_matrices_real(bond, ks * ks)
     assert np.all(d_scaled_error(got, ref, ks) <= 1e-10)
+
+
+@pytest.mark.parametrize("kw", REAL_CASES, ids=lambda kw: str(kw["height"]))
+def test_transfer_matrices_converge_in_segment_count(kw, monkeypatch):
+    # up to k = 500, k h up to 2 on the height-0.3 bump, against the same
+    # sweep cut into 16 times as many segments
+    ks = np.linspace(0.0, 500.0, 201)
+    bond = make_bump_interval(**kw)[0].bonds[0]
+    got = transfer_matrices_real(bond, ks * ks)
+    refined_segments(monkeypatch, 16)
+    ref = transfer_matrices_real(bond, ks * ks)
+    assert np.all(d_scaled_error(got, ref, ks) <= 1.5e-11)
+
+
+def test_real_axis_refuses_bump_bonds_past_k_h_2():
+    # the benchmark's bump has h = 0.6/150, so k h = 2 at k = 500, which
+    # passes, on both sides of E = 0 and with the E-derivative; a constant
+    # bond's one map is exact at every E
+    graph, mc = make_bump_interval(height=0.3)
+    bond = graph.bonds[0]
+    assert real_k_limit(bond) == pytest.approx(500.0, rel=1e-11)
+    edge = np.array([-250000.0, 0.0, 250000.0])
+    for derivative in (False, True):
+        transfer_matrices_real(bond, edge, derivative=derivative)
+        for E in (250100.0, -250100.0):
+            with pytest.raises(UnsupportedError, match="k <= 500"):
+                transfer_matrices_real(bond, np.array([1.0, E]),
+                                       derivative=derivative)
+    eigenvalue_count(graph, mc, edge)
+    with pytest.raises(UnsupportedError, match="k <= 500"):
+        eigenvalue_count(graph, mc, [1.0, 250100.0])
+    const = make_interval(1.0, potential={"kind": "constant",
+                                          "value": 3.0})[0].bonds[0]
+    assert real_k_limit(const) == math.inf
+    assert np.all(np.isfinite(transfer_matrices_real(const, np.array([1e8]))))
 
 
 def test_both_axes_meet_at_zero_energy():

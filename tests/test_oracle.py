@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -270,6 +271,29 @@ def test_scan_of_a_window_without_roots_under_a_large_potential():
         assert scan_spectrum(graph, mc, 10.0).roots == ()
     with pytest.raises(NumericalError, match="not finite"):
         transfer_matrices_real(graph.bonds[0], np.array([0.0]))
+
+
+def test_scan_across_a_large_constant_potential():
+    # c = 1e6 on the unit Dirichlet interval: the count's grid from below
+    # E = 0 to k = 1010 mixes energies far below c, whose maps grow like
+    # e^1000, with those of the 45 roots sqrt(c + (j pi)^2) above it
+    graph, mc = make_interval(1.0, potential={"kind": "constant",
+                                              "value": 1e6})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        window = scan_spectrum(graph, mc, 1010.0)
+    assert [m for _, m in window.roots] == [1] * 45
+    ref = np.sqrt(1e6 + (np.arange(1, 46) * math.pi) ** 2)
+    assert np.allclose([k for k, _ in window.roots], ref, rtol=1e-12, atol=0)
+
+
+def test_scan_refuses_k_max_past_the_bump_bonds_range():
+    # k h = 2 on the height-3 bump chain's bump (156 segments over 0.6)
+    # at k = 520; item 1's bump star to 500 passes below
+    graph, mc = make_chain((1.0, 1.0, 1.0), bump=BUMP)
+    with pytest.raises(UnsupportedError,
+                       match="largest supported k is 520"):
+        scan_spectrum(graph, mc, 521.0)
 
 
 def test_scan_rejects_non_finite_k_max():

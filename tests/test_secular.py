@@ -111,8 +111,8 @@ def test_real_matrices_are_float64_unless_a_flux_or_complex_matching():
 def test_real_matrices_memory_does_not_grow_with_segment_count():
     # the eigenvalue count on the grid of the bump chain's scan to
     # k = 215; the maps and their Pruefer angles are held a block of
-    # segments at a time, so height 100 (1,800 segments) needs no more
-    # than height 0.3 (300)
+    # segments at a time, so height 100 (901 segments) needs no more
+    # than height 0.3 (150)
     Es = np.linspace(0.0, 215.0, 822) ** 2
     peaks = []
     for height in (0.3, 100.0):
@@ -335,9 +335,9 @@ def test_off_centre_bump_is_swept_once(monkeypatch):
     sweeps = []
     sweep = interval._sweep
 
-    def spied(e, de, w, V1, V2, step, block, t):
+    def spied(e, de, h, K, step, block, t):
         sweeps.append(step is not None)
-        return sweep(e, de, w, V1, V2, step, block, t)
+        return sweep(e, de, h, K, step, block, t)
 
     monkeypatch.setattr(interval, "_sweep", spied)
     t = np.array([0.01, 0.7, 3.0, 40.0, 2000.0])
