@@ -17,9 +17,9 @@ import numpy as np
 from .errors import NumericalError, UnsupportedError
 from .graph import replace_bond_length
 from .secular import (asymptotic_F_coefficients, bond_solutions,
-                      dlogF_dL_imag)
-from .zeta import (_probe_secular_zero, _require_local, integral,
-                   minus_half_data, residues_at_minus_half)
+                      checked_asymptotics, dlogF_dL_imag)
+from .zeta import (_require_local, integral, minus_half_data,
+                   residues_at_minus_half)
 
 TOL = 1e-10
 
@@ -77,7 +77,10 @@ def casimir_force(graph, mc, bond_id: str) -> ForceResult:
     interaction part, the exact length derivative of log F from
     dlogF_dL_imag; both are t-integrals along the imaginary axis, taken
     as the two columns of one integral, and the error estimate is their
-    quadrature error.
+    quadrature error.  The set-up is the energy's (checked_asymptotics):
+    a model that fails its large-t check, or an F that vanishes at the
+    bottom of the ray, raises NumericalError; the energy and the force
+    of one (graph, mc) share it.
     """
     _require_local(mc, "casimir_force")
     floor = graph.spectral_floor()
@@ -91,8 +94,7 @@ def casimir_force(graph, mc, bond_id: str) -> ForceResult:
             f"force on bond '{bond_id}' needs a compactly supported "
             "potential; a potential reaching the moving end does work of "
             "its own and the vacuum force alone is not defined")
-    asym = asymptotic_F_coefficients(graph, mc, check=False)
-    _probe_secular_zero(graph, mc, asym, 0.0)
+    checked_asymptotics(graph, mc)
 
     b = graph.bonds.index(bond)
 

@@ -79,10 +79,15 @@ class MatchingConditions:
     """Pair of 2B x 2B matrices defining A psi + B psihat = 0."""
 
     def __init__(self, A, B, *, local: bool, vertex_specs=None):
-        self.A = np.asarray(A, dtype=complex)
-        self.B = np.asarray(B, dtype=complex)
+        # own read-only copies: setups is computed from them, and an edit
+        # in place through the caller's array would leave it stale
+        self.A = np.array(A, dtype=complex)
+        self.B = np.array(B, dtype=complex)
+        self.A.flags.writeable = self.B.flags.writeable = False
         self.local = local
         self.vertex_specs = tuple(vertex_specs) if vertex_specs else None
+        # per graph, the checked large-t set-up of secular.checked_asymptotics
+        self.setups = {}
 
 
 def build_vertex_conditions(graph: MetricGraph, specs) -> MatchingConditions:

@@ -27,13 +27,14 @@ the float64 sweep also carries the Dirichlet solution's Pruefer angle.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import NumericalError, UnsupportedError
 from .potentials import spectral_floor
-from .wkb import u_log_expansion
+from .wkb import CACHE_SIZE, u_log_expansion
 
 CSTEP = 1e-30            # complex step for the t-derivatives
 KSTEP = 2.0 ** -600      # complex step for the real-axis E-derivative
@@ -411,12 +412,20 @@ def _gauss_layout(bond, per_width: int):
     constant bond, h = L; for a bump bond one for each free stretch, whose
     corrections are zero, and, between them, _segment_count(bond,
     per_width) of the support, with Gauss points (sqrt 15/10) h off
-    centre."""
+    centre (_bump_layout, memoised)."""
     L = bond.length
     pot = bond.potential
     if pot.kind == "constant":
         return L, np.array([[L], [0.0], [0.0], [0.0], [L * pot.c], [0.0]])
-    a, b, n = _segment_count(bond, per_width)
+    return _bump_layout(L, pot, *_segment_count(bond, per_width))
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _bump_layout(L, pot, a, b, n):
+    """_gauss_layout of a bump bond of length L and potential pot cut into
+    n segments of its support (a, b), K read-only.  n is part of the key,
+    not read from the bond, so that a changed _segment_count is a new
+    layout."""
     h = (b - a) / n
     g = 0.1 * math.sqrt(15.0)
     V1, V2, V3 = pot.value(a + (np.arange(n) + np.array([[0.5 - g], [0.5],
@@ -434,6 +443,7 @@ def _gauss_layout(bond, per_width: int):
                    (h + dc) * V2 + a3 / 12.0 + h * a3 * a3 / 3600.0
                    - h * a2 * a2 / 120.0,
                    dc)
+    K.flags.writeable = False
     return h, K
 
 

@@ -13,6 +13,13 @@ solve and trace (logF_slope_imag, dlogF_dL_imag).  An exactly singular
 A + B M fails with NumericalError naming its t.  F_imag is logF_imag
 at one t, as a record.
 
+Large t: the model F(it) ~ c_lead t^p exp(sum_j a_j t^-j) of
+asymptotic_F_coefficients, fitted by one FFT.  checked_asymptotics is
+the set-up of every zeta, energy and force call: the model, checked
+against F at large t, once F has passed the zero probe at the bottom of
+the integration ray, from one logF_imag call and memoised per graph on
+the MatchingConditions.
+
 Real axis: a pole-free parameterisation S(E) through bond transfer
 matrices at energies E = k^2, singular exactly at eigenvalues, with the
 null-space dimension as multiplicity.  S and dS/dE are float64 unless
@@ -30,7 +37,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .interval import bond_solution, transfer_matrices_real
-from .wkb import wkb_coefficients
+from .wkb import CACHE_SIZE, wkb_coefficients
 
 UNDERFLOW_LOG = 690.0
 
@@ -232,7 +239,8 @@ def _fft_poly_coefficients(graph, mc, tables):
     return g
 
 
-def asymptotic_F_coefficients(graph, mc, *, check: bool = True) -> AsymptoticData:
+def _fit(graph, mc) -> AsymptoticData:
+    """The large-t model of F from one FFT fit (_fft_poly_coefficients)."""
     B = graph.bond_count
     n = 2 * B
     tables = ([wkb_coefficients(bond) for bond in graph.bonds]
@@ -272,25 +280,39 @@ def asymptotic_F_coefficients(graph, mc, *, check: bool = True) -> AsymptoticDat
     else:
         strip_min = -(gap + 1.0) / 2.0
 
-    data = AsymptoticData(leading_power=N, gap=gap, c_lead=complex(g[N]),
+    return AsymptoticData(leading_power=N, gap=gap, c_lead=complex(g[N]),
                           log_coeffs=coeffs, strip_min=strip_min, exact=exact)
+
+
+def asymptotic_F_coefficients(graph, mc, *, check: bool = True) -> AsymptoticData:
+    """The large-t model of F, fitted afresh on every call and, with
+    check, compared against F itself at large t (_check_asymptotics).
+    The engine reads it through checked_asymptotics, which memoises it."""
+    data = _fit(graph, mc)
     if check:
-        _check_asymptotics(graph, mc, data)
+        ts = _check_nodes(graph)
+        _check_asymptotics(graph, data, ts, *logF_imag(graph, mc, ts))
     return data
 
 
-def _check_asymptotics(graph, mc, data: AsymptoticData) -> None:
-    """Compare the polynomial model against F itself at large t."""
+def _check_nodes(graph):
+    """The large-t nodes t0 (1, 10, 100) of _check_asymptotics."""
     lmin = min(b.length for b in graph.bonds)
     vscale = max(max(abs(b.potential.maximum(b.length)),
                      abs(b.potential.minimum(b.length)))
                  for b in graph.bonds)
     t0 = max(100.0, 100.0 / lmin, 20.0 * math.sqrt(vscale) if vscale else 0.0)
+    return t0 * np.array([1.0, 10.0, 100.0])
+
+
+def _check_asymptotics(graph, data: AsymptoticData, ts, log_abs,
+                       phase) -> None:
+    """Compare the polynomial model against F itself, (log|F|, phase) at
+    the nodes ts of _check_nodes."""
     power = 2 * graph.bond_count - data.leading_power
-    ts = t0 * np.array([1.0, 10.0, 100.0])
     zs = []
-    for t, log_abs, phase in zip(ts.tolist(), *logF_imag(graph, mc, ts)):
-        y = complex(log_abs - power * math.log(t), phase)
+    for t, la, ph in zip(ts.tolist(), log_abs, phase):
+        y = complex(la - power * math.log(t), ph)
         yhat = cmath.log(data.c_lead) + sum(
             a / t ** j for j, a in enumerate(data.log_coeffs, start=1))
         diff = y - yhat
@@ -305,6 +327,52 @@ def _check_asymptotics(graph, mc, data: AsymptoticData) -> None:
         raise NumericalError(
             "secular function has a non-integer apparent exponent at large t "
             f"(deviation {slope_dev:.2e})")
+
+
+def _remember(memo: dict, key, value):
+    """memo[key] = value, dropping the oldest entries past CACHE_SIZE."""
+    memo[key] = value
+    while len(memo) > CACHE_SIZE:
+        memo.pop(next(iter(memo)), None)
+    return value
+
+
+def checked_asymptotics(graph, mc, gamma: float = 0.0) -> AsymptoticData:
+    """The large-t model of F for (graph, mc), checked against F at large
+    t, once F has passed the zero probe at the bottom of the integration
+    ray, t = max(1e-4, sqrt(gamma)): an eigenvalue at or below -gamma
+    brings |F(it)| there below 1e-8 |c_lead| and makes the rotated-axis
+    representations invalid.  The set-up of every zeta, energy and force
+    call.
+
+    The model and its check depend on neither s, gamma nor a bond, so
+    they are memoised per graph on mc.setups, as (model, {t: log|F(it)|}
+    at the probes asked for so far), at most CACHE_SIZE graphs of at most
+    CACHE_SIZE probes; a re-parsed mc starts empty.  A miss fits the model
+    once and reads F at the probe and the check's three nodes in one
+    logF_imag call, whose nodes do not depend on each other; a hit with a
+    new probe reads F at that one node.
+    """
+    t_probe = max(1e-4, math.sqrt(gamma))
+    setup = mc.setups.get(graph)
+    if setup is None:
+        asym = _fit(graph, mc)
+        ts = np.concatenate(([t_probe], _check_nodes(graph)))
+        log_abs, phase = logF_imag(graph, mc, ts)
+        _check_asymptotics(graph, asym, ts[1:], log_abs[1:], phase[1:])
+        probes = {t_probe: float(log_abs[0])}
+        _remember(mc.setups, graph, (asym, probes))
+    else:
+        asym, probes = setup
+        if t_probe not in probes:
+            log_abs, _ = logF_imag(graph, mc, np.array([t_probe]))
+            _remember(probes, t_probe, float(log_abs[0]))
+    if probes[t_probe] <= math.log(1e-8 * abs(asym.c_lead)):
+        raise NumericalError(
+            "secular function is numerically zero at the bottom of the "
+            f"integration ray (t={t_probe:g}); an eigenvalue at or below "
+            "-gamma makes this zeta representation invalid")
+    return asym
 
 
 def dlogF_dL_imag(graph, mc, bond_id, t, sols=None):

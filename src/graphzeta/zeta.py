@@ -18,7 +18,9 @@ and the Casimir integrals (s = 1/2, unit weight).  One driver, integral,
 evaluates them all with an adaptive 21-point Gauss-Kronrod rule that
 calls g once per refinement round on an array of nodes.  Every part of
 one call (the secular part, each bond's Dirichlet part) is one column of
-g, so the parts share their bond solves and their nodes.
+g, so the parts share their bond solves and their nodes.  The large-t
+model of the secular part and its checks come from
+secular.checked_asymptotics, paid once per (graph, mc) and probe.
 """
 
 from __future__ import annotations
@@ -32,9 +34,10 @@ import numpy as np
 from .errors import NumericalError, UnsupportedError
 from .interval import bond_solution, dirichlet_subtracted_derivative
 from .potentials import spectral_floor
-from .secular import (F_imag, _secular_is_complex, _vanished,
-                      asymptotic_F_coefficients, bond_solutions, logF_imag,
-                      logF_slope_imag, per_distinct_bond)
+from .secular import (_secular_is_complex, _vanished,
+                      asymptotic_F_coefficients, bond_solutions,
+                      checked_asymptotics, logF_imag, logF_slope_imag,
+                      per_distinct_bond)
 from .wkb import d_constant, u_log_expansion
 
 MAX_INTERVALS = 200
@@ -409,16 +412,6 @@ def _require_local(mc, what: str) -> None:
             "matrices are only usable for the eigenvalue scan")
 
 
-def _probe_secular_zero(graph, mc, asym, gamma: float) -> None:
-    t_probe = max(1e-4, math.sqrt(gamma))
-    sv = F_imag(graph, mc, t_probe)
-    if sv.log_abs <= math.log(1e-8 * abs(asym.c_lead)):
-        raise NumericalError(
-            "secular function is numerically zero at the bottom of the "
-            f"integration ray (t={t_probe:g}); an eigenvalue at or below "
-            "-gamma makes this zeta representation invalid")
-
-
 # ---------------------------------------------------------------------------
 # zeta: the secular part and the Dirichlet parts
 
@@ -436,10 +429,11 @@ def _check_dir(bond, s: complex, gamma: float) -> None:
 
 
 def _secular_setup(graph, mc, s: complex, gamma: float):
-    """The checks of the secular part; returns its asymptotic data."""
+    """The checks of the secular part; returns its asymptotic data, from
+    the memoised set-up of (graph, mc) (checked_asymptotics)."""
     _require_local(mc, "zeta_im")
     _check_gamma(graph.spectral_floor(), gamma, "zeta_im")
-    asym = asymptotic_F_coefficients(graph, mc)
+    asym = checked_asymptotics(graph, mc, gamma)
     if not asym.strip_min < s.real < 1.0:
         raise UnsupportedError(
             f"zeta_im is represented in {asym.strip_min:g} < Re s < 1 for "
@@ -449,7 +443,6 @@ def _secular_setup(graph, mc, s: complex, gamma: float):
         raise UnsupportedError(
             f"s={-gap / 2.0} is a pole of zeta_im; its finite part and "
             "residue come from minus_half_data")
-    _probe_secular_zero(graph, mc, asym, gamma)
     return asym
 
 
@@ -607,8 +600,7 @@ def minus_half_data(graph, mc, *, tol: float = 1e-10) -> MinusHalfData:
         raise NumericalError(
             "vacuum-energy data needs the gamma=0 ray, unreachable below "
             f"the spectral floor {floor:.6g} of a negative potential")
-    asym = asymptotic_F_coefficients(graph, mc)
-    _probe_secular_zero(graph, mc, asym, 0.0)
+    asym = checked_asymptotics(graph, mc)
 
     power = _power(graph, asym)
     coeffs = asym.log_coeffs

@@ -4,10 +4,11 @@ import pytest
 
 from conftest import (BUMP, make_bump_interval, make_chain, make_interval,
                       make_star)
-from graphzeta import (F_imag, UnsupportedError, asymptotic_F_coefficients,
-                       casimir_force, energy_finite_difference,
-                       mu_sensitivity, vacuum_energy, zeta_total)
-from graphzeta import interval
+from graphzeta import (F_imag, NumericalError, UnsupportedError,
+                       asymptotic_F_coefficients, casimir_force,
+                       energy_finite_difference, mu_sensitivity,
+                       vacuum_energy, zeta_total)
+from graphzeta import interval, secular
 
 
 def test_vacuum_energy_interval():
@@ -196,3 +197,18 @@ def test_energy_and_force_run_no_complex_step(monkeypatch):
         seen.clear()
         zeta_total(graph, mc, 0.75, 0.5)
         assert any(seen)
+
+
+def test_force_checks_the_large_t_model(monkeypatch):
+    # a fit off by a factor 2 in c_lead fails the large-t check; the force
+    # shares the energy's set-up, so it raises the energy's error instead
+    # of returning a number from a model it never checked
+    fit = secular._fft_poly_coefficients
+    monkeypatch.setattr(secular, "_fft_poly_coefficients",
+                        lambda *args: 2.0 * fit(*args))
+    raised = []
+    for call in (vacuum_energy, lambda g, mc: casimir_force(g, mc, 2)):
+        with pytest.raises(NumericalError, match="large-t asymptotics") as err:
+            call(*make_chain(bump={**BUMP, "height": 0.3}))
+        raised.append(str(err.value))
+    assert raised[0] == raised[1]

@@ -6,9 +6,9 @@ import pytest
 
 from conftest import (from_doc, make_bump_interval, make_chain, make_circle,
                       make_interval, make_star)
-from graphzeta import (GraphFormatError, ValidationError, casimir_force,
-                       parse_graph, replace_bond_length, serialize_graph,
-                       validate_matching, zeta_total)
+from graphzeta import (GraphFormatError, MatchingConditions, ValidationError,
+                       casimir_force, parse_graph, replace_bond_length,
+                       serialize_graph, validate_matching, zeta_total)
 
 
 def interval_doc(**overrides):
@@ -171,6 +171,21 @@ def test_global_matching_validated():
                        "B": [[0, 0], [0, 0]]}
     graph, mc = parse_graph(json.dumps(doc))
     assert not mc.local
+
+
+def test_matching_matrices_are_read_only_copies():
+    # the set-up memoised on mc is computed from A and B: an edit through
+    # the caller's arrays must not reach them, and one through mc raises
+    A = np.eye(2, dtype=complex)
+    B = np.zeros((2, 2), dtype=complex)
+    mc = MatchingConditions(A, B, local=False)
+    A[0, 0] = 5.0
+    assert mc.A[0, 0] == 1.0
+    graph, mc = make_star(1.0)
+    zeta_total(graph, mc, 0.75)
+    for M in (mc.A, mc.B, mc.A.real):
+        with pytest.raises(ValueError, match="read-only"):
+            M[0, 0] = 2.0
 
 
 def test_validate_report_structure():

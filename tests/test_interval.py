@@ -288,6 +288,21 @@ def test_sweep_converges_in_segment_count(kw, monkeypatch):
         assert np.all(np.abs(g - r) <= bound), field
 
 
+def test_refined_segments_reach_a_warm_layout_memo(monkeypatch):
+    # the convergence tests compare a bond's sweep against the same sweep
+    # at refined_segments; with the layout memoised, a memo keyed without
+    # the segment count would hand the refined sweep the layout already in
+    # and the comparison would be of the sweep with itself
+    bond = make_bump_interval()[0].bonds[0]
+    t = above_floor(bond, 9)
+    got = bond_solution(bond, t)
+    assert interval._bump_layout.cache_info().currsize > 0
+    refined_segments(monkeypatch, 16)
+    ref = bond_solution(bond, t)
+    assert not np.array_equal(got.log_u, ref.log_u)
+    assert np.allclose(got.log_u, ref.log_u, rtol=1e-12, atol=0.0)
+
+
 @pytest.mark.parametrize("kw", SWEEP_CASES, ids=lambda kw: str(kw["height"]))
 def test_sweep_converges_up_to_large_t(kw, monkeypatch):
     # out to t = 1e7, t h up to 4e4, against 16 times the segments: the
@@ -333,22 +348,32 @@ def test_segment_counts():
             6, n + 2)
 
 
+def warm_or_cold_layout(bond, warm):
+    """Start the layout memo of a bump bond cold, or with its layout in."""
+    if warm:
+        interval._gauss_layout(bond, interval.PER_WIDTH)
+    else:
+        interval._bump_layout.cache_clear()
+
+
 def test_sweep_memory_does_not_grow_with_segment_count():
     # the maps are held a block of segments at a time, so height 100
     # (n = 901) needs no more than height 0.3 (n = 150), with or
-    # without t-derivatives
+    # without t-derivatives, and with the layouts memoised or not
     t = np.geomspace(0.05, 1e4, 400)
-    for derivative in (True, False):
-        peaks = []
-        for height in (0.3, 100.0):
-            bond = make_bump_interval(height=height)[0].bonds[0]
-            tracemalloc.start()
-            try:
-                bond_solution(bond, t, derivative=derivative)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        assert peaks[1] <= 1.25 * peaks[0], derivative
+    for warm in (False, True):
+        for derivative in (True, False):
+            peaks = []
+            for height in (0.3, 100.0):
+                bond = make_bump_interval(height=height)[0].bonds[0]
+                warm_or_cold_layout(bond, warm)
+                tracemalloc.start()
+                try:
+                    bond_solution(bond, t, derivative=derivative)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            assert peaks[1] <= 1.25 * peaks[0], (warm, derivative)
 
 
 @pytest.mark.parametrize("kw", SWEEP_CASES[:3],

@@ -11,12 +11,13 @@ import graphzeta.interval as interval
 import graphzeta.secular as secular
 import graphzeta.zeta as zeta_module
 from graphzeta import (F_imag, NumericalError, asymptotic_F_coefficients,
-                       eigenvalue_count, replace_bond_length, zeta_total)
+                       casimir_force, eigenvalue_count, replace_bond_length,
+                       vacuum_energy, zeta_total)
 from graphzeta.interval import (bond_solution, dirichlet_subtracted_derivative,
                                 transfer_matrices_real)
-from graphzeta.secular import (_assemble_real, bond_solutions, dlogF_dL_imag,
-                               logF_imag, logF_slope_imag,
-                               secular_matrices_real)
+from graphzeta.secular import (_assemble_real, bond_solutions,
+                               checked_asymptotics, dlogF_dL_imag, logF_imag,
+                               logF_slope_imag, secular_matrices_real)
 
 OFF_CENTRE = {**BUMP, "center": 0.35, "half_width": 0.2}
 
@@ -112,18 +113,23 @@ def test_real_matrices_memory_does_not_grow_with_segment_count():
     # the eigenvalue count on the grid of the bump chain's scan to
     # k = 215; the maps and their Pruefer angles are held a block of
     # segments at a time, so height 100 (901 segments) needs no more
-    # than height 0.3 (150)
+    # than height 0.3 (150), with the layouts memoised or not
     Es = np.linspace(0.0, 215.0, 822) ** 2
-    peaks = []
-    for height in (0.3, 100.0):
-        graph, mc = make_bump_interval(height=height)
-        tracemalloc.start()
-        try:
-            eigenvalue_count(graph, mc, Es)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    assert peaks[1] <= 1.25 * peaks[0]
+    for warm in (False, True):
+        peaks = []
+        for height in (0.3, 100.0):
+            graph, mc = make_bump_interval(height=height)
+            if warm:
+                interval._gauss_layout(graph.bonds[0], interval.PER_WIDTH)
+            else:
+                interval._bump_layout.cache_clear()
+            tracemalloc.start()
+            try:
+                eigenvalue_count(graph, mc, Es)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0], warm
 
 
 def test_F_imag_positive_secular_function():
@@ -356,3 +362,72 @@ def test_zeta_integrand_solves_and_subtracts_an_equal_star_once(monkeypatch):
     ev = zeta_total(graph, mc, 0.75, 0.5)
     assert set(solved) == set(columns) == {1}
     assert ev.nodes > 0
+
+
+def count_setups(monkeypatch):
+    """The FFT fits and the node counts of the logF_imag calls that the
+    set-up of the zeta, energy and force calls makes."""
+    fits, evaluations = [], []
+    fit, evaluate = secular._fft_poly_coefficients, secular.logF_imag
+
+    def counted_fit(*args):
+        fits.append(1)
+        return fit(*args)
+
+    def counted_evaluate(graph, mc, t, sols=None):
+        evaluations.append(len(t))
+        return evaluate(graph, mc, t, sols)
+
+    monkeypatch.setattr(secular, "_fft_poly_coefficients", counted_fit)
+    monkeypatch.setattr(secular, "logF_imag", counted_evaluate)
+    return fits, evaluations
+
+
+def test_setup_runs_once_per_graph_and_matching(monkeypatch):
+    # one fit and one evaluation of F at the probe and the three nodes of
+    # the large-t check serve every zeta point of a pair; a new gamma adds
+    # the one node of its probe, and a re-parsed pair starts over
+    fits, evaluations = count_setups(monkeypatch)
+    graph, mc = make_chain(bump={**BUMP, "height": 0.3})
+    for gamma in (0.5, 1.0):
+        for s in (0.6, 0.75, 0.9):
+            zeta_total(graph, mc, s, gamma)
+    assert (len(fits), evaluations) == (1, [4, 1])
+    del fits[:], evaluations[:]
+    graph, mc = make_chain(bump={**BUMP, "height": 0.3})
+    vacuum_energy(graph, mc)
+    casimir_force(graph, mc, 2)
+    assert (len(fits), evaluations) == (1, [4])
+    vacuum_energy(*make_chain(bump={**BUMP, "height": 0.3}))
+    assert (len(fits), evaluations) == (2, [4, 4])
+
+
+def test_setup_hit_and_miss_agree_bitwise():
+    # the memoised set-up returns the miss's data, and the calls read from
+    # it are bitwise those of a cold pair
+    graph, mc = make_star(1.0, lengths=(1.0, 1.3, 0.8),
+                          potentials=[(1, BUMP)])
+    cold = checked_asymptotics(graph, mc, 0.5)
+    assert checked_asymptotics(graph, mc, 0.5) is cold
+    assert checked_asymptotics(graph, mc, 0.0) is cold
+    assert cold == asymptotic_F_coefficients(graph, mc)
+    first = zeta_total(graph, mc, 0.75, 0.5)
+    assert zeta_total(graph, mc, 0.75, 0.5) == first
+    assert zeta_total(*make_star(1.0, lengths=(1.0, 1.3, 0.8),
+                                 potentials=[(1, BUMP)]), 0.75, 0.5) == first
+    energy = vacuum_energy(graph, mc)
+    assert vacuum_energy(graph, mc) == energy
+
+
+def test_setup_probe_refuses_a_zero_mode_on_a_hit():
+    # the Neumann-leaf star has a zero mode: F vanishes at the bottom of
+    # the gamma = 0 ray, while gamma = 0.5 is clear of it; the order of
+    # the calls does not change either answer
+    graph, mc = make_star(0.0, lengths=(1.0, 2.0, 3.0), leaf="neumann")
+    for gamma in (0.5, 0.0, 0.5, 0.0):
+        if gamma:
+            checked_asymptotics(graph, mc, gamma)
+        else:
+            with pytest.raises(NumericalError, match="numerically zero"):
+                checked_asymptotics(graph, mc, gamma)
+    assert len(mc.setups[graph][1]) == 2

@@ -1,11 +1,16 @@
+import importlib
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 import sympy as sp
 
 from conftest import make_bump_interval, make_interval
-from graphzeta import d_constant, u_log_expansion, wkb_coefficients
+import graphzeta
+from graphzeta import (d_constant, interval, replace_bond_length,
+                       u_log_expansion, wkb_coefficients)
+from graphzeta.secular import checked_asymptotics
 from graphzeta.wkb import CACHE_SIZE
 
 
@@ -120,12 +125,47 @@ def test_large_t_solution_approaches_wkb_slope():
     assert sol.f_prime_at_0[0] == pytest.approx(model, abs=1e-7)
 
 
+def functools_caches():
+    """Every functools cache defined in a graphzeta module, by name."""
+    caches = {}
+    for info in pkgutil.iter_modules(graphzeta.__path__):
+        module = importlib.import_module(f"graphzeta.{info.name}")
+        for name, value in vars(module).items():
+            if (hasattr(value, "cache_info")
+                    and value.__module__ == module.__name__):
+                caches[f"{info.name}.{name}"] = value
+    return caches
+
+
 def test_caches_stay_bounded():
-    # every distinct bond is a new key; the caches must not keep them all
+    # every distinct bond is a new key; the caches must not keep them all.
+    # Only the rule of _gauss_legendre, which takes no argument, may be
+    # unbounded
+    caches = functools_caches()
+    assert {"wkb.u_log_expansion", "wkb.wkb_coefficients",
+            "interval._bump_layout"} <= set(caches)
+    for name, cached in caches.items():
+        if name != "potentials._gauss_legendre":
+            assert cached.cache_info().maxsize == CACHE_SIZE, name
     for i in range(CACHE_SIZE + 20):
         bond = make_bump_interval(L=1.0 + 1e-3 * i)[0].bonds[0]
         u_log_expansion(bond)
         wkb_coefficients(bond)
         wkb_coefficients(bond, reverse=True)
-    for cached in (u_log_expansion, wkb_coefficients):
-        assert cached.cache_info().currsize <= CACHE_SIZE
+        interval._gauss_layout(bond, interval.PER_WIDTH)
+    for name, cached in caches.items():
+        assert cached.cache_info().currsize <= CACHE_SIZE, name
+
+
+def test_setup_record_stays_bounded():
+    # one matching pair under many graphs, as a length sweep makes, and
+    # one graph under many gamma: the set-up memoised on the pair keeps at
+    # most CACHE_SIZE of each
+    graph, mc = make_interval(1.0)
+    for i in range(CACHE_SIZE + 20):
+        checked_asymptotics(graph, mc, 0.01 * (i + 1))
+    assert len(mc.setups[graph][1]) == CACHE_SIZE
+    for i in range(CACHE_SIZE + 20):
+        checked_asymptotics(replace_bond_length(graph, 1, 1.1 + 1e-3 * i),
+                            mc)
+    assert len(mc.setups) == CACHE_SIZE and graph not in mc.setups
