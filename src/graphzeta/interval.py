@@ -19,9 +19,9 @@ a complex step, formed only for zeta's h'(t)/t integrand; log F and log
 u alone take a float64 pass at half to three quarters of the cost.
 Constant potentials take closed forms instead.
 
-Real axis, in E: transfer_matrices_real gives the scan the transfer
-matrices of the magnetic-gauge-removed equation and their E-derivative;
-the float64 sweep also carries the Dirichlet solution's Pruefer angle.
+Real axis, in E: _real_sweep gives the eigenvalue count and the scan the
+transfer matrices of the magnetic-gauge-removed equation, in float64,
+and the Dirichlet solution's Pruefer angle where asked.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from .potentials import spectral_floor
 from .wkb import CACHE_SIZE, u_log_expansion
 
 CSTEP = 1e-30            # complex step for the t-derivatives
-KSTEP = 2.0 ** -600      # complex step for the real-axis E-derivative
 SWEEP_BLOCK = 128        # segments whose maps a sweep holds at once
 REAL_BLOCK = 16          # the same on the real axis, whose batches are larger
 PER_WIDTH = 150          # bump segments per width, both axes (_segment_count)
@@ -151,13 +150,12 @@ def _segments(e, de, K, rho, drho, step, t):
     - Any other block takes, with y = sqrt|z|, a = cos(y) and D, T, P =
       beta, b, c times sin(y)/y; where z >= 1e-3, a = 1 and tanh(y)/y with
       log cosh(y) in ell, as the block above; and where |z| < 1e-3 the
-      series in z, which keep T and its derivative free of cancellation.
+      series in z, which keep T free of cancellation.
 
-    A segment of width zero is the identity.  With a complex step the
-    derivatives in the caller's variable, through de and drho, are formed
+    A segment of width zero is the identity.  With a complex step, on the
+    imaginary axis, the derivatives in t, through de and drho, are formed
     in real arithmetic and enter as imaginary parts; dell is that of the
-    log cosh alone.  KSTEP^2 underflows, so the real parts at KSTEP are
-    bitwise the float64 maps of step None.
+    log cosh alone.
     """
     w, b0, b1, db, c0, dc = K
     re = rho * e
@@ -198,34 +196,18 @@ def _segments(e, de, K, rho, drho, step, t):
         with np.errstate(divide="ignore", invalid="ignore"):
             a = np.cos(y)
             C = np.sin(y) / y
-            if step is not None:
-                da = 0.5 * C * dz
-                dC = (a - C) * (0.5 * dz) / z
         if grow.any():
             yg = y[grow]
             th, lc = _tanh_log_cosh(yg)
             a[grow], C[grow] = 1.0, th / yg
             ell = np.zeros(z.shape)
             ell[grow] = yg + lc
-            if step is not None:
-                dyg = 0.5 * dz[grow] / yg
-                da[grow] = 0.0
-                dC[grow] = (1.0 - th * th - C[grow]) * dyg / yg
-                dell = np.zeros(z.shape)
-                dell[grow] = th * dyg
         if small.any():
             zs = z[small]
             a[small] = 1.0 + zs * (1.0 / 2.0 + zs * (1.0 / 24.0 + zs * (
                 1.0 / 720.0 + zs / 40320.0)))
             C[small] = 1.0 + zs * (1.0 / 6.0 + zs * (1.0 / 120.0 + zs * (
                 1.0 / 5040.0 + zs / 362880.0)))
-            if step is not None:
-                dzs = dz[small]
-                da[small] = 0.5 * C[small] * dzs
-                dC[small] = dzs * (1.0 / 6.0 + zs * (1.0 / 60.0 + zs * (
-                    1.0 / 1680.0 + zs / 90720.0)))
-        if step is not None:
-            a = _stepped(a, step, da)
     D, T, P = beta * C, b * C, c * C
     if step is not None:
         D = _stepped(D, step, dbeta * C + beta * dC)
@@ -329,7 +311,7 @@ def _paired(M, F):
                            F[..., 2 * h:]), axis=-1)
 
 
-def _sweep(e, de, h, K, step, block, t):
+def _sweep(e, de, h, K, step, block, t, angle=False):
     """Sweep from x = 0 across segments of coefficients K, the support's
     segments of width h (_gauss_layout), at every entry of the column e =
     -E at once, with de, step and t as in _segments.  Returns (R, s,
@@ -345,13 +327,13 @@ def _sweep(e, de, h, K, step, block, t):
       count of segments overflows, Im R carries no rounding of the e^(t L)
       growth into the t-derivatives, and s stays of order one instead of t
       L, which keeps the absolute error of log u at rounding level.
-    - The real axis takes REAL_BLOCK, as its batches are larger, t None
-      and rho = 1: no rescaling.  Without a complex step theta is the
-      Pruefer angle at L of the Dirichlet solution, u(0) = 0 and u'(0) =
-      1, whose zeros in (0, L), about theta/pi, are the bond's Dirichlet
-      count (Sturm); None otherwise.  A segment turns (0, 1) by less than
-      pi, or by y = sqrt(-z) of _segments where that is real; products
-      join their angles by _lift.
+    - The real axis takes REAL_BLOCK, as its batches are larger, t None,
+      no complex step and rho = 1: no rescaling.  With angle, theta is
+      the Pruefer angle at L of the Dirichlet solution, u(0) = 0 and
+      u'(0) = 1, whose zeros in (0, L), about theta/pi, are the bond's
+      Dirichlet count (Sturm); None otherwise.  A segment turns (0, 1) by
+      less than pi, or by y = sqrt(-z) of _segments where that is real;
+      products join their angles by _lift.
     """
     s = np.zeros(len(e), float if step is None else complex)
     rho, drho = 1.0, 0.0
@@ -362,14 +344,14 @@ def _sweep(e, de, h, K, step, block, t):
     for lo in range(0, K.shape[-1], block):
         a, D, T, P, ell, dell, z = _segments(e, de, K[:, lo:lo + block],
                                              rho, drho, step, t)
-        if t is None and step is None:
+        if angle:
             y = np.sqrt(np.maximum(-z, 0.0))
             M, F = _block_product(a, D, T, P, _lift(
                 T, a - D, 0.0, np.floor(y / math.pi) * math.pi))
         else:
             M = _block_product(a, D, T, P)
         R = M if R is None else _matmul(M, R)
-        if t is None and step is None:
+        if angle:
             theta = F if theta is None else _lift(R[0, 1], R[1, 1], theta, F)
         if t is not None:
             scale = R[1, 1].copy()
@@ -532,36 +514,15 @@ def real_k_limit(bond) -> float:
     return 2.0 * (1.0 + 1e-12) * n / (b - a)
 
 
-def _real_sweep(bond, E, step):
+def _real_sweep(bond, E, angle):
     """_sweep of _gauss_layout at PER_WIDTH over the column of energies E
-    on the real axis, REAL_BLOCK segments at a time; an |E| past
-    real_k_limit(bond)^2 raises UnsupportedError."""
+    on the real axis, REAL_BLOCK segments at a time, with the Pruefer angle
+    where angle; an |E| past real_k_limit(bond)^2 raises UnsupportedError."""
     k_max = real_k_limit(bond)
     if E.size and np.abs(E).max() > k_max * k_max:
         bad = E.flat[np.argmax(np.abs(E))]
         raise UnsupportedError(
             f"bond '{bond.id}': E={bad:g} is past the validated real-axis "
             f"range |E| <= {k_max * k_max:.6g}, k <= {k_max:.6g}")
-    return _sweep(-E, -1.0, *_gauss_layout(bond, PER_WIDTH), step,
-                  REAL_BLOCK, None)
-
-
-def transfer_matrices_real(bond, Es, *, derivative: bool = False):
-    """Transfer matrices (f, f')(0) -> (f, f')(L) over an array of
-    energies E = k^2, shape (E, 2, 2), from one _real_sweep, whose maps
-    are exact for a constant potential at every E and refuse a bump bond
-    past real_k_limit.  With derivative=True, (T, dT/dE) from the same
-    pass at E + i KSTEP (Squire and Trapp, SIAM Rev. 40, 1998), T formed
-    as R e^(Re s) (1 + i Im s): KSTEP^2 underflows, so T is bitwise that
-    of the real pass and dT/dE carries no cancellation.  T not finite
-    raises NumericalError."""
-    E = np.asarray(Es, dtype=float)[:, None]
-    R, s, _ = _real_sweep(bond, E, KSTEP if derivative else None)
-    with np.errstate(over="ignore", invalid="ignore"):
-        T = np.moveaxis(R * np.exp(s.real) * (1.0 + 1j * s.imag)
-                        if derivative else R * np.exp(s), -1, 0)
-    if not np.all(np.isfinite(T)):
-        bad = E[np.argmin(np.isfinite(T).all(axis=(1, 2))), 0]
-        raise NumericalError(f"bond '{bond.id}': transfer matrix not "
-                             f"finite at E={bad:g}")
-    return (T.real, T.imag / KSTEP) if derivative else T
+    return _sweep(-E, -1.0, *_gauss_layout(bond, PER_WIDTH), None,
+                  REAL_BLOCK, None, angle)

@@ -2,10 +2,11 @@
 
 Eigenvalues are located on the real axis, in E = k^2, apart from the
 zeta engine's imaginary axis: the exact eigenvalue count marks the grid
-cells that hold roots, Newton steps on the pencil of the secular matrix
-S(E) converge from them, and count differences give multiplicities.
-Zeta values are then checked by direct summation with a Weyl-density
-tail, and the force by finite differences of the energy.
+cells that hold roots, a bracketed solve on the eigenvalue branches of
+the count's own Hermitian vertex matrix Q(E) converges on every root
+inside them, and count differences give multiplicities.  Zeta values are
+then checked by direct summation with a Weyl-density tail, and the force
+by finite differences of the energy.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,14 +22,17 @@ from .errors import NumericalError, UnsupportedError
 from .graph import replace_bond_length
 from .interval import _real_sweep, real_k_limit
 from .potentials import _gauss_legendre
-from .secular import per_distinct_bond, secular_matrices_real
+from .secular import per_distinct_bond
 from .zeta import minus_half_data
 
-NEWTON_STEPS = 12
-NEWTON_TOL = 1e-10
+# in k: the zero-mode floor E = RESOLUTION dk and the narrowest cell split
+RESOLUTION = 1e-10
 # half-width over E of the interval whose count is a root's multiplicity,
 # where the count holds though -DtN cancels to O(dE^2) at a Dirichlet root
 SPLIT = 1e-6
+# width in k at which a root's bracket is converged, or 4 ulps of E
+TOL = 2e-13
+BRACKET_STEPS = 100
 
 
 @dataclass(frozen=True)
@@ -41,90 +46,162 @@ class SpectrumWindow:
         return sum(m for _, m in self.roots)
 
 
-def eigenvalue_count(graph, mc, E):
-    """The number of eigenvalues below each energy of the array E, exact
-    off the eigenvalues and the bonds' Dirichlet eigenvalues: N(E) =
-    sum_b N_D,b(E) + n_-(Q(E)) (Friedlander, Arch. Rational Mech. Anal.
-    116, 1991; Berkolaiko and Kuchment, Introduction to Quantum Graphs,
-    2013).  N_D,b counts the zeros of bond b's Dirichlet solution (the
-    Pruefer angle of interval._sweep).  Q = U*(-DtN + Lam)U on psi = U c, U
-    an orthonormal basis of ran B*, <psi, psihat> = c* Lam c, Lam = -U* B^+
-    A U, for every kind of matching; each bond adds [[T00, -e^(-iAL)],
-    [-e^(iAL), T11]] / T01 to -DtN."""
-    E = np.asarray(E, dtype=float)
+class _VertexForm(NamedTuple):
+    """The count's pieces at energies E: each bond's Dirichlet count and
+    T01, whose zeros are the poles of Q, (E, B); Q's eigenvalues, (E, r)."""
+
+    E: np.ndarray
+    nd: np.ndarray
+    t01: np.ndarray
+    lam: np.ndarray
+
+    @property
+    def count(self):
+        return self.nd.sum(axis=1) + np.count_nonzero(self.lam < 0.0, axis=1)
+
+    def take(self, i) -> "_VertexForm":
+        return _VertexForm(*(x[i] for x in self))
+
+    def branch(self, j):
+        """f_j = lambda_(j - N_D) of Q, +-inf past its ends: < 0 exactly where
+        the count reaches j, and continuous across a pole that is no root."""
+        i = j - self.nd.sum(axis=1) - 1
+        f = np.where(i < 0, -np.inf, np.inf)
+        inside = (i >= 0) & (i < self.lam.shape[1])
+        f[inside] = self.lam[inside, i[inside]]
+        return f
+
+
+def _vertex_form(graph, mc, E, between=None) -> _VertexForm:
+    """_VertexForm over the 1-d array E, one _real_sweep per distinct bond:
+    Q = U*(-DtN + Lam)U, U an orthonormal basis of ran B*, Lam = -U* B^+ A
+    U; each bond adds [[T00, -e^(-iAL)], [-e^(iAL), T11]] / T01 to -DtN,
+    or next to a pole, |T01 T10| < 1/2, T00/T01 w w* + T10/T00 e e*, w =
+    (1, -e^(iAL)/T00), mirrored where |T11| is larger, so that U*w = 0, at
+    a loop's double roots, cancels nothing.  N_D,b is read from the angle,
+    or from the sign of T01 given forms `between` below and above each E
+    with at most one pole of each bond between them."""
     sweeps = per_distinct_bond(graph.bonds, lambda bond: _real_sweep(
-        bond, E[:, None], None))
+        bond, E[:, None], between is None))
     W, sv, Vh = np.linalg.svd(mc.B)
     r = int(np.count_nonzero(sv > sv.max() * len(sv) * np.finfo(float).eps))
-    U, n = Vh[:r].conj().T, graph.bond_count
-    dtn = np.zeros((len(E), 2 * n, 2 * n), complex)
+    n, V = graph.bond_count, Vh[:r]           # V[:, i] = U* e_i
+    lam = -(W[:, :r].conj().T @ mc.A @ V.conj().T) / sv[:r, None]
+    Q = np.repeat(0.5 * (lam + lam.conj().T)[None], len(E), axis=0)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for b, (bond, (R, s, _)) in enumerate(zip(graph.bonds, sweeps)):
-            off = -np.exp(-s) / R[0, 1] * cmath.exp(
-                -1j * bond.vector_potential * bond.length)
-            dtn[:, b, b] = R[0, 0] / R[0, 1]
-            dtn[:, n + b, n + b] = R[1, 1] / R[0, 1]
-            dtn[:, b, n + b], dtn[:, n + b, b] = off, off.conj()
-        lam = -(W[:, :r].conj().T @ mc.A @ U) / sv[:r, None]
-        Q = U.conj().T @ dtn @ U + 0.5 * (lam + lam.conj().T)
-    # u(L) = e^s R01 fixes the parity of the zeros, which theta loses at j pi
-    j = [(np.round(th / math.pi), R[0, 1] > 0) for R, _, th in sweeps]
-    count = sum(n - (n % 2 == positive) for n, positive in j)
-    finite = np.isfinite(count) & np.isfinite(Q).all(axis=(1, 2))
+            R[0, 1][R[0, 1] == 0.0] = 1e-300   # T01 rounded to 0 at a pole
+            lead = np.abs(R[0, 0]) >= np.abs(R[1, 1])
+            p, q = np.where(lead, (R[0, 0], R[1, 1]), (R[1, 1], R[0, 0]))
+            one, other = np.where(lead[:, None], V[:, [b, n + b]].T[:, None],
+                                  V[:, [n + b, b]].T[:, None])
+            z = np.exp(np.where(lead, 1j, -1j) * bond.vector_potential
+                       * bond.length - s) / p
+            near = 2.0 * s + np.log(np.abs(R[0, 1] * R[1, 0])) < -math.log(2.0)
+            # Q += X^T C conj(X), X the rows (w, other) or (one, other)
+            X = np.stack((one - (near * z)[:, None] * other, other), 1)
+            c, zc = p / R[0, 1], ~near * z * p / R[0, 1]
+            C = np.array([[c, -zc.conj()], [-zc, np.where(
+                near, R[1, 0] / p, q / R[0, 1])]])
+            Q += np.einsum("eik,ije,ejl->ekl", X, C, X.conj())
+        t01 = np.column_stack([np.exp(s) * R[0, 1] for R, s, _ in sweeps])
+    if between:
+        nd = np.where(np.sign(t01) == np.sign(between[0].t01),
+                      between[0].nd, between[1].nd)
+    else:   # u(L) = T01 fixes the parity theta loses at j pi
+        nd = np.round(np.column_stack([th for _, _, th in sweeps]) / math.pi)
+        nd = nd - (nd % 2 == (t01 > 0))
+    finite = np.isfinite(nd).all(axis=1) & np.isfinite(Q).all(axis=(1, 2))
     if not np.all(finite):
         raise NumericalError(f"count not finite at E={E[np.argmin(finite)]:g}")
-    return (count + np.count_nonzero(np.linalg.eigvalsh(Q) < 0.0, axis=-1)
-            ).astype(int)
+    return _VertexForm(E, nd.astype(int), t01, np.linalg.eigvalsh(Q))
 
 
-def _matrices(graph, mc, Es):
-    """(S, dS/dE) at the Newton count of bump segments, one pass."""
-    return secular_matrices_real(graph, mc, Es, derivative=True)
+def eigenvalue_count(graph, mc, E):
+    """The number of eigenvalues below E, an int, or below each energy of
+    the array E, exact off the eigenvalues and the poles of Q: N(E) = sum_b
+    N_D,b(E) + n_-(Q(E)), N_D,b bond b's Dirichlet count (Friedlander, Arch.
+    Rational Mech. Anal. 116, 1991; Berkolaiko and Kuchment, 2013)."""
+    E = np.asarray(E, dtype=float)
+    count = _vertex_form(graph, mc, E.ravel()).count
+    return count.reshape(E.shape) if E.ndim else int(count[0])
 
 
-def _resolution(E):
-    """The step in E that a step of NEWTON_TOL in k = sqrt(E) makes."""
-    return 2.0 * NEWTON_TOL * np.sqrt(np.maximum(E, 0.0))
+def _converged(E):
+    """A converged bracket's width at E: TOL in k, or 4 ulps of E."""
+    return np.maximum(2.0 * TOL * np.sqrt(E), 4.0 * np.spacing(E))
 
 
-def _pencil_steps(S, dS, shift):
-    """Eigenvalues delta of the pencils S + delta dS, shape (nE, n), as
-    shift - 1/mu, mu those of (S + shift dS)^-1 dS: the shift keeps the
-    solve off S, singular at a converged root.  dS has rank at most B, so
-    at least half of the deltas are infinite or huge."""
-    mu = np.linalg.eigvals(np.linalg.solve(S + shift[:, None, None] * dS, dS))
-    return shift[:, None] - np.divide(1.0, mu, out=np.full_like(mu, np.inf),
-                                      where=mu != 0.0)
+def _bracketed(graph, mc, j, lo, hi):
+    """E_j, the j-th eigenvalue, for each entry of the array j, from the
+    _VertexForm lo and hi of brackets a < E_j <= b, N(a) < j <= N(b).  Each
+    step evaluates _vertex_form once per bracket and keeps the side where
+    the branch f_j changes sign, the count's own test, at the root of the
+    Moebius map y = (p + q x)/(1 + s x) through the last three points,
+    exact next to one pole; else the regula falsi, or the midpoint where
+    steps stop shrinking (Brent, 1973).  While a bracket holds a pole, y is
+    its bond's T01: the pole is split off, every other step aiming past it
+    where f_j is infinite on its near side, or, once the bracket narrows to
+    it, taken as the root; steps stay 1e-10 E off it, where Q's pole
+    eigenvalue swamps the others.  Then y is f_j times the T01 of the bonds
+    split off.  Brackets stop at _converged."""
+    ends = [_VertexForm(*(x.copy() for x in end)) for end in (lo, hi)]
+    fs, ys = [lo.branch(j), hi.branch(j)], np.zeros((2, len(j)))  # at ends
+    hx, hy = np.zeros((3, len(j))), np.zeros((3, len(j)))  # the last 3 points
+    key, near = np.full(len(j), -2), np.zeros(lo.nd.shape, bool)
+    moves, aimed = np.full((2, len(j)), np.inf), np.zeros(len(j), bool)
 
+    def scalar(at, f, col):
+        with np.errstate(invalid="ignore"):
+            return np.where(col >= 0, at.t01[np.arange(len(col)), col],
+                            f * np.where(near[go], at.t01, 1.0).prod(axis=1))
 
-def _newton(graph, mc, cells):
-    """Roots of det S(E), sorted and merged within _resolution, by Newton
-    steps E <- E + delta on the secular pencil from the middle of every
-    cell (lo, hi) at once (Ruhe, SIAM J. Numer. Anal. 10, 1973).  The first
-    step branches into every pencil eigenvalue with |delta| below the
-    cell's width, later steps take the one nearest zero.  An iterate
-    converges once |delta| is below _resolution, and is dropped when a
-    step reaches the width or after NEWTON_STEPS steps."""
-    widths = cells[:, 1] - cells[:, 0]
-    starts = cells[:, 0] + 0.5 * widths
-    S, dS = _matrices(graph, mc, starts)
-    # any shift inside the cell serves; see _pencil_steps
-    deltas = _pencil_steps(S, dS, 0.5 * widths)
-    row, col = np.nonzero(np.abs(deltas) < widths[:, None])
-    Es, widths = starts[row] + deltas[row, col].real, widths[row]
-    roots = [np.empty(0)]
-    for _ in range(NEWTON_STEPS):
-        if not len(Es):
-            break
-        S, dS = _matrices(graph, mc, Es)
-        deltas = _pencil_steps(S, dS, 0.5 * widths)
-        delta = deltas[np.arange(len(Es)), np.argmin(np.abs(deltas), axis=1)]
-        done = np.abs(delta) < _resolution(Es)
-        roots.append(Es[done] + delta[done].real)
-        going = ~done & (np.abs(delta) < widths)
-        Es, widths = Es[going] + delta[going].real, widths[going]
-    roots = np.sort(np.concatenate(roots))
-    return roots[np.r_[True, np.diff(roots) >= _resolution(roots[1:])]]
+    for _ in range(BRACKET_STEPS):
+        width = _converged(ends[1].E)
+        go = np.nonzero(ends[1].E - ends[0].E > width)[0]
+        if not len(go):
+            return 0.5 * (ends[0].E + ends[1].E)
+        at = [end.take(go) for end in ends]
+        (x0, x1), width = (end.E for end in at), width[go]
+        split = at[0].nd != at[1].nd
+        col = np.where(split.any(axis=1), np.argmax(split, axis=1), -1)
+        new = col != key[go]
+        if new.any():
+            near[go[new & (col >= 0)], col[new & (col >= 0)]] = True
+            key[go] = col
+            ys[:, go[new]] = [scalar(x, f[go], col)[new] for x, f in zip(at, fs)]
+            hx[0, go[new]], hy[0, go[new]], moves[:, go[new]] = np.nan, np.nan, np.inf
+            hx[1:, go[new]], hy[1:, go[new]] = (x0[new], x1[new]), ys[:, go[new]]
+        (ya, yb), xs, y3 = ys[:, go], hx[:, go].T - x0[:, None], hy[:, go].T
+        with np.errstate(all="ignore"):
+            x = x0 + np.linalg.det(np.stack((xs, xs * y3, y3), -1)) / (
+                np.linalg.det(np.stack((np.ones_like(xs), xs * y3, y3), -1)))
+            x = np.where((x >= x0) & (x <= x1), x,
+                         x0 + (x1 - x0) * ya / (ya - yb))
+        best = np.where(np.abs(ya) < np.abs(yb), x0, x1)
+        x = np.where(np.abs(x - best) <= np.maximum(0.5 * moves[0, go], width
+                     * (moves[1, go] > width)), x, 0.5 * (x0 + x1))
+        moves[:, go] = moves[1, go], np.abs(x - best)
+        past = (fs[0][go] == np.inf) * 1.0 - (fs[1][go] == -np.inf)
+        aimed[go] = aim = (col >= 0) & (past != 0) & ~aimed[go]
+        gap, side = 1e-10 * x, np.where(aim, past, np.sign(x0 + x1 - 2 * x))
+        pole = (col >= 0) & (x1 - x0 <= 4.0 * gap)
+        off = np.minimum(gap, np.where(side > 0, x1 - x, x - x0) / 2)
+        x = np.where(pole, x0 + (x1 - x0) * ya / (ya - yb),
+                     x + (col >= 0) * side * off)
+        x = np.clip(x, x0 + width / 4, x1 - width / 4)
+        form = _vertex_form(graph, mc, x, at if np.all(
+            at[1].nd - at[0].nd <= 1) else None)
+        f = np.where(pole, 0.0, form.branch(j[go]))
+        hx[:, go], hy[:, go] = (*hx[1:, go], x), (*hy[1:, go],
+                                                   scalar(form, f, col))
+        # a branch that rounds to zero is at its root: both ends move there
+        for side, on in ((0, f >= 0.0), (1, f <= 0.0)):
+            for field, value in zip(ends[side], form):
+                field[go[on]] = value[on]
+            fs[side][go[on]], ys[side, go[on]] = f[on], hy[2, go[on]]
+    raise NumericalError(f"a root's bracket did not close in {BRACKET_STEPS} "
+                         f"steps near k={math.sqrt(ends[1].E[go[0]]):.12g}")
 
 
 def _off_dirichlet(graph, E, dk):
@@ -146,65 +223,75 @@ def _scan_once(graph, mc, k_max, dk):
     ks = np.linspace(0.0, k_max, int(math.ceil(k_max / dk)) + 1)
     dk = ks[1] - ks[0]
     E = _off_dirichlet(graph, ks * ks, dk)
-    # below NEWTON_TOL dk, the resolution of E at k = dk/2, a root is E = 0
-    grid = np.concatenate(([-E[1], NEWTON_TOL * dk], E[1:]))
-    n = eigenvalue_count(graph, mc, grid)
-    work = [(grid[i], grid[i + 1], n[i], n[i + 1])
-            for i in np.nonzero(np.diff(n))[0] if i > 0]
+    # below RESOLUTION dk, the resolution of E at k = dk/2, a root is E = 0
+    points = _vertex_form(graph, mc, np.concatenate(
+        ([-E[1], RESOLUTION * dk], E[1:])))
+    n = points.count
+    work = [(i, i + 1) for i in np.nonzero(np.diff(n))[0] if i > 0]
     roots = []
     while work:
-        found = _newton(graph, mc, np.array([w[:2] for w in work]))
+        lo, hi = np.array(work).T   # each E_j; a multiple root's merge
+        cell = np.repeat(np.arange(len(work)), n[hi] - n[lo])
+        E = np.sort(_bracketed(graph, mc, np.concatenate(
+            [np.arange(n[a] + 1, n[b] + 1) for a, b in work]),
+            points.take(lo[cell]), points.take(hi[cell])))
+        start = np.r_[0, np.nonzero((np.diff(cell) != 0) | (
+            np.diff(E) > _converged(E[1:])))[0] + 1]
+        found = np.split(np.add.reduceat(E, start) / np.diff(np.r_[
+            start, len(E)]), np.nonzero(np.diff(cell[start]))[0] + 1)
         cuts, todo = [], []
-        for lo, hi, n_lo, n_hi in work:
-            inside = found[(found >= lo) & (found < hi)]
-            if len(inside) == n_hi - n_lo:
+        for (i_lo, i_hi), inside in zip(work, found):
+            lo, hi = points.E[i_lo], points.E[i_hi]
+            if len(inside) == n[i_hi] - n[i_lo]:
                 roots += [(r, 1) for r in inside]
                 continue
-            if hi - lo <= _resolution(hi):
-                raise NumericalError(f"could not resolve {n_hi - n_lo} roots "
-                                     f"near k={math.sqrt(hi):.12g}")
+            if hi - lo <= 2.0 * RESOLUTION * math.sqrt(hi):
+                raise NumericalError(f"could not resolve {n[i_hi] - n[i_lo]} "
+                                     f"roots near k={math.sqrt(hi):.12g}")
             # bisect a cell without roots; a root's count is its multiplicity
             gaps = np.diff(np.concatenate(([lo], inside, [hi])))
             half = np.minimum(0.25 * np.minimum(gaps[:-1], gaps[1:]),
                               SPLIT * inside)
             cut = (np.column_stack((inside - half, inside + half)).ravel()
                    if len(inside) else [0.5 * (lo + hi)])
-            todo.append((lo, hi, n_lo, n_hi, inside, len(cut)))
+            todo.append((i_lo, i_hi, inside, len(cut)))
             cuts.extend(cut)
-        n_cut = eigenvalue_count(graph, mc, cuts).tolist() if cuts else []
+        first = len(points.E)
+        if cuts:
+            points = _VertexForm(*map(np.concatenate, zip(
+                points, _vertex_form(graph, mc, np.array(cuts)))))
+            n = points.count
         work = []
-        for lo, hi, n_lo, n_hi, inside, m in todo:
-            edges = [lo, *cuts[:m], hi]
-            counts = [n_lo, *n_cut[:m], n_hi]
-            cuts, n_cut = cuts[m:], n_cut[m:]
+        for i_lo, i_hi, inside, m in todo:
+            edges = [i_lo, *range(first, first + m), i_hi]
+            first += m
+            counts = n[edges]
             for i in np.nonzero(np.diff(counts) > 0)[0]:
                 if len(inside) and i % 2:
                     roots.append((inside[i // 2], counts[i + 1] - counts[i]))
                 else:
-                    work.append((edges[i], edges[i + 1], counts[i],
-                                 counts[i + 1]))
+                    work.append((edges[i], edges[i + 1]))
     roots.sort()
-    if sum(m for _, m in roots) != n[-1] - n[1]:
-        raise NumericalError(f"found {sum(m for _, m in roots)} roots up to "
-                             f"k={k_max:g} where the count is {n[-1] - n[1]}")
+    if sum(m for _, m in roots) != n[len(ks)] - n[1]:
+        raise NumericalError(f"found {sum(m for _, m in roots)} roots up to k="
+                             f"{k_max:g} where the count is {n[len(ks)] - n[1]}")
     return SpectrumWindow(
-        k_max=float(k_max), roots=tuple((math.sqrt(r), m) for r, m in roots
+        k_max=float(k_max), roots=tuple((math.sqrt(r), int(m)) for r, m in roots
                                         if r <= k_max * k_max),
         count_estimate=graph.total_length() * k_max / math.pi)
 
 
 def scan_spectrum(graph, mc, k_max: float, *, threads: int = 1) -> SpectrumWindow:
-    """All roots in (0, k_max] with multiplicities, found and counted in
-    E = k^2.  eigenvalue_count on cells of width dk = pi / (4 total length)
-    in k, from below E = 0 and off the constant bonds' Dirichlet energies,
-    marks the cells that hold roots; Newton steps on the pencil (S(E),
-    dS/dE) start in each.  A cell whose roots do not account for its count
-    is bisected by counts; the count across a root is its multiplicity.
-    Roots below E = NEWTON_TOL dk, zero modes, count but are not reported.
-    A total short of the count raises NumericalError.  A k_max past the
-    bump bonds' real_k_limit raises UnsupportedError naming the largest
-    supported k.  `threads` reaches no computation; ROADMAP item 2 removes
-    it with the benchmark's threads = 2 operation."""
+    """All roots in (0, k_max] with multiplicities, in E = k^2: the count
+    on cells of width dk = pi / (4 total length) in k, from below E = 0 and
+    off the constant bonds' Dirichlet energies, marks the cells with roots,
+    and _bracketed finds them from the grid's eigenvalues of Q(E).  A cell
+    whose distinct roots miss its count is bisected by counts; the count
+    across a root is its multiplicity.  Roots below E = RESOLUTION dk,
+    zero modes, count but are not reported.  A total short of the count
+    raises NumericalError; a k_max past the bump bonds' real_k_limit,
+    UnsupportedError.  `threads` reaches no computation (ROADMAP item 2).
+    """
     if not math.isfinite(k_max):
         raise UnsupportedError("k_max must be finite")
     if k_max <= 0.0:

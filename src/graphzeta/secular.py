@@ -19,12 +19,6 @@ the set-up of every zeta, energy and force call: the model, checked
 against F at large t, once F has passed the zero probe at the bottom of
 the integration ray, from one logF_imag call and memoised per graph on
 the MatchingConditions.
-
-Real axis: a pole-free parameterisation S(E) through bond transfer
-matrices at energies E = k^2, singular exactly at eigenvalues, with the
-null-space dimension as multiplicity.  S and dS/dE are float64 unless
-_secular_is_complex.  Its transfer matrices are shared the same way, the
-flux phase again entering only in assembly.
 """
 
 from __future__ import annotations
@@ -36,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .interval import bond_solution, transfer_matrices_real
+from .interval import bond_solution
 from .wkb import CACHE_SIZE, wkb_coefficients
 
 UNDERFLOW_LOG = 690.0
@@ -144,50 +138,6 @@ def _secular_is_complex(graph, mc) -> bool:
     return (any(b.vector_potential != 0.0 for b in graph.bonds)
             or float(np.max(np.abs(mc.A.imag))) > 0.0
             or float(np.max(np.abs(mc.B.imag))) > 0.0)
-
-
-# ---------------------------------------------------------------------------
-# real-axis secular matrix
-
-
-def _assemble_real(graph, mc, transfer_blocks, nk, unit=1.0):
-    """A phi + B dhat from the bond transfer blocks; unit = 0 assembles
-    the E-derivative from the derivative blocks, since the remaining
-    entries of phi and dhat do not depend on E."""
-    B = graph.bond_count
-    n = 2 * B
-    cplx = _secular_is_complex(graph, mc)
-    phi = np.zeros((nk, n, n), dtype=complex if cplx else float)
-    dhat = np.zeros_like(phi)
-    for b, bond in enumerate(graph.bonds):
-        T = transfer_blocks[b]
-        ph = cmath.exp(1j * bond.vector_potential * bond.length) if cplx else 1
-        phi[..., b, b] = unit
-        phi[..., B + b, b] = ph * T[..., 0, 0]
-        phi[..., B + b, B + b] = ph * T[..., 0, 1]
-        dhat[..., b, B + b] = unit
-        dhat[..., B + b, b] = -ph * T[..., 1, 0]
-        dhat[..., B + b, B + b] = -ph * T[..., 1, 1]
-    # in place, so at most three (nk, n, n) arrays are alive at once
-    S = (mc.A if cplx else mc.A.real) @ phi
-    del phi
-    S += (mc.B if cplx else mc.B.real) @ dhat
-    return S
-
-
-def secular_matrices_real(graph, mc, Es, *, derivative: bool = False):
-    """Real-axis secular matrices S(E) over an array of energies, or with
-    derivative=True (S, dS/dE), from one pass of transfer_matrices_real
-    per distinct (length, potential) (per_distinct_bond); the flux phase
-    enters in assembly.  float64 unless _secular_is_complex."""
-    Es = np.asarray(Es, dtype=float)
-    blocks = per_distinct_bond(graph.bonds, lambda b: transfer_matrices_real(
-        b, Es, derivative=derivative))
-    if not derivative:
-        return _assemble_real(graph, mc, blocks, len(Es))
-    T, dT = zip(*blocks)
-    return (_assemble_real(graph, mc, T, len(Es)),
-            _assemble_real(graph, mc, dT, len(Es), unit=0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ A finite-difference discretization of the operator gives a third, fully
 matrix-based reference for the eigenvalue scan, and an accelerated
 alternating series gives zeta_R at real s > 0, s != 1, independently of scipy and
 of mpmath.  refined_segments cuts every bump bond finer, the reference of
-the segment-count convergence tests.
+the segment-count convergence tests, and secular_determinant is the
+real-axis secular function of given bond transfer matrices.
 """
 
 import math
@@ -31,6 +32,27 @@ def refined_segments(monkeypatch, factor: int) -> None:
         return a, b, factor * n
 
     monkeypatch.setattr(interval, "_segment_count", refined)
+
+
+def secular_determinant(graph, mc, blocks):
+    """det(A phi + B dhat) over the energies of the bond transfer matrices
+    blocks[b], shape (E, 2, 2): with the values (phi) and inward
+    derivatives (dhat) at both ends of the solutions of unit value or
+    slope at x = 0, a function of E whose zeros are the eigenvalues,
+    without poles (Kostrykin and Schrader, J. Phys. A 32, 1999)."""
+    B = graph.bond_count
+    nk = len(blocks[0])
+    phi = np.zeros((nk, 2 * B, 2 * B), complex)
+    dhat = np.zeros_like(phi)
+    for b, (bond, T) in enumerate(zip(graph.bonds, blocks)):
+        ph = np.exp(1j * bond.vector_potential * bond.length)
+        phi[:, b, b] = 1.0
+        phi[:, B + b, b] = ph * T[:, 0, 0]
+        phi[:, B + b, B + b] = ph * T[:, 0, 1]
+        dhat[:, b, B + b] = 1.0
+        dhat[:, B + b, b] = -ph * T[:, 1, 0]
+        dhat[:, B + b, B + b] = -ph * T[:, 1, 1]
+    return np.linalg.det(mc.A @ phi + mc.B @ dhat)
 
 
 # ---------------------------------------------------------------------------

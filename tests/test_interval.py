@@ -1,7 +1,6 @@
 import math
 import tracemalloc
 
-import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -10,12 +9,12 @@ from conftest import BUMP, make_bump_interval, make_chain, make_interval
 from graphzeta import (NumericalError, UnsupportedError, eigenvalue_count,
                        interval, scan_spectrum)
 from graphzeta.interval import (CSTEP, SWEEP_BLOCK, BondSolution,
-                                _block_product, _sweep,
+                                _block_product, _real_sweep,
                                 bond_solution, dirichlet_subtracted_derivative,
-                                real_k_limit, transfer_matrices_real)
-from graphzeta.secular import _assemble_real, bond_solutions, logF_slope_imag
+                                real_k_limit)
+from graphzeta.secular import bond_solutions, logF_slope_imag
 from graphzeta.wkb import u_log_expansion
-from oracles import refined_segments
+from oracles import refined_segments, secular_determinant
 
 
 def free_reference(t, L=1.0):
@@ -654,10 +653,18 @@ def test_negative_potential_refused_below_floor():
     assert math.isfinite(sol.f_prime_at_0[0])
 
 
+def transfer_matrices(bond, Es):
+    """The real-axis transfer matrices (f, f')(0) -> (f, f')(L) of a bond
+    over an array of energies, shape (E, 2, 2): e^s R of the sweep that the
+    eigenvalue count reads."""
+    R, s, _ = _real_sweep(bond, np.asarray(Es, dtype=float)[:, None], False)
+    return np.moveaxis(R * np.exp(s), -1, 0)
+
+
 def test_transfer_matrix_free_case():
     bond = make_interval(1.0)[0].bonds[0]
     for k in (0.5, 2.0, 7.0):
-        T = transfer_matrices_real(bond, np.array([k * k]))[0]
+        T = transfer_matrices(bond, np.array([k * k]))[0]
         expect = np.array([[math.cos(k), math.sin(k) / k],
                            [-k * math.sin(k), math.cos(k)]])
         assert np.allclose(T, expect, atol=1e-10)
@@ -669,7 +676,7 @@ def test_transfer_matrix_below_zero_energy():
     # kappa = sqrt(-E), with det T = 1
     bond = make_interval(1.0)[0].bonds[0]
     for E in (-4.0, -1e-3, 0.0):
-        T = transfer_matrices_real(bond, np.array([E]))[0]
+        T = transfer_matrices(bond, np.array([E]))[0]
         kappa = math.sqrt(-E)
         shk = math.sinh(kappa) / kappa if kappa else 1.0
         expect = np.array([[math.cosh(kappa), shk],
@@ -682,7 +689,7 @@ def test_transfer_matrix_below_zero_energy():
 def test_transfer_matrix_unit_determinant_with_potential():
     bond = make_bump_interval(height=5.0)[0].bonds[0]
     for k in (0.7, 3.3, 11.0):
-        T = transfer_matrices_real(bond, np.array([k * k]))[0]
+        T = transfer_matrices(bond, np.array([k * k]))[0]
         det = T[0, 0] * T[1, 1] - T[0, 1] * T[1, 0]
         assert det == pytest.approx(1.0, abs=1e-9)
 
@@ -697,16 +704,14 @@ REAL_CASES = [dict(height=0.3), dict(height=3.0),
 def test_transfer_matrices_match_sequential_segment_product(kw):
     # the masked branches and the pairwise products of blocks reorder the
     # arithmetic of the one-segment-at-a-time product and nothing else;
-    # the eigenvalue count's float64 sweep, which carries the Pruefer
-    # angle, multiplies bitwise the same products
+    # the sweep that also carries the Pruefer angle multiplies bitwise the
+    # same products
     ks = np.linspace(0.0, 215.0, 64)
     bond = make_bump_interval(**kw)[0].bonds[0]
-    got = transfer_matrices_real(bond, ks * ks)
+    got = transfer_matrices(bond, ks * ks)
     ref = magnus_product_reference(bond, ks, interval.PER_WIDTH)
     assert np.all(d_scaled_error(got, ref, ks) <= 1e-11)
-    R, s, _ = _sweep(-(ks * ks)[:, None], -1.0,
-                     *interval._gauss_layout(bond, interval.PER_WIDTH), None,
-                     interval.REAL_BLOCK, None)
+    R, s, _ = _real_sweep(bond, (ks * ks)[:, None], True)
     assert np.array_equal(got, np.moveaxis(R * np.exp(s), -1, 0))
 
 
@@ -718,7 +723,7 @@ def test_transfer_matrices_converge_to_rk4_reference(kw):
     ks = np.linspace(0.0, 215.0, 64)
     bond = make_bump_interval(**kw)[0].bonds[0]
     ref = rk4_converged(bond, ks)
-    got = transfer_matrices_real(bond, ks * ks)
+    got = transfer_matrices(bond, ks * ks)
     assert np.all(d_scaled_error(got, ref, ks) <= 1e-10)
 
 
@@ -728,33 +733,31 @@ def test_transfer_matrices_converge_in_segment_count(kw, monkeypatch):
     # sweep cut into 16 times as many segments
     ks = np.linspace(0.0, 500.0, 201)
     bond = make_bump_interval(**kw)[0].bonds[0]
-    got = transfer_matrices_real(bond, ks * ks)
+    got = transfer_matrices(bond, ks * ks)
     refined_segments(monkeypatch, 16)
-    ref = transfer_matrices_real(bond, ks * ks)
+    ref = transfer_matrices(bond, ks * ks)
     assert np.all(d_scaled_error(got, ref, ks) <= 1.5e-11)
 
 
 def test_real_axis_refuses_bump_bonds_past_k_h_2():
     # the benchmark's bump has h = 0.6/150, so k h = 2 at k = 500, which
-    # passes, on both sides of E = 0 and with the E-derivative; a constant
-    # bond's one map is exact at every E
+    # passes, on both sides of E = 0; a constant bond's one map is exact at
+    # every E
     graph, mc = make_bump_interval(height=0.3)
     bond = graph.bonds[0]
     assert real_k_limit(bond) == pytest.approx(500.0, rel=1e-11)
     edge = np.array([-250000.0, 0.0, 250000.0])
-    for derivative in (False, True):
-        transfer_matrices_real(bond, edge, derivative=derivative)
-        for E in (250100.0, -250100.0):
-            with pytest.raises(UnsupportedError, match="k <= 500"):
-                transfer_matrices_real(bond, np.array([1.0, E]),
-                                       derivative=derivative)
+    transfer_matrices(bond, edge)
+    for E in (250100.0, -250100.0):
+        with pytest.raises(UnsupportedError, match="k <= 500"):
+            transfer_matrices(bond, np.array([1.0, E]))
     eigenvalue_count(graph, mc, edge)
     with pytest.raises(UnsupportedError, match="k <= 500"):
         eigenvalue_count(graph, mc, [1.0, 250100.0])
     const = make_interval(1.0, potential={"kind": "constant",
                                           "value": 3.0})[0].bonds[0]
     assert real_k_limit(const) == math.inf
-    assert np.all(np.isfinite(transfer_matrices_real(const, np.array([1e8]))))
+    assert np.all(np.isfinite(transfer_matrices(const, np.array([1e8]))))
 
 
 def test_both_axes_meet_at_zero_energy():
@@ -768,7 +771,7 @@ def test_both_axes_meet_at_zero_energy():
     t = np.array([0.0, 0.03, 1.0, 2.0])
     for bond in bonds:
         sol = bond_solution(bond, t)
-        T = transfer_matrices_real(bond, -t * t)
+        T = transfer_matrices(bond, -t * t)
         for got, ref in ((sol.f_prime_at_0, -T[:, 0, 0] / T[:, 0, 1]),
                          (sol.f_prime_at_L, -T[:, 1, 1] / T[:, 0, 1]),
                          (sol.log_u, np.log(T[:, 0, 1]))):
@@ -780,7 +783,7 @@ def test_real_batches_without_oscillation(monkeypatch):
     # a batch with no oscillating map takes the cosh formulas over every
     # block, with their growth kept in e^s: E = 0 alone on the bumps of
     # height >= 0, and each E < 3 alone on the c = 3 bond, against the
-    # one-segment-at-a-time product and the five-point difference in E
+    # one-segment-at-a-time product
     cosh_only = []
     segments = interval._segments
 
@@ -795,50 +798,19 @@ def test_real_batches_without_oscillation(monkeypatch):
     const = make_interval(1.0, potential={"kind": "constant",
                                           "value": 3.0})[0].bonds[0]
     cases += [(const, k) for k in (0.0, 0.8, 1.7)]
-    h = 1e-3
     for bond, k in cases:
         ks = np.array([k])
         cosh_only.clear()
-        T, dT = transfer_matrices_real(bond, ks * ks, derivative=True)
+        T = transfer_matrices(bond, ks * ks)
         assert cosh_only and all(cosh_only), (bond.potential, k)
         ref = magnus_product_reference(bond, ks, interval.PER_WIDTH)
         assert np.all(d_scaled_error(T, ref, ks) <= 1e-11), (bond.potential, k)
 
-        def at(d):
-            return transfer_matrices_real(bond, ks * ks + d)
-        diff = (8.0 * (at(h) - at(-h)) - (at(2 * h) - at(-2 * h))) / (12 * h)
-        scale = np.maximum(np.abs(diff).max(axis=(1, 2)), 1.0)
-        assert np.all(np.abs(dT - diff).max(axis=(1, 2)) <= 1e-9 * scale), (
-            bond.potential, k)
-
-
-def test_transfer_matrix_derivative_matches_difference():
-    # the exact E-derivative of the segment maps against a five-point
-    # difference of the same maps, in steps of 1e-3 in k; E = 3 puts the
-    # constant bond on the series branch of its closed form.  At E = 0
-    # the free bond's is [[-L^2/2, -L^3/6], [-L, -L^2/2]]
-    Es = np.array([0.0, 1e-6, 0.64, 3.0, 10.89, 1600.0, 46225.0])
-    h = (2e-3 * np.maximum(np.sqrt(Es), 0.5))[:, None, None]
-    for graph_mc in (make_interval(1.0), make_bump_interval(),
-                     make_interval(1.0, potential={"kind": "constant",
-                                                   "value": 3.0})):
-        bond = graph_mc[0].bonds[0]
-        T, dT = transfer_matrices_real(bond, Es, derivative=True)
-        assert np.array_equal(T, transfer_matrices_real(bond, Es))
-
-        def at(d):
-            return transfer_matrices_real(bond, Es + d * h[:, 0, 0])
-        diff = (8.0 * (at(1) - at(-1)) - (at(2) - at(-2))) / (12 * h)
-        scale = np.maximum(np.abs(diff).max(axis=(1, 2)), 1.0)
-        assert np.all(np.abs(dT - diff).max(axis=(1, 2)) <= 1e-9 * scale)
-    dT = transfer_matrices_real(make_interval(1.0)[0].bonds[0], Es[:1],
-                                derivative=True)[1][0]
-    assert np.allclose(dT, [[-0.5, -1.0 / 6.0], [-1.0, -0.5]], rtol=1e-14)
-
 
 def test_scan_top_roots_match_rk4_reference():
-    # the top roots of the height-3 bump chain, against det S assembled
-    # from the converged RK4 loop and refined by one secant step
+    # the top roots of the height-3 bump chain, against the secular
+    # determinant assembled from the converged RK4 loop and refined by one
+    # secant step
     graph, mc = make_chain((1.0, 1.0, 1.0), bump=BUMP)
     roots = scan_spectrum(graph, mc, 215.0).roots[-4:]
     assert all(m == 1 for _, m in roots)
@@ -846,37 +818,6 @@ def test_scan_top_roots_match_rk4_reference():
     ks = np.array([k + d for k, _ in roots for d in (0.0, h)])
     blocks = [rk4_converged(b, ks) if b.potential.kind == "bump"
               else free_transfer(ks, b.length) for b in graph.bonds]
-    det = np.linalg.det(_assemble_real(graph, mc, blocks, len(ks)))
+    det = secular_determinant(graph, mc, blocks)
     for (k, _), d0, d1 in zip(roots, det[0::2], det[1::2]):
         assert abs((h * d0 / (d0 - d1)).real) <= 1e-11, k
-
-
-def closed_form_dT(k, c, L=1.0):
-    """dT/dE across a stretch of constant potential c, E = k^2, in 40
-    digits."""
-    with mpmath.workdps(40):
-        k = mpmath.mpf(k)
-        z2 = k * k - c
-        z = mpmath.sqrt(mpmath.mpc(z2))
-        cos = mpmath.cos(z * L)
-        sov = mpmath.sin(z * L) / z
-        dcos = -L * sov / 2
-        dsov = (L * cos - sov) / (2 * z2)
-        return np.array([[dcos, dsov], [-sov - z2 * dsov, dcos]],
-                        dtype=complex).real
-
-
-def test_transfer_matrix_derivative_where_it_is_small():
-    # entry by entry where dT/dE has cancellations: a free bond near E = 0
-    # and the c = 3 bond near E = c, where sin(z L)/z cancels
-    cases = [(0.0, np.array([1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1]))]
-    j = np.arange(3, 9)
-    cases.append((3.0, math.sqrt(3.0) * np.concatenate(
-        [1.0 + 10.0 ** -j, 1.0 - 10.0 ** -j])))
-    for c, ks in cases:
-        bond = make_interval(1.0, potential={"kind": "constant",
-                                             "value": c})[0].bonds[0]
-        _, dT = transfer_matrices_real(bond, ks * ks, derivative=True)
-        for k, got in zip(ks, dT):
-            ref = closed_form_dT(k, c)
-            assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref)), k

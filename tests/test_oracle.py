@@ -8,9 +8,8 @@ from scipy.optimize import brentq
 
 from conftest import (BUMP, from_doc, make_chain, make_circle, make_interval,
                       make_star)
-from graphzeta import (NumericalError, UnsupportedError, eigenvalue_count,
+from graphzeta import (UnsupportedError, eigenvalue_count,
                        oracle, scan_spectrum, zeta_direct, zeta_total)
-from graphzeta.interval import transfer_matrices_real
 from oracles import discretized_eigenvalues, reference_zeta_R
 
 
@@ -133,6 +132,13 @@ def test_count_closed_forms():
                           np.concatenate(([0, 0], expect)))
 
 
+def test_count_of_a_scalar_energy_is_an_int():
+    graph, mc = make_circle(1.0, A=1e-6)
+    count = eigenvalue_count(graph, mc, 50.0)
+    assert type(count) is int and count == 3
+    assert list(eigenvalue_count(graph, mc, [50.0])) == [3]
+
+
 def test_count_on_the_dirichlet_energies_of_a_loop():
     # at E = (j pi/L)^2, j odd, u(L) = T01 is of the order of rounding and
     # the Pruefer angle rounds onto j pi; the sign of T01 fixes the parity
@@ -212,6 +218,38 @@ def test_scan_counts_the_close_pair_and_the_lowest_root_of_a_weak_flux():
         assert m == 1 and abs(k - ref) <= 1e-10
 
 
+def test_scan_separates_close_pairs_across_a_pole():
+    # the A = 1e-6 circle: the simple pairs 2 pi n -+ 1e-6 straddle the
+    # loop's Dirichlet energies (2 pi n)^2, where Q has a pole; the root at
+    # k = 1e-6 lies below the zero-mode floor and is not reported
+    graph, mc = make_circle(1.0, A=1e-6)
+    window = scan_spectrum(graph, mc, 14.0)
+    expected = [2.0 * math.pi * n + d for n in (1, 2) for d in (-1e-6, 1e-6)]
+    assert window.count == len(window.roots) == 4
+    for (k, m), ref in zip(window.roots, expected):
+        assert m == 1 and abs(k - ref) <= 1e-10
+
+
+@pytest.mark.parametrize("graph_mc, k_max", [
+    (make_chain((1.0, 1.0, 1.0), bump={"kind": "bump", "center": 0.5,
+                                       "half_width": 0.3, "height": 0.3}),
+     215.0),
+    (make_circle(1.0, 0.0), 33.0),
+    (make_circle(1.0, 1.0), 33.0),
+    (make_circle(1.0, math.pi), 33.0)], ids=["bump_chain", "circle_0",
+                                             "circle_1", "circle_pi"])
+def test_each_root_is_a_count_jump(graph_mc, k_max):
+    # the count at k (1 -+ 1e-8) differs by each root's multiplicity; on the
+    # chain eight roots lie within 1e-6 E of the constant bonds' Dirichlet
+    # energies (j pi)^2, which are no roots, and on the circles with A = 0
+    # and pi every root is a double one at a loop's Dirichlet energy
+    roots = scan_spectrum(*graph_mc, k_max).roots
+    ks = np.array([k for k, _ in roots])
+    below = eigenvalue_count(*graph_mc, (ks * (1.0 - 1e-8)) ** 2)
+    above = eigenvalue_count(*graph_mc, (ks * (1.0 + 1e-8)) ** 2)
+    assert list(above - below) == [m for _, m in roots]
+
+
 def test_scan_counts_the_kirchhoff_star_root_between_close_ladders():
     # Dirichlet leaves of lengths (1, 1, 1.5625, 1.5625): the root at
     # k = 28.1977, between 14 pi / 1.5625 and 9 pi, where sum cot(k L_b)
@@ -263,14 +301,12 @@ def test_scan_counts_up_to_k_max_next_to_dirichlet_energies():
 
 def test_scan_of_a_window_without_roots_under_a_large_potential():
     # c L^2 = 4e5 and 1e6 put the lowest root near k = 632 and 1000: the
-    # count up to k = 10 is 0, so no Newton step runs, and a sweep whose
-    # transfer matrix overflows raises NumericalError
+    # count up to k = 10 is 0, so no root is solved for, though the
+    # transfer matrices there overflow
     for c in (4e5, 1e6):
         graph, mc = make_interval(1.0, potential={"kind": "constant",
                                                   "value": c})
         assert scan_spectrum(graph, mc, 10.0).roots == ()
-    with pytest.raises(NumericalError, match="not finite"):
-        transfer_matrices_real(graph.bonds[0], np.array([0.0]))
 
 
 def test_scan_across_a_large_constant_potential():

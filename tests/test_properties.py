@@ -233,7 +233,7 @@ def test_reversing_a_bond_changes_nothing(case, data, point):
 # the scan's window: every graph drawn has at most 8 units of length, so
 # at most about 64 roots
 SCAN_K_MAX = 25.0
-# Newton stops once a step is below oracle.NEWTON_TOL = 1e-10
+# the scan brackets each root to oracle.TOL = 2e-13 in k, well inside this
 ROOT_TOL = 1e-9
 
 

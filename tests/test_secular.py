@@ -8,105 +8,28 @@ import pytest
 from conftest import (BUMP, from_doc, make_bump_interval, make_chain,
                       make_circle, make_interval, make_star)
 import graphzeta.interval as interval
+import graphzeta.oracle as oracle
 import graphzeta.secular as secular
 import graphzeta.zeta as zeta_module
 from graphzeta import (F_imag, NumericalError, asymptotic_F_coefficients,
                        casimir_force, eigenvalue_count, replace_bond_length,
                        vacuum_energy, zeta_total)
-from graphzeta.interval import (bond_solution, dirichlet_subtracted_derivative,
-                                transfer_matrices_real)
-from graphzeta.secular import (_assemble_real, bond_solutions,
-                               checked_asymptotics, dlogF_dL_imag, logF_imag,
-                               logF_slope_imag, secular_matrices_real)
+from graphzeta.interval import bond_solution, dirichlet_subtracted_derivative
+from graphzeta.secular import (bond_solutions, checked_asymptotics,
+                               dlogF_dL_imag, logF_imag, logF_slope_imag)
 
 OFF_CENTRE = {**BUMP, "center": 0.35, "half_width": 0.2}
 
 
 def test_interval_singular_exactly_at_eigenvalues():
-    graph, mc = make_interval(1.0)
-    ks = np.array([math.pi, 2 * math.pi, 2.5 * math.pi, 3 * math.pi])
-    S = secular_matrices_real(graph, mc, ks * ks)
-    sv = np.linalg.svd(S, compute_uv=False)[:, -1]
-    assert sv[0] < 1e-10 and sv[1] < 1e-10 and sv[3] < 1e-10
-    assert sv[2] > 0.05
-
-
-def test_circle_flux_shifts_the_spectrum():
-    graph, mc = make_circle(1.0, A=1.0)
-    S = secular_matrices_real(graph, mc,
-                              np.array([1.0, 2.0, 2 * math.pi - 1.0]) ** 2)
-    sv = np.linalg.svd(S, compute_uv=False)[:, -1]
-    assert sv[0] < 1e-9 and sv[2] < 1e-9
-    assert sv[1] > 1e-2
-
-
-def test_secular_matrix_shape_and_locality():
-    graph, mc = make_star(1.0)
-    S = secular_matrices_real(graph, mc, np.array([1.69]))
-    assert S.shape == (1, 6, 6)
-
-
-def test_real_matrix_derivative_assembly():
-    # bumps with different supports on two bonds, and a flux whose phase
-    # multiplies the middle bond's blocks
-    graph, mc = from_doc({
-        "vertices": 4,
-        "bonds": [{"id": 1, "origin": 1, "terminus": 2, "length": 1.0,
-                   "potential": BUMP},
-                  {"id": 2, "origin": 2, "terminus": 3, "length": 1.3,
-                   "vector_potential": 0.7},
-                  {"id": 3, "origin": 3, "terminus": 4, "length": 0.8,
-                   "potential": {"kind": "bump", "center": 0.3,
-                                 "half_width": 0.2, "height": -2.0}}],
-        "matching": {"mode": "per_vertex", "vertices": [
-            {"vertex": 1, "kind": "dirichlet"},
-            {"vertex": 2, "kind": "delta", "lambda": 0.5},
-            {"vertex": 3, "kind": "delta", "lambda": 0.0},
-            {"vertex": 4, "kind": "neumann"}]}})
-    Es = np.linspace(0.0, 40.0, 7) ** 2
-    S, dS = secular_matrices_real(graph, mc, Es, derivative=True)
-    assert np.array_equal(S, secular_matrices_real(graph, mc, Es))
-    h = 1e-4
-    diff = (secular_matrices_real(graph, mc, Es + h)
-            - secular_matrices_real(graph, mc, Es - h))
-    diff /= 2 * h
-    assert np.max(np.abs(dS - diff)) < 1e-7 * np.max(np.abs(dS))
-
-
-def test_real_matrices_are_float64_unless_a_flux_or_complex_matching():
-    # one predicate picks the dtype on both axes: without a flux and with
-    # real matching S and dS/dE are float64 and the scan runs real LAPACK;
-    # a flux on any one bond, or complex matching, keeps complex128
-    Es = np.linspace(0.0, 40.0, 5) ** 2
-
-    def dtypes(graph, mc):
-        S = secular_matrices_real(graph, mc, Es)
-        pair = secular_matrices_real(graph, mc, Es, derivative=True)
-        return {S.dtype, pair[0].dtype, pair[1].dtype}
-
-    for graph, mc in (make_chain(bump=BUMP), make_star(1.0),
-                      make_interval(1.0, kinds=("neumann", "dirichlet"))):
-        assert dtypes(graph, mc) == {np.dtype(np.float64)}
-    for b in range(3):
-        doc = {"vertices": 4,
-               "bonds": [{"id": i + 1, "origin": i + 1, "terminus": i + 2,
-                          "length": 1.0, "potential": BUMP,
-                          "vector_potential": 0.7 if i == b else 0.0}
-                         for i in range(3)],
-               "matching": {"mode": "per_vertex", "vertices": [
-                   {"vertex": 1, "kind": "dirichlet"},
-                   {"vertex": 2, "kind": "delta", "lambda": 0.5},
-                   {"vertex": 3, "kind": "delta", "lambda": 0.0},
-                   {"vertex": 4, "kind": "dirichlet"}]}}
-        assert dtypes(*from_doc(doc)) == {np.dtype(np.complex128)}
-    # Dirichlet ends, one of them written with the factor i
-    graph, mc = from_doc({
-        "vertices": 2,
-        "bonds": [{"id": 1, "origin": 1, "terminus": 2, "length": 1.0}],
-        "matching": {"mode": "global", "A": [[1, 0], [0, [0, 1]]],
-                     "B": [[0, 0], [0, 0]]}})
-    assert dtypes(graph, mc) == {np.dtype(np.complex128)}
-    assert dtypes(*make_circle(1.0, A=1.0)) == {np.dtype(np.complex128)}
+    # the vertex matrix Q(E) of the eigenvalue count, 1 x 1 on the interval
+    # with a Neumann end, vanishes exactly at the roots k = (j - 1/2) pi
+    # and not between them
+    graph, mc = make_interval(1.0, kinds=("neumann", "dirichlet"))
+    ks = np.array([0.5, 1.5, 2.0, 2.5]) * math.pi
+    lam = np.abs(oracle._vertex_form(graph, mc, ks * ks).lam[:, 0])
+    assert lam[0] < 1e-12 and lam[1] < 1e-12 and lam[3] < 1e-12
+    assert lam[2] > 1.0
 
 
 def test_real_matrices_memory_does_not_grow_with_segment_count():
@@ -315,7 +238,7 @@ def test_one_solve_per_distinct_bond(monkeypatch, star, solves):
     t = np.array([0.01, 0.7, 3.0, 40.0, 2000.0])
     Es = np.linspace(0.1, 30.0, 9) ** 2
     solved = spy(monkeypatch, secular, "bond_solution")
-    swept = spy(monkeypatch, secular, "transfer_matrices_real")
+    swept = spy(monkeypatch, oracle, "_real_sweep")
     for derivative in (True, False):
         del solved[:]
         sols = bond_solutions(graph, t, derivative=derivative)
@@ -325,13 +248,8 @@ def test_one_solve_per_distinct_bond(monkeypatch, star, solves):
             for got, want in zip(sol, one):
                 assert (got is None and want is None
                         or np.array_equal(got, want))
-    S, dS = secular_matrices_real(graph, mc, Es, derivative=True)
+    eigenvalue_count(graph, mc, Es)
     assert len(swept) == solves
-    T, dT = zip(*(transfer_matrices_real(bond, Es, derivative=True)
-                  for bond in graph.bonds))
-    assert np.array_equal(S, _assemble_real(graph, mc, T, len(Es)))
-    assert np.array_equal(dS, _assemble_real(graph, mc, dT, len(Es),
-                                             unit=0.0))
 
 
 def test_off_centre_bump_is_swept_once(monkeypatch):
