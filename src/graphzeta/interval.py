@@ -21,7 +21,7 @@ Constant potentials take closed forms instead.
 
 Real axis, in E: _real_sweep gives the eigenvalue count and the scan the
 transfer matrices of the magnetic-gauge-removed equation, in float64,
-and the Dirichlet solution's Pruefer angle where asked.
+and the Dirichlet solution's Pruefer angle.
 """
 
 from __future__ import annotations
@@ -311,7 +311,7 @@ def _paired(M, F):
                            F[..., 2 * h:]), axis=-1)
 
 
-def _sweep(e, de, h, K, step, block, t, angle=False):
+def _sweep(e, de, h, K, step, block, t):
     """Sweep from x = 0 across segments of coefficients K, the support's
     segments of width h (_gauss_layout), at every entry of the column e =
     -E at once, with de, step and t as in _segments.  Returns (R, s,
@@ -328,10 +328,10 @@ def _sweep(e, de, h, K, step, block, t, angle=False):
       growth into the t-derivatives, and s stays of order one instead of t
       L, which keeps the absolute error of log u at rounding level.
     - The real axis takes REAL_BLOCK, as its batches are larger, t None,
-      no complex step and rho = 1: no rescaling.  With angle, theta is
-      the Pruefer angle at L of the Dirichlet solution, u(0) = 0 and
-      u'(0) = 1, whose zeros in (0, L), about theta/pi, are the bond's
-      Dirichlet count (Sturm); None otherwise.  A segment turns (0, 1) by
+      no complex step and rho = 1: no rescaling.  theta is the Pruefer
+      angle at L of the Dirichlet solution, u(0) = 0 and u'(0) = 1, whose
+      zeros in (0, L), about theta/pi, are the bond's Dirichlet count
+      (Sturm); None on the imaginary axis.  A segment turns (0, 1) by
       less than pi, or by y = sqrt(-z) of _segments where that is real;
       products join their angles by _lift.
     """
@@ -344,14 +344,14 @@ def _sweep(e, de, h, K, step, block, t, angle=False):
     for lo in range(0, K.shape[-1], block):
         a, D, T, P, ell, dell, z = _segments(e, de, K[:, lo:lo + block],
                                              rho, drho, step, t)
-        if angle:
+        if t is None:
             y = np.sqrt(np.maximum(-z, 0.0))
             M, F = _block_product(a, D, T, P, _lift(
                 T, a - D, 0.0, np.floor(y / math.pi) * math.pi))
         else:
             M = _block_product(a, D, T, P)
         R = M if R is None else _matmul(M, R)
-        if angle:
+        if t is None:
             theta = F if theta is None else _lift(R[0, 1], R[1, 1], theta, F)
         if t is not None:
             scale = R[1, 1].copy()
@@ -514,10 +514,10 @@ def real_k_limit(bond) -> float:
     return 2.0 * (1.0 + 1e-12) * n / (b - a)
 
 
-def _real_sweep(bond, E, angle):
+def _real_sweep(bond, E):
     """_sweep of _gauss_layout at PER_WIDTH over the column of energies E
-    on the real axis, REAL_BLOCK segments at a time, with the Pruefer angle
-    where angle; an |E| past real_k_limit(bond)^2 raises UnsupportedError."""
+    on the real axis, REAL_BLOCK segments at a time, with the Pruefer
+    angle; an |E| past real_k_limit(bond)^2 raises UnsupportedError."""
     k_max = real_k_limit(bond)
     if E.size and np.abs(E).max() > k_max * k_max:
         bad = E.flat[np.argmax(np.abs(E))]
@@ -525,4 +525,4 @@ def _real_sweep(bond, E, angle):
             f"bond '{bond.id}': E={bad:g} is past the validated real-axis "
             f"range |E| <= {k_max * k_max:.6g}, k <= {k_max:.6g}")
     return _sweep(-E, -1.0, *_gauss_layout(bond, PER_WIDTH), None,
-                  REAL_BLOCK, None, angle)
+                  REAL_BLOCK, None)

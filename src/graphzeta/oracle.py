@@ -3,8 +3,9 @@
 Eigenvalues are located on the real axis, in E = k^2, apart from the
 zeta engine's imaginary axis: the exact eigenvalue count marks the grid
 cells that hold roots, a bracketed solve on the eigenvalue branches of
-the count's own Hermitian vertex matrix Q(E) converges on every root
-inside them, and count differences give multiplicities.  Zeta values are
+the count's own Hermitian matrix, the vertex matrix Q(E) bordered so
+that it has no poles, converges on every root inside them, and count
+differences give multiplicities.  Zeta values are
 then checked by direct summation with a Weyl-density tail, and the force
 by finite differences of the energy.
 """
@@ -22,13 +23,12 @@ from .errors import NumericalError, UnsupportedError
 from .graph import replace_bond_length
 from .interval import _real_sweep, real_k_limit
 from .potentials import _gauss_legendre
-from .secular import per_distinct_bond
+from .secular import _secular_is_complex, per_distinct_bond
 from .zeta import minus_half_data
 
 # in k: the zero-mode floor E = RESOLUTION dk and the narrowest cell split
 RESOLUTION = 1e-10
-# half-width over E of the interval whose count is a root's multiplicity,
-# where the count holds though -DtN cancels to O(dE^2) at a Dirichlet root
+# half-width over E of the interval whose count is a root's multiplicity
 SPLIT = 1e-6
 # width in k at which a root's bracket is converged, or 4 ulps of E
 TOL = 2e-13
@@ -47,83 +47,109 @@ class SpectrumWindow:
 
 
 class _VertexForm(NamedTuple):
-    """The count's pieces at energies E: each bond's Dirichlet count and
-    T01, whose zeros are the poles of Q, (E, B); Q's eigenvalues, (E, r)."""
+    """The count's pieces at energies E: the offset sum_b (N_D,b - [d_b >
+    0]), (E,), and the eigenvalues of the bordered matrix M, (E, r + B)."""
 
     E: np.ndarray
-    nd: np.ndarray
-    t01: np.ndarray
+    offset: np.ndarray
     lam: np.ndarray
 
     @property
     def count(self):
-        return self.nd.sum(axis=1) + np.count_nonzero(self.lam < 0.0, axis=1)
+        return self.offset + np.count_nonzero(self.lam < 0.0, axis=1)
 
     def take(self, i) -> "_VertexForm":
         return _VertexForm(*(x[i] for x in self))
 
     def branch(self, j):
-        """f_j = lambda_(j - N_D) of Q, +-inf past its ends: < 0 exactly where
-        the count reaches j, and continuous across a pole that is no root."""
-        i = j - self.nd.sum(axis=1) - 1
+        """f_j = lambda_(j - offset) of M, +-inf past its ends: < 0 exactly
+        where the count reaches j."""
+        i = j - self.offset - 1
         f = np.where(i < 0, -np.inf, np.inf)
         inside = (i >= 0) & (i < self.lam.shape[1])
         f[inside] = self.lam[inside, i[inside]]
         return f
 
 
-def _vertex_form(graph, mc, E, between=None) -> _VertexForm:
-    """_VertexForm over the 1-d array E, one _real_sweep per distinct bond:
-    Q = U*(-DtN + Lam)U, U an orthonormal basis of ran B*, Lam = -U* B^+ A
-    U; each bond adds [[T00, -e^(-iAL)], [-e^(iAL), T11]] / T01 to -DtN,
-    or next to a pole, |T01 T10| < 1/2, T00/T01 w w* + T10/T00 e e*, w =
-    (1, -e^(iAL)/T00), mirrored where |T11| is larger, so that U*w = 0, at
-    a loop's double roots, cancels nothing.  N_D,b is read from the angle,
-    or from the sign of T01 given forms `between` below and above each E
-    with at most one pole of each bond between them."""
-    sweeps = per_distinct_bond(graph.bonds, lambda bond: _real_sweep(
-        bond, E[:, None], between is None))
-    W, sv, Vh = np.linalg.svd(mc.B)
+def _vertex_basis(graph, mc):
+    """The parts of _vertex_form fixed by (graph, mc): V, with V[:, i] =
+    U* e_i, U an orthonormal basis of ran B*; Lam = -U* B^+ A U made
+    Hermitian, which gives <psi, psihat> = c* Lam c on psi = U c for every
+    kind of matching; U*P_b U, P_b the projector on bond b's ends; the
+    lengths; and the flux phases e^(iAL), 1 unless _secular_is_complex,
+    when everything is complex and else real."""
+    cplx = _secular_is_complex(graph, mc)
+    A, B = (mc.A, mc.B) if cplx else (mc.A.real, mc.B.real)
+    W, sv, Vh = np.linalg.svd(B)
     r = int(np.count_nonzero(sv > sv.max() * len(sv) * np.finfo(float).eps))
-    n, V = graph.bond_count, Vh[:r]           # V[:, i] = U* e_i
-    lam = -(W[:, :r].conj().T @ mc.A @ V.conj().T) / sv[:r, None]
-    Q = np.repeat(0.5 * (lam + lam.conj().T)[None], len(E), axis=0)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for b, (bond, (R, s, _)) in enumerate(zip(graph.bonds, sweeps)):
-            R[0, 1][R[0, 1] == 0.0] = 1e-300   # T01 rounded to 0 at a pole
-            lead = np.abs(R[0, 0]) >= np.abs(R[1, 1])
-            p, q = np.where(lead, (R[0, 0], R[1, 1]), (R[1, 1], R[0, 0]))
-            one, other = np.where(lead[:, None], V[:, [b, n + b]].T[:, None],
-                                  V[:, [n + b, b]].T[:, None])
-            z = np.exp(np.where(lead, 1j, -1j) * bond.vector_potential
-                       * bond.length - s) / p
-            near = 2.0 * s + np.log(np.abs(R[0, 1] * R[1, 0])) < -math.log(2.0)
-            # Q += X^T C conj(X), X the rows (w, other) or (one, other)
-            X = np.stack((one - (near * z)[:, None] * other, other), 1)
-            c, zc = p / R[0, 1], ~near * z * p / R[0, 1]
-            C = np.array([[c, -zc.conj()], [-zc, np.where(
-                near, R[1, 0] / p, q / R[0, 1])]])
-            Q += np.einsum("eik,ije,ejl->ekl", X, C, X.conj())
-        t01 = np.column_stack([np.exp(s) * R[0, 1] for R, s, _ in sweeps])
-    if between:
-        nd = np.where(np.sign(t01) == np.sign(between[0].t01),
-                      between[0].nd, between[1].nd)
-    else:   # u(L) = T01 fixes the parity theta loses at j pi
-        nd = np.round(np.column_stack([th for _, _, th in sweeps]) / math.pi)
-        nd = nd - (nd % 2 == (t01 > 0))
-    finite = np.isfinite(nd).all(axis=1) & np.isfinite(Q).all(axis=(1, 2))
+    V, n = Vh[:r], graph.bond_count
+    lam = -(W[:, :r].conj().T @ A @ V.conj().T) / sv[:r, None]
+    L = np.array([bond.length for bond in graph.bonds])
+    phase = np.exp(1j * L * [bond.vector_potential for bond in graph.bonds])
+    ends = (np.einsum("ib,jb->bij", V[:, :n], V[:, :n].conj())
+            + np.einsum("ib,jb->bij", V[:, n:], V[:, n:].conj()))
+    return V, 0.5 * (lam + lam.conj().T), ends, L, phase if cplx else 1.0
+
+
+def _vertex_form(graph, basis, E) -> _VertexForm:
+    """_VertexForm over the 1-d array E, one _real_sweep per distinct bond,
+    with basis = _vertex_basis.  Bond b adds N/T01 to -DtN, N = [[T00,
+    -e^(-iAL)], [-e^(iAL), T11]], whose eigenvalue mu of larger modulus,
+    on the unit vector n, has |mu| >= 1 and the other T01 T10 / mu: so
+    N/T01 = (T10/mu)(1 - n n*) + n n*/d, d = T01/mu.  M borders Q without
+    the poles, [[Q0, v_b], [v_b*, -d_b]] over the bonds, v_b = U*n, Q0 =
+    Lam + sum_b (T10/mu) U*(P_b - n n*)U, P_b the projector on the bond's
+    ends; its Schur complement is Q, so n_-(M) = n_-(Q) + #{d_b > 0}
+    (Haynsworth, Linear Algebra Appl. 1, 1968).  Bond b's row is scaled by
+    k_b = max(sqrt|E|, 1/L_b), which puts its entries on the scale of Q0
+    and keeps their rounding from moving roots.  d_b crosses 0 upwards at
+    each Dirichlet energy, where N_D,b steps up, so M and the offset are
+    continuous there; they jump only where mu changes sign, off the
+    poles, and no branch f_j changes sign there.  N_D,b is read from the
+    Pruefer angle, its parity from the sign of u(L) = T01.  All of it is
+    formed from R and e^-s, T = e^s R, so nothing overflows under a
+    barrier."""
+    V, lam, ends, L, phase = basis
+    r, n = len(V), graph.bond_count
+    # R (2, 2, E, B), s and theta (E, B): T = e^s R
+    R, s, theta = (np.stack(x, axis=-1) for x in zip(*per_distinct_bond(
+        graph.bonds, lambda bond: _real_sweep(bond, E[:, None]))))
+    c = -np.exp(-s) * phase     # N = e^s [[R00, c*], [c, R11]]
+    with np.errstate(over="ignore", invalid="ignore"):
+        mid, h = 0.5 * (R[0, 0] + R[1, 1]), 0.5 * (R[0, 0] - R[1, 1])
+        sign, rad = np.copysign(1.0, mid), np.hypot(h, np.abs(c))
+        mu = mid + sign * rad
+        # n from the larger column of N - mu_2; any n where N = R00 e^s 1
+        big = np.where(rad > 0.0, np.abs(h) + rad, 1.0)
+        first = sign * h >= 0.0
+        p, q = (np.where(first, big, sign * c.conj()),
+                np.where(first, sign * c, big)) / np.hypot(big, np.abs(c))
+        v = p[..., None] * V[:, :n].T + q[..., None] * V[:, n:].T  # (E, B, r)
+        g = R[1, 0] / mu
+        # a T01 rounded to 0 is read just below its pole, where d < 0
+        t01 = np.where(R[0, 1] == 0.0, np.copysign(1e-300, -mu), R[0, 1])
+        k = np.sqrt(np.maximum(np.abs(E)[:, None], L ** -2.0))[..., None]
+        M = np.empty((len(E), r + n, r + n), V.dtype)
+        M[:, :r, :r] = (lam + (g @ ends.reshape(n, -1)).reshape(len(E), r, r)
+                        - (g[..., None] * v).transpose(0, 2, 1) @ v.conj())
+        M[:, :r, r:], M[:, r:, :r] = (k * v).transpose(0, 2, 1), k * v.conj()
+        M[:, r:, r:] = -(k * k * (t01 / mu)[..., None]) * np.eye(n)
+        nd = np.round(theta / math.pi)
+        offset = (nd - (nd % 2 == (t01 > 0)) - (t01 / mu > 0)).sum(axis=1)
+    finite = np.isfinite(offset) & np.isfinite(M).all(axis=(1, 2))
     if not np.all(finite):
         raise NumericalError(f"count not finite at E={E[np.argmin(finite)]:g}")
-    return _VertexForm(E, nd.astype(int), t01, np.linalg.eigvalsh(Q))
+    return _VertexForm(E, offset.astype(int), np.linalg.eigvalsh(M))
 
 
 def eigenvalue_count(graph, mc, E):
     """The number of eigenvalues below E, an int, or below each energy of
-    the array E, exact off the eigenvalues and the poles of Q: N(E) = sum_b
-    N_D,b(E) + n_-(Q(E)), N_D,b bond b's Dirichlet count (Friedlander, Arch.
-    Rational Mech. Anal. 116, 1991; Berkolaiko and Kuchment, 2013)."""
+    the array E, exact off the eigenvalues: N(E) = sum_b N_D,b(E) +
+    n_-(Q(E)), N_D,b bond b's Dirichlet count (Friedlander, Arch.
+    Rational Mech. Anal. 116, 1991; Berkolaiko and Kuchment, 2013), read
+    as sum_b (N_D,b - [d_b > 0]) + n_-(M) from _vertex_form."""
     E = np.asarray(E, dtype=float)
-    count = _vertex_form(graph, mc, E.ravel()).count
+    count = _vertex_form(graph, _vertex_basis(graph, mc), E.ravel()).count
     return count.reshape(E.shape) if E.ndim else int(count[0])
 
 
@@ -132,76 +158,47 @@ def _converged(E):
     return np.maximum(2.0 * TOL * np.sqrt(E), 4.0 * np.spacing(E))
 
 
-def _bracketed(graph, mc, j, lo, hi):
+def _bracketed(graph, basis, j, lo, hi):
     """E_j, the j-th eigenvalue, for each entry of the array j, from the
-    _VertexForm lo and hi of brackets a < E_j <= b, N(a) < j <= N(b).  Each
-    step evaluates _vertex_form once per bracket and keeps the side where
-    the branch f_j changes sign, the count's own test, at the root of the
-    Moebius map y = (p + q x)/(1 + s x) through the last three points,
-    exact next to one pole; else the regula falsi, or the midpoint where
-    steps stop shrinking (Brent, 1973).  While a bracket holds a pole, y is
-    its bond's T01: the pole is split off, every other step aiming past it
-    where f_j is infinite on its near side, or, once the bracket narrows to
-    it, taken as the root; steps stay 1e-10 E off it, where Q's pole
-    eigenvalue swamps the others.  Then y is f_j times the T01 of the bonds
-    split off.  Brackets stop at _converged."""
-    ends = [_VertexForm(*(x.copy() for x in end)) for end in (lo, hi)]
-    fs, ys = [lo.branch(j), hi.branch(j)], np.zeros((2, len(j)))  # at ends
-    hx, hy = np.zeros((3, len(j))), np.zeros((3, len(j)))  # the last 3 points
-    key, near = np.full(len(j), -2), np.zeros(lo.nd.shape, bool)
-    moves, aimed = np.full((2, len(j)), np.inf), np.zeros(len(j), bool)
-
-    def scalar(at, f, col):
-        with np.errstate(invalid="ignore"):
-            return np.where(col >= 0, at.t01[np.arange(len(col)), col],
-                            f * np.where(near[go], at.t01, 1.0).prod(axis=1))
-
+    _VertexForm lo and hi of brackets a < E_j <= b, N(a) < j <= N(b).  The
+    branch f_j is the count's own test, so each step keeps the root
+    bracketed; it is finite where j - offset indexes M's eigenvalues, and
+    continuous but for the jumps of _vertex_form.  Brent's steps
+    (Algorithms for Minimization without Derivatives, 1973): inverse
+    quadratic interpolation through the ends and the end last dropped,
+    else the false position; the midpoint where a value is infinite or a
+    step is not below half the step before last; every step at least a
+    quarter of _converged inside the bracket, which closes it next to a
+    root.  Brackets stop at _converged."""
+    a, b, fa, fb = lo.E.copy(), hi.E.copy(), lo.branch(j), hi.branch(j)
+    c, fc = np.full(len(j), np.nan), np.full(len(j), np.nan)
+    new, steps = a.copy(), np.full((2, len(j)), np.inf)  # the last 2 steps
     for _ in range(BRACKET_STEPS):
-        width = _converged(ends[1].E)
-        go = np.nonzero(ends[1].E - ends[0].E > width)[0]
+        tol = _converged(b)
+        go = np.nonzero(b - a > tol)[0]
         if not len(go):
-            return 0.5 * (ends[0].E + ends[1].E)
-        at = [end.take(go) for end in ends]
-        (x0, x1), width = (end.E for end in at), width[go]
-        split = at[0].nd != at[1].nd
-        col = np.where(split.any(axis=1), np.argmax(split, axis=1), -1)
-        new = col != key[go]
-        if new.any():
-            near[go[new & (col >= 0)], col[new & (col >= 0)]] = True
-            key[go] = col
-            ys[:, go[new]] = [scalar(x, f[go], col)[new] for x, f in zip(at, fs)]
-            hx[0, go[new]], hy[0, go[new]], moves[:, go[new]] = np.nan, np.nan, np.inf
-            hx[1:, go[new]], hy[1:, go[new]] = (x0[new], x1[new]), ys[:, go[new]]
-        (ya, yb), xs, y3 = ys[:, go], hx[:, go].T - x0[:, None], hy[:, go].T
-        with np.errstate(all="ignore"):
-            x = x0 + np.linalg.det(np.stack((xs, xs * y3, y3), -1)) / (
-                np.linalg.det(np.stack((np.ones_like(xs), xs * y3, y3), -1)))
-            x = np.where((x >= x0) & (x <= x1), x,
-                         x0 + (x1 - x0) * ya / (ya - yb))
-        best = np.where(np.abs(ya) < np.abs(yb), x0, x1)
-        x = np.where(np.abs(x - best) <= np.maximum(0.5 * moves[0, go], width
-                     * (moves[1, go] > width)), x, 0.5 * (x0 + x1))
-        moves[:, go] = moves[1, go], np.abs(x - best)
-        past = (fs[0][go] == np.inf) * 1.0 - (fs[1][go] == -np.inf)
-        aimed[go] = aim = (col >= 0) & (past != 0) & ~aimed[go]
-        gap, side = 1e-10 * x, np.where(aim, past, np.sign(x0 + x1 - 2 * x))
-        pole = (col >= 0) & (x1 - x0 <= 4.0 * gap)
-        off = np.minimum(gap, np.where(side > 0, x1 - x, x - x0) / 2)
-        x = np.where(pole, x0 + (x1 - x0) * ya / (ya - yb),
-                     x + (col >= 0) * side * off)
-        x = np.clip(x, x0 + width / 4, x1 - width / 4)
-        form = _vertex_form(graph, mc, x, at if np.all(
-            at[1].nd - at[0].nd <= 1) else None)
-        f = np.where(pole, 0.0, form.branch(j[go]))
-        hx[:, go], hy[:, go] = (*hx[1:, go], x), (*hy[1:, go],
-                                                   scalar(form, f, col))
-        # a branch that rounds to zero is at its root: both ends move there
-        for side, on in ((0, f >= 0.0), (1, f <= 0.0)):
-            for field, value in zip(ends[side], form):
-                field[go[on]] = value[on]
-            fs[side][go[on]], ys[side, go[on]] = f[on], hy[2, go[on]]
+            return 0.5 * (a + b)
+        x0, x1, x2, f0, f1, f2, tol = (v[go] for v in (a, b, c, fa, fb, fc,
+                                                        tol))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x = x0 + f0 * ((x1 - x0) * f2 / ((f1 - f0) * (f1 - f2))
+                           + (x2 - x0) * f1 / ((f2 - f0) * (f2 - f1)))
+            x = np.where((x > x0) & (x < x1), x,
+                         x0 + (x1 - x0) * (f0 / (f0 - f1)))
+        step = np.abs(x - new[go])
+        ok = np.isfinite(f0 - f1) & (step < 0.5 * steps[1, go])
+        x = np.clip(np.where(ok, x, 0.5 * (x0 + x1)), x0 + 0.25 * tol,
+                    x1 - 0.25 * tol)
+        step = np.abs(x - new[go])
+        steps[:, go] = step, np.where(ok, steps[0, go], step)
+        f = _vertex_form(graph, basis, x).branch(j[go])
+        up = f >= 0.0                          # N(x) < j: x is the lower end
+        c[go], fc[go] = np.where(up, x0, x1), np.where(up, f0, f1)
+        a[go], fa[go] = np.where(up, x, x0), np.where(up, f, f0)
+        b[go], fb[go] = np.where(up, x1, x), np.where(up, f1, f)
+        new[go] = x
     raise NumericalError(f"a root's bracket did not close in {BRACKET_STEPS} "
-                         f"steps near k={math.sqrt(ends[1].E[go[0]]):.12g}")
+                         f"steps near k={math.sqrt(b[go[0]]):.12g}")
 
 
 def _off_dirichlet(graph, E, dk):
@@ -223,8 +220,9 @@ def _scan_once(graph, mc, k_max, dk):
     ks = np.linspace(0.0, k_max, int(math.ceil(k_max / dk)) + 1)
     dk = ks[1] - ks[0]
     E = _off_dirichlet(graph, ks * ks, dk)
+    basis = _vertex_basis(graph, mc)
     # below RESOLUTION dk, the resolution of E at k = dk/2, a root is E = 0
-    points = _vertex_form(graph, mc, np.concatenate(
+    points = _vertex_form(graph, basis, np.concatenate(
         ([-E[1], RESOLUTION * dk], E[1:])))
     n = points.count
     work = [(i, i + 1) for i in np.nonzero(np.diff(n))[0] if i > 0]
@@ -232,7 +230,7 @@ def _scan_once(graph, mc, k_max, dk):
     while work:
         lo, hi = np.array(work).T   # each E_j; a multiple root's merge
         cell = np.repeat(np.arange(len(work)), n[hi] - n[lo])
-        E = np.sort(_bracketed(graph, mc, np.concatenate(
+        E = np.sort(_bracketed(graph, basis, np.concatenate(
             [np.arange(n[a] + 1, n[b] + 1) for a, b in work]),
             points.take(lo[cell]), points.take(hi[cell])))
         start = np.r_[0, np.nonzero((np.diff(cell) != 0) | (
@@ -259,7 +257,7 @@ def _scan_once(graph, mc, k_max, dk):
         first = len(points.E)
         if cuts:
             points = _VertexForm(*map(np.concatenate, zip(
-                points, _vertex_form(graph, mc, np.array(cuts)))))
+                points, _vertex_form(graph, basis, np.array(cuts)))))
             n = points.count
         work = []
         for i_lo, i_hi, inside, m in todo:
@@ -285,7 +283,8 @@ def scan_spectrum(graph, mc, k_max: float, *, threads: int = 1) -> SpectrumWindo
     """All roots in (0, k_max] with multiplicities, in E = k^2: the count
     on cells of width dk = pi / (4 total length) in k, from below E = 0 and
     off the constant bonds' Dirichlet energies, marks the cells with roots,
-    and _bracketed finds them from the grid's eigenvalues of Q(E).  A cell
+    and _bracketed finds them from the grid's eigenvalues of M(E), the
+    bordered vertex matrix of _vertex_form.  A cell
     whose distinct roots miss its count is bisected by counts; the count
     across a root is its multiplicity.  Roots below E = RESOLUTION dk,
     zero modes, count but are not reported.  A total short of the count

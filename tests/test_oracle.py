@@ -230,6 +230,78 @@ def test_scan_separates_close_pairs_across_a_pole():
         assert m == 1 and abs(k - ref) <= 1e-10
 
 
+def test_count_under_a_barrier_where_the_ends_decouple():
+    # c = 1e6 on the unit Neumann interval: below c, e^-s underflows and
+    # the bond's N is R00 e^s times the identity, whose eigenvector is any;
+    # the roots are c and c + (j pi)^2
+    graph, mc = make_interval(1.0, kinds=("neumann", "neumann"),
+                              potential={"kind": "constant", "value": 1e6})
+    Es = [100.0, 1e6 - 5.0, 1e6 + 5.0, 1e6 + 1e4]
+    assert list(eigenvalue_count(graph, mc, Es)) == [0, 0, 1, 32]
+
+
+def test_scan_neumann_interval_roots_on_the_bonds_dirichlet_energies():
+    # every root j pi / L of the Neumann interval sits on a Dirichlet
+    # energy of its bond, where Q has a pole and the bordered matrix of the
+    # count does not; the zero mode at k = 0 is not reported
+    for L in (1.678, 1.0, 0.7313):
+        graph, mc = make_interval(L, kinds=("neumann", "neumann"))
+        window = scan_spectrum(graph, mc, 25.0)
+        assert window.count == len(window.roots) == int(25.0 * L / math.pi)
+        for j, (k, m) in enumerate(window.roots, start=1):
+            assert m == 1 and abs(k - j * math.pi / L) <= 1e-10
+
+
+def test_bordered_vertex_matrix_is_continuous_across_a_pole():
+    # on the benchmark's bump chain the constant bonds' Dirichlet energies
+    # (j pi)^2 are no roots: Q has a pole there, and the count's bordered
+    # matrix M, its offset and so every branch f_j move by O(dE) across it
+    graph, mc = make_chain(bump={"kind": "bump", "center": 0.5,
+                                 "half_width": 0.3, "height": 0.3})
+    basis = oracle._vertex_basis(graph, mc)
+    for k in (math.pi, 20.0 * math.pi, 68.0 * math.pi):
+        E = k * k * (1.0 + np.array([-1e-9, 1e-9]))
+        form = oracle._vertex_form(graph, basis, E)
+        assert form.count[0] == form.count[1]
+        assert form.offset[0] == form.offset[1]
+        assert np.max(np.abs(form.lam[1] - form.lam[0])) <= 1e-6 * k
+
+
+def test_scan_roots_sit_on_the_count_steps_of_a_two_bump_chain():
+    # a chain with two negative bumps, Neumann and Kirchhoff ends on one
+    # side of a Dirichlet vertex; the roots near k = 38.7, 41.05 and 43.39
+    # must sit within 1.5e-13 of where the count steps, found by bisecting
+    # the count itself.  Border rows of the count's matrix that are not
+    # scaled to the size of Q0 move these roots by up to 4.4e-13
+    bump = {"kind": "bump", "center": 0.66665, "height": -4.519854897657521,
+            "half_width": 0.38142805753938225}
+    graph, mc = from_doc({"vertices": 5, "bonds": [
+        {"id": 1, "origin": 1, "terminus": 2, "length": 1.3333,
+         "potential": bump},
+        {"id": 2, "origin": 2, "terminus": 3, "length": 0.7447},
+        {"id": 3, "origin": 3, "terminus": 4, "length": 1.1457,
+         "potential": {"kind": "bump", "center": 0.57285,
+                       "half_width": 0.5084968957538407,
+                       "height": -2.2682887107480156}},
+        {"id": 4, "origin": 4, "terminus": 5, "length": 1.5326}],
+        "matching": {"mode": "per_vertex", "vertices": [
+            {"vertex": 1, "kind": "neumann"},
+            {"vertex": 2, "kind": "neumann"},
+            {"vertex": 3, "kind": "dirichlet"},
+            {"vertex": 4, "kind": "delta", "lambda": -1.191110089028105},
+            {"vertex": 5, "kind": "dirichlet"}]}})
+    roots = [k for k, _ in scan_spectrum(graph, mc, 45.0).roots
+             if min(abs(k - x) for x in (38.7, 41.048, 43.392)) < 1e-3]
+    assert len(roots) == 3
+    lo, hi = np.array(roots) * (1.0 - 1e-8), np.array(roots) * (1.0 + 1e-8)
+    below = eigenvalue_count(graph, mc, lo * lo)
+    for _ in range(50):
+        mid = 0.5 * (lo + hi)
+        up = eigenvalue_count(graph, mc, mid * mid) > below
+        lo, hi = np.where(up, lo, mid), np.where(up, mid, hi)
+    assert np.all(np.abs(0.5 * (lo + hi) - roots) <= 1.5e-13)
+
+
 @pytest.mark.parametrize("graph_mc, k_max", [
     (make_chain((1.0, 1.0, 1.0), bump={"kind": "bump", "center": 0.5,
                                        "half_width": 0.3, "height": 0.3}),

@@ -22,14 +22,15 @@ OFF_CENTRE = {**BUMP, "center": 0.35, "half_width": 0.2}
 
 
 def test_interval_singular_exactly_at_eigenvalues():
-    # the vertex matrix Q(E) of the eigenvalue count, 1 x 1 on the interval
-    # with a Neumann end, vanishes exactly at the roots k = (j - 1/2) pi
-    # and not between them
+    # the bordered vertex matrix M(E) of the eigenvalue count, 2 x 2 on the
+    # interval with a Neumann end, is singular exactly at the roots k =
+    # (j - 1/2) pi and not between them, at k = 2 pi on the pole of Q
     graph, mc = make_interval(1.0, kinds=("neumann", "dirichlet"))
     ks = np.array([0.5, 1.5, 2.0, 2.5]) * math.pi
-    lam = np.abs(oracle._vertex_form(graph, mc, ks * ks).lam[:, 0])
+    lam = np.abs(oracle._vertex_form(graph, oracle._vertex_basis(graph, mc),
+                                     ks * ks).lam).min(axis=1)
     assert lam[0] < 1e-12 and lam[1] < 1e-12 and lam[3] < 1e-12
-    assert lam[2] > 1.0
+    assert lam[2] > 0.5
 
 
 def test_real_matrices_memory_does_not_grow_with_segment_count():
