@@ -5,9 +5,9 @@ zeta engine's imaginary axis: the exact eigenvalue count marks the grid
 cells that hold roots, a bracketed solve on the eigenvalue branches of
 the count's own Hermitian matrix, the vertex matrix Q(E) bordered so
 that it has no poles, converges on every root inside them, and count
-differences give multiplicities.  Zeta values are
-then checked by direct summation with a Weyl-density tail, and the force
-by finite differences of the energy.
+differences give multiplicities.  Zeta values are then checked by
+direct summation with a Weyl-density tail, and the force by finite
+differences of the energy.
 """
 
 from __future__ import annotations
@@ -103,9 +103,10 @@ def _vertex_form(graph, basis, E) -> _VertexForm:
     (Haynsworth, Linear Algebra Appl. 1, 1968).  Bond b's row is scaled by
     k_b = max(sqrt|E|, 1/L_b), which puts its entries on the scale of Q0
     and keeps their rounding from moving roots.  d_b crosses 0 upwards at
-    each Dirichlet energy, where N_D,b steps up, so M and the offset are
-    continuous there; they jump only where mu changes sign, off the
-    poles, and no branch f_j changes sign there.  N_D,b is read from the
+    each Dirichlet energy, where dT01/dE = int u^2 / T11 and T11 = 1/T00
+    has the sign of mu, and N_D,b steps up there: so M and the offset are
+    continuous through the poles.  They jump only where mu changes sign,
+    off the poles, and no branch f_j changes sign there.  N_D,b is read from the
     Pruefer angle, its parity from the sign of u(L) = T01.  All of it is
     formed from R and e^-s, T = e^s R, so nothing overflows under a
     barrier."""
